@@ -96,7 +96,7 @@ def affinity_post(model, images: list[LabeledImage], layer: int,
 
     Every patch contributes its complete distribution over experts; a patch's
     class is the label of its image. Classes never sampled are flagged as
-    missing (NaN row) rather than zero-filled.
+    missing (NaN row) rather than zero-filled. Builds no autodiff tape.
     """
     if not images:
         raise ValueError("no images to sample")
@@ -104,17 +104,18 @@ def affinity_post(model, images: list[LabeledImage], layer: int,
     num_classes = model.config.num_classes
     sums = None
     patch_counts = np.zeros(num_classes, dtype=np.int64)
-    for _ in range(n_batches):
-        idx = rng.gen.integers(0, len(images), size=min(batch_size, len(images)))
-        x = np.stack([images[i].pixels for i in idx])
-        labels = np.array([images[i].class_id for i in idx])
-        record = model.forward(x).routing[layer]
-        probs = record.full_probs  # B x P x E
-        if sums is None:
-            sums = np.zeros((num_classes, record.num_experts))
-        per_image = probs.sum(axis=1)  # sum over patches
-        np.add.at(sums, labels, per_image)
-        np.add.at(patch_counts, labels, probs.shape[1])
+    with model.no_grad():
+        for _ in range(n_batches):
+            idx = rng.gen.integers(0, len(images), size=min(batch_size, len(images)))
+            x = np.stack([images[i].pixels for i in idx])
+            labels = np.array([images[i].class_id for i in idx])
+            record = model.forward(x).routing[layer]
+            probs = record.full_probs  # B x P x E
+            if sums is None:
+                sums = np.zeros((num_classes, record.num_experts))
+            per_image = probs.sum(axis=1)  # sum over patches
+            np.add.at(sums, labels, per_image)
+            np.add.at(patch_counts, labels, probs.shape[1])
     missing = [c for c in range(num_classes) if patch_counts[c] == 0]
     values = np.full_like(sums, np.nan)
     seen = patch_counts > 0

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -244,6 +245,21 @@ class Model:
         out.update({"head.w": self.head_w, "head.b": self.head_b})
         return out
 
+    @contextmanager
+    def no_grad(self):
+        """Inside the block no parameter requires grad, so a forward builds no
+        autodiff tape; each parameter's flag is restored on exit, also when
+        the block raises."""
+        params = list(self.named_parameters().values())
+        saved = [p.requires_grad for p in params]
+        for p in params:
+            p.requires_grad = False
+        try:
+            yield
+        finally:
+            for p, flag in zip(params, saved):
+                p.requires_grad = flag
+
     # -- forward ------------------------------------------------------------
 
     def patch_embed(self, images: np.ndarray) -> Tensor:
@@ -310,10 +326,11 @@ class Model:
 
     def capture_pre_mlp(self, images: np.ndarray, layer: int) -> Tensor:
         """Activation after attention and the MLP-input layer norm at `layer`:
-        the tensor clustered and routed on."""
+        the tensor clustered and routed on. Builds no autodiff tape."""
         if not 0 <= layer < len(self.layers):
             raise ValueError(f"invalid layer {layer}")
-        return self.forward(images, capture_layers=(layer,)).captures[layer]
+        with self.no_grad():
+            return self.forward(images, capture_layers=(layer,)).captures[layer]
 
     # -- stats --------------------------------------------------------------
 
@@ -386,9 +403,14 @@ class CheckpointError(Exception):
 
 
 def load_checkpoint(path: Path | str) -> Model:
+    """Rebuild a model from its manifest and blob file. Raises CheckpointError
+    unless every parameter of the rebuilt model is read, valid, from the blob."""
     path = Path(path)
     with open(path) as f:
-        manifest = json.load(f)
+        try:
+            manifest = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise CheckpointError(f"malformed checkpoint manifest {path}: {exc}") from None
     config = ModelConfig.from_json(manifest["config"])
     model = Model(config, Rng(0))
     # Rebuild MoE blocks before loading weights so their names resolve.
@@ -420,12 +442,18 @@ def load_checkpoint(path: Path | str) -> Model:
     model.finetuned = manifest.get("finetuned", False)
     params = model.named_parameters()
     blob_path = path.with_suffix(".bin")
+    missing = sorted(set(params) - {entry["name"] for entry in manifest["params"]})
+    if missing:
+        raise CheckpointError(f"checkpoint lacks parameters {', '.join(missing)}")
     with open(blob_path, "rb") as f:
         for entry in manifest["params"]:
             name = entry["name"]
             if name not in params:
                 raise CheckpointError(f"unknown parameter {name} in checkpoint")
-            arr = T.read_blob(f, entry["offset"])
+            try:
+                arr = T.read_blob(f, entry["offset"])
+            except ValueError as exc:
+                raise CheckpointError(f"{blob_path}: {name}: {exc}") from None
             if list(arr.shape) != entry["shape"]:
                 raise CheckpointError(f"shape mismatch for {name}")
             params[name].data = arr.astype(T.default_dtype())

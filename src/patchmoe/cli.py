@@ -64,7 +64,7 @@ CONFIG_SCHEMA = {
         "wd_classifier": 1e-8, "wd_other": 0.0, "betas": (0.9, 0.99),
         "eps": 1e-8, "batch_size": 32, "epochs": 80,
     },
-    "augment": {"hflip_p": 0.5, "mixup_alpha": 0.2, "classifier_dropout": 0.1},
+    "augment": {"hflip_p": 0.5, "mixup_alpha": 0.2},
     "data": {k: v.default for k, v in data.SynthSpec.__dataclass_fields__.items()},
     "seed": {"seed": 0},
 }
@@ -78,14 +78,17 @@ def _coerce(raw: str, default):
         if lowered in ("false", "0", "no"):
             return False
         raise ConfigError(f"expected boolean, got {raw!r}")
-    if isinstance(default, int) and not isinstance(default, bool):
-        return int(raw)
-    if isinstance(default, float):
-        return float(raw)
-    if isinstance(default, tuple):
-        parts = [p.strip() for p in raw.split(",") if p.strip()]
-        elem = float if default and isinstance(default[0], float) else int
-        return tuple(elem(p) for p in parts)
+    try:
+        if isinstance(default, int):
+            return int(raw)
+        if isinstance(default, float):
+            return float(raw)
+        if isinstance(default, tuple):
+            parts = [p.strip() for p in raw.split(",") if p.strip()]
+            elem = float if default and isinstance(default[0], float) else int
+            return tuple(elem(p) for p in parts)
+    except ValueError:
+        raise ConfigError(f"cannot read {raw!r} as {type(default).__name__}") from None
     return raw
 
 
@@ -115,22 +118,30 @@ def load_run_config(path: str | None, overrides: list[str] | None = None) -> dic
     return resolved
 
 
+def _build(cls, **kwargs):
+    """Construct a config object; its validation errors are config errors."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"invalid {cls.__name__}: {exc}") from None
+
+
 def model_config_from(resolved: dict, num_classes: int | None = None) -> backbone.ModelConfig:
     kwargs = dict(resolved["model"])
     kwargs.update(resolved["moe"])
     if num_classes is not None:
         kwargs["num_classes"] = num_classes
-    return backbone.ModelConfig(**kwargs)
+    return _build(backbone.ModelConfig, **kwargs)
 
 
 def optim_config_from(resolved: dict) -> training.OptimConfig:
     kwargs = dict(resolved["optim"])
     kwargs["betas"] = tuple(kwargs["betas"])
-    return training.OptimConfig(**kwargs)
+    return _build(training.OptimConfig, **kwargs)
 
 
 def augment_config_from(resolved: dict) -> training.AugmentConfig:
-    return training.AugmentConfig(**resolved["augment"])
+    return _build(training.AugmentConfig, **resolved["augment"])
 
 
 def router_params_from(resolved: dict) -> router_init.RouterInitParams:
@@ -183,10 +194,11 @@ def cmd_pretrain(args) -> int:
     dataset = data.load_dataset(args.data)
     cfg = model_config_from(resolved, num_classes=dataset.num_classes)
     model = backbone.Model(cfg, Rng(seed))
+    optim, augment = optim_config_from(resolved), augment_config_from(resolved)
     out = Path(args.out)
-    result = training.train(
-        model, dataset, optim_config_from(resolved), augment_config_from(resolved),
-        seed=seed, metrics_path=out.with_suffix(".metrics.csv"))
+    out.parent.mkdir(parents=True, exist_ok=True)
+    result = training.train(model, dataset, optim, augment, seed=seed,
+                            metrics_path=out.with_suffix(".metrics.csv"))
     backbone.save_checkpoint(model, out)
     write_run_manifest(out.with_suffix(".run.json"), "pretrain", resolved,
                        {"seed": seed, "train": result.manifest})
@@ -225,10 +237,11 @@ def cmd_finetune(args) -> int:
     model = backbone.load_checkpoint(args.ckpt)
     _require_stage(model, "moe", "finetune")
     dataset = data.load_dataset(args.data)
+    optim, augment = optim_config_from(resolved), augment_config_from(resolved)
     out = Path(args.out)
-    result = training.train(
-        model, dataset, optim_config_from(resolved), augment_config_from(resolved),
-        seed=seed, metrics_path=out.with_suffix(".metrics.csv"))
+    out.parent.mkdir(parents=True, exist_ok=True)
+    result = training.train(model, dataset, optim, augment, seed=seed,
+                            metrics_path=out.with_suffix(".metrics.csv"))
     model.finetuned = True
     backbone.save_checkpoint(model, out)
     write_run_manifest(out.with_suffix(".run.json"), "finetune", resolved,

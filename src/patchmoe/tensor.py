@@ -9,6 +9,7 @@ checks every one of them against central finite differences.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -82,14 +83,22 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
-        arr = np.asarray(data)
-        if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(_default_dtype)
+        # Python scalars take the default dtype: a 0-d float64 constant would
+        # upcast every float32 array it meets (NumPy 2 promotion). numpy
+        # scalars such as np.float64 (a float subclass) keep their own dtype.
+        if type(data) in (int, float):
+            arr = np.asarray(data, dtype=_default_dtype)
+        else:
+            arr = np.asarray(data)
+            if arr.dtype not in (np.float32, np.float64):
+                arr = arr.astype(_default_dtype)
         self.data = arr
         self.grad = None
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in _parents)
-        self._parents = _parents
-        self._backward = _backward
+        # A node no gradient can reach keeps no tape, so a forward over
+        # parameters that do not require grad frees its intermediates as it goes.
+        self._parents = _parents if self.requires_grad else ()
+        self._backward = _backward if self.requires_grad else None
 
     @property
     def shape(self):
@@ -475,8 +484,9 @@ def silu(a: Tensor) -> Tensor:
     return Tensor(out_data, _parents=(a,), _backward=backward)
 
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Python floats, so they take the dtype of the array they scale.
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -649,19 +659,25 @@ def write_blob(f, arr: np.ndarray) -> int:
     return offset
 
 
+def _read_exact(f, n: int) -> bytes:
+    data = f.read(n)
+    if len(data) != n:
+        raise ValueError("truncated tensor blob")
+    return data
+
+
 def read_blob(f, offset: int | None = None) -> np.ndarray:
+    """Read one tensor record; ValueError on a corrupt or truncated record."""
     if offset is not None:
         f.seek(offset)
     magic = f.read(8)
     if magic != BLOB_MAGIC:
         raise ValueError(f"bad tensor blob magic {magic!r}")
-    code, rank = struct.unpack("<BB", f.read(2))
+    code, rank = struct.unpack("<BB", _read_exact(f, 2))
     if code not in _CODE_DTYPES:
         raise ValueError(f"unknown dtype code {code}")
-    shape = tuple(struct.unpack("<Q", f.read(8))[0] for _ in range(rank))
+    shape = tuple(struct.unpack("<Q", _read_exact(f, 8))[0] for _ in range(rank))
     dtype = _CODE_DTYPES[code]
     n = int(np.prod(shape)) if shape else 1
-    payload = f.read(n * dtype.itemsize)
-    if len(payload) != n * dtype.itemsize:
-        raise ValueError("truncated tensor blob payload")
+    payload = _read_exact(f, n * dtype.itemsize)
     return np.frombuffer(payload, dtype=dtype.newbyteorder("<")).astype(dtype).reshape(shape)

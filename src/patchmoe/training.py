@@ -51,13 +51,10 @@ class OptimConfig:
 class AugmentConfig:
     hflip_p: float = 0.5
     mixup_alpha: float = 0.2
-    classifier_dropout: float = 0.1
 
     def __post_init__(self):
-        for name in ("hflip_p", "classifier_dropout"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
+        if not 0.0 <= self.hflip_p <= 1.0:
+            raise ValueError("hflip_p must be in [0, 1]")
         if self.mixup_alpha < 0:
             raise ValueError("mixup_alpha must be >= 0")
 
@@ -195,7 +192,8 @@ class EvalResult:
 
 
 def evaluate(model, images: list[LabeledImage], batch_size: int = 32) -> EvalResult:
-    """Deterministic eval-mode pass over a list of labeled images."""
+    """Deterministic eval-mode pass over a list of labeled images. Builds no
+    autodiff tape."""
     if not images:
         raise ValueError("cannot evaluate on an empty split")
     num_classes = model.config.num_classes
@@ -204,19 +202,20 @@ def evaluate(model, images: list[LabeledImage], batch_size: int = 32) -> EvalRes
     total_loss = 0.0
     probs_chunks: dict[int, list[np.ndarray]] = {}
     counts: dict[int, np.ndarray] = {}
-    for start in range(0, len(images), batch_size):
-        chunk = images[start:start + batch_size]
-        x = np.stack([im.pixels for im in chunk])
-        y = labels[start:start + len(chunk)]
-        result = model.forward(x)
-        loss = soft_cross_entropy(result.logits, one_hot(y, num_classes))
-        total_loss += loss.item() * len(chunk)
-        preds[start:start + len(chunk)] = np.argmax(result.logits.data, axis=-1)
-        for layer, record in result.routing.items():
-            probs_chunks.setdefault(layer, []).append(record.full_probs)
-            if layer not in counts:
-                counts[layer] = np.zeros(record.num_experts, dtype=np.int64)
-            counts[layer] += record.expert_counts
+    with model.no_grad():
+        for start in range(0, len(images), batch_size):
+            chunk = images[start:start + batch_size]
+            x = np.stack([im.pixels for im in chunk])
+            y = labels[start:start + len(chunk)]
+            result = model.forward(x)
+            loss = soft_cross_entropy(result.logits, one_hot(y, num_classes))
+            total_loss += loss.item() * len(chunk)
+            preds[start:start + len(chunk)] = np.argmax(result.logits.data, axis=-1)
+            for layer, record in result.routing.items():
+                probs_chunks.setdefault(layer, []).append(record.full_probs)
+                if layer not in counts:
+                    counts[layer] = np.zeros(record.num_experts, dtype=np.int64)
+                counts[layer] += record.expert_counts
     per_class = {}
     for c in range(num_classes):
         mask = labels == c

@@ -113,6 +113,22 @@ class TestConfig:
         with pytest.raises(cli.ConfigError):
             cli.load_run_config("/nonexistent/run.ini")
 
+    def test_uncoercible_value_rejected(self):
+        with pytest.raises(cli.ConfigError):
+            cli.load_run_config(None, ["optim.epochs=abc"])
+        with pytest.raises(cli.ConfigError):
+            cli.load_run_config(None, ["moe.moe_layers=1,x"])
+
+    @pytest.mark.parametrize("override", ["optim.epochs=abc", "model.patch_size=5",
+                                          "optim.batch_size=0",
+                                          "augment.classifier_dropout=0.3"])
+    def test_bad_override_exits_usage(self, workdir, tmp_path, override):
+        rc = cli.main(["pretrain", "--config", str(workdir["config"]),
+                       "--data", str(workdir["data"]), "--set", override,
+                       "--out", str(tmp_path / "ckpt" / "dense.json")])
+        assert rc == cli.EXIT_USAGE
+        assert not (tmp_path / "ckpt").exists()
+
 
 class TestGenData:
     def test_writes_manifest_and_ppms(self, workdir):
@@ -146,6 +162,14 @@ class TestGenData:
 
 
 class TestPipeline:
+    def test_pretrain_into_missing_directory(self, workdir, tmp_path):
+        out = tmp_path / "new" / "dense.json"
+        rc = cli.main(["pretrain", "--config", str(workdir["config"]),
+                       "--data", str(workdir["data"]), "--out", str(out)])
+        assert rc == 0
+        for suffix in (".json", ".bin", ".metrics.csv", ".run.json"):
+            assert out.with_suffix(suffix).exists(), suffix
+
     def test_pretrain_artifacts(self, workdir):
         dense = workdir["dense"]
         assert dense.exists() and dense.with_suffix(".bin").exists()
@@ -268,3 +292,40 @@ class TestInspect:
         out = capsys.readouterr().out
         assert "stage: dense" in out
         assert "total parameters:" in out
+
+
+class TestCheckpointErrors:
+    """A checkpoint that cannot be loaded completely exits with EXIT_DATA."""
+
+    @pytest.fixture
+    def ckpt(self, workdir, tmp_path):
+        for suffix in (".json", ".bin"):
+            src = workdir["dense"].with_suffix(suffix)
+            (tmp_path / f"dense{suffix}").write_bytes(src.read_bytes())
+        return tmp_path / "dense.json"
+
+    def test_intact_copy_loads(self, ckpt):
+        assert cli.main(["inspect", "--ckpt", str(ckpt)]) == 0
+
+    def test_missing_parameter(self, ckpt, capsys):
+        manifest = json.loads(ckpt.read_text())
+        manifest["params"] = [e for e in manifest["params"] if e["name"] != "head.w"]
+        ckpt.write_text(json.dumps(manifest))
+        assert cli.main(["inspect", "--ckpt", str(ckpt)]) == cli.EXIT_DATA
+        assert "head.w" in capsys.readouterr().err
+
+    def test_truncated_blob(self, ckpt):
+        blob = ckpt.with_suffix(".bin")
+        blob.write_bytes(blob.read_bytes()[:-5])
+        assert cli.main(["inspect", "--ckpt", str(ckpt)]) == cli.EXIT_DATA
+
+    def test_truncated_blob_header(self, ckpt):
+        manifest = json.loads(ckpt.read_text())
+        last = max(e["offset"] for e in manifest["params"])
+        blob = ckpt.with_suffix(".bin")
+        blob.write_bytes(blob.read_bytes()[:last + 9])
+        assert cli.main(["inspect", "--ckpt", str(ckpt)]) == cli.EXIT_DATA
+
+    def test_malformed_manifest(self, ckpt):
+        ckpt.write_text('{"stage": "dense", ')
+        assert cli.main(["inspect", "--ckpt", str(ckpt)]) == cli.EXIT_DATA

@@ -1,0 +1,163 @@
+"""float32 mode computes in float32 end to end, and inference forwards
+(evaluate, affinity_post, capture_pre_mlp) build no autodiff tape."""
+
+import numpy as np
+import pytest
+
+from patchmoe import affinity, backbone, expert_init, training
+from patchmoe import tensor as T
+from patchmoe.data import LabeledImage
+from patchmoe.tensor import Rng
+
+from util_model import toy_config
+from test_expert_init import make_router
+from test_training import make_two_class_dataset
+
+
+def make_model(activation="silu", moe=True, dropout=0.0):
+    cfg = toy_config(num_classes=2, activation=activation, dropout=dropout,
+                     moe_layers=(1,) if moe else (), experts=3, top_k=2)
+    model = backbone.Model(cfg, Rng(0))
+    if moe:
+        expert_init.moefy_layer(model, 1, make_router(cfg.d_model, 3, top_k=2))
+    return model
+
+
+def tape_nodes(root):
+    """Every node reachable from root through the tape, constants included."""
+    seen, nodes, stack = set(), [], [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+class TestScalarDtype:
+    def test_python_scalars_take_default_dtype(self):
+        assert T.Tensor(0.5).data.dtype == np.float32
+        assert T.Tensor(-1).data.dtype == np.float32
+        T.set_default_dtype("float64")
+        try:
+            assert T.Tensor(0.5).data.dtype == np.float64
+        finally:
+            T.set_default_dtype("float32")
+
+    def test_numpy_scalars_keep_their_dtype(self):
+        assert T.Tensor(np.float64(0.5)).data.dtype == np.float64
+        assert T.Tensor(np.float32(0.5)).data.dtype == np.float32
+
+    def test_scalar_ops_stay_float32(self):
+        x = T.Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+        for out in (-x, x * 0.5, 2.0 - x, x / 3.0, T.tmean(x), T.gelu(x)):
+            assert out.data.dtype == np.float32
+
+
+@pytest.mark.parametrize("moe", [False, True], ids=["dense", "moe"])
+@pytest.mark.parametrize("activation", ["silu", "gelu"])
+def test_float32_mode_is_float32_end_to_end(activation, moe):
+    assert T.default_dtype() == np.float32
+    model = make_model(activation, moe, dropout=0.2)
+    images = np.random.default_rng(0).integers(0, 256, (3, 8, 8, 3), dtype=np.uint8)
+    result = model.forward(images, train=True, rng=Rng(1), capture_layers=(0, 1))
+    assert result.logits.data.dtype == np.float32
+    assert sorted(result.captures) == [0, 1]
+    for cap in result.captures.values():
+        assert cap.data.dtype == np.float32
+    assert sorted(result.routing) == ([1] if moe else [])
+    for record in result.routing.values():
+        assert record.gates.dtype == np.float32
+        assert record.full_probs.dtype == np.float32
+    loss = training.soft_cross_entropy(
+        result.logits, training.one_hot(np.array([0, 1, 1]), 2))
+    for node in tape_nodes(loss):
+        assert node.data.dtype == np.float32, node
+    loss.backward()
+    grads = {name: p.grad for name, p in model.named_parameters().items()
+             if p.grad is not None}
+    assert "head.w" in grads and "embed.w" in grads
+    if moe:
+        assert "layer1.moe.router.centroids" in grads
+    for name, g in grads.items():
+        assert g.dtype == np.float32, name
+    assert model.capture_pre_mlp(images, 1).data.dtype == np.float32
+
+
+class TestNoTape:
+    def assert_all_require_grad(self, model):
+        params = model.named_parameters()
+        assert params and all(p.requires_grad for p in params.values())
+
+    def spy_forward(self, model, monkeypatch):
+        """Record every ForwardResult the model returns."""
+        results, forward = [], model.forward
+
+        def spy(*args, **kwargs):
+            results.append(forward(*args, **kwargs))
+            return results[-1]
+        monkeypatch.setattr(model, "forward", spy)
+        return results
+
+    def assert_untaped(self, results):
+        assert results
+        for r in results:
+            assert not r.logits.requires_grad and r.logits._parents == ()
+
+    def bad_images(self):
+        """Four channels: the forward raises in patch_embed."""
+        return [LabeledImage(np.zeros((8, 8, 4), dtype=np.uint8), 0, "val")]
+
+    def test_no_grad_forward_keeps_no_tape(self):
+        model = make_model()
+        images = np.random.default_rng(0).integers(0, 256, (2, 8, 8, 3), dtype=np.uint8)
+        with model.no_grad():
+            result = model.forward(images, capture_layers=(1,))
+        assert not result.logits.requires_grad
+        assert result.logits._parents == () and result.logits._backward is None
+        self.assert_all_require_grad(model)
+        assert model.forward(images).logits._parents
+
+    def test_evaluate(self, monkeypatch):
+        model = make_model()
+        images = make_two_class_dataset().split("val")
+        results = self.spy_forward(model, monkeypatch)
+        first = training.evaluate(model, images, batch_size=4)
+        self.assert_all_require_grad(model)
+        self.assert_untaped(results)
+        with pytest.raises(ValueError):
+            training.evaluate(model, self.bad_images())
+        self.assert_all_require_grad(model)
+        assert first.loss == training.evaluate(model, images, batch_size=4).loss
+
+    def test_affinity_post(self, monkeypatch):
+        model = make_model()
+        images = make_two_class_dataset().split("val")
+        results = self.spy_forward(model, monkeypatch)
+        affinity.affinity_post(model, images, layer=1, n_batches=2, batch_size=4)
+        self.assert_all_require_grad(model)
+        self.assert_untaped(results)
+        with pytest.raises(ValueError):
+            affinity.affinity_post(model, self.bad_images(), layer=1, n_batches=1)
+        self.assert_all_require_grad(model)
+
+    def test_capture_pre_mlp(self):
+        model = make_model()
+        images = np.random.default_rng(0).integers(0, 256, (2, 8, 8, 3), dtype=np.uint8)
+        cap = model.capture_pre_mlp(images, 1)
+        assert cap._parents == () and not cap.requires_grad
+        self.assert_all_require_grad(model)
+        assert np.array_equal(cap.data, model.forward(images, capture_layers=(1,))
+                              .captures[1].data)
+        with pytest.raises(ValueError):
+            model.capture_pre_mlp(np.zeros((1, 8, 8, 4), dtype=np.uint8), 1)
+        self.assert_all_require_grad(model)
+
+    def test_frozen_parameter_stays_frozen(self):
+        model = make_model()
+        model.head_b.requires_grad = False
+        with model.no_grad():
+            pass
+        assert not model.head_b.requires_grad
+        assert model.head_w.requires_grad
