@@ -92,37 +92,6 @@ def desk_config(num_classes: int, **overrides) -> ModelConfig:
     return ModelConfig(**base)
 
 
-@dataclass
-class PatchTensor:
-    """Activations in (batch, patches, pixels-per-patch, channels) layout."""
-
-    tensor: Tensor
-
-    def __post_init__(self):
-        if self.tensor.ndim != 4:
-            raise ValueError("PatchTensor needs a rank-4 tensor")
-
-    @property
-    def batch(self):
-        return self.tensor.shape[0]
-
-    @property
-    def patches(self):
-        return self.tensor.shape[1]
-
-    @property
-    def n_px(self):
-        return self.tensor.shape[2]
-
-    @property
-    def channels(self):
-        return self.tensor.shape[3]
-
-    @property
-    def shape(self):
-        return self.tensor.shape
-
-
 def unfold(images: np.ndarray, patch_size: int, n_px: int) -> np.ndarray:
     """(B, H, W, C) pixels -> (B, P, n_px, cell*cell*C) blocks. Exact inverse
     of fold."""
@@ -310,12 +279,9 @@ class Model:
             captured = T.layer_norm(x, layer.ln2_gain, layer.ln2_bias)
             if i in capture_layers:
                 result.captures[i] = captured
-            if isinstance(layer.mlp, moe_mod.MoEBlock):
-                sub_out, record = moe_mod.moe_forward(x, captured, layer.mlp)
+            x, record = self._mlp_residual(layer, x, captured)
+            if record is not None:
                 result.routing[i] = record
-            else:
-                sub_out = layer.mlp.forward(captured)
-            x = T.add(x, sub_out)
         pooled = T.tmean(x, axis=(1, 2))
         if train and cfg.dropout > 0:
             if rng is None:
@@ -324,13 +290,30 @@ class Model:
         result.logits = T.add(T.matmul(pooled, self.head_w), self.head_b)
         return result
 
+    def _mlp_residual(self, layer: TransformerLayer, x: Tensor, captured: Tensor):
+        """x plus the layer's dense MLP or MoE output on `captured`, and the
+        MoE routing record (None for a dense MLP)."""
+        if isinstance(layer.mlp, moe_mod.MoEBlock):
+            sub_out, record = moe_mod.moe_forward(x, captured, layer.mlp)
+        else:
+            sub_out, record = layer.mlp.forward(captured), None
+        return T.add(x, sub_out), record
+
     def capture_pre_mlp(self, images: np.ndarray, layer: int) -> Tensor:
         """Activation after attention and the MLP-input layer norm at `layer`:
-        the tensor clustered and routed on. Builds no autodiff tape."""
+        the tensor clustered and routed on. Equal to
+        forward(images, capture_layers=(layer,)).captures[layer], but stops
+        there: later layers and the head never run. Builds no autodiff tape."""
         if not 0 <= layer < len(self.layers):
             raise ValueError(f"invalid layer {layer}")
         with self.no_grad():
-            return self.forward(images, capture_layers=(layer,)).captures[layer]
+            x = self.patch_embed(images)
+            for i, block in enumerate(self.layers[:layer + 1]):
+                x = self.attention(block, x)
+                captured = T.layer_norm(x, block.ln2_gain, block.ln2_bias)
+                if i < layer:
+                    x, _ = self._mlp_residual(block, x, captured)
+            return captured
 
     # -- stats --------------------------------------------------------------
 
@@ -402,21 +385,13 @@ class CheckpointError(Exception):
     pass
 
 
-def load_checkpoint(path: Path | str) -> Model:
-    """Rebuild a model from its manifest and blob file. Raises CheckpointError
-    unless every parameter of the rebuilt model is read, valid, from the blob."""
-    path = Path(path)
-    with open(path) as f:
-        try:
-            manifest = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise CheckpointError(f"malformed checkpoint manifest {path}: {exc}") from None
+def _model_from_manifest(manifest: dict) -> Model:
+    """The model a manifest describes, MoE blocks rebuilt so that every
+    parameter name resolves; parameter values are placeholders."""
     config = ModelConfig.from_json(manifest["config"])
     model = Model(config, Rng(0))
-    # Rebuild MoE blocks before loading weights so their names resolve.
     for key, info in manifest.get("moe", {}).items():
-        i = int(key)
-        layer = model.layers[i]
+        layer = model.layers[int(key)]
         d, e = config.d_model, info["experts"]
         scaler = ScalerParams.from_json(info["scaler"])
         router = moe_mod.Router(
@@ -437,24 +412,47 @@ def load_checkpoint(path: Path | str) -> Model:
         block = moe_mod.MoEBlock(router=router, experts=experts)
         block.source_hash = info.get("source_dense_hash")
         layer.mlp = block
-        model.stage = "moe"
     model.stage = manifest["stage"]
     model.finetuned = manifest.get("finetuned", False)
+    return model
+
+
+def load_checkpoint(path: Path | str) -> Model:
+    """Rebuild a model from its manifest and blob file. Raises CheckpointError
+    unless every parameter of the rebuilt model is read, valid, from the blob."""
+    path = Path(path)
+    with open(path) as f:
+        try:
+            manifest = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise CheckpointError(f"malformed checkpoint manifest {path}: {exc}") from None
+    try:
+        model = _model_from_manifest(manifest)
+        entries = [(e["name"], list(e["shape"]), int(e["offset"]))
+                   for e in manifest["params"]]
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"invalid checkpoint manifest {path}: "
+                              f"{type(exc).__name__}: {exc}") from None
     params = model.named_parameters()
     blob_path = path.with_suffix(".bin")
-    missing = sorted(set(params) - {entry["name"] for entry in manifest["params"]})
+    missing = sorted(set(params) - {name for name, _, _ in entries})
     if missing:
         raise CheckpointError(f"checkpoint lacks parameters {', '.join(missing)}")
     with open(blob_path, "rb") as f:
-        for entry in manifest["params"]:
-            name = entry["name"]
+        for name, shape, offset in entries:
             if name not in params:
                 raise CheckpointError(f"unknown parameter {name} in checkpoint")
             try:
-                arr = T.read_blob(f, entry["offset"])
+                arr = T.read_blob(f, offset)
             except ValueError as exc:
                 raise CheckpointError(f"{blob_path}: {name}: {exc}") from None
-            if list(arr.shape) != entry["shape"]:
+            if list(arr.shape) != shape:
                 raise CheckpointError(f"shape mismatch for {name}")
             params[name].data = arr.astype(T.default_dtype())
+    for i, layer in enumerate(model.layers):
+        if isinstance(layer.mlp, moe_mod.MoEBlock):
+            try:
+                layer.mlp.router.validate()
+            except ValueError as exc:
+                raise CheckpointError(f"{blob_path}: layer {i} router: {exc}") from None
     return model

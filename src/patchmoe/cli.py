@@ -257,6 +257,7 @@ def cmd_eval(args) -> int:
     images = dataset.split(args.split)
     if not images:
         raise data.DataError(f"split {args.split!r} is empty")
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     result = training.evaluate(model, images, batch_size=args.batch_size)
     rows = [("loss", result.loss), ("top1", result.top1)]
     rows += [(f"class_{c}_acc", acc) for c, acc in sorted(result.per_class.items())]
@@ -278,6 +279,7 @@ def cmd_affinity(args) -> int:
     block = model.layers[layer].mlp
     if not hasattr(block, "router"):
         raise StageError(f"layer {layer} of the checkpoint is not a MoE block")
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     provenance = {"seed": args.seed or 0, "checkpoint": str(args.ckpt)}
     if args.mode in ("pre", "figure-d"):
         params = router_params_from(resolved)

@@ -26,6 +26,11 @@ class Router:
     gate_mode: str = "renorm"  # "renorm" | "raw"
 
     def __post_init__(self):
+        self.validate()
+
+    def validate(self) -> None:
+        """ValueError unless the centroids are a non-empty E x d matrix of
+        finite, non-zero rows and top_k and gate_mode are valid."""
         c = self.centroids.data
         if c.ndim != 2 or c.shape[0] < 1:
             raise ValueError("centroids must be a non-empty E x d matrix")

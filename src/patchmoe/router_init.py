@@ -118,37 +118,39 @@ def ward_cluster(points: np.ndarray, num_clusters: int = 1) -> ClusterTree:
 
     Merge cost is the increase in total within-cluster variance,
     |A||B|/(|A|+|B|) * ||mean_A - mean_B||^2, maintained exactly via the
-    Lance-Williams update. Ties break on the lexicographically smallest
-    (i, j) cluster-id pair.
+    Lance-Williams update on a symmetric (2n-1)^2 distance matrix indexed by
+    cluster id, +inf wherever a cluster is inactive or on the diagonal. Ties
+    break on the lexicographically smallest (i, j) cluster-id pair: the
+    row-major argmin finds it first.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
     if not 1 <= num_clusters <= n:
         raise ValueError(f"cannot cut {n} points at {num_clusters} clusters")
-    sizes = {i: 1 for i in range(n)}
-    dist: dict[tuple[int, int], float] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            diff = points[i] - points[j]
-            dist[(i, j)] = 0.5 * float(diff @ diff)
+    m = 2 * n - 1
+    dist = np.full((m, m), np.inf)
+    for i in range(n - 1):
+        # one dot product per pair, not a Gram matrix: distances stay bit-equal
+        # to those of the pairwise recurrence, so merges and ties do too
+        row = [0.5 * float(diff @ diff) for diff in points[i] - points[i + 1:]]
+        dist[i, i + 1:n] = dist[i + 1:n, i] = row
+    sizes = np.zeros(m, dtype=np.int64)
+    sizes[:n] = 1
+    active = np.zeros(m, dtype=bool)
+    active[:n] = True
     tree = ClusterTree(n_leaves=n)
-    active = list(range(n))
-    for step in range(n - 1):
-        best = min(((dist[(i, j)], i, j) for idx, i in enumerate(active)
-                    for j in active[idx + 1:]), key=lambda t: (t[0], t[1], t[2]))
-        d_ab, a, b = best
-        new_id = n + step
-        sa, sb = sizes[a], sizes[b]
-        for c in active:
-            if c in (a, b):
-                continue
-            sc = sizes[c]
-            d_ac = dist[tuple(sorted((a, c)))]
-            d_bc = dist[tuple(sorted((b, c)))]
-            dist[(c, new_id)] = ((sa + sc) * d_ac + (sb + sc) * d_bc - sc * d_ab) \
-                / (sa + sb + sc)
-        active = [c for c in active if c not in (a, b)] + [new_id]
+    for new_id in range(n, m):
+        a, b = divmod(int(np.argmin(dist)), m)
+        d_ab = float(dist[a, b])
+        active[a] = active[b] = False
+        others = np.flatnonzero(active)
+        sa, sb, sc = sizes[a], sizes[b], sizes[others]
+        merged = ((sa + sc) * dist[a, others] + (sb + sc) * dist[b, others] - sc * d_ab) \
+            / (sa + sb + sc)
+        dist[[a, b], :] = dist[:, [a, b]] = np.inf
+        dist[new_id, others] = dist[others, new_id] = merged
         sizes[new_id] = sa + sb
+        active[new_id] = True
         tree.merges.append((a, b, d_ab, new_id))
     return tree
 
@@ -215,11 +217,21 @@ def default_scales(config) -> tuple[int, ...]:
     return tuple(sizes)
 
 
+# Images per capture forward. A bounded chunk keeps peak memory near that of
+# single-image forwards; one batch of every picked image does not.
+CAPTURE_CHUNK = 16
+
+
 def collect_embeddings(model, dataset: Dataset, layer: int, scales,
                        samples_per_class: int, rng: Rng) -> list[ClassEmbeddings]:
     """Pre-MLP patch embeddings per class, pooled across sampled train images
-    and scales."""
-    out = []
+    and scales.
+
+    Each class's rows are ordered by (picked image, scale). The captures run
+    per scale over all classes' picked images, CAPTURE_CHUNK at a time.
+    """
+    picked = []  # (class, block index within the class, pixels)
+    counts = []
     for c in range(dataset.num_classes):
         images = dataset.by_class(c, "train")
         if not images:
@@ -227,14 +239,23 @@ def collect_embeddings(model, dataset: Dataset, layer: int, scales,
         crng = rng.child(c)
         n = min(samples_per_class, len(images))
         picks = sorted(crng.gen.choice(len(images), size=n, replace=False).tolist())
-        chunks = []
-        for i in picks:
-            for scale in scales:
-                resized = resize_nearest(images[i].pixels, scale)
-                cap = model.capture_pre_mlp(resized[None], layer)
-                chunks.append(cap.data[0])  # P x n_px x d
-        out.append(ClassEmbeddings(c, np.concatenate(chunks, axis=0), layer))
-    return out
+        picked += [(c, j, images[i].pixels) for j, i in enumerate(picks)]
+        counts.append(n)
+    # each picked image owns `block` rows: P_s patch rows per scale, in order
+    offsets = np.cumsum([0] + [(s // model.config.patch_size) ** 2 for s in scales])
+    block = int(offsets[-1])
+    out: list[np.ndarray | None] = [None] * dataset.num_classes
+    for scale, offset in zip(scales, offsets):
+        for start in range(0, len(picked), CAPTURE_CHUNK):
+            chunk = picked[start:start + CAPTURE_CHUNK]
+            batch = np.stack([resize_nearest(pixels, scale) for _, _, pixels in chunk])
+            captures = model.capture_pre_mlp(batch, layer).data  # B x P x n_px x d
+            for (c, j, _), rows in zip(chunk, captures):
+                if out[c] is None:
+                    out[c] = np.empty((counts[c] * block,) + rows.shape[1:], rows.dtype)
+                lo = j * block + offset
+                out[c][lo:lo + len(rows)] = rows
+    return [ClassEmbeddings(c, emb, layer) for c, emb in enumerate(out)]
 
 
 @dataclass

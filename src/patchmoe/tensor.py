@@ -114,11 +114,6 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor(self.data)
 
-    def check_finite(self, what: str = "tensor") -> "Tensor":
-        if not np.all(np.isfinite(self.data)):
-            raise FloatingPointError(f"non-finite values in {what}")
-        return self
-
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
@@ -329,22 +324,6 @@ def take(a: Tensor, indices, axis: int = 0) -> Tensor:
     return Tensor(out_data, _parents=(a,), _backward=backward)
 
 
-def concat(tensors, axis: int = 0) -> Tensor:
-    tensors = list(tensors)
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(lo, hi)
-                t._accumulate(g[tuple(sl)])
-
-    return Tensor(out_data, _parents=tuple(tensors), _backward=backward)
-
-
 def scatter_rows(values: Tensor, indices, n_rows: int) -> Tensor:
     """Inverse of take along axis 0: rows land at `indices` in a zero tensor
     of n_rows rows (duplicate indices accumulate)."""
@@ -398,16 +377,6 @@ def sqrt(a: Tensor) -> Tensor:
     def backward(g):
         if a.requires_grad:
             a._accumulate(g * 0.5 / out_data)
-
-    return Tensor(out_data, _parents=(a,), _backward=backward)
-
-
-def log(a: Tensor) -> Tensor:
-    out_data = np.log(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g / a.data)
 
     return Tensor(out_data, _parents=(a,), _backward=backward)
 
@@ -604,17 +573,6 @@ def clamp_min(a: Tensor, floor: float) -> Tensor:
             a._accumulate(g * (a.data > floor))
 
     return Tensor(out_data, _parents=(a,), _backward=backward)
-
-
-def cosine_similarity(a: Tensor, b: Tensor, eps: float | None = None) -> Tensor:
-    """a.b / max(|a||b|, eps) for 1-d tensors; zero vectors give 0 and the
-    value is exactly invariant under positive rescaling of either input."""
-    if eps is None:
-        eps = default_eps()
-    dot = tsum(mul(a, b))
-    na = sqrt(tsum(mul(a, a)))
-    nb = sqrt(tsum(mul(b, b)))
-    return div(dot, clamp_min(mul(na, nb), eps))
 
 
 def cosine_matrix(x: Tensor, c: Tensor, eps: float | None = None) -> Tensor:

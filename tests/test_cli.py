@@ -239,6 +239,13 @@ class TestEval:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_eval_into_missing_directory(self, workdir, tmp_path):
+        out = tmp_path / "nodir" / "eval.csv"
+        rc = cli.main(["eval", "--ckpt", str(workdir["tuned"]),
+                       "--data", str(workdir["data"]), "--out", str(out)])
+        assert rc == 0
+        assert out.read_text().startswith("metric,value\n")
+
     def test_empty_split_is_data_error(self, workdir, tmp_path):
         rc = cli.main(["eval", "--ckpt", str(workdir["tuned"]),
                        "--data", str(workdir["data"]), "--split", "nope",
@@ -258,6 +265,15 @@ class TestAffinity:
         values = affinity_mod.read_csv(out)
         assert values.shape == (4, 2)
         assert np.allclose(values.sum(axis=1), 1.0, atol=1e-6)
+
+    def test_post_mode_into_missing_directory(self, workdir, tmp_path):
+        out = tmp_path / "nodir" / "aff.csv"
+        rc = cli.main(["affinity", "--ckpt", str(workdir["tuned"]),
+                       "--data", str(workdir["data"]), "--layer", "1",
+                       "--mode", "post", "--batches", "1", "--batch-size", "4",
+                       "--out", str(out)])
+        assert rc == 0
+        assert out.exists()
 
     def test_figure_d_mode_svg(self, workdir, tmp_path):
         out = tmp_path / "aff.svg"
@@ -329,3 +345,48 @@ class TestCheckpointErrors:
     def test_malformed_manifest(self, ckpt):
         ckpt.write_text('{"stage": "dense", ')
         assert cli.main(["inspect", "--ckpt", str(ckpt)]) == cli.EXIT_DATA
+
+    def test_missing_config(self, ckpt, capsys):
+        manifest = json.loads(ckpt.read_text())
+        del manifest["config"]
+        ckpt.write_text(json.dumps(manifest))
+        assert cli.main(["inspect", "--ckpt", str(ckpt)]) == cli.EXIT_DATA
+        assert "config" in capsys.readouterr().err
+
+    def test_missing_entry_offset(self, ckpt, capsys):
+        manifest = json.loads(ckpt.read_text())
+        del manifest["params"][3]["offset"]
+        ckpt.write_text(json.dumps(manifest))
+        assert cli.main(["inspect", "--ckpt", str(ckpt)]) == cli.EXIT_DATA
+        assert "offset" in capsys.readouterr().err
+
+    def test_rejected_config(self, ckpt):
+        manifest = json.loads(ckpt.read_text())
+        manifest["config"]["patch_size"] = 5
+        ckpt.write_text(json.dumps(manifest))
+        assert cli.main(["inspect", "--ckpt", str(ckpt)]) == cli.EXIT_DATA
+
+
+class TestLoadedRouterValidation:
+    """Centroids read from a checkpoint pass the same checks as a new Router."""
+
+    def write_moe_with_centroid_row(self, workdir, tmp_path, row):
+        model = backbone.load_checkpoint(workdir["moe"])
+        model.layers[1].mlp.router.centroids.data[0] = row
+        path = tmp_path / "bad.json"
+        backbone.save_checkpoint(model, path)
+        return path
+
+    def test_missing_moe_key(self, workdir, tmp_path):
+        manifest = json.loads(workdir["moe"].read_text())
+        del manifest["moe"]["1"]["top_k"]
+        path = tmp_path / "moe.json"
+        path.write_text(json.dumps(manifest))
+        path.with_suffix(".bin").write_bytes(workdir["moe"].with_suffix(".bin").read_bytes())
+        assert cli.main(["inspect", "--ckpt", str(path)]) == cli.EXIT_DATA
+
+    @pytest.mark.parametrize("value", [0.0, np.nan], ids=["zero", "nan"])
+    def test_bad_centroid_row(self, workdir, tmp_path, capsys, value):
+        path = self.write_moe_with_centroid_row(workdir, tmp_path, value)
+        assert cli.main(["inspect", "--ckpt", str(path)]) == cli.EXIT_DATA
+        assert "centroid rows" in capsys.readouterr().err

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from patchmoe import backbone, data, router_init
+from patchmoe import backbone, data, expert_init, router_init
 from patchmoe import tensor as T
-from util_oracles import representative_patches_oracle, ward_merges_oracle
+from util_oracles import (collect_embeddings_oracle, representative_patches_oracle,
+                          ward_lance_williams_oracle, ward_merges_oracle)
 
 
 class TestSelectRepresentativePatches:
@@ -117,6 +121,39 @@ class TestWardCluster:
         assert len(groups) == 16
         assert all(groups)  # non-empty
         assert sorted(sum(groups, [])) == list(range(60))
+
+
+@st.composite
+def duplicated_points(draw):
+    """Up to 40 rows drawn with repetition from at most 5 distinct points."""
+    dim = draw(st.integers(1, 3))
+    base = draw(arrays(np.float64, (draw(st.integers(1, 5)), dim),
+                       elements=st.floats(-10, 10)))
+    rows = draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=40))
+    return base[rows]
+
+
+POINT_SHAPES = st.tuples(st.integers(1, 40), st.integers(1, 4))
+
+
+class TestWardMatchesLanceWilliamsOracle:
+    """The matrix form merges exactly as the dict-based recurrence: same
+    pairs, same order, bit-equal distances, tie-breaks included."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(arrays(np.float64, POINT_SHAPES, elements=st.floats(-100, 100)))
+    def test_random_points(self, pts):
+        assert router_init.ward_cluster(pts).merges == ward_lance_williams_oracle(pts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(arrays(np.int64, POINT_SHAPES, elements=st.integers(-2, 2)))
+    def test_integer_lattice(self, pts):
+        assert router_init.ward_cluster(pts).merges == ward_lance_williams_oracle(pts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(duplicated_points())
+    def test_duplicate_points(self, pts):
+        assert router_init.ward_cluster(pts).merges == ward_lance_williams_oracle(pts)
 
 
 class TestInitialCentroids:
@@ -257,3 +294,116 @@ class TestBuildRouter:
 def test_default_scales():
     cfg = backbone.ModelConfig(num_classes=2, image_size=64, patch_size=8)
     assert router_init.default_scales(cfg) == (48, 64, 80)
+
+
+@pytest.fixture(params=["float32", "float64"])
+def dtype(request):
+    T.set_default_dtype(request.param)
+    yield request.param
+    T.set_default_dtype("float32")
+
+
+@pytest.fixture(scope="module")
+def chunked_dataset():
+    """Six classes of four train images: 24 picks, so two capture chunks
+    per scale, the second one ragged."""
+    spec = data.SynthSpec(num_classes=6, num_families=2, image_size=32,
+                          images_per_class=5, fg_patch_cells=2, seed=4)
+    return data.generate(spec)
+
+
+def three_layer_model(dataset, moefied: bool):
+    """Three layers with MoE at layer 1, optionally moefied."""
+    cfg = backbone.ModelConfig(num_classes=dataset.num_classes, image_size=32,
+                               patch_size=8, n_px=4, d_model=16, d_ff=32, layers=3,
+                               heads=2, moe_layers=(1,), experts=4, top_k=2)
+    model = backbone.Model(cfg, T.Rng(1))
+    if moefied:
+        build = router_init.build_router(model, dataset, 1, 4)
+        expert_init.moefy_layer(model, 1, build.router)
+    return model
+
+
+class TestBatchedCapture:
+    SCALES = (24, 32, 40)
+
+    def test_chunk_count(self, chunked_dataset, monkeypatch):
+        model = three_layer_model(chunked_dataset, moefied=False)
+        sizes = []
+        original = backbone.Model.capture_pre_mlp
+
+        def counting(self, images, layer):
+            sizes.append(len(images))
+            return original(self, images, layer)
+
+        monkeypatch.setattr(backbone.Model, "capture_pre_mlp", counting)
+        router_init.collect_embeddings(model, chunked_dataset, 1, self.SCALES, 4, T.Rng(0))
+        picked = sum(min(4, len(chunked_dataset.by_class(c, "train")))
+                     for c in range(chunked_dataset.num_classes))
+        assert picked > router_init.CAPTURE_CHUNK
+        chunks = [min(router_init.CAPTURE_CHUNK, picked - s)
+                  for s in range(0, picked, router_init.CAPTURE_CHUNK)]
+        assert sizes == chunks * len(self.SCALES)
+
+    @pytest.mark.parametrize("layer", [0, 1])
+    @pytest.mark.parametrize("moefied", [False, True], ids=["dense", "moe"])
+    def test_bit_identical_before_any_moe(self, chunked_dataset, dtype, layer, moefied):
+        model = three_layer_model(chunked_dataset, moefied)
+        out = router_init.collect_embeddings(model, chunked_dataset, layer, self.SCALES,
+                                             4, T.Rng(2))
+        ref = collect_embeddings_oracle(model, chunked_dataset, layer, self.SCALES,
+                                        4, T.Rng(2))
+        assert len(out) == len(ref)
+        for c, (ce, r) in enumerate(zip(out, ref)):
+            assert ce.class_id == c and ce.layer == layer
+            assert ce.embeddings.dtype == np.dtype(dtype)
+            assert np.array_equal(ce.embeddings, r)
+
+    def test_close_after_moe(self, chunked_dataset, dtype):
+        # a batched MoE layer hands its experts more rows per matmul, and the
+        # BLAS result of a row can depend on the row count
+        model = three_layer_model(chunked_dataset, moefied=True)
+        out = router_init.collect_embeddings(model, chunked_dataset, 2, self.SCALES,
+                                             4, T.Rng(2))
+        ref = collect_embeddings_oracle(model, chunked_dataset, 2, self.SCALES,
+                                        4, T.Rng(2))
+        atol = 1e-5 if dtype == "float32" else 1e-12
+        for ce, r in zip(out, ref):
+            np.testing.assert_allclose(ce.embeddings, r, rtol=0, atol=atol)
+
+    def test_build_router_bit_identical_to_per_image_reference(
+            self, chunked_dataset, dtype, monkeypatch):
+        model = three_layer_model(chunked_dataset, moefied=False)
+        params = router_init.RouterInitParams(samples_per_class=4, seed=3,
+                                              scales=self.SCALES)
+        got = router_init.build_router(model, chunked_dataset, 1, 3, params)
+
+        def reference_collect(model, dataset, layer, scales, samples_per_class, rng):
+            rows = collect_embeddings_oracle(model, dataset, layer, scales,
+                                             samples_per_class, rng)
+            return [router_init.ClassEmbeddings(c, r, layer) for c, r in enumerate(rows)]
+
+        def reference_ward(points, num_clusters=1):
+            tree = router_init.ClusterTree(n_leaves=len(points))
+            tree.merges = ward_lance_williams_oracle(points)
+            return tree
+
+        monkeypatch.setattr(router_init, "collect_embeddings", reference_collect)
+        monkeypatch.setattr(router_init, "ward_cluster", reference_ward)
+        ref = router_init.build_router(model, chunked_dataset, 1, 3, params)
+        assert np.array_equal(got.router.centroids.data, ref.router.centroids.data)
+        assert np.array_equal(got.class_points, ref.class_points)
+        assert np.array_equal(got.class_assignments, ref.class_assignments)
+        for s, r in zip(got.selected_per_class, ref.selected_per_class):
+            assert np.array_equal(s.indices, r.indices)
+            assert np.array_equal(s.rows, r.rows)
+
+
+@pytest.mark.parametrize("moefied", [False, True], ids=["dense", "moe"])
+def test_capture_pre_mlp_equals_forward_capture(chunked_dataset, dtype, moefied):
+    model = three_layer_model(chunked_dataset, moefied)
+    images = np.stack([im.pixels for im in chunked_dataset.split("train")[:5]])
+    for layer in range(len(model.layers)):
+        with model.no_grad():
+            full = model.forward(images, capture_layers=(layer,)).captures[layer].data
+        assert np.array_equal(model.capture_pre_mlp(images, layer).data, full)

@@ -126,32 +126,14 @@ class TestMinMax:
 
 
 class TestCosine:
-    def test_self_similarity(self, nprng):
-        a = T.Tensor(nprng.standard_normal(5))
-        assert T.cosine_similarity(a, a).item() == pytest.approx(1.0, abs=1e-5)
-
-    def test_orthogonal(self):
-        assert T.cosine_similarity(T.Tensor([1.0, 0.0]), T.Tensor([0.0, 1.0])).item() == \
-            pytest.approx(0.0, abs=1e-6)
-
-    def test_scale_invariance(self, nprng):
-        a = nprng.standard_normal(4)
-        for lam in (0.5, 2.0, 17.0):
-            s1 = T.cosine_similarity(T.Tensor(a), T.Tensor(lam * a)).item()
-            s2 = T.cosine_similarity(T.Tensor(a), T.Tensor(a)).item()
-            assert s1 == pytest.approx(s2, abs=1e-6)
-
-    def test_zero_vector(self):
-        assert T.cosine_similarity(T.Tensor([0.0, 0.0]), T.Tensor([1.0, 2.0])).item() == 0.0
-
     def test_matrix_matches_scalar(self, nprng):
         x = nprng.standard_normal((3, 4))
         c = nprng.standard_normal((2, 4))
         mat = T.cosine_matrix(T.Tensor(x), T.Tensor(c)).data
         for i in range(3):
             for j in range(2):
-                assert mat[i, j] == pytest.approx(
-                    T.cosine_similarity(T.Tensor(x[i]), T.Tensor(c[j])).item(), abs=1e-5)
+                pair = float(x[i] @ c[j]) / (np.linalg.norm(x[i]) * np.linalg.norm(c[j]))
+                assert mat[i, j] == pytest.approx(pair, abs=1e-5)
 
 
 OPS = {
@@ -170,17 +152,14 @@ OPS = {
     "sum_axis": (lambda a: T.tsum(a, axis=1), [(3, 4)]),
     "mean_axis": (lambda a: T.tmean(a, axis=0, keepdims=True), [(3, 4)]),
     "take": (lambda a: T.take(a, np.array([2, 0, 2])), [(4, 3)]),
-    "concat": (lambda a, b: T.concat([a, b], axis=0), [(2, 3), (4, 3)]),
     "scatter_rows": (lambda a: T.scatter_rows(a, np.array([1, 3, 1]), 5), [(3, 2)]),
     "sqrt": (lambda a: T.sqrt(T.add(T.mul(a, a), T.Tensor(1.0))), [(4,)]),
-    "log": (lambda a: T.log(T.add(T.mul(a, a), T.Tensor(1.0))), [(4,)]),
     "softmax": (lambda a: T.softmax(a, axis=-1), [(3, 5)]),
     "log_softmax": (lambda a: T.log_softmax(a, axis=-1), [(3, 5)]),
     "layer_norm": (lambda x, g, b: T.layer_norm(x, g, b), [(3, 6), (6,), (6,)]),
     "relu": (lambda a: T.relu(T.add(a, T.Tensor(0.3))), [(3, 4)]),
     "silu": (lambda a: T.silu(a), [(3, 4)]),
     "gelu": (lambda a: T.gelu(a), [(3, 4)]),
-    "cosine_similarity": (lambda a, b: T.cosine_similarity(a, b), [(5,), (5,)]),
     "cosine_matrix": (lambda a, b: T.cosine_matrix(a, b), [(3, 4), (2, 4)]),
 }
 
