@@ -17,6 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import LabeledImage
+from .moe import load_entropy
 from .tensor import Rng
 
 FIGURE_TEMPERATURE = 0.001
@@ -51,10 +52,17 @@ class AffinityMatrix:
         return self.values.shape[1]
 
 
-def _softmax_rows(scores: np.ndarray) -> np.ndarray:
-    shifted = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+def cosine_softmax(points: np.ndarray, centroids: np.ndarray, temperature: float,
+                   threshold: float = 0.0) -> np.ndarray:
+    """Points x centroids weights: cosine similarity, softmax over the
+    centroid axis at `temperature`, entries below `threshold` zeroed."""
+    if temperature <= 0:
+        raise ValueError("temperature must be positive")
+    sims = T.cosine_matrix_np(np.asarray(points, dtype=np.float64),
+                              np.asarray(centroids, dtype=np.float64))
+    probs = T.softmax(T.Tensor(sims / temperature), axis=1).data
+    probs[probs < threshold] = 0.0
+    return probs
 
 
 def affinity_pre(centroids: np.ndarray, class_points: list[np.ndarray],
@@ -66,15 +74,8 @@ def affinity_pre(centroids: np.ndarray, class_points: list[np.ndarray],
     axis at `temperature`, entries below `threshold` zeroed, then the mean
     over the class's patches.
     """
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
-    centroids = np.asarray(centroids, dtype=np.float64)
-    rows = []
-    for points in class_points:
-        sims = T.cosine_matrix_np(np.asarray(points, dtype=np.float64), centroids)
-        probs = _softmax_rows(sims / temperature)
-        probs[probs < threshold] = 0.0
-        rows.append(probs.mean(axis=0))
+    rows = [cosine_softmax(points, centroids, temperature, threshold).mean(axis=0)
+            for points in class_points]
     return AffinityMatrix(np.stack(rows), "pre_init", temperature, threshold,
                           provenance or {})
 
@@ -144,15 +145,8 @@ def collapse_metrics(matrix: AffinityMatrix, cutoff: float = 0.05) -> CollapseRe
     above = values > cutoff
     background = above.sum(axis=0)
     mass = values.sum(axis=0)
-    total = mass.sum()
-    if total > 0:
-        p = mass[mass > 0] / total
-        entropy = float(-(p * np.log(p)).sum())
-    else:
-        entropy = 0.0
-    gini = _gini(mass)
     starved = [int(e) for e in np.flatnonzero(background == 0)]
-    return CollapseReport(background, entropy, gini, starved)
+    return CollapseReport(background, load_entropy(mass), _gini(mass), starved)
 
 
 def _gini(mass: np.ndarray) -> float:

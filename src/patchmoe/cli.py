@@ -147,7 +147,7 @@ def augment_config_from(resolved: dict) -> training.AugmentConfig:
 def router_params_from(resolved: dict) -> router_init.RouterInitParams:
     kwargs = dict(resolved["router_init"])
     kwargs["scales"] = tuple(kwargs["scales"]) or None
-    return router_init.RouterInitParams(**kwargs)
+    return _build(router_init.RouterInitParams, **kwargs)
 
 
 def _jsonable(obj):
@@ -276,26 +276,19 @@ def cmd_affinity(args) -> int:
     model = backbone.load_checkpoint(args.ckpt)
     dataset = data.load_dataset(args.data)
     layer = args.layer
+    if not 0 <= layer < len(model.layers):
+        raise ConfigError(f"--layer {layer} is out of range for a "
+                          f"{len(model.layers)}-layer checkpoint")
     block = model.layers[layer].mlp
     if not hasattr(block, "router"):
         raise StageError(f"layer {layer} of the checkpoint is not a MoE block")
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     provenance = {"seed": args.seed or 0, "checkpoint": str(args.ckpt)}
     if args.mode in ("pre", "figure-d"):
-        params = router_params_from(resolved)
-        rng = Rng(params.seed)
-        scales = tuple(params.scales) if params.scales else \
-            router_init.default_scales(model.config)
-        per_class = router_init.collect_embeddings(
-            model, dataset, layer, scales, params.samples_per_class, rng.child(0))
-        min_patches = min(ce.embeddings.shape[0] for ce in per_class)
-        k_eff = min(params.top_k_patches, min_patches)
-        scaler = block.router.scaler
-        points = []
-        for ce in per_class:
-            sel = router_init.select_representative_patches(
-                ce.embeddings, k_eff, params.refine_steps)
-            points.append(np.asarray(T.minmax_apply(scaler, sel.rows)))
+        _, selected = router_init.select_class_patches(
+            model, dataset, layer, router_params_from(resolved))
+        points = [np.asarray(T.minmax_apply(block.router.scaler, sel.rows))
+                  for sel in selected]
         centroids = block.router.centroids.data
         if args.mode == "figure-d":
             matrix = affinity_mod.figure_d_variant(centroids, points, provenance)
@@ -342,6 +335,17 @@ def cmd_inspect(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _positive(kind):
+    """argparse type: a `kind` value that must be > 0 (else exit 2)."""
+    def parse(raw: str):
+        value = kind(raw)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be > 0, got {raw!r}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names the type in its errors
+    return parse
+
+
 def _add_common(p, config=True):
     if config:
         p.add_argument("--config", default=None, help="INI run configuration")
@@ -385,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--split", default="val")
-    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--batch-size", type=_positive(int), default=32)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("affinity", help="class-expert affinity analysis")
@@ -395,10 +399,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layer", type=int, required=True)
     p.add_argument("--mode", choices=("pre", "post", "figure-d"), default="post")
     p.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
-    p.add_argument("--temperature", type=float, default=1.0)
+    p.add_argument("--temperature", type=_positive(float), default=1.0)
     p.add_argument("--threshold", type=float, default=0.0)
-    p.add_argument("--batches", type=int, default=50)
-    p.add_argument("--batch-size", type=int, default=128)
+    p.add_argument("--batches", type=_positive(int), default=50)
+    p.add_argument("--batch-size", type=_positive(int), default=128)
     _add_common(p)
     p.set_defaults(func=cmd_affinity)
 

@@ -8,7 +8,6 @@ norm and a trainable correction blend (1 - gamma) * MLP_e(x) + gamma * x_corr.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,31 +145,29 @@ def moe_forward(x: Tensor, captured: Tensor, block: MoEBlock):
 
     x is the post-attention activation; captured is the same activation after
     the layer's MLP-input norm, which is the space the router was built in.
-    Per-expert outputs are combined in fixed expert-index order.
+    Each expert runs once on the rows routed to it, with no capacity limit;
+    per-expert outputs are combined in fixed expert-index order.
     """
     b, p, n_px, d = x.shape
     router = block.router
     logits = routing_logits(captured, router)
     indices, gates, probs = select_experts(logits, router.top_k, router.gate_mode)
 
+    k = router.top_k
     flat_x = T.reshape(x, (b * p, n_px, d))
-    flat_idx = indices.reshape(b * p, router.top_k)
-    # Dense B*P x E gate matrix: zero where an expert was not selected.
-    gate_matrix = T.scatter_last(T.reshape(gates, (b * p, router.top_k)),
-                                 flat_idx, router.num_experts)
+    # slot r*k + j is row r's rank-j expert; each expert gathers its rows
+    flat_idx = indices.reshape(-1)
+    flat_gates = T.reshape(gates, (b * p * k, 1, 1))
     out = None
     for e in range(router.num_experts):
-        rows = np.nonzero((flat_idx == e).any(axis=-1))[0]
-        if rows.size == 0:
+        slots = np.flatnonzero(flat_idx == e)
+        if slots.size == 0:
             continue
+        rows = slots // k
         pixels = T.reshape(T.take(flat_x, rows), (rows.size * n_px, d))
         expert_out = T.reshape(expert_forward(pixels, block.experts[e]), (rows.size, n_px, d))
-        gate = T.reshape(T.gather_last(T.take(gate_matrix, rows),
-                                       np.full((rows.size, 1), e)), (rows.size, 1, 1))
-        contrib = T.scatter_rows(T.mul(expert_out, gate), rows, b * p)
+        contrib = T.scatter_rows(T.mul(expert_out, T.take(flat_gates, slots)), rows, b * p)
         out = contrib if out is None else T.add(out, contrib)
-    if out is None:  # unreachable: top_k >= 1 always selects someone
-        out = T.mul(flat_x, T.Tensor(0.0))
     record = RoutingRecord(indices=indices, gates=gates.data.copy(),
                            full_probs=probs.data.copy(), num_experts=router.num_experts)
     return T.reshape(out, (b, p, n_px, d)), record
@@ -183,23 +180,20 @@ class UtilizationReport:
     max_load_ratio: float       # max share / uniform share
 
 
+def load_entropy(mass) -> float:
+    """Natural-log entropy of a non-negative load vector (expert counts or
+    affinity column mass) normalised to sum to 1; 0.0 when it is all zero."""
+    mass = np.asarray(mass)
+    total = mass.sum()
+    if not total > 0:
+        return 0.0
+    p = mass[mass > 0] / total
+    return float(-(p * np.log(p)).sum())
+
+
 def dispatch_stats(record: RoutingRecord) -> UtilizationReport:
     counts = record.expert_counts
     total = counts.sum()
     fractions = counts / total if total else np.zeros_like(counts, dtype=float)
-    nonzero = fractions[fractions > 0]
-    entropy = float(-(nonzero * np.log(nonzero)).sum()) if nonzero.size else 0.0
     max_ratio = float(fractions.max() * record.num_experts) if total else 0.0
-    return UtilizationReport(fractions, entropy, max_ratio)
-
-
-def export_routing_csv(record: RoutingRecord, path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["batch", "patch", "rank", "expert", "gate"])
-        b, p, k = record.indices.shape
-        for bi in range(b):
-            for pi in range(p):
-                for r in range(k):
-                    writer.writerow([bi, pi, r, int(record.indices[bi, pi, r]),
-                                     repr(float(record.gates[bi, pi, r]))])
+    return UtilizationReport(fractions, load_entropy(counts), max_ratio)

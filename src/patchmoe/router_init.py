@@ -14,6 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tensor as T
+from .affinity import cosine_softmax
 from .data import Dataset, resize_nearest
 from .moe import Router
 from .tensor import Rng
@@ -172,15 +173,9 @@ def refine_centroids_weighted(centroids: np.ndarray, class_points: np.ndarray,
     becomes the weight-normalized mean of its contributing points. Centroids
     with no surviving weight keep their previous value.
     """
-    if temperature <= 0:
-        raise ValueError("temperature must be positive")
+    weights = cosine_softmax(class_points, centroids, temperature, threshold)
     centroids = np.asarray(centroids, dtype=np.float64)
     class_points = np.asarray(class_points, dtype=np.float64)
-    sims = T.cosine_matrix_np(class_points, centroids) / temperature
-    sims -= sims.max(axis=1, keepdims=True)
-    weights = np.exp(sims)
-    weights /= weights.sum(axis=1, keepdims=True)
-    weights[weights < threshold] = 0.0
     out = centroids.copy()
     mass = weights.sum(axis=0)
     for e in range(centroids.shape[0]):
@@ -205,6 +200,16 @@ class RouterInitParams:
     refine_temperature: float = 0.001
     refine_threshold: float = 0.05
     seed: int = 0
+
+    def __post_init__(self):
+        if self.mode not in ("cluster", "random"):
+            raise ValueError(f"unknown router init mode {self.mode!r}")
+        if self.top_k_patches < 1 or self.samples_per_class < 1:
+            raise ValueError("top_k_patches and samples_per_class must be >= 1")
+        if self.refine_steps < 0:
+            raise ValueError("refine_steps must be >= 0")
+        if not self.refine_temperature > 0:
+            raise ValueError("refine_temperature must be positive")
 
 
 def default_scales(config) -> tuple[int, ...]:
@@ -258,6 +263,22 @@ def collect_embeddings(model, dataset: Dataset, layer: int, scales,
     return [ClassEmbeddings(c, emb, layer) for c, emb in enumerate(out)]
 
 
+def select_class_patches(model, dataset: Dataset, layer: int, params: RouterInitParams
+                         ) -> tuple[tuple[int, ...], list[SelectedPatches]]:
+    """Each class's representative patches at the layer.
+
+    Embeddings are collected at params.scales (default_scales when unset)
+    from the rng stream Rng(params.seed).child(0); K is top_k_patches clamped
+    to the fewest patches any class has. Returns (scales, per-class picks).
+    """
+    scales = tuple(params.scales) if params.scales else default_scales(model.config)
+    per_class = collect_embeddings(model, dataset, layer, scales,
+                                   params.samples_per_class, Rng(params.seed).child(0))
+    k_eff = min(params.top_k_patches, min(ce.embeddings.shape[0] for ce in per_class))
+    return scales, [select_representative_patches(ce.embeddings, k_eff, params.refine_steps)
+                    for ce in per_class]
+
+
 @dataclass
 class RouterBuildResult:
     router: Router
@@ -275,15 +296,7 @@ def build_router(model, dataset: Dataset, layer: int, num_experts: int,
     params = params or RouterInitParams()
     if layer not in cfg.moe_layers and cfg.moe_layers:
         raise ValueError(f"layer {layer} is not a configured MoE layer")
-    scales = tuple(params.scales) if params.scales else default_scales(cfg)
-    rng = Rng(params.seed)
-
-    per_class = collect_embeddings(model, dataset, layer, scales,
-                                   params.samples_per_class, rng.child(0))
-    min_patches = min(ce.embeddings.shape[0] for ce in per_class)
-    k_eff = min(params.top_k_patches, min_patches)
-    selected = [select_representative_patches(ce.embeddings, k_eff, params.refine_steps)
-                for ce in per_class]
+    scales, selected = select_class_patches(model, dataset, layer, params)
 
     pooled = np.concatenate([s.rows for s in selected], axis=0)
     scaler = T.minmax_fit(pooled)
@@ -299,10 +312,9 @@ def build_router(model, dataset: Dataset, layer: int, num_experts: int,
             centroids = refine_centroids_weighted(
                 centroids, class_points,
                 params.refine_temperature, params.refine_threshold)
-    elif params.mode == "random":
-        centroids = rng.child(1).uniform((num_experts, cfg.d_model)).astype(np.float64)
     else:
-        raise ValueError(f"unknown router init mode {params.mode!r}")
+        centroids = Rng(params.seed).child(1).uniform(
+            (num_experts, cfg.d_model)).astype(np.float64)
 
     router = Router(centroids=T.parameter(centroids), scaler=scaler,
                     temperature=cfg.router_temperature, top_k=cfg.top_k,
@@ -311,7 +323,7 @@ def build_router(model, dataset: Dataset, layer: int, num_experts: int,
         "layer": layer,
         "experts": num_experts,
         "mode": params.mode,
-        "top_k_patches": k_eff,
+        "top_k_patches": len(selected[0].indices),
         "top_k_patches_requested": params.top_k_patches,
         "refine_steps": params.refine_steps,
         "scales": list(scales),

@@ -354,23 +354,6 @@ def gather_last(a: Tensor, indices: np.ndarray) -> Tensor:
     return Tensor(out_data, _parents=(a,), _backward=backward)
 
 
-def scatter_last(values: Tensor, indices: np.ndarray, size: int) -> Tensor:
-    """Inverse of gather_last: place values at `indices` along a new last axis
-    of extent `size` (duplicates accumulate)."""
-    idx = np.asarray(indices)
-    flat_idx = idx.reshape(-1, idx.shape[-1])
-    rows = np.arange(flat_idx.shape[0])[:, None]
-    out_data = np.zeros(values.shape[:-1] + (size,), dtype=values.data.dtype)
-    np.add.at(out_data.reshape(-1, size), (rows, flat_idx), values.data.reshape(flat_idx.shape))
-
-    def backward(g):
-        if values.requires_grad:
-            values._accumulate(
-                np.take_along_axis(g.reshape(-1, size), flat_idx, axis=-1).reshape(values.shape))
-
-    return Tensor(out_data, _parents=(values,), _backward=backward)
-
-
 def sqrt(a: Tensor) -> Tensor:
     out_data = np.sqrt(a.data)
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import Dataset, LabeledImage
+from .moe import MoEBlock, load_entropy
 from .tensor import Rng, Tensor
 
 
@@ -183,12 +184,7 @@ class EvalResult:
     expert_counts: dict[int, np.ndarray] = field(default_factory=dict)
 
     def expert_entropy(self, layer: int) -> float:
-        counts = self.expert_counts[layer]
-        total = counts.sum()
-        if total == 0:
-            return 0.0
-        p = counts[counts > 0] / total
-        return float(-(p * np.log(p)).sum())
+        return load_entropy(self.expert_counts[layer])
 
 
 def evaluate(model, images: list[LabeledImage], batch_size: int = 32) -> EvalResult:
@@ -245,7 +241,6 @@ class TrainResult:
 
 
 def _moe_layer_ids(model) -> list[int]:
-    from .moe import MoEBlock
     return [i for i, layer in enumerate(model.layers)
             if isinstance(layer.mlp, MoEBlock)]
 

@@ -206,6 +206,18 @@ class TestPipeline:
                        "--out", str(tmp_path / "x.json")])
         assert rc == cli.EXIT_DATA
 
+    @pytest.mark.parametrize("override", [
+        "router_init.mode=bogus", "router_init.refine_steps=-1",
+        "router_init.samples_per_class=0", "router_init.top_k_patches=0",
+        "router_init.refine_temperature=0"])
+    def test_bad_router_init_exits_usage(self, workdir, tmp_path, override):
+        out = tmp_path / "x.json"
+        rc = cli.main(["moefy", "--config", str(workdir["config"]),
+                       "--ckpt", str(workdir["dense"]), "--data", str(workdir["data"]),
+                       "--set", override, "--out", str(out)])
+        assert rc == cli.EXIT_USAGE
+        assert not out.exists()
+
     def test_divergence_exit_code(self, workdir, tmp_path, monkeypatch):
         def explode(*args, **kwargs):
             raise training.DivergenceError("non-finite loss")
@@ -292,6 +304,31 @@ class TestAffinity:
                        "--data", str(workdir["data"]), "--layer", "0",
                        "--out", str(tmp_path / "x.csv")])
         assert rc == cli.EXIT_DATA
+
+
+def _exit_code(argv: list[str]) -> int:
+    """cli.main's return code, or the code argparse exits with."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("affinity", ["--layer", "5"]),
+    ("affinity", ["--layer", "-1"]),
+    ("affinity", ["--layer", "1", "--batch-size", "0"]),
+    ("affinity", ["--layer", "1", "--batches", "0"]),
+    ("affinity", ["--layer", "1", "--mode", "pre", "--temperature", "0"]),
+    ("eval", ["--batch-size", "0"]),
+], ids=["layer-5", "layer-neg1", "affinity-batch-size-0", "batches-0",
+        "temperature-0", "eval-batch-size-0"])
+def test_bad_argument_exits_usage(workdir, tmp_path, command, extra):
+    out = tmp_path / "x.csv"
+    rc = _exit_code([command, "--ckpt", str(workdir["tuned"]),
+                     "--data", str(workdir["data"]), "--out", str(out)] + extra)
+    assert rc == cli.EXIT_USAGE
+    assert not out.exists()
 
 
 class TestInspect:

@@ -1,12 +1,13 @@
-import csv
-
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from patchmoe import moe
+from patchmoe import affinity, moe, training
 from patchmoe import tensor as T
 from patchmoe.tensor import ScalerParams, Tensor
 from util_model import assert_param_grads
+from util_oracles import moe_forward_gate_matrix_oracle
 
 
 def identity_scaler(d):
@@ -249,6 +250,60 @@ class TestMoEForward:
             T.set_default_dtype("float32")
 
 
+class TestDispatchOracle:
+    """The slot-indexed dispatch gives the dense-gate-matrix dispatch's
+    output and gradients bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(b=st.integers(1, 3), p=st.integers(1, 5), e=st.integers(1, 8),
+           k_frac=st.floats(0.0, 1.0), gate_mode=st.sampled_from(["renorm", "raw"]),
+           spread=st.sampled_from([0.05, 1.0]), seed=st.integers(0, 2**16),
+           dtype=st.sampled_from(["float32", "float64"]))
+    def test_matches_gate_matrix_oracle(self, b, p, e, k_frac, gate_mode, spread,
+                                        seed, dtype):
+        # a small centroid spread routes most patches to a few experts, so
+        # some experts get no rows at all
+        top_k = 1 + int(k_frac * (e - 1))
+        T.set_default_dtype(dtype)
+        try:
+            rng = np.random.default_rng(seed)
+            centroids = 0.5 + spread * rng.uniform(-0.45, 0.45, (e, 4))
+            block = make_block(d=4, e=e, top_k=top_k, seed=seed, gamma=0.3,
+                               gate_mode=gate_mode, centroids=centroids)
+            x_np = rng.random((b, p, 2, 4))
+            cap_np = rng.random((b, p, 2, 4))
+            cot = Tensor(rng.standard_normal((b, p, 2, 4)))
+            named = {"centroids": block.router.centroids}
+            for i, ex in enumerate(block.experts):
+                named.update({f"e{i}.{n}": v for n, v in ex.parameters().items()})
+
+            def run(forward):
+                for t in named.values():
+                    t.grad = None
+                x = T.parameter(x_np)
+                captured = T.parameter(cap_np)
+                out = forward(x, captured, block)
+                T.tsum(T.mul(out, cot)).backward()
+                # an expert that got no rows keeps grad None on both paths
+                grads = {n: None if t.grad is None else t.grad.copy()
+                         for n, t in named.items()}
+                grads.update(x=x.grad, captured=captured.grad)
+                return out.data, grads
+
+            out, grads = run(lambda x, c, blk: moe.moe_forward(x, c, blk)[0])
+            ref, ref_grads = run(moe_forward_gate_matrix_oracle)
+        finally:
+            T.set_default_dtype("float32")
+        assert out.dtype == np.dtype(dtype)
+        assert out.tobytes() == ref.tobytes()
+        assert grads.keys() == ref_grads.keys()
+        for name, g in ref_grads.items():
+            if g is None:
+                assert grads[name] is None, name
+            else:
+                assert grads[name].tobytes() == g.tobytes(), name
+
+
 class TestDispatchStats:
     def record(self, indices, e):
         idx = np.asarray(indices).reshape(1, -1, 1)
@@ -273,16 +328,16 @@ class TestDispatchStats:
         assert rep.entropy == pytest.approx(expected)
 
 
-def test_routing_csv_export(tmp_path):
-    block = make_block(e=2, top_k=2, seed=1)
-    x = Tensor(np.random.default_rng(2).random((1, 2, 2, 4)))
-    _, record = moe.moe_forward(x, x, block)
-    path = tmp_path / "routing.csv"
-    moe.export_routing_csv(record, path)
-    with open(path) as f:
-        rows = list(csv.reader(f))
-    assert rows[0] == ["batch", "patch", "rank", "expert", "gate"]
-    assert len(rows) == 1 + 1 * 2 * 2
-    for row in rows[1:]:
-        b, p, r, e, g = row
-        assert float(g) == pytest.approx(record.gates[int(b), int(p), int(r)])
+def test_entropy_agrees_across_reports():
+    counts = np.array([5, 0, 3, 1, 0, 7])
+    record = moe.RoutingRecord(np.repeat(np.arange(6), counts).reshape(1, -1, 1),
+                               np.ones((1, counts.sum(), 1)),
+                               np.zeros((1, counts.sum(), 6)), 6)
+    from_dispatch = moe.dispatch_stats(record).entropy
+    from_eval = training.EvalResult(0.0, 0.0, {}, np.zeros(0), np.zeros(0),
+                                    expert_counts={1: counts}).expert_entropy(1)
+    matrix = affinity.AffinityMatrix(counts[None, :].astype(float), "pre_init", 1.0, 0.0)
+    from_affinity = affinity.collapse_metrics(matrix).column_entropy
+    p = counts[counts > 0] / counts.sum()
+    assert from_dispatch == from_eval == from_affinity
+    assert from_dispatch == pytest.approx(-(p * np.log(p)).sum())

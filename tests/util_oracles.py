@@ -6,6 +6,8 @@ vectorized code paths they are checked against.
 
 import numpy as np
 
+from patchmoe import moe
+from patchmoe import tensor as T
 from patchmoe.data import resize_nearest
 
 
@@ -109,3 +111,47 @@ def collect_embeddings_oracle(model, dataset, layer, scales, samples_per_class, 
                 for i in picks for s in scales]
         out.append(np.concatenate(rows, axis=0))
     return out
+
+
+def _scatter_last_oracle(values, indices, size):
+    """Place values at `indices` along a new last axis of extent `size`
+    (duplicates accumulate); backward gathers them back."""
+    idx = np.asarray(indices)
+    flat_idx = idx.reshape(-1, idx.shape[-1])
+    rows = np.arange(flat_idx.shape[0])[:, None]
+    out_data = np.zeros(values.shape[:-1] + (size,), dtype=values.data.dtype)
+    np.add.at(out_data.reshape(-1, size), (rows, flat_idx), values.data.reshape(flat_idx.shape))
+
+    def backward(g):
+        if values.requires_grad:
+            values._accumulate(
+                np.take_along_axis(g.reshape(-1, size), flat_idx, axis=-1).reshape(values.shape))
+
+    return T.Tensor(out_data, _parents=(values,), _backward=backward)
+
+
+def moe_forward_gate_matrix_oracle(x, captured, block):
+    """MoE sublayer through a dense B*P x E gate matrix: zero where an expert
+    was not selected, re-gathered one column at a time for each expert's rows.
+    Per-expert outputs are added in expert-index order."""
+    b, p, n_px, d = x.shape
+    router = block.router
+    logits = moe.routing_logits(captured, router)
+    indices, gates, _ = moe.select_experts(logits, router.top_k, router.gate_mode)
+    flat_x = T.reshape(x, (b * p, n_px, d))
+    flat_idx = indices.reshape(b * p, router.top_k)
+    gate_matrix = _scatter_last_oracle(T.reshape(gates, (b * p, router.top_k)),
+                                       flat_idx, router.num_experts)
+    out = None
+    for e in range(router.num_experts):
+        rows = np.nonzero((flat_idx == e).any(axis=-1))[0]
+        if rows.size == 0:
+            continue
+        pixels = T.reshape(T.take(flat_x, rows), (rows.size * n_px, d))
+        expert_out = T.reshape(moe.expert_forward(pixels, block.experts[e]),
+                               (rows.size, n_px, d))
+        gate = T.reshape(T.gather_last(T.take(gate_matrix, rows),
+                                       np.full((rows.size, 1), e)), (rows.size, 1, 1))
+        contrib = T.scatter_rows(T.mul(expert_out, gate), rows, b * p)
+        out = contrib if out is None else T.add(out, contrib)
+    return T.reshape(out, (b, p, n_px, d))
