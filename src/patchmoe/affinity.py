@@ -58,9 +58,9 @@ def cosine_softmax(points: np.ndarray, centroids: np.ndarray, temperature: float
     centroid axis at `temperature`, entries below `threshold` zeroed."""
     if temperature <= 0:
         raise ValueError("temperature must be positive")
-    sims = T.cosine_matrix_np(np.asarray(points, dtype=np.float64),
-                              np.asarray(centroids, dtype=np.float64))
-    probs = T.softmax(T.Tensor(sims / temperature), axis=1).data
+    sims = T.cosine_matrix(T.Tensor(np.asarray(points, dtype=np.float64)),
+                           T.Tensor(np.asarray(centroids, dtype=np.float64)), eps=1e-12)
+    probs = T.softmax(T.Tensor(sims.data / temperature), axis=1).data
     probs[probs < threshold] = 0.0
     return probs
 

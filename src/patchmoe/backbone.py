@@ -374,7 +374,6 @@ def save_checkpoint(model: Model, path: Path | str, extra: dict | None = None) -
                 "gate_mode": block.router.gate_mode,
                 "scaler": block.router.scaler.to_json(),
                 "indices": [ex.indices.tolist() for ex in block.experts],
-                "reduction_factor": model.config.reduction_factor,
                 "source_dense_hash": getattr(block, "source_hash", None),
             }
     with open(path, "w") as f:

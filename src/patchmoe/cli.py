@@ -2,9 +2,11 @@
 affinity, inspect.
 
 Configuration comes from an INI file (sections model, moe, router_init,
-optim, augment, data, seed) merged with repeatable `--set section.key=value`
-overrides; overrides win and the fully resolved configuration is written to
-every run manifest.
+optim, augment, seed) merged with repeatable `--set section.key=value`
+overrides; overrides win. Each command reads a fixed set of sections
+(COMMAND_SECTIONS): the file's other sections are checked and skipped, an
+override of one is a usage error, and the run manifest records the resolved
+sections the command read.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 data/checkpoint
 error, 4 numeric divergence.
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -43,30 +46,30 @@ EXIT_DIVERGENCE = 4
 # Run configuration
 # ---------------------------------------------------------------------------
 
+# ModelConfig fields set in the [moe] section; the others, except num_classes
+# (the dataset's), are [model]. Defaults are the desk-scale configuration.
+_MOE_KEYS = ("moe_layers", "experts", "top_k", "router_temperature", "gate_mode",
+             "reduction_factor")
+_DESK = dataclasses.asdict(backbone.desk_config(num_classes=0))
+
 # section -> key -> default; types are inferred from the defaults
 CONFIG_SCHEMA = {
-    "model": {
-        "num_classes": 12, "image_size": 64, "patch_size": 8, "n_px": 4,
-        "d_model": 32, "d_ff": 64, "layers": 4, "heads": 2, "dropout": 0.1,
-        "activation": "silu",
-    },
-    "moe": {
-        "moe_layers": (), "experts": 16, "top_k": 1,
-        "router_temperature": 1.0, "gate_mode": "renorm", "reduction_factor": 2,
-    },
-    "router_init": {
-        "top_k_patches": 128, "refine_steps": 5, "scales": (),
-        "samples_per_class": 8, "mode": "cluster", "refine": False,
-        "refine_temperature": 0.001, "refine_threshold": 0.05, "seed": 0,
-    },
-    "optim": {
-        "lr_moe": 0.005, "lr_classifier": 1e-5, "lr_rest": 5e-5,
-        "wd_classifier": 1e-8, "wd_other": 0.0, "betas": (0.9, 0.99),
-        "eps": 1e-8, "batch_size": 32, "epochs": 80,
-    },
-    "augment": {"hflip_p": 0.5, "mixup_alpha": 0.2},
-    "data": {k: v.default for k, v in data.SynthSpec.__dataclass_fields__.items()},
+    "model": {k: v for k, v in _DESK.items() if k not in _MOE_KEYS + ("num_classes",)},
+    "moe": {k: _DESK[k] for k in _MOE_KEYS},
+    "router_init": dataclasses.asdict(router_init.RouterInitParams()),
+    "optim": dataclasses.asdict(training.OptimConfig()),
+    "augment": dataclasses.asdict(training.AugmentConfig()),
     "seed": {"seed": 0},
+}
+
+# command -> the config sections it reads
+COMMAND_SECTIONS = {
+    "pretrain": ("model", "moe", "optim", "augment", "seed"),
+    "moefy": ("router_init",),
+    "finetune": ("optim", "augment", "seed"),
+    "affinity --mode pre": ("router_init",),
+    "affinity --mode figure-d": ("router_init",),
+    "affinity --mode post": (),
 }
 
 
@@ -92,9 +95,14 @@ def _coerce(raw: str, default):
     return raw
 
 
-def load_run_config(path: str | None, overrides: list[str] | None = None) -> dict:
-    """Schema defaults, then the INI file, then --set overrides."""
-    resolved = {s: dict(keys) for s, keys in CONFIG_SCHEMA.items()}
+def load_run_config(path: str | None, overrides: list[str] | None = None,
+                    command: str | None = None) -> dict:
+    """Schema defaults, then the INI file, then --set overrides, for the
+    sections `command` reads (all when None). The file's other sections are
+    checked, so one file serves every command, then skipped; an override of
+    one is an error."""
+    sections = COMMAND_SECTIONS[command] if command else tuple(CONFIG_SCHEMA)
+    resolved = {s: dict(CONFIG_SCHEMA[s]) for s in sections}
     if path is not None:
         parser = configparser.ConfigParser()
         read = parser.read(path)
@@ -106,7 +114,9 @@ def load_run_config(path: str | None, overrides: list[str] | None = None) -> dic
             for key, raw in parser.items(section):
                 if key not in CONFIG_SCHEMA[section]:
                     raise ConfigError(f"unknown key {key!r} in section [{section}]")
-                resolved[section][key] = _coerce(raw, CONFIG_SCHEMA[section][key])
+                value = _coerce(raw, CONFIG_SCHEMA[section][key])
+                if section in resolved:
+                    resolved[section][key] = value
     for item in overrides or []:
         if "=" not in item or "." not in item.split("=", 1)[0]:
             raise ConfigError(f"override must look like section.key=value: {item!r}")
@@ -114,6 +124,9 @@ def load_run_config(path: str | None, overrides: list[str] | None = None) -> dic
         section, key = target.split(".", 1)
         if section not in CONFIG_SCHEMA or key not in CONFIG_SCHEMA[section]:
             raise ConfigError(f"unknown config entry {section}.{key}")
+        if section not in resolved:
+            read_list = ", ".join(f"[{s}]" for s in sections) or "no section"
+            raise ConfigError(f"{command} does not read [{section}] (it reads {read_list})")
         resolved[section][key] = _coerce(raw, CONFIG_SCHEMA[section][key])
     return resolved
 
@@ -126,41 +139,18 @@ def _build(cls, **kwargs):
         raise ConfigError(f"invalid {cls.__name__}: {exc}") from None
 
 
-def model_config_from(resolved: dict, num_classes: int | None = None) -> backbone.ModelConfig:
-    kwargs = dict(resolved["model"])
-    kwargs.update(resolved["moe"])
-    if num_classes is not None:
-        kwargs["num_classes"] = num_classes
-    return _build(backbone.ModelConfig, **kwargs)
-
-
-def optim_config_from(resolved: dict) -> training.OptimConfig:
-    kwargs = dict(resolved["optim"])
-    kwargs["betas"] = tuple(kwargs["betas"])
-    return _build(training.OptimConfig, **kwargs)
-
-
-def augment_config_from(resolved: dict) -> training.AugmentConfig:
-    return _build(training.AugmentConfig, **resolved["augment"])
-
-
-def router_params_from(resolved: dict) -> router_init.RouterInitParams:
-    kwargs = dict(resolved["router_init"])
-    kwargs["scales"] = tuple(kwargs["scales"]) or None
-    return _build(router_init.RouterInitParams, **kwargs)
-
-
-def _jsonable(obj):
-    if isinstance(obj, tuple):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    return obj
+def _router_params(resolved: dict, config: backbone.ModelConfig
+                   ) -> router_init.RouterInitParams:
+    params = _build(router_init.RouterInitParams, **resolved["router_init"])
+    if any(s % config.patch_size for s in params.scales):
+        raise ConfigError(f"router_init.scales {list(params.scales)} must be multiples "
+                          f"of the checkpoint's patch_size {config.patch_size}")
+    return params
 
 
 def write_run_manifest(path: Path, command: str, resolved: dict,
                        extra: dict | None = None) -> None:
-    payload = {"command": command, "config": _jsonable(resolved)}
+    payload = {"command": command, "config": resolved}
     payload.update(extra or {})
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
@@ -178,6 +168,23 @@ def _require_stage(model, expected: str, command: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _train_and_save(model, dataset, resolved: dict, seed: int, out: Path,
+                    command: str) -> int:
+    """Train under the resolved [optim] and [augment], then write the
+    checkpoint, its metrics CSV and its run manifest at `out`."""
+    optim = _build(training.OptimConfig, **resolved["optim"])
+    augment = _build(training.AugmentConfig, **resolved["augment"])
+    out.parent.mkdir(parents=True, exist_ok=True)
+    result = training.train(model, dataset, optim, augment, seed=seed,
+                            metrics_path=out.with_suffix(".metrics.csv"))
+    backbone.save_checkpoint(model, out)
+    write_run_manifest(out.with_suffix(".run.json"), command, resolved,
+                       {"seed": seed, "train": result.manifest})
+    if result.final_val:
+        print(f"{command} done: val top1 {result.final_val.top1:.4f}")
+    return 0
+
+
 def cmd_gen_data(args) -> int:
     with open(args.spec) as f:
         spec = data.SynthSpec.from_json(json.load(f))
@@ -189,32 +196,23 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    resolved = load_run_config(args.config, args.set)
+    resolved = load_run_config(args.config, args.set, "pretrain")
     seed = args.seed if args.seed is not None else resolved["seed"]["seed"]
     dataset = data.load_dataset(args.data)
-    cfg = model_config_from(resolved, num_classes=dataset.num_classes)
+    cfg = _build(backbone.ModelConfig, num_classes=dataset.num_classes,
+                 **resolved["model"], **resolved["moe"])
     model = backbone.Model(cfg, Rng(seed))
-    optim, augment = optim_config_from(resolved), augment_config_from(resolved)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    result = training.train(model, dataset, optim, augment, seed=seed,
-                            metrics_path=out.with_suffix(".metrics.csv"))
-    backbone.save_checkpoint(model, out)
-    write_run_manifest(out.with_suffix(".run.json"), "pretrain", resolved,
-                       {"seed": seed, "train": result.manifest})
-    if result.final_val:
-        print(f"pretrain done: val top1 {result.final_val.top1:.4f}")
-    return 0
+    return _train_and_save(model, dataset, resolved, seed, Path(args.out), "pretrain")
 
 
 def cmd_moefy(args) -> int:
-    resolved = load_run_config(args.config, args.set)
+    resolved = load_run_config(args.config, args.set, "moefy")
     model = backbone.load_checkpoint(args.ckpt)
     _require_stage(model, "dense", "moefy")
     dataset = data.load_dataset(args.data)
     if not model.config.moe_layers:
         raise ConfigError("no MoE layers configured (moe.moe_layers is empty)")
-    params = router_params_from(resolved)
+    params = _router_params(resolved, model.config)
     router_manifests = {}
     for layer in model.config.moe_layers:
         build = router_init.build_router(model, dataset, layer,
@@ -232,23 +230,13 @@ def cmd_moefy(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    resolved = load_run_config(args.config, args.set)
+    resolved = load_run_config(args.config, args.set, "finetune")
     seed = args.seed if args.seed is not None else resolved["seed"]["seed"]
     model = backbone.load_checkpoint(args.ckpt)
     _require_stage(model, "moe", "finetune")
     dataset = data.load_dataset(args.data)
-    optim, augment = optim_config_from(resolved), augment_config_from(resolved)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    result = training.train(model, dataset, optim, augment, seed=seed,
-                            metrics_path=out.with_suffix(".metrics.csv"))
     model.finetuned = True
-    backbone.save_checkpoint(model, out)
-    write_run_manifest(out.with_suffix(".run.json"), "finetune", resolved,
-                       {"seed": seed, "train": result.manifest})
-    if result.final_val:
-        print(f"finetune done: val top1 {result.final_val.top1:.4f}")
-    return 0
+    return _train_and_save(model, dataset, resolved, seed, Path(args.out), "finetune")
 
 
 def cmd_eval(args) -> int:
@@ -271,8 +259,20 @@ def cmd_eval(args) -> int:
     return 0
 
 
+# affinity flag -> (the one mode that reads it, its default)
+AFFINITY_MODE_FLAGS = {"temperature": ("pre", 1.0), "threshold": ("pre", 0.0),
+                       "batches": ("post", 50), "batch_size": ("post", 128),
+                       "seed": ("post", 0)}
+
+
 def cmd_affinity(args) -> int:
-    resolved = load_run_config(args.config, args.set)
+    command = f"affinity --mode {args.mode}"
+    resolved = load_run_config(args.config, args.set, command)
+    for name, (mode, default) in AFFINITY_MODE_FLAGS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
+        elif args.mode != mode:
+            raise ConfigError(f"{command} does not read --{name.replace('_', '-')}")
     model = backbone.load_checkpoint(args.ckpt)
     dataset = data.load_dataset(args.data)
     layer = args.layer
@@ -282,11 +282,17 @@ def cmd_affinity(args) -> int:
     block = model.layers[layer].mlp
     if not hasattr(block, "router"):
         raise StageError(f"layer {layer} of the checkpoint is not a MoE block")
+    params = _router_params(resolved, model.config) if args.mode != "post" else None
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    provenance = {"seed": args.seed or 0, "checkpoint": str(args.ckpt)}
-    if args.mode in ("pre", "figure-d"):
-        _, selected = router_init.select_class_patches(
-            model, dataset, layer, router_params_from(resolved))
+    provenance = {"seed": args.seed, "checkpoint": str(args.ckpt)}
+    if args.mode == "post":
+        images = dataset.split("val") or dataset.split("train")
+        matrix = affinity_mod.affinity_post(
+            model, images, layer, n_batches=args.batches,
+            batch_size=args.batch_size, rng=Rng(args.seed),
+            provenance=provenance)
+    else:
+        _, selected = router_init.select_class_patches(model, dataset, layer, params)
         points = [np.asarray(T.minmax_apply(block.router.scaler, sel.rows))
                   for sel in selected]
         centroids = block.router.centroids.data
@@ -295,12 +301,6 @@ def cmd_affinity(args) -> int:
         else:
             matrix = affinity_mod.affinity_pre(
                 centroids, points, args.temperature, args.threshold, provenance)
-    else:
-        images = dataset.split("val") or dataset.split("train")
-        matrix = affinity_mod.affinity_post(
-            model, images, layer, n_batches=args.batches,
-            batch_size=args.batch_size, rng=Rng(args.seed or 0),
-            provenance=provenance)
     exporter = {"csv": affinity_mod.export_csv, "json": affinity_mod.export_json,
                 "svg": affinity_mod.export_svg}[args.format]
     exporter(matrix, args.out)
@@ -312,21 +312,19 @@ def cmd_affinity(args) -> int:
 
 def cmd_inspect(args) -> int:
     model = backbone.load_checkpoint(args.ckpt)
-    with open(args.ckpt) as f:
-        manifest = json.load(f)
     counts = model.parameter_counts()
-    cfg = model.config
     print(f"stage: {model.stage}  finetuned: {model.finetuned}")
     print(f"total parameters: {counts['total']}")
     print(f"moe parameters: {counts['moe_layers']}")
-    for layer, per in sorted(counts["per_expert"].items()):
-        closed = expert_init.per_expert_param_count(
-            cfg.d_model, cfg.d_ff, cfg.reduction_factor)
-        info = manifest.get("moe", {}).get(layer, {})
-        print(f"layer {layer}: experts {info.get('experts')}, "
-              f"d_e {cfg.d_ff // cfg.reduction_factor}, "
+    for layer, per in counts["per_expert"].items():
+        block = model.layers[int(layer)].mlp
+        d_e = block.experts[0].w1.shape[1]
+        # moefy_layer may slice at another reduction than the config's, so d_e
+        # comes from the weights; the closed form is an unreduced width-d_e MLP
+        closed = expert_init.per_expert_param_count(model.config.d_model, d_e, 1)
+        print(f"layer {layer}: experts {block.router.num_experts}, d_e {d_e}, "
               f"per-expert parameters {per} (closed form {closed}), "
-              f"top_k {info.get('top_k')}, source {info.get('source_dense_hash')}")
+              f"top_k {block.router.top_k}, source {block.source_hash}")
     return 0
 
 
@@ -346,12 +344,12 @@ def _positive(kind):
     return parse
 
 
-def _add_common(p, config=True):
-    if config:
-        p.add_argument("--config", default=None, help="INI run configuration")
-        p.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=V",
-                       help="override one config value (repeatable, wins over file)")
-    p.add_argument("--seed", type=int, default=None)
+def _add_common(p, seed=True):
+    p.add_argument("--config", default=None, help="INI run configuration")
+    p.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=V",
+                   help="override one config value (repeatable, wins over file)")
+    if seed:
+        p.add_argument("--seed", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -374,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_common(p, seed=False)
     p.set_defaults(func=cmd_moefy)
 
     p = sub.add_parser("finetune", help="fine-tune a MoE checkpoint")
@@ -399,10 +397,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layer", type=int, required=True)
     p.add_argument("--mode", choices=("pre", "post", "figure-d"), default="post")
     p.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
-    p.add_argument("--temperature", type=_positive(float), default=1.0)
-    p.add_argument("--threshold", type=float, default=0.0)
-    p.add_argument("--batches", type=_positive(int), default=50)
-    p.add_argument("--batch-size", type=_positive(int), default=128)
+    # None marks a flag not given: AFFINITY_MODE_FLAGS holds the defaults
+    p.add_argument("--temperature", type=_positive(float), default=None)
+    p.add_argument("--threshold", type=float, default=None)
+    p.add_argument("--batches", type=_positive(int), default=None)
+    p.add_argument("--batch-size", type=_positive(int), default=None)
     _add_common(p)
     p.set_defaults(func=cmd_affinity)
 

@@ -193,7 +193,7 @@ def refine_centroids_weighted(centroids: np.ndarray, class_points: np.ndarray,
 class RouterInitParams:
     top_k_patches: int = 128       # K, clamped to the available patch count
     refine_steps: int = 5          # T
-    scales: tuple[int, ...] | None = None  # None -> config size -25%/+0/+25%
+    scales: tuple[int, ...] = ()   # () -> config size -25%/+0/+25%
     samples_per_class: int = 8
     mode: str = "cluster"          # "cluster" | "random" (baseline)
     refine: bool = False
@@ -210,6 +210,11 @@ class RouterInitParams:
             raise ValueError("refine_steps must be >= 0")
         if not self.refine_temperature > 0:
             raise ValueError("refine_temperature must be positive")
+        # multiples of the model's patch_size, checked where the model is known
+        if any(s < 1 for s in self.scales):
+            raise ValueError("scales must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def default_scales(config) -> tuple[int, ...]:
@@ -267,11 +272,11 @@ def select_class_patches(model, dataset: Dataset, layer: int, params: RouterInit
                          ) -> tuple[tuple[int, ...], list[SelectedPatches]]:
     """Each class's representative patches at the layer.
 
-    Embeddings are collected at params.scales (default_scales when unset)
+    Embeddings are collected at params.scales (default_scales when empty)
     from the rng stream Rng(params.seed).child(0); K is top_k_patches clamped
     to the fewest patches any class has. Returns (scales, per-class picks).
     """
-    scales = tuple(params.scales) if params.scales else default_scales(model.config)
+    scales = tuple(params.scales) or default_scales(model.config)
     per_class = collect_embeddings(model, dataset, layer, scales,
                                    params.samples_per_class, Rng(params.seed).child(0))
     k_eff = min(params.top_k_patches, min(ce.embeddings.shape[0] for ce in per_class))

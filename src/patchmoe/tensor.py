@@ -569,12 +569,6 @@ def cosine_matrix(x: Tensor, c: Tensor, eps: float | None = None) -> Tensor:
     return div(dots, denom)
 
 
-def cosine_matrix_np(x: np.ndarray, c: np.ndarray, eps: float = 1e-12) -> np.ndarray:
-    nx = np.linalg.norm(x, axis=-1, keepdims=True)
-    nc = np.linalg.norm(c, axis=-1, keepdims=True)
-    return (x @ c.T) / np.maximum(nx * nc.T, eps)
-
-
 # ---------------------------------------------------------------------------
 # Binary tensor blob format
 # ---------------------------------------------------------------------------

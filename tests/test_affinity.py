@@ -64,7 +64,7 @@ class TestFigureVariant:
         # above the 0.05 cutoff, so nothing is zeroed
         centroids = np.stack([np.eye(16)[i] for i in range(16)]) + 1.0
         point = np.ones((1, 16))
-        sims = T.cosine_matrix_np(point, centroids)
+        sims = T.cosine_matrix(T.Tensor(point), T.Tensor(centroids)).data
         assert np.allclose(sims, sims[0, 0])
         m = affinity.figure_d_variant(centroids, [point])
         assert np.allclose(m.values[0], 1.0 / 16.0)

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from patchmoe import backbone, cli, training
+from patchmoe import backbone, cli, data, expert_init, router_init, training
+from util_oracles import HAND_WRITTEN_CONFIG_SCHEMA
 
 SPEC = {"num_classes": 4, "num_families": 2, "image_size": 32,
         "images_per_class": 5, "fg_patch_cells": 2, "seed": 11}
@@ -209,7 +210,8 @@ class TestPipeline:
     @pytest.mark.parametrize("override", [
         "router_init.mode=bogus", "router_init.refine_steps=-1",
         "router_init.samples_per_class=0", "router_init.top_k_patches=0",
-        "router_init.refine_temperature=0"])
+        "router_init.refine_temperature=0", "router_init.scales=5",
+        "router_init.scales=0", "router_init.seed=-1"])
     def test_bad_router_init_exits_usage(self, workdir, tmp_path, override):
         out = tmp_path / "x.json"
         rc = cli.main(["moefy", "--config", str(workdir["config"]),
@@ -321,8 +323,19 @@ def _exit_code(argv: list[str]) -> int:
     ("affinity", ["--layer", "1", "--batches", "0"]),
     ("affinity", ["--layer", "1", "--mode", "pre", "--temperature", "0"]),
     ("eval", ["--batch-size", "0"]),
+    ("affinity", ["--layer", "1", "--mode", "post", "--temperature", "5"]),
+    ("affinity", ["--layer", "1", "--mode", "post", "--threshold", "0.9"]),
+    ("affinity", ["--layer", "1", "--mode", "figure-d", "--temperature", "5"]),
+    ("affinity", ["--layer", "1", "--mode", "figure-d", "--threshold", "0.9"]),
+    ("affinity", ["--layer", "1", "--mode", "pre", "--seed", "3"]),
+    ("affinity", ["--layer", "1", "--mode", "figure-d", "--seed", "3"]),
+    ("affinity", ["--layer", "1", "--mode", "pre", "--batches", "2"]),
+    ("affinity", ["--layer", "1", "--mode", "figure-d", "--batch-size", "4"]),
+    ("affinity", ["--layer", "1", "--mode", "pre", "--set", "router_init.scales=5"]),
 ], ids=["layer-5", "layer-neg1", "affinity-batch-size-0", "batches-0",
-        "temperature-0", "eval-batch-size-0"])
+        "temperature-0", "eval-batch-size-0", "post-temperature", "post-threshold",
+        "figure-d-temperature", "figure-d-threshold", "pre-seed", "figure-d-seed",
+        "pre-batches", "figure-d-batch-size", "pre-scales-not-patch-multiple"])
 def test_bad_argument_exits_usage(workdir, tmp_path, command, extra):
     out = tmp_path / "x.csv"
     rc = _exit_code([command, "--ckpt", str(workdir["tuned"]),
@@ -427,3 +440,99 @@ class TestLoadedRouterValidation:
         path = self.write_moe_with_centroid_row(workdir, tmp_path, value)
         assert cli.main(["inspect", "--ckpt", str(path)]) == cli.EXIT_DATA
         assert "centroid rows" in capsys.readouterr().err
+
+
+# The config sections each command reads.
+READS = {
+    "pretrain": {"model", "moe", "optim", "augment", "seed"},
+    "moefy": {"router_init"},
+    "finetune": {"optim", "augment", "seed"},
+    "affinity --mode pre": {"router_init"},
+    "affinity --mode figure-d": {"router_init"},
+    "affinity --mode post": set(),
+}
+# one valid override per section
+OVERRIDE = {"model": "model.dropout=0.5", "moe": "moe.experts=2",
+            "router_init": "router_init.seed=1", "optim": "optim.epochs=2",
+            "augment": "augment.hflip_p=0.0", "seed": "seed.seed=7"}
+
+
+def _argv(workdir, command, out):
+    """A valid invocation of `command` with the all-sections config file."""
+    argv = [*command.split(), "--config", str(workdir["config"]),
+            "--data", str(workdir["data"]), "--out", str(out)]
+    if command.startswith("affinity"):
+        argv += ["--ckpt", str(workdir["tuned"]), "--layer", "1"]
+        if command.endswith("post"):
+            argv += ["--batches", "1", "--batch-size", "4"]
+    elif command != "pretrain":
+        argv += ["--ckpt", str(workdir["dense" if command == "moefy" else "moe"])]
+    return argv
+
+
+class TestRunConfigSections:
+    def test_schema_derived_from_config_classes(self):
+        expected = {s: dict(keys) for s, keys in HAND_WRITTEN_CONFIG_SCHEMA.items()
+                    if s != "data"}
+        del expected["model"]["num_classes"]
+        assert cli.CONFIG_SCHEMA == expected
+        assert router_init.RouterInitParams().scales == ()
+
+    @pytest.mark.parametrize("command, section", [
+        (command, section) for command, reads in READS.items()
+        for section in sorted(set(OVERRIDE) - reads)])
+    def test_override_of_unread_section_exits_usage(self, workdir, tmp_path, capsys,
+                                                    command, section):
+        out = tmp_path / "out" / "x.json"
+        argv = _argv(workdir, command, out) + ["--set", OVERRIDE[section]]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        assert not (tmp_path / "out").exists()
+        assert f"does not read [{section}]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", list(READS))
+    def test_all_sections_file_accepted(self, workdir, tmp_path, command):
+        """One file serves every command; a run manifest records only the
+        sections its command read."""
+        out = tmp_path / "out" / "x.json"
+        assert cli.main(_argv(workdir, command, out)) == 0
+        assert out.exists()
+        if not command.startswith("affinity"):
+            run = json.loads(out.with_suffix(".run.json").read_text())
+            assert set(run["config"]) == READS[command]
+
+    def test_moefy_manifest_holds_router_init_only(self, workdir):
+        run = json.loads(workdir["moe"].with_suffix(".run.json").read_text())
+        assert list(run["config"]) == ["router_init"]
+        assert run["config"]["router_init"]["scales"] == [32]
+
+    @pytest.mark.parametrize("command, extra", [
+        ("pretrain", ["--set", "data.seed=1"]),
+        ("pretrain", ["--set", "model.num_classes=5"]),
+        ("moefy", ["--seed", "1"]),
+    ], ids=["data-section", "model-num-classes", "moefy-seed"])
+    def test_removed_settings_exit_usage(self, workdir, tmp_path, command, extra):
+        out = tmp_path / "out" / "x.json"
+        assert _exit_code(_argv(workdir, command, out) + extra) == cli.EXIT_USAGE
+        assert not (tmp_path / "out").exists()
+
+
+def test_inspect_reads_expert_width_from_weights(workdir, tmp_path, capsys):
+    model = backbone.load_checkpoint(workdir["dense"])
+    params = router_init.RouterInitParams(top_k_patches=16, samples_per_class=2,
+                                          scales=(32,))
+    build = router_init.build_router(model, data.load_dataset(workdir["data"]), 1, 2,
+                                     params)
+    expert_init.moefy_layer(model, 1, build.router, reduction_factor=1)
+    path = tmp_path / "whole.json"
+    backbone.save_checkpoint(model, path)
+    assert cli.main(["inspect", "--ckpt", str(path)]) == 0
+    out = capsys.readouterr().out
+    # d_model 16 and d_e = d_ff = 32: 16*32+32+32*16+16 + 2*16 + 16 + 1
+    per = 16 * 32 + 32 + 32 * 16 + 16 + 2 * 16 + 16 + 1
+    assert (f"layer 1: experts 2, d_e 32, per-expert parameters {per} "
+            f"(closed form {per})") in out
+    manifest = json.loads(path.read_text())
+    assert "reduction_factor" not in manifest["moe"]["1"]
+    manifest["moe"]["1"]["reduction_factor"] = 2  # written by older versions
+    path.write_text(json.dumps(manifest))
+    assert cli.main(["inspect", "--ckpt", str(path)]) == 0

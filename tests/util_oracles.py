@@ -155,3 +155,35 @@ def moe_forward_gate_matrix_oracle(x, captured, block):
         contrib = T.scatter_rows(T.mul(expert_out, gate), rows, b * p)
         out = contrib if out is None else T.add(out, contrib)
     return T.reshape(out, (b, p, n_px, d))
+
+
+# The CLI configuration schema as it was written out by hand before it was
+# derived from the config classes; the derived one must keep every default.
+HAND_WRITTEN_CONFIG_SCHEMA = {
+    "model": {
+        "num_classes": 12, "image_size": 64, "patch_size": 8, "n_px": 4,
+        "d_model": 32, "d_ff": 64, "layers": 4, "heads": 2, "dropout": 0.1,
+        "activation": "silu",
+    },
+    "moe": {
+        "moe_layers": (), "experts": 16, "top_k": 1,
+        "router_temperature": 1.0, "gate_mode": "renorm", "reduction_factor": 2,
+    },
+    "router_init": {
+        "top_k_patches": 128, "refine_steps": 5, "scales": (),
+        "samples_per_class": 8, "mode": "cluster", "refine": False,
+        "refine_temperature": 0.001, "refine_threshold": 0.05, "seed": 0,
+    },
+    "optim": {
+        "lr_moe": 0.005, "lr_classifier": 1e-5, "lr_rest": 5e-5,
+        "wd_classifier": 1e-8, "wd_other": 0.0, "betas": (0.9, 0.99),
+        "eps": 1e-8, "batch_size": 32, "epochs": 80,
+    },
+    "augment": {"hflip_p": 0.5, "mixup_alpha": 0.2},
+    "data": {
+        "num_classes": 12, "num_families": 4, "image_size": 64,
+        "images_per_class": 20, "num_backgrounds": 3, "fg_patch_cells": 4,
+        "intra_family_similarity": 0.7, "noise": 0.03, "seed": 0,
+    },
+    "seed": {"seed": 0},
+}
