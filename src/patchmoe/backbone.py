@@ -124,8 +124,8 @@ class DenseMLP:
     activation: str = "silu"
 
     def forward(self, pre: Tensor) -> Tensor:
-        h = T.activation(T.add(T.matmul(pre, self.w1), self.b1), self.activation)
-        return T.add(T.matmul(h, self.w2), self.b2)
+        h = T.activation(T.linear(pre, self.w1, self.b1), self.activation)
+        return T.linear(h, self.w2, self.b2)
 
     def parameters(self) -> dict[str, Tensor]:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
@@ -238,7 +238,7 @@ class Model:
         if h != w or h % cfg.patch_size != 0 or c != 3:
             raise ValueError(f"image shape {images.shape} incompatible with config")
         blocks = unfold(images.astype(T.default_dtype()) / 255.0, cfg.patch_size, cfg.n_px)
-        x = T.add(T.matmul(Tensor(blocks), self.embed_w), self.embed_b)
+        x = T.linear(Tensor(blocks), self.embed_w, self.embed_b)
         grid = h // cfg.patch_size
         pos = self.pos
         if grid != cfg.grid:  # alternate scale: nearest-neighbor over the patch grid
@@ -260,13 +260,12 @@ class Model:
         def split_heads(t):
             return T.transpose(T.reshape(t, (b, n_tok, h, dh)), (0, 2, 1, 3))
 
-        q = split_heads(T.add(T.matmul(normed, layer.wq), layer.bq))
-        k = split_heads(T.add(T.matmul(normed, layer.wk), layer.bk))
-        v = split_heads(T.add(T.matmul(normed, layer.wv), layer.bv))
-        scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), T.Tensor(1.0 / math.sqrt(dh)))
-        attn = T.matmul(T.softmax(scores, axis=-1), v)
+        q = split_heads(T.linear(normed, layer.wq, layer.bq))
+        k = split_heads(T.linear(normed, layer.wk, layer.bk))
+        v = split_heads(T.linear(normed, layer.wv, layer.bv))
+        attn = T.attention(q, k, v, 1.0 / math.sqrt(dh))
         merged = T.reshape(T.transpose(attn, (0, 2, 1, 3)), (b, n_tok, d))
-        out = T.add(T.matmul(merged, layer.wo), layer.bo)
+        out = T.linear(merged, layer.wo, layer.bo)
         return T.add(x, T.reshape(out, (b, p, n_px, d)))
 
     def forward(self, images: np.ndarray, train: bool = False, rng: Rng | None = None,
@@ -287,7 +286,7 @@ class Model:
             if rng is None:
                 raise ValueError("training forward needs an rng for dropout")
             pooled = T.dropout(pooled, cfg.dropout, rng, active=True)
-        result.logits = T.add(T.matmul(pooled, self.head_w), self.head_b)
+        result.logits = T.linear(pooled, self.head_w, self.head_b)
         return result
 
     def _mlp_residual(self, layer: TransformerLayer, x: Tensor, captured: Tensor):

@@ -4,9 +4,10 @@ affinity, inspect.
 Configuration comes from an INI file (sections model, moe, router_init,
 optim, augment, seed) merged with repeatable `--set section.key=value`
 overrides; overrides win. Each command reads a fixed set of sections
-(COMMAND_SECTIONS): the file's other sections are checked and skipped, an
-override of one is a usage error, and the run manifest records the resolved
-sections the command read.
+(COMMAND_SECTIONS), and affinity --mode pre/figure-d only some keys of
+[router_init] (COMMAND_KEYS): the file's other sections and keys are checked
+and skipped, an override of one is a usage error, and the run manifest
+records the resolved sections the command read.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 data/checkpoint
 error, 4 numeric divergence.
@@ -71,6 +72,11 @@ COMMAND_SECTIONS = {
     "affinity --mode figure-d": ("router_init",),
     "affinity --mode post": (),
 }
+# (command, section) -> the keys of the section it reads, where not all
+COMMAND_KEYS = {
+    ("affinity --mode pre", "router_init"): router_init.SELECT_KEYS,
+    ("affinity --mode figure-d", "router_init"): router_init.SELECT_KEYS,
+}
 
 
 def _coerce(raw: str, default):
@@ -98,11 +104,13 @@ def _coerce(raw: str, default):
 def load_run_config(path: str | None, overrides: list[str] | None = None,
                     command: str | None = None) -> dict:
     """Schema defaults, then the INI file, then --set overrides, for the
-    sections `command` reads (all when None). The file's other sections are
-    checked, so one file serves every command, then skipped; an override of
-    one is an error."""
+    sections and keys `command` reads (all when None). The file's other
+    sections and keys are checked, so one file serves every command, then
+    skipped; an override of one is an error."""
     sections = COMMAND_SECTIONS[command] if command else tuple(CONFIG_SCHEMA)
-    resolved = {s: dict(CONFIG_SCHEMA[s]) for s in sections}
+    resolved = {s: {k: v for k, v in CONFIG_SCHEMA[s].items()
+                    if k in COMMAND_KEYS.get((command, s), CONFIG_SCHEMA[s])}
+                for s in sections}
     if path is not None:
         parser = configparser.ConfigParser()
         read = parser.read(path)
@@ -115,7 +123,7 @@ def load_run_config(path: str | None, overrides: list[str] | None = None,
                 if key not in CONFIG_SCHEMA[section]:
                     raise ConfigError(f"unknown key {key!r} in section [{section}]")
                 value = _coerce(raw, CONFIG_SCHEMA[section][key])
-                if section in resolved:
+                if key in resolved.get(section, ()):
                     resolved[section][key] = value
     for item in overrides or []:
         if "=" not in item or "." not in item.split("=", 1)[0]:
@@ -127,6 +135,9 @@ def load_run_config(path: str | None, overrides: list[str] | None = None,
         if section not in resolved:
             read_list = ", ".join(f"[{s}]" for s in sections) or "no section"
             raise ConfigError(f"{command} does not read [{section}] (it reads {read_list})")
+        if key not in resolved[section]:
+            read_list = ", ".join(f"{section}.{k}" for k in resolved[section])
+            raise ConfigError(f"{command} does not read {section}.{key} (it reads {read_list})")
         resolved[section][key] = _coerce(raw, CONFIG_SCHEMA[section][key])
     return resolved
 

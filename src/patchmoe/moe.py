@@ -69,8 +69,8 @@ class ExpertMLP:
 def expert_forward(x_pixels: Tensor, expert: ExpertMLP) -> Tensor:
     """Run one expert on an n x d pixel batch."""
     h = T.layer_norm(x_pixels, expert.ln_gain, expert.ln_bias)
-    a = T.activation(T.add(T.matmul(h, expert.w1), expert.b1), expert.activation)
-    out = T.add(T.matmul(a, expert.w2), expert.b2)
+    a = T.activation(T.linear(h, expert.w1, expert.b1), expert.activation)
+    out = T.linear(a, expert.w2, expert.b2)
     one_minus = T.sub(T.Tensor(1.0), expert.gamma)
     return T.add(T.mul(out, one_minus), T.mul(expert.x_corr, expert.gamma))
 

@@ -268,6 +268,11 @@ def collect_embeddings(model, dataset: Dataset, layer: int, scales,
     return [ClassEmbeddings(c, emb, layer) for c, emb in enumerate(out)]
 
 
+# The RouterInitParams fields select_class_patches reads; the others only
+# matter to build_router.
+SELECT_KEYS = ("top_k_patches", "refine_steps", "scales", "samples_per_class", "seed")
+
+
 def select_class_patches(model, dataset: Dataset, layer: int, params: RouterInitParams
                          ) -> tuple[tuple[int, ...], list[SelectedPatches]]:
     """Each class's representative patches at the layer.

@@ -116,11 +116,17 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g.astype(self.data.dtype, copy=False)
+            # One pass into an array laid out like self.data (a transposed g
+            # would otherwise pass its memory order, and so its summation
+            # order, on); adding 0.0 turns -0.0 into +0.0 as zeros-then-add did.
+            self.grad = np.add(g, 0.0, out=np.empty_like(self.data), dtype=self.data.dtype)
+        else:
+            self.grad += g.astype(self.data.dtype, copy=False)
 
     def backward(self, grad=None) -> None:
-        """Reverse sweep from this node in fixed topological order."""
+        """Reverse sweep from this node in fixed topological order. A non-leaf
+        node's grad is dropped once its own backward has read it; only leaves
+        (parameters and inputs) keep .grad."""
         if grad is None:
             grad = np.ones_like(self.data)
         topo: list[Tensor] = []
@@ -142,6 +148,7 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     # Operator sugar; the real work lives in the module-level ops.
     def __add__(self, other):
@@ -247,12 +254,16 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(out_data, _parents=(a, b), _backward=backward)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product, batched on leading dims. dA = dC.B^T, dB = A^T.dC."""
+def _check_matmul(a: Tensor, b: Tensor) -> None:
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError("matmul operands must have rank >= 2")
     if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul inner dims disagree: {a.shape} x {b.shape}")
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product, batched on leading dims. dA = dC.B^T, dB = A^T.dC."""
+    _check_matmul(a, b)
     out_data = a.data @ b.data
 
     def backward(g):
@@ -262,6 +273,60 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
 
     return Tensor(out_data, _parents=(a, b), _backward=backward)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x.w + b as one node: add(matmul(x, w), b) with the same numpy calls,
+    the bias added in place, and no tape node for the bare product."""
+    _check_matmul(x, w)
+    out_data = x.data @ w.data
+    np.add(out_data, b.data, out=out_data)
+
+    def backward(g):
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.shape))
+        if x.requires_grad:
+            x._accumulate(_unbroadcast(g @ np.swapaxes(w.data, -1, -2), x.shape))
+        if w.requires_grad:
+            w._accumulate(_unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.shape))
+
+    return Tensor(out_data, _parents=(x, w, b), _backward=backward)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
+    """softmax(q.k^T * scale).v over the last two axes, as one node.
+
+    The forward makes the numpy calls of matmul -> mul -> softmax -> matmul
+    in the same order, in place in one buffer, and the tape keeps only the
+    probabilities P. The backward replays that chain's backward in place:
+    dP = g.v^T, dS = P * (dP - rowsum(dP * P)) * scale, dq = dS.k,
+    dk = (q^T.dS)^T and dv = P^T.g.
+    """
+    if q.ndim < 2 or q.shape != k.shape or v.shape[:-1] != k.shape[:-1]:
+        raise ValueError(f"attention shapes disagree: q {q.shape}, k {k.shape}, v {v.shape}")
+    scale = q.data.dtype.type(scale)
+    p = q.data @ np.swapaxes(k.data, -1, -2)
+    np.multiply(p, scale, out=p)
+    np.subtract(p, p.max(axis=-1, keepdims=True), out=p)
+    np.exp(p, out=p)
+    np.divide(p, p.sum(axis=-1, keepdims=True), out=p)
+
+    def backward(g):
+        if v.requires_grad:
+            v._accumulate(np.swapaxes(p, -1, -2) @ g)
+        if not (q.requires_grad or k.requires_grad):
+            return
+        ds = g @ np.swapaxes(v.data, -1, -2)
+        dot = (ds * p).sum(axis=-1, keepdims=True)
+        np.subtract(ds, dot, out=ds)
+        np.multiply(p, ds, out=ds)
+        np.multiply(ds, scale, out=ds)
+        if q.requires_grad:
+            q._accumulate(ds @ k.data)
+        if k.requires_grad:
+            k._accumulate(np.swapaxes(np.swapaxes(q.data, -1, -2) @ ds, -1, -2))
+
+    return Tensor(p @ v.data, _parents=(q, k, v), _backward=backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:

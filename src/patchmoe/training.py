@@ -302,6 +302,7 @@ def train(model, dataset: Dataset, optim: OptimConfig, augment: AugmentConfig,
             optimizer.step()
             epoch_loss += value * len(idx)
             epoch_correct += int((np.argmax(result.logits.data, axis=-1) == labels).sum())
+            del result, loss  # free this step's tape before the next forward builds one
         train_row = {"epoch": epoch, "split": "train",
                      "loss": epoch_loss / len(order),
                      "top1": epoch_correct / len(order)}

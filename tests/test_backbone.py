@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from patchmoe import backbone
+from patchmoe import backbone, expert_init
 from patchmoe import tensor as T
 from patchmoe.backbone import Model, ModelConfig, fold, unfold
-from util_model import check_model_gradients, toy_config
+from test_expert_init import make_router
+from util_model import check_model_gradients, model_digest, toy_config
+from util_oracles import linear_chain_oracle, model_attention_oracle
 
 
 class TestConfig:
@@ -158,6 +160,49 @@ class TestForward:
         assert not np.allclose(eval_logits, train_logits)
         again = model.forward(images, train=True, rng=T.Rng(1)).logits.data
         assert np.array_equal(train_logits, again)
+
+
+class TestFusedNodesMatchChains:
+    """A desk-shaped MoE model gives the same train-mode logits and parameter
+    gradients, bit for bit, with the op chains that T.attention and T.linear
+    replaced swapped back in. The attention key bias is the canary: its true
+    gradient is exactly 0, so it holds only rounding noise, and any change
+    in summation order shows there first."""
+
+    @pytest.mark.parametrize("swap", ["attention", "attention+linear"])
+    @pytest.mark.parametrize("top_k", [1, 2])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_model_digest(self, monkeypatch, dtype, top_k, swap):
+        T.set_default_dtype(dtype)
+        try:
+            cfg = backbone.desk_config(6, moe_layers=(1, 3), experts=4, top_k=top_k)
+            model = Model(cfg, T.Rng(3))
+            for i in cfg.moe_layers:
+                expert_init.moefy_layer(model, i, make_router(cfg.d_model, 4, seed=i,
+                                                              top_k=top_k))
+            rng = np.random.default_rng(4)
+            images = rng.integers(0, 256, (4, 64, 64, 3), dtype=np.uint8)
+            labels = rng.integers(0, 6, 4)
+
+            def digest_and_canary():
+                digest = model_digest(model, images, labels, T.Rng(5))
+                logits = model.forward(images, train=True, rng=T.Rng(5)).logits
+                T.tsum(logits).backward()
+                canary = [layer.bk.grad.tobytes() for layer in model.layers]
+                for p in model.named_parameters().values():
+                    p.grad = None
+                return digest, canary
+
+            fused = digest_and_canary()
+            with monkeypatch.context() as m:
+                m.setattr(Model, "attention", model_attention_oracle)
+                if "linear" in swap:
+                    m.setattr(T, "linear", linear_chain_oracle)
+                chain = digest_and_canary()
+        finally:
+            T.set_default_dtype("float32")
+        assert fused[1] == chain[1], "layer*.attn.bk gradients differ"
+        assert fused[0] == chain[0]
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -500,6 +500,38 @@ class TestRunConfigSections:
             run = json.loads(out.with_suffix(".run.json").read_text())
             assert set(run["config"]) == READS[command]
 
+    @pytest.mark.parametrize("mode", ["pre", "figure-d"])
+    @pytest.mark.parametrize("override", [
+        "router_init.mode=random", "router_init.refine=true",
+        "router_init.refine_temperature=3", "router_init.refine_threshold=0.5"])
+    def test_override_of_unread_router_init_key_exits_usage(self, workdir, tmp_path, capsys,
+                                                            mode, override):
+        """affinity --mode pre/figure-d select patches only: the router_init
+        keys that matter to build_router alone would change nothing."""
+        command = f"affinity --mode {mode}"
+        out = tmp_path / "out" / "x.json"
+        assert cli.main(_argv(workdir, command, out) + ["--set", override]) == cli.EXIT_USAGE
+        assert not (tmp_path / "out").exists()
+        assert f"{command} does not read {override.split('=')[0]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["pre", "figure-d"])
+    def test_unread_router_init_keys_in_file_skipped(self, workdir, tmp_path, mode):
+        config = tmp_path / "build.ini"
+        config.write_text(workdir["config"].read_text().replace(
+            "[router_init]\n", "[router_init]\nmode = random\nrefine = true\n"
+            "refine_temperature = 3\nrefine_threshold = 0.5\n"))
+        command = f"affinity --mode {mode}"
+        plain, built = tmp_path / "plain.json", tmp_path / "built.json"
+        assert cli.main(_argv(workdir, command, plain)) == 0
+        argv = _argv(workdir, command, built)
+        argv[argv.index("--config") + 1] = str(config)
+        assert cli.main(argv) == 0
+        assert built.read_bytes() == plain.read_bytes()
+        bad = tmp_path / "bad.ini"
+        bad.write_text(config.read_text().replace("refine = true", "refine = maybe"))
+        argv[argv.index("--config") + 1] = str(bad)
+        assert cli.main(argv) == cli.EXIT_USAGE
+
     def test_moefy_manifest_holds_router_init_only(self, workdir):
         run = json.loads(workdir["moe"].with_suffix(".run.json").read_text())
         assert list(run["config"]) == ["router_init"]

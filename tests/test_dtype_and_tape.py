@@ -1,5 +1,6 @@
-"""float32 mode computes in float32 end to end, and inference forwards
-(evaluate, affinity_post, capture_pre_mlp) build no autodiff tape."""
+"""float32 mode computes in float32 end to end, inference forwards
+(evaluate, affinity_post, capture_pre_mlp) build no autodiff tape, and a
+training tape keeps only what its backward reads."""
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from patchmoe.data import LabeledImage
 from patchmoe.tensor import Rng
 
 from util_model import toy_config
+from util_oracles import model_attention_oracle
 from test_expert_init import make_router
 from test_training import make_two_class_dataset
 
@@ -161,3 +163,82 @@ class TestNoTape:
             pass
         assert not model.head_b.requires_grad
         assert model.head_w.requires_grad
+
+
+def held_arrays(root):
+    """Every array the tape from root holds: node payloads and the arrays
+    the backward closures captured, one entry per distinct buffer."""
+    held = {}
+    for node in tape_nodes(root):
+        cells = [c.cell_contents for c in (node._backward.__closure__ or ())] \
+            if node._backward is not None else []
+        for arr in [node.data] + [c for c in cells if isinstance(c, np.ndarray)]:
+            held[(arr.__array_interface__["data"][0], arr.shape)] = arr
+    return list(held.values())
+
+
+class TestTrainingTape:
+    def forward_loss(self, model, images):
+        result = model.forward(images, train=True, rng=Rng(1))
+        return training.soft_cross_entropy(result.logits,
+                                           training.one_hot(np.array([0, 1, 1]), 2))
+
+    def images(self):
+        return np.random.default_rng(0).integers(0, 256, (3, 8, 8, 3), dtype=np.uint8)
+
+    def score_arrays(self, model, loss):
+        cfg = model.config
+        n = cfg.num_patches * cfg.n_px
+        shape = (3, cfg.heads, n, n)
+        return [a for a in held_arrays(loss) if a.shape == shape]
+
+    @pytest.mark.parametrize("moe", [False, True], ids=["dense", "moe"])
+    def test_one_score_array_per_attention_layer(self, moe):
+        model = make_model(moe=moe)
+        scores = self.score_arrays(model, self.forward_loss(model, self.images()))
+        assert len(scores) == len(model.layers)
+        for p in scores:  # the softmax probabilities: rows sum to 1
+            assert np.allclose(p.sum(axis=-1), 1.0, atol=1e-5)
+
+    def test_chain_oracle_held_three_per_layer(self, monkeypatch):
+        """The count above sees the score arrays the op chain kept."""
+        model = make_model(moe=False)
+        monkeypatch.setattr(backbone.Model, "attention", model_attention_oracle)
+        scores = self.score_arrays(model, self.forward_loss(model, self.images()))
+        assert len(scores) == 3 * len(model.layers)
+
+    @pytest.mark.parametrize("moe", [False, True], ids=["dense", "moe"])
+    def test_backward_frees_non_leaf_grads(self, moe):
+        model = make_model(moe=moe)
+        loss = self.forward_loss(model, self.images())
+        loss.backward()
+        nodes = [n for n in tape_nodes(loss) if n.requires_grad]
+        inner = [n for n in nodes if n._backward is not None]
+        assert inner and all(n.grad is None for n in inner)
+        params = {id(p) for p in model.named_parameters().values()}
+        leaves = [n for n in nodes if n._backward is None]
+        assert leaves and {id(n) for n in leaves} <= params
+        assert all(n.grad is not None for n in leaves)
+        if not moe:
+            assert all(p.grad is not None for p in model.named_parameters().values())
+
+
+class TestAccumulate:
+    def test_first_grad_takes_the_parameter_layout(self):
+        p = T.parameter(np.zeros((3, 4)))
+        g = np.arange(12.0, dtype=np.float32).reshape(4, 3).T
+        p._accumulate(g)
+        assert p.grad.strides == p.data.strides and p.grad.flags.c_contiguous
+        assert np.array_equal(p.grad, g)
+        p._accumulate(g)
+        assert np.array_equal(p.grad, 2 * g)
+
+    def test_first_grad_of_a_transposed_view_takes_its_layout(self):
+        view = T.transpose(T.parameter(np.zeros((3, 4))), (1, 0))
+        view._accumulate(np.ones((4, 3), dtype=np.float32))
+        assert view.grad.strides == view.data.strides
+
+    def test_negative_zero_lands_as_positive_zero(self):
+        p = T.parameter(np.ones(4))
+        p._accumulate(np.array([-0.0, 0.0, -1.0, -0.0], dtype=np.float32))
+        assert p.grad.tobytes() == np.array([0.0, 0.0, -1.0, 0.0], np.float32).tobytes()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from patchmoe import tensor as T
 from util_fd import gradcheck
+from util_oracles import attention_chain_oracle, linear_chain_oracle
 
 
 @pytest.fixture
@@ -146,6 +147,9 @@ OPS = {
     "matmul": (lambda a, b: T.matmul(a, b), [(3, 4), (4, 2)]),
     "matmul_batched": (lambda a, b: T.matmul(a, b), [(2, 3, 4), (2, 4, 2)]),
     "matmul_broadcast_weight": (lambda a, b: T.matmul(a, b), [(2, 3, 4), (4, 5)]),
+    "linear": (lambda x, w, b: T.linear(x, w, b), [(3, 4), (4, 2), (2,)]),
+    "linear_broadcast_weight": (lambda x, w, b: T.linear(x, w, b), [(2, 3, 4), (4, 5), (5,)]),
+    "attention": (lambda q, k, v: T.attention(q, k, v, 0.7), [(2, 2, 3, 4)] * 3),
     "reshape": (lambda a: T.reshape(a, (6,)), [(2, 3)]),
     "transpose": (lambda a: T.transpose(a, (1, 0, 2)), [(2, 3, 4)]),
     "sum_all": (lambda a: T.tsum(a), [(3, 4)]),
@@ -169,6 +173,71 @@ def test_backward_matches_finite_differences(name):
     op, shapes = OPS[name]
     for seed in range(3):
         gradcheck(op, shapes, np.random.default_rng(seed), label=name)
+
+
+class TestFusedNodesMatchChains:
+    """T.attention and T.linear give the op chains they replace bit for bit:
+    output and every input gradient, sign of zero included."""
+
+    @staticmethod
+    def runner(shapes, cotangent_shape, seed, views=False):
+        """fn -> [fn's output, each input's grad] under one fixed cotangent.
+        With views, each input is a head-split transposed view of a
+        (B, N, heads, dh) leaf, as in Model.attention."""
+        rng = np.random.default_rng(seed)
+        dtype = T.default_dtype()
+        leaves = [rng.standard_normal((s[0], s[2], s[1], s[3]) if views else s).astype(dtype)
+                  for s in shapes]
+        cot = rng.standard_normal(cotangent_shape).astype(dtype)
+
+        def run(fn):
+            ins = [T.Tensor(a, requires_grad=True) for a in leaves]
+            out = fn(*[T.transpose(t, (0, 2, 1, 3)) for t in ins] if views else ins)
+            out.backward(cot)
+            return [out.data] + [t.grad for t in ins]
+
+        return run
+
+    @settings(max_examples=40, deadline=None)
+    @given(b=st.integers(1, 3), heads=st.integers(1, 3), n=st.integers(1, 9),
+           dh=st.integers(1, 5), scale=st.floats(0.05, 4.0), views=st.booleans(),
+           seed=st.integers(0, 2**16), dtype=st.sampled_from(["float32", "float64"]))
+    def test_attention(self, b, heads, n, dh, scale, views, seed, dtype):
+        T.set_default_dtype(dtype)
+        try:
+            shape = (b, heads, n, dh)
+            run = self.runner([shape] * 3, shape, seed, views)
+            fused = run(lambda q, k, v: T.attention(q, k, v, scale))
+            chain = run(lambda q, k, v: attention_chain_oracle(q, k, v, scale))
+        finally:
+            T.set_default_dtype("float32")
+        assert fused[0].dtype == np.dtype(dtype)
+        for got, want in zip(fused, chain):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(lead=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+           d_in=st.integers(1, 6), d_out=st.integers(1, 6),
+           seed=st.integers(0, 2**16), dtype=st.sampled_from(["float32", "float64"]))
+    def test_linear(self, lead, d_in, d_out, seed, dtype):
+        T.set_default_dtype(dtype)
+        try:
+            shapes = [(*lead, d_in), (d_in, d_out), (d_out,)]
+            run = self.runner(shapes, (*lead, d_out), seed)
+            fused = run(T.linear)
+            chain = run(linear_chain_oracle)
+        finally:
+            T.set_default_dtype("float32")
+        for got, want in zip(fused, chain):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_shape_checks(self):
+        q = T.Tensor(np.zeros((1, 2, 3, 4)))
+        with pytest.raises(ValueError):
+            T.attention(q, T.Tensor(np.zeros((1, 2, 5, 4))), q, 1.0)
+        with pytest.raises(ValueError):
+            T.linear(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((4, 2))),
+                     T.Tensor(np.zeros(2)))
 
 
 def test_minmax_apply_gradcheck():

@@ -1,8 +1,10 @@
 """Shared model-level helpers for the test suite."""
 
+import hashlib
+
 import numpy as np
 
-from patchmoe import backbone
+from patchmoe import backbone, training
 from patchmoe import tensor as T
 from util_fd import assert_grads_close
 
@@ -59,3 +61,22 @@ def check_model_gradients(seed, config=None, rtol=1e-4, h=1e-5, batch=1):
                            model.named_parameters(), rtol=rtol, h=h)
     finally:
         T.set_default_dtype("float32")
+
+
+def model_digest(model, images, labels, rng):
+    """sha256 over the train-mode logits and every parameter's gradient, in
+    named_parameters order: two code paths that agree on it agree bit for
+    bit. Clears the parameter gradients before and after."""
+    params = model.named_parameters()
+    for p in params.values():
+        p.grad = None
+    logits = model.forward(images, train=True, rng=rng).logits
+    loss = training.soft_cross_entropy(
+        logits, training.one_hot(np.asarray(labels), model.config.num_classes))
+    loss.backward()
+    h = hashlib.sha256(logits.data.tobytes())
+    for name, p in params.items():
+        h.update(name.encode())
+        h.update(b"-" if p.grad is None else p.grad.tobytes())
+        p.grad = None
+    return h.hexdigest()

@@ -4,6 +4,8 @@ Deliberately written as plain, loop-heavy transcriptions, separate from the
 vectorized code paths they are checked against.
 """
 
+import math
+
 import numpy as np
 
 from patchmoe import moe
@@ -155,6 +157,40 @@ def moe_forward_gate_matrix_oracle(x, captured, block):
         contrib = T.scatter_rows(T.mul(expert_out, gate), rows, b * p)
         out = contrib if out is None else T.add(out, contrib)
     return T.reshape(out, (b, p, n_px, d))
+
+
+def linear_chain_oracle(x, w, b):
+    """x.w + b as the two tape nodes it was before T.linear."""
+    return T.add(T.matmul(x, w), b)
+
+
+def attention_chain_oracle(q, k, v, scale):
+    """softmax(q.k^T * scale).v as the op chain it was before T.attention:
+    four tape nodes, each with its own score-sized array."""
+    scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), T.Tensor(scale))
+    return T.matmul(T.softmax(scores, axis=-1), v)
+
+
+def model_attention_oracle(model, layer, x):
+    """Model.attention as it was before the fused nodes: pre-norm multi-head
+    self-attention over all (patch, pixel) tokens, residual included."""
+    b, p, n_px, d = x.shape
+    n_tok = p * n_px
+    h = layer.heads
+    dh = d // h
+    tok = T.reshape(x, (b, n_tok, d))
+    normed = T.layer_norm(tok, layer.ln1_gain, layer.ln1_bias)
+
+    def split_heads(t):
+        return T.transpose(T.reshape(t, (b, n_tok, h, dh)), (0, 2, 1, 3))
+
+    q = split_heads(linear_chain_oracle(normed, layer.wq, layer.bq))
+    k = split_heads(linear_chain_oracle(normed, layer.wk, layer.bk))
+    v = split_heads(linear_chain_oracle(normed, layer.wv, layer.bv))
+    attn = attention_chain_oracle(q, k, v, 1.0 / math.sqrt(dh))
+    merged = T.reshape(T.transpose(attn, (0, 2, 1, 3)), (b, n_tok, d))
+    out = linear_chain_oracle(merged, layer.wo, layer.bo)
+    return T.add(x, T.reshape(out, (b, p, n_px, d)))
 
 
 # The CLI configuration schema as it was written out by hand before it was
