@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +49,9 @@ class ModelConfig:
             raise ValueError("need at least one layer")
         if any(i < 0 or i >= self.layers for i in self.moe_layers):
             raise ValueError("moe_layers outside 0..layers-1")
+        sizes = ("image_size", "patch_size", "n_px", "heads", "d_model", "d_ff", "experts")
+        if min(getattr(self, k) for k in sizes) < 1:
+            raise ValueError(f"{', '.join(sizes)} must be >= 1")
         side = math.isqrt(self.n_px)
         if side * side != self.n_px:
             raise ValueError("n_px must be a perfect square")
@@ -58,6 +61,18 @@ class ModelConfig:
             raise ValueError("image_size not divisible by the patch grid")
         if self.d_model % self.heads != 0:
             raise ValueError("d_model not divisible by heads")
+        if self.activation not in T.ACTIVATIONS:
+            raise ValueError(f"unknown activation {self.activation!r}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError("dropout must be in [0, 1)")
+        if not 1 <= self.top_k <= self.experts:
+            raise ValueError("top_k must be in 1..experts")
+        if not self.router_temperature > 0:
+            raise ValueError("router_temperature must be > 0")
+        if self.gate_mode not in ("renorm", "raw"):
+            raise ValueError(f"unknown gate_mode {self.gate_mode!r}")
+        if self.reduction_factor < 1 or self.d_ff % self.reduction_factor:
+            raise ValueError("reduction_factor must be >= 1 and divide d_ff")
 
     @property
     def grid(self) -> int:
@@ -72,17 +87,6 @@ class ModelConfig:
         """Side length of one pixel position's block."""
         return self.patch_size // math.isqrt(self.n_px)
 
-    def to_json(self) -> dict:
-        d = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        d["moe_layers"] = list(self.moe_layers)
-        return d
-
-    @classmethod
-    def from_json(cls, d: dict) -> "ModelConfig":
-        d = dict(d)
-        d["moe_layers"] = tuple(d.get("moe_layers", ()))
-        return cls(**d)
-
 
 def desk_config(num_classes: int, **overrides) -> ModelConfig:
     """Default desk-scale configuration: the whole suite runs in minutes."""
@@ -93,8 +97,7 @@ def desk_config(num_classes: int, **overrides) -> ModelConfig:
 
 
 def unfold(images: np.ndarray, patch_size: int, n_px: int) -> np.ndarray:
-    """(B, H, W, C) pixels -> (B, P, n_px, cell*cell*C) blocks. Exact inverse
-    of fold."""
+    """(B, H, W, C) pixels -> (B, P, n_px, cell*cell*C) blocks."""
     b, h, w, c = images.shape
     side = math.isqrt(n_px)
     cell = patch_size // side
@@ -102,17 +105,6 @@ def unfold(images: np.ndarray, patch_size: int, n_px: int) -> np.ndarray:
     x = images.reshape(b, gy, side, cell, gx, side, cell, c)
     x = x.transpose(0, 1, 4, 2, 5, 3, 6, 7)  # b, gy, gx, sy, sx, cy, cx, c
     return x.reshape(b, gy * gx, n_px, cell * cell * c)
-
-
-def fold(blocks: np.ndarray, image_size: int, patch_size: int, n_px: int,
-         channels: int = 3) -> np.ndarray:
-    b = blocks.shape[0]
-    side = math.isqrt(n_px)
-    cell = patch_size // side
-    g = image_size // patch_size
-    x = blocks.reshape(b, g, g, side, side, cell, cell, channels)
-    x = x.transpose(0, 1, 3, 5, 2, 4, 6, 7)
-    return x.reshape(b, image_size, image_size, channels)
 
 
 @dataclass
@@ -161,22 +153,16 @@ class TransformerLayer:
 @dataclass
 class ForwardResult:
     logits: Tensor
-    captures: dict[int, Tensor] = field(default_factory=dict)
     routing: dict[int, "moe_mod.RoutingRecord"] = field(default_factory=dict)
 
 
 class Model:
     """Patch transformer; MLP sublayers are dense until moefied."""
 
-    def __init__(self, config: ModelConfig, rng: Rng | None = None, _empty: bool = False):
+    def __init__(self, config: ModelConfig, rng: Rng | None = None):
         self.config = config
         self.stage = "dense"
         self.finetuned = False
-        if _empty:
-            self.embed_w = self.embed_b = self.pos = None
-            self.layers = []
-            self.head_w = self.head_b = None
-            return
         if rng is None:
             rng = Rng(0)
         cfg = config
@@ -268,16 +254,14 @@ class Model:
         out = T.linear(merged, layer.wo, layer.bo)
         return T.add(x, T.reshape(out, (b, p, n_px, d)))
 
-    def forward(self, images: np.ndarray, train: bool = False, rng: Rng | None = None,
-                capture_layers: tuple[int, ...] = ()) -> ForwardResult:
+    def forward(self, images: np.ndarray, train: bool = False,
+                rng: Rng | None = None) -> ForwardResult:
         cfg = self.config
         x = self.patch_embed(images)
         result = ForwardResult(logits=None)
         for i, layer in enumerate(self.layers):
             x = self.attention(layer, x)
             captured = T.layer_norm(x, layer.ln2_gain, layer.ln2_bias)
-            if i in capture_layers:
-                result.captures[i] = captured
             x, record = self._mlp_residual(layer, x, captured)
             if record is not None:
                 result.routing[i] = record
@@ -300,9 +284,8 @@ class Model:
 
     def capture_pre_mlp(self, images: np.ndarray, layer: int) -> Tensor:
         """Activation after attention and the MLP-input layer norm at `layer`:
-        the tensor clustered and routed on. Equal to
-        forward(images, capture_layers=(layer,)).captures[layer], but stops
-        there: later layers and the head never run. Builds no autodiff tape."""
+        the tensor clustered and routed on, as forward computes it. Later
+        layers and the head never run. Builds no autodiff tape."""
         if not 0 <= layer < len(self.layers):
             raise ValueError(f"invalid layer {layer}")
         with self.no_grad():
@@ -352,7 +335,7 @@ def save_checkpoint(model: Model, path: Path | str, extra: dict | None = None) -
     manifest = {
         "stage": model.stage,
         "finetuned": model.finetuned,
-        "config": model.config.to_json(),
+        "config": asdict(model.config),
         "params": [],
         "moe": {},
     }
@@ -386,7 +369,7 @@ class CheckpointError(Exception):
 def _model_from_manifest(manifest: dict) -> Model:
     """The model a manifest describes, MoE blocks rebuilt so that every
     parameter name resolves; parameter values are placeholders."""
-    config = ModelConfig.from_json(manifest["config"])
+    config = ModelConfig(**manifest["config"])
     model = Model(config, Rng(0))
     for key, info in manifest.get("moe", {}).items():
         layer = model.layers[int(key)]

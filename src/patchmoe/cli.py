@@ -185,6 +185,8 @@ def _train_and_save(model, dataset, resolved: dict, seed: int, out: Path,
     checkpoint, its metrics CSV and its run manifest at `out`."""
     optim = _build(training.OptimConfig, **resolved["optim"])
     augment = _build(training.AugmentConfig, **resolved["augment"])
+    if not dataset.split("train"):
+        raise data.DataError(f"{command}: the dataset has no train images")
     out.parent.mkdir(parents=True, exist_ok=True)
     result = training.train(model, dataset, optim, augment, seed=seed,
                             metrics_path=out.with_suffix(".metrics.csv"))
@@ -198,7 +200,10 @@ def _train_and_save(model, dataset, resolved: dict, seed: int, out: Path,
 
 def cmd_gen_data(args) -> int:
     with open(args.spec) as f:
-        spec = data.SynthSpec.from_json(json.load(f))
+        try:
+            spec = data.SynthSpec.from_json(json.load(f))
+        except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+            raise data.DataError(f"invalid synth spec {args.spec}: {exc}") from None
     dataset = data.generate(spec)
     data.save_dataset(dataset, args.out)
     print(f"wrote {len(dataset.images)} images, {dataset.num_classes} classes "
@@ -206,9 +211,17 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
+def _run_seed(args, resolved: dict) -> int:
+    """--seed when given, else [seed] seed; a negative [seed] seed is a
+    config error (a negative --seed is a usage error in argparse)."""
+    if resolved["seed"]["seed"] < 0:
+        raise ConfigError(f"seed.seed must be >= 0, got {resolved['seed']['seed']}")
+    return args.seed if args.seed is not None else resolved["seed"]["seed"]
+
+
 def cmd_pretrain(args) -> int:
     resolved = load_run_config(args.config, args.set, "pretrain")
-    seed = args.seed if args.seed is not None else resolved["seed"]["seed"]
+    seed = _run_seed(args, resolved)
     dataset = data.load_dataset(args.data)
     cfg = _build(backbone.ModelConfig, num_classes=dataset.num_classes,
                  **resolved["model"], **resolved["moe"])
@@ -242,7 +255,7 @@ def cmd_moefy(args) -> int:
 
 def cmd_finetune(args) -> int:
     resolved = load_run_config(args.config, args.set, "finetune")
-    seed = args.seed if args.seed is not None else resolved["seed"]["seed"]
+    seed = _run_seed(args, resolved)
     model = backbone.load_checkpoint(args.ckpt)
     _require_stage(model, "moe", "finetune")
     dataset = data.load_dataset(args.data)
@@ -344,12 +357,14 @@ def cmd_inspect(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _positive(kind):
-    """argparse type: a `kind` value that must be > 0 (else exit 2)."""
+def _positive(kind, zero_ok: bool = False):
+    """argparse type: a `kind` value that must be > 0, or >= 0 when zero_ok
+    (else exit 2)."""
     def parse(raw: str):
         value = kind(raw)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be > 0, got {raw!r}")
+        if not (value >= 0 if zero_ok else value > 0):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>= 0' if zero_ok else '> 0'}, got {raw!r}")
         return value
     parse.__name__ = kind.__name__  # argparse names the type in its errors
     return parse
@@ -360,7 +375,7 @@ def _add_common(p, seed=True):
     p.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=V",
                    help="override one config value (repeatable, wins over file)")
     if seed:
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=_positive(int, zero_ok=True), default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,14 +46,15 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_classes % self.num_families != 0:
+        if self.num_families < 1 or self.num_classes % self.num_families != 0:
             raise ValueError("families must partition classes")
+        if not 1 <= self.fg_patch_cells * PATCH_CELL <= self.image_size:
+            raise ValueError("foreground must fit the image")
+        if min(self.images_per_class, self.num_backgrounds) < 1:
+            raise ValueError("images_per_class and num_backgrounds must be >= 1")
 
     def family_of(self, class_id: int) -> int:
         return class_id // (self.num_classes // self.num_families)
-
-    def to_json(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
     @classmethod
     def from_json(cls, d: dict) -> "SynthSpec":
@@ -140,8 +141,6 @@ def generate(spec: SynthSpec) -> Dataset:
     per_class = spec.num_classes // spec.num_families
     shade_step = (1.0 - spec.intra_family_similarity) * 70.0
     fg_px = spec.fg_patch_cells * PATCH_CELL
-    if fg_px > spec.image_size:
-        raise ValueError("foreground larger than image")
     grid_slots = spec.image_size // PATCH_CELL - spec.fg_patch_cells + 1
 
     images: list[LabeledImage] = []
@@ -155,14 +154,14 @@ def generate(spec: SynthSpec) -> Dataset:
         crng = rng.child(1, c)
         n = spec.images_per_class
         n_train = math.ceil(0.8 * n)
-        order = crng.permutation(n)
+        order = crng.gen.permutation(n)
         split_of = {int(order[i]): ("train" if i < n_train else "val") for i in range(n)}
         for i in range(n):
             irng = crng.child(i)
-            bg = bank[int(irng.integers(0, spec.num_backgrounds))]
+            bg = bank[int(irng.gen.integers(0, spec.num_backgrounds))]
             canvas = bg.copy()
-            gy = int(irng.integers(0, grid_slots)) * PATCH_CELL
-            gx = int(irng.integers(0, grid_slots)) * PATCH_CELL
+            gy = int(irng.gen.integers(0, grid_slots)) * PATCH_CELL
+            gx = int(irng.gen.integers(0, grid_slots)) * PATCH_CELL
             _draw_glyph(canvas, shape, color, gy, gx, fg_px)
             canvas += irng.gen.uniform(-spec.noise * 255, spec.noise * 255, canvas.shape)
             pixels = np.clip(canvas, 0, 255).astype(np.uint8)

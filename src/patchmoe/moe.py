@@ -29,7 +29,7 @@ class Router:
 
     def validate(self) -> None:
         """ValueError unless the centroids are a non-empty E x d matrix of
-        finite, non-zero rows and top_k and gate_mode are valid."""
+        finite, non-zero rows and temperature, top_k and gate_mode are valid."""
         c = self.centroids.data
         if c.ndim != 2 or c.shape[0] < 1:
             raise ValueError("centroids must be a non-empty E x d matrix")
@@ -37,6 +37,8 @@ class Router:
             raise ValueError("centroid rows must be finite")
         if np.any(np.all(c == 0, axis=1)):
             raise ValueError("centroid rows must be non-zero")
+        if not self.temperature > 0:
+            raise ValueError("temperature must be > 0")
         if not 1 <= self.top_k <= c.shape[0]:
             raise ValueError("top_k out of range")
         if self.gate_mode not in ("renorm", "raw"):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erf
@@ -63,18 +63,6 @@ class Rng:
 
     def uniform(self, shape, low=0.0, high=1.0):
         return self.gen.uniform(low, high, shape).astype(_default_dtype)
-
-    def integers(self, low, high=None, size=None):
-        return self.gen.integers(low, high, size=size)
-
-    def permutation(self, n: int):
-        return self.gen.permutation(n)
-
-    def random(self, shape=None):
-        return self.gen.random(shape)
-
-    def beta(self, a: float, b: float) -> float:
-        return float(self.gen.beta(a, b))
 
 
 class Tensor:
@@ -150,40 +138,8 @@ class Tensor:
                 node._backward(node.grad)
                 node.grad = None
 
-    # Operator sugar; the real work lives in the module-level ops.
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other))
-
-    def __neg__(self):
-        return mul(self, _as_tensor(-1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, grad={self.requires_grad})"
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def parameter(data, rng: Rng | None = None, shape=None, scale=None) -> Tensor:
@@ -372,7 +328,7 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         n = a.data.size
     else:
         n = a.shape[axis] if isinstance(axis, int) else int(np.prod([a.shape[i] for i in axis]))
-    return mul(tsum(a, axis=axis, keepdims=keepdims), _as_tensor(1.0 / n))
+    return mul(tsum(a, axis=axis, keepdims=keepdims), Tensor(1.0 / n))
 
 
 def take(a: Tensor, indices, axis: int = 0) -> Tensor:
@@ -480,14 +436,19 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float | None = None) 
     return Tensor(out_data, _parents=(x, gain, bias), _backward=backward)
 
 
-def relu(a: Tensor) -> Tensor:
-    out_data = np.maximum(a.data, 0.0)
+def clamp_min(a: Tensor, floor: float) -> Tensor:
+    """max(a, floor); gradient passes only where a > floor."""
+    out_data = np.maximum(a.data, floor)
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g * (a.data > 0))
+            a._accumulate(g * (a.data > floor))
 
     return Tensor(out_data, _parents=(a,), _backward=backward)
+
+
+def relu(a: Tensor) -> Tensor:
+    return clamp_min(a, 0.0)
 
 
 def silu(a: Tensor) -> Tensor:
@@ -532,7 +493,7 @@ def dropout(a: Tensor, p: float, rng: Rng, active: bool) -> Tensor:
     """Inverted dropout; identity when inactive or p == 0."""
     if not active or p <= 0.0:
         return a
-    keep = (rng.random(a.shape) >= p).astype(a.data.dtype) / (1.0 - p)
+    keep = (rng.gen.random(a.shape) >= p).astype(a.data.dtype) / (1.0 - p)
     return mul(a, Tensor(keep))
 
 
@@ -543,19 +504,19 @@ def dropout(a: Tensor, p: float, rng: Rng, active: bool) -> Tensor:
 
 @dataclass
 class ScalerParams:
-    """Per-channel min/max; channels with zero span are flagged degenerate
-    and map to 0 under apply, pass through unchanged under invert."""
+    """Per-channel min/max; channels with zero span are degenerate and map
+    to 0 under apply, pass through unchanged under invert."""
 
     min: np.ndarray
     max: np.ndarray
-    degenerate: np.ndarray = field(default=None)
 
     def __post_init__(self):
         self.min = np.asarray(self.min, dtype=np.float64)
         self.max = np.asarray(self.max, dtype=np.float64)
-        if self.degenerate is None:
-            self.degenerate = self.max == self.min
-        self.degenerate = np.asarray(self.degenerate, dtype=bool)
+
+    @property
+    def degenerate(self) -> np.ndarray:
+        return self.max == self.min
 
     @property
     def channels(self) -> int:
@@ -566,7 +527,7 @@ class ScalerParams:
 
     @classmethod
     def from_json(cls, d: dict) -> "ScalerParams":
-        return cls(np.asarray(d["min"]), np.asarray(d["max"]))
+        return cls(d["min"], d["max"])
 
 
 def minmax_fit(samples: np.ndarray) -> ScalerParams:
@@ -576,25 +537,17 @@ def minmax_fit(samples: np.ndarray) -> ScalerParams:
     return ScalerParams(samples.min(axis=0), samples.max(axis=0))
 
 
-def _scaler_coeffs(params: ScalerParams, dtype):
-    span = params.max - params.min
-    scale = np.where(params.degenerate, 0.0, 1.0 / np.where(span == 0, 1.0, span))
-    return params.min.astype(dtype), scale.astype(dtype)
-
-
 def minmax_apply(params: ScalerParams, x):
-    """(x - min) / (max - min); degenerate channels map to 0.
-    Accepts a Tensor (stays on the tape) or an ndarray."""
-    if isinstance(x, Tensor):
-        if x.shape[-1] != params.channels:
-            raise ValueError("channel count mismatch")
-        mn, scale = _scaler_coeffs(params, x.data.dtype)
-        return mul(sub(x, Tensor(mn)), Tensor(scale))
-    x = np.asarray(x)
+    """(x - min) / (max - min); degenerate channels map to 0. A Tensor stays
+    on the tape; an ndarray is scaled in float64 and comes back an ndarray."""
+    if not isinstance(x, Tensor):
+        return minmax_apply(params, Tensor(np.asarray(x, dtype=np.float64))).data
     if x.shape[-1] != params.channels:
         raise ValueError("channel count mismatch")
-    mn, scale = _scaler_coeffs(params, x.dtype if x.dtype.kind == "f" else np.float64)
-    return (x - mn) * scale
+    span = params.max - params.min
+    scale = np.where(params.degenerate, 0.0, 1.0 / np.where(span == 0, 1.0, span))
+    dtype = x.data.dtype
+    return mul(sub(x, Tensor(params.min.astype(dtype))), Tensor(scale.astype(dtype)))
 
 
 def minmax_invert(params: ScalerParams, y: np.ndarray) -> np.ndarray:
@@ -610,17 +563,6 @@ def minmax_invert(params: ScalerParams, y: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Cosine similarity
 # ---------------------------------------------------------------------------
-
-
-def clamp_min(a: Tensor, floor: float) -> Tensor:
-    """max(a, floor); gradient passes only where a > floor."""
-    out_data = np.maximum(a.data, floor)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * (a.data > floor))
-
-    return Tensor(out_data, _parents=(a,), _backward=backward)
 
 
 def cosine_matrix(x: Tensor, c: Tensor, eps: float | None = None) -> Tensor:

@@ -42,11 +42,6 @@ class OptimConfig:
         if self.batch_size < 1 or self.epochs < 0:
             raise ValueError("batch_size must be >= 1 and epochs >= 0")
 
-    def to_json(self) -> dict:
-        d = asdict(self)
-        d["betas"] = list(self.betas)
-        return d
-
 
 @dataclass
 class AugmentConfig:
@@ -58,9 +53,6 @@ class AugmentConfig:
             raise ValueError("hflip_p must be in [0, 1]")
         if self.mixup_alpha < 0:
             raise ValueError("mixup_alpha must be >= 0")
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def parameter_group(name: str) -> str:
@@ -132,7 +124,7 @@ class AdamW:
 
 def hflip(image: np.ndarray, p: float, rng: Rng) -> np.ndarray:
     """Mirror the width axis with probability p."""
-    if p > 0 and rng.random() < p:
+    if p > 0 and rng.gen.random() < p:
         return image[:, ::-1, :].copy()
     return image
 
@@ -146,8 +138,8 @@ def mixup(batch_x: np.ndarray, batch_y: np.ndarray, alpha: float,
     """
     if alpha == 0:
         return batch_x, batch_y, 1.0
-    lam = float(rng.beta(alpha, alpha))
-    perm = rng.permutation(batch_x.shape[0])
+    lam = float(rng.gen.beta(alpha, alpha))
+    perm = rng.gen.permutation(batch_x.shape[0])
     x = lam * batch_x + (1.0 - lam) * batch_x[perm]
     y = lam * batch_y + (1.0 - lam) * batch_y[perm]
     return x, y, lam
@@ -176,11 +168,7 @@ class EvalResult:
     loss: float
     top1: float
     per_class: dict[int, float]
-    labels: np.ndarray
     predictions: np.ndarray
-    # per MoE layer: full softmax routing probabilities, N x P x E over all
-    # evaluated images in dataset order
-    routing_probs: dict[int, np.ndarray] = field(default_factory=dict)
     expert_counts: dict[int, np.ndarray] = field(default_factory=dict)
 
     def expert_entropy(self, layer: int) -> float:
@@ -196,7 +184,6 @@ def evaluate(model, images: list[LabeledImage], batch_size: int = 32) -> EvalRes
     labels = np.array([im.class_id for im in images])
     preds = np.empty(len(images), dtype=np.int64)
     total_loss = 0.0
-    probs_chunks: dict[int, list[np.ndarray]] = {}
     counts: dict[int, np.ndarray] = {}
     with model.no_grad():
         for start in range(0, len(images), batch_size):
@@ -208,7 +195,6 @@ def evaluate(model, images: list[LabeledImage], batch_size: int = 32) -> EvalRes
             total_loss += loss.item() * len(chunk)
             preds[start:start + len(chunk)] = np.argmax(result.logits.data, axis=-1)
             for layer, record in result.routing.items():
-                probs_chunks.setdefault(layer, []).append(record.full_probs)
                 if layer not in counts:
                     counts[layer] = np.zeros(record.num_experts, dtype=np.int64)
                 counts[layer] += record.expert_counts
@@ -221,9 +207,7 @@ def evaluate(model, images: list[LabeledImage], batch_size: int = 32) -> EvalRes
         loss=total_loss / len(images),
         top1=float((preds == labels).mean()),
         per_class=per_class,
-        labels=labels,
         predictions=preds,
-        routing_probs={k: np.concatenate(v) for k, v in probs_chunks.items()},
         expert_counts=counts,
     )
 
@@ -276,7 +260,7 @@ def train(model, dataset: Dataset, optim: OptimConfig, augment: AugmentConfig,
 
     for epoch in range(optim.epochs):
         erng = root.child(epoch)
-        order = erng.permutation(len(train_images))
+        order = erng.gen.permutation(len(train_images))
         flip_rng = erng.child(0)
         mix_rng = erng.child(1)
         drop_rng = erng.child(2)
@@ -322,9 +306,9 @@ def train(model, dataset: Dataset, optim: OptimConfig, augment: AugmentConfig,
 
     manifest = {
         "seed": seed,
-        "optim": optim.to_json(),
-        "augment": augment.to_json(),
-        "model": model.config.to_json(),
+        "optim": asdict(optim),
+        "augment": asdict(augment),
+        "model": asdict(model.config),
         "train_size": len(train_images),
         "val_size": len(val_images),
         "moe_layers": moe_layers,

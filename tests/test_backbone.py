@@ -1,12 +1,16 @@
+import json
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
 from patchmoe import backbone, expert_init
 from patchmoe import tensor as T
-from patchmoe.backbone import Model, ModelConfig, fold, unfold
+from patchmoe.backbone import Model, ModelConfig, unfold
 from test_expert_init import make_router
 from util_model import check_model_gradients, model_digest, toy_config
-from util_oracles import linear_chain_oracle, model_attention_oracle
+from util_oracles import (forward_capture_oracle, fold_oracle, linear_chain_oracle,
+                          model_attention_oracle)
 
 
 class TestConfig:
@@ -26,8 +30,9 @@ class TestConfig:
         assert ModelConfig(num_classes=2).layers == 9
 
     def test_json_round_trip(self):
-        cfg = backbone.desk_config(5, moe_layers=(1, 3), experts=8)
-        assert ModelConfig.from_json(cfg.to_json()) == cfg
+        """As checkpoints write and read it."""
+        cfg = backbone.desk_config(5, moe_layers=(3, 1), experts=8)
+        assert ModelConfig(**json.loads(json.dumps(asdict(cfg)))) == cfg
 
 
 class TestLayout:
@@ -36,7 +41,7 @@ class TestLayout:
         images = rng.random((2, 16, 16, 3))
         blocks = unfold(images, patch_size=8, n_px=4)
         assert blocks.shape == (2, 4, 4, 48)
-        assert np.array_equal(fold(blocks, 16, 8, 4), images)
+        assert np.array_equal(fold_oracle(blocks, 16, 8, 4), images)
 
     def test_patch_count_at_alternate_scale(self):
         images = np.zeros((1, 32, 32, 3))
@@ -124,12 +129,18 @@ class TestForward:
         with pytest.raises(ValueError):
             model.capture_pre_mlp(np.zeros((1, 8, 8, 3), dtype=np.uint8), 5)
 
-    def test_capture_does_not_change_logits(self):
-        model = Model(toy_config(), T.Rng(3))
+    def test_capture_oracle_is_the_forward(self):
+        """The capture oracle computes forward's logits and routing."""
+        cfg = toy_config(dropout=0.3, moe_layers=(1,), experts=3, top_k=2)
+        model = Model(cfg, T.Rng(3))
+        expert_init.moefy_layer(model, 1, make_router(cfg.d_model, 3, top_k=2))
         images = np.random.default_rng(0).integers(0, 256, (2, 8, 8, 3), dtype=np.uint8)
-        plain = model.forward(images).logits.data
-        with_cap = model.forward(images, capture_layers=(0, 1)).logits.data
-        assert np.array_equal(plain, with_cap)
+        for train in (False, True):
+            plain = model.forward(images, train=train, rng=T.Rng(1))
+            oracle, caps = forward_capture_oracle(model, images, (0, 1), train, T.Rng(1))
+            assert np.array_equal(plain.logits.data, oracle.logits.data)
+            assert np.array_equal(plain.routing[1].gates, oracle.routing[1].gates)
+            assert sorted(caps) == [0, 1]
 
     def test_zero_head_gives_zero_logits(self):
         model = Model(toy_config(), T.Rng(0))

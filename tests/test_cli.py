@@ -120,13 +120,24 @@ class TestConfig:
         with pytest.raises(cli.ConfigError):
             cli.load_run_config(None, ["moe.moe_layers=1,x"])
 
-    @pytest.mark.parametrize("override", ["optim.epochs=abc", "model.patch_size=5",
-                                          "optim.batch_size=0",
-                                          "augment.classifier_dropout=0.3"])
+    @pytest.mark.parametrize("override", [
+        "optim.epochs=abc", "model.patch_size=5", "optim.batch_size=0",
+        "augment.classifier_dropout=0.3", "model.activation=foo", "model.heads=0",
+        "model.d_model=0", "model.dropout=1.0", "moe.gate_mode=foo", "moe.top_k=5",
+        "moe.experts=0", "moe.reduction_factor=0", "moe.reduction_factor=3",
+        "moe.router_temperature=0", "seed.seed=-2", "model.image_size=0",
+        "model.patch_size=0", "model.n_px=0", "model.dropout=-0.1", "moe.top_k=0"])
     def test_bad_override_exits_usage(self, workdir, tmp_path, override):
         rc = cli.main(["pretrain", "--config", str(workdir["config"]),
                        "--data", str(workdir["data"]), "--set", override,
                        "--out", str(tmp_path / "ckpt" / "dense.json")])
+        assert rc == cli.EXIT_USAGE
+        assert not (tmp_path / "ckpt").exists()
+
+    def test_negative_seed_flag_exits_usage(self, workdir, tmp_path):
+        rc = _exit_code(["pretrain", "--config", str(workdir["config"]),
+                         "--data", str(workdir["data"]), "--seed", "-1",
+                         "--out", str(tmp_path / "ckpt" / "dense.json")])
         assert rc == cli.EXIT_USAGE
         assert not (tmp_path / "ckpt").exists()
 
@@ -154,6 +165,25 @@ class TestGenData:
                        "--out", str(tmp_path / "d")])
         assert rc == cli.EXIT_DATA
 
+    @pytest.mark.parametrize("text", [
+        json.dumps({"num_classes": 5, "num_families": 2}),
+        json.dumps({"num_families": 0}),
+        json.dumps({"image_size": 16, "fg_patch_cells": 4}),
+        json.dumps({"image_size": 12}),
+        json.dumps({"images_per_class": 0}),
+        json.dumps({"fg_patch_cells": 0}),
+        json.dumps({"num_backgrounds": 0}),
+        '{"num_classes": 4,',
+    ], ids=["families-do-not-divide", "no-families", "foreground-too-large",
+            "image-smaller-than-foreground", "no-images", "no-foreground",
+            "no-backgrounds", "truncated-json"])
+    def test_bad_spec_is_data_error(self, tmp_path, text):
+        spec = tmp_path / "bad.json"
+        spec.write_text(text)
+        rc = cli.main(["gen-data", "--spec", str(spec), "--out", str(tmp_path / "d")])
+        assert rc == cli.EXIT_DATA
+        assert not (tmp_path / "d").exists()
+
     def test_bad_spec_key_is_data_error(self, tmp_path):
         spec = tmp_path / "bad.json"
         spec.write_text(json.dumps({"bogus_key": 1}))
@@ -170,6 +200,16 @@ class TestPipeline:
         assert rc == 0
         for suffix in (".json", ".bin", ".metrics.csv", ".run.json"):
             assert out.with_suffix(suffix).exists(), suffix
+
+    @pytest.mark.parametrize("command, ckpt", [("pretrain", None), ("finetune", "moe")])
+    def test_no_train_images_is_data_error(self, workdir, tmp_path, command, ckpt):
+        (tmp_path / "data" / "class_a").mkdir(parents=True)
+        args = ["--ckpt", str(workdir[ckpt])] if ckpt else []
+        rc = cli.main([command, "--config", str(workdir["config"]), *args,
+                       "--data", str(tmp_path / "data"),
+                       "--out", str(tmp_path / "ckpt" / "x.json")])
+        assert rc == cli.EXIT_DATA
+        assert not (tmp_path / "ckpt").exists()
 
     def test_pretrain_artifacts(self, workdir):
         dense = workdir["dense"]
@@ -332,10 +372,12 @@ def _exit_code(argv: list[str]) -> int:
     ("affinity", ["--layer", "1", "--mode", "pre", "--batches", "2"]),
     ("affinity", ["--layer", "1", "--mode", "figure-d", "--batch-size", "4"]),
     ("affinity", ["--layer", "1", "--mode", "pre", "--set", "router_init.scales=5"]),
+    ("affinity", ["--layer", "1", "--seed", "-1"]),
 ], ids=["layer-5", "layer-neg1", "affinity-batch-size-0", "batches-0",
         "temperature-0", "eval-batch-size-0", "post-temperature", "post-threshold",
         "figure-d-temperature", "figure-d-threshold", "pre-seed", "figure-d-seed",
-        "pre-batches", "figure-d-batch-size", "pre-scales-not-patch-multiple"])
+        "pre-batches", "figure-d-batch-size", "pre-scales-not-patch-multiple",
+        "negative-seed"])
 def test_bad_argument_exits_usage(workdir, tmp_path, command, extra):
     out = tmp_path / "x.csv"
     rc = _exit_code([command, "--ckpt", str(workdir["tuned"]),
@@ -410,9 +452,12 @@ class TestCheckpointErrors:
         assert cli.main(["inspect", "--ckpt", str(ckpt)]) == cli.EXIT_DATA
         assert "offset" in capsys.readouterr().err
 
-    def test_rejected_config(self, ckpt):
+    @pytest.mark.parametrize("key, value", [
+        ("patch_size", 5), ("activation", "foo"), ("dropout", 1.0), ("top_k", 5),
+        ("router_temperature", 0.0), ("reduction_factor", 3)])
+    def test_rejected_config(self, ckpt, key, value):
         manifest = json.loads(ckpt.read_text())
-        manifest["config"]["patch_size"] = 5
+        manifest["config"][key] = value
         ckpt.write_text(json.dumps(manifest))
         assert cli.main(["inspect", "--ckpt", str(ckpt)]) == cli.EXIT_DATA
 
@@ -427,9 +472,12 @@ class TestLoadedRouterValidation:
         backbone.save_checkpoint(model, path)
         return path
 
-    def test_missing_moe_key(self, workdir, tmp_path):
+    @pytest.mark.parametrize("edit", [lambda info: info.pop("top_k"),
+                                      lambda info: info.update(temperature=0.0)],
+                             ids=["missing-top-k", "zero-temperature"])
+    def test_bad_moe_entry(self, workdir, tmp_path, edit):
         manifest = json.loads(workdir["moe"].read_text())
-        del manifest["moe"]["1"]["top_k"]
+        edit(manifest["moe"]["1"])
         path = tmp_path / "moe.json"
         path.write_text(json.dumps(manifest))
         path.with_suffix(".bin").write_bytes(workdir["moe"].with_suffix(".bin").read_bytes())

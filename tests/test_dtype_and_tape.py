@@ -11,7 +11,7 @@ from patchmoe.data import LabeledImage
 from patchmoe.tensor import Rng
 
 from util_model import toy_config
-from util_oracles import model_attention_oracle
+from util_oracles import forward_capture_oracle, model_attention_oracle
 from test_expert_init import make_router
 from test_training import make_two_class_dataset
 
@@ -53,7 +53,8 @@ class TestScalarDtype:
 
     def test_scalar_ops_stay_float32(self):
         x = T.Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
-        for out in (-x, x * 0.5, 2.0 - x, x / 3.0, T.tmean(x), T.gelu(x)):
+        for out in (T.mul(x, T.Tensor(-1.0)), T.mul(x, T.Tensor(0.5)),
+                    T.sub(T.Tensor(2.0), x), T.div(x, T.Tensor(3.0)), T.tmean(x), T.gelu(x)):
             assert out.data.dtype == np.float32
 
 
@@ -63,10 +64,11 @@ def test_float32_mode_is_float32_end_to_end(activation, moe):
     assert T.default_dtype() == np.float32
     model = make_model(activation, moe, dropout=0.2)
     images = np.random.default_rng(0).integers(0, 256, (3, 8, 8, 3), dtype=np.uint8)
-    result = model.forward(images, train=True, rng=Rng(1), capture_layers=(0, 1))
+    result = model.forward(images, train=True, rng=Rng(1))
+    _, captures = forward_capture_oracle(model, images, (0, 1), train=True, rng=Rng(1))
     assert result.logits.data.dtype == np.float32
-    assert sorted(result.captures) == [0, 1]
-    for cap in result.captures.values():
+    assert sorted(captures) == [0, 1]
+    for cap in captures.values():
         assert cap.data.dtype == np.float32
     assert sorted(result.routing) == ([1] if moe else [])
     for record in result.routing.values():
@@ -115,7 +117,9 @@ class TestNoTape:
         model = make_model()
         images = np.random.default_rng(0).integers(0, 256, (2, 8, 8, 3), dtype=np.uint8)
         with model.no_grad():
-            result = model.forward(images, capture_layers=(1,))
+            result = model.forward(images)
+            _, captures = forward_capture_oracle(model, images, (1,))
+        assert not captures[1].requires_grad and captures[1]._parents == ()
         assert not result.logits.requires_grad
         assert result.logits._parents == () and result.logits._backward is None
         self.assert_all_require_grad(model)
@@ -150,8 +154,7 @@ class TestNoTape:
         cap = model.capture_pre_mlp(images, 1)
         assert cap._parents == () and not cap.requires_grad
         self.assert_all_require_grad(model)
-        assert np.array_equal(cap.data, model.forward(images, capture_layers=(1,))
-                              .captures[1].data)
+        assert np.array_equal(cap.data, forward_capture_oracle(model, images, (1,))[1][1].data)
         with pytest.raises(ValueError):
             model.capture_pre_mlp(np.zeros((1, 8, 8, 4), dtype=np.uint8), 1)
         self.assert_all_require_grad(model)

@@ -334,7 +334,7 @@ def test_entropy_agrees_across_reports():
                                np.ones((1, counts.sum(), 1)),
                                np.zeros((1, counts.sum(), 6)), 6)
     from_dispatch = moe.dispatch_stats(record).entropy
-    from_eval = training.EvalResult(0.0, 0.0, {}, np.zeros(0), np.zeros(0),
+    from_eval = training.EvalResult(0.0, 0.0, {}, np.zeros(0),
                                     expert_counts={1: counts}).expert_entropy(1)
     matrix = affinity.AffinityMatrix(counts[None, :].astype(float), "pre_init", 1.0, 0.0)
     from_affinity = affinity.collapse_metrics(matrix).column_entropy

@@ -6,8 +6,9 @@ from hypothesis.extra.numpy import arrays
 
 from patchmoe import backbone, data, expert_init, router_init
 from patchmoe import tensor as T
-from util_oracles import (collect_embeddings_oracle, representative_patches_oracle,
-                          ward_lance_williams_oracle, ward_merges_oracle)
+from util_oracles import (collect_embeddings_oracle, forward_capture_oracle,
+                          representative_patches_oracle, ward_lance_williams_oracle,
+                          ward_merges_oracle)
 
 
 class TestSelectRepresentativePatches:
@@ -405,5 +406,5 @@ def test_capture_pre_mlp_equals_forward_capture(chunked_dataset, dtype, moefied)
     images = np.stack([im.pixels for im in chunked_dataset.split("train")[:5]])
     for layer in range(len(model.layers)):
         with model.no_grad():
-            full = model.forward(images, capture_layers=(layer,)).captures[layer].data
+            full = forward_capture_oracle(model, images, (layer,))[1][layer].data
         assert np.array_equal(model.capture_pre_mlp(images, layer).data, full)

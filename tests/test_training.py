@@ -178,16 +178,13 @@ class TestEvaluate:
         assert result.per_class[0] == 1.0
         assert result.per_class[1] == 0.0
 
-    def test_routing_probs_collected(self):
+    def test_expert_counts_collected(self):
         cfg = toy_config(num_classes=2, moe_layers=(1,), experts=3)
         model = backbone.Model(cfg, Rng(0))
         expert_init.moefy_layer(model, 1, make_router(cfg.d_model, 3))
         ds = make_two_class_dataset()
         images = ds.split("val")
         result = training.evaluate(model, images, batch_size=3)
-        probs = result.routing_probs[1]
-        assert probs.shape == (len(images), cfg.num_patches, 3)
-        assert np.allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
         assert result.expert_counts[1].sum() == len(images) * cfg.num_patches
 
     def test_empty_split_rejected(self):

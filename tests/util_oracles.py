@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from patchmoe import moe
+from patchmoe import backbone, moe
 from patchmoe import tensor as T
 from patchmoe.data import resize_nearest
 
@@ -191,6 +191,48 @@ def model_attention_oracle(model, layer, x):
     merged = T.reshape(T.transpose(attn, (0, 2, 1, 3)), (b, n_tok, d))
     out = linear_chain_oracle(merged, layer.wo, layer.bo)
     return T.add(x, T.reshape(out, (b, p, n_px, d)))
+
+
+def forward_capture_oracle(model, images, layers, train=False, rng=None):
+    """Model.forward as it was when it could capture: the complete forward,
+    head and dropout included, that also keeps the MLP-input layer norm of
+    each layer in `layers`. Returns (ForwardResult, {layer: capture}); the
+    capture is what Model.capture_pre_mlp must equal bit for bit."""
+    cfg = model.config
+    x = model.patch_embed(images)
+    result = backbone.ForwardResult(logits=None)
+    captures = {}
+    for i, layer in enumerate(model.layers):
+        x = model.attention(layer, x)
+        captured = T.layer_norm(x, layer.ln2_gain, layer.ln2_bias)
+        if i in layers:
+            captures[i] = captured
+        x, record = model._mlp_residual(layer, x, captured)
+        if record is not None:
+            result.routing[i] = record
+    pooled = T.tmean(x, axis=(1, 2))
+    if train and cfg.dropout > 0:
+        pooled = T.dropout(pooled, cfg.dropout, rng, active=True)
+    result.logits = T.linear(pooled, model.head_w, model.head_b)
+    return result, captures
+
+
+def fold_oracle(blocks, image_size, patch_size, n_px):
+    """(B, H, W, C) pixels back from unfold's (B, P, n_px, cell*cell*C)
+    blocks, one pixel-position block at a time: patches row-major over the
+    grid, pixel positions row-major within a patch, each block row-major."""
+    b, _, _, width = blocks.shape
+    side = math.isqrt(n_px)
+    cell = patch_size // side
+    grid = image_size // patch_size
+    out = np.zeros((b, image_size, image_size, width // (cell * cell)), blocks.dtype)
+    for p in range(grid * grid):
+        gy, gx = divmod(p, grid)
+        for j in range(n_px):
+            sy, sx = divmod(j, side)
+            y0, x0 = gy * patch_size + sy * cell, gx * patch_size + sx * cell
+            out[:, y0:y0 + cell, x0:x0 + cell] = blocks[:, p, j].reshape(b, cell, cell, -1)
+    return out
 
 
 # The CLI configuration schema as it was written out by hand before it was
