@@ -22,6 +22,8 @@ from .tensor import Rng
 
 FIGURE_TEMPERATURE = 0.001
 FIGURE_THRESHOLD = 0.05
+COLLAPSE_CUTOFF = 0.05  # affinity above which a class counts as routing to an expert
+SVG_CELL = 24           # heatmap cell side, px
 
 
 @dataclass
@@ -136,26 +138,16 @@ def affinity_post(model, images: list[LabeledImage], layer: int,
 class CollapseReport:
     background_scores: np.ndarray  # per expert: classes with affinity above cutoff
     column_entropy: float          # natural-log entropy of total column mass
-    column_gini: float
     starved_experts: list[int]     # experts no class routes to above the cutoff
 
 
-def collapse_metrics(matrix: AffinityMatrix, cutoff: float = 0.05) -> CollapseReport:
+def collapse_metrics(matrix: AffinityMatrix) -> CollapseReport:
     values = np.delete(matrix.values, matrix.missing_classes, axis=0)
-    above = values > cutoff
+    above = values > COLLAPSE_CUTOFF
     background = above.sum(axis=0)
     mass = values.sum(axis=0)
     starved = [int(e) for e in np.flatnonzero(background == 0)]
-    return CollapseReport(background, load_entropy(mass), _gini(mass), starved)
-
-
-def _gini(mass: np.ndarray) -> float:
-    total = mass.sum()
-    n = mass.size
-    if total == 0 or n == 0:
-        return 0.0
-    diffs = np.abs(mass[:, None] - mass[None, :]).sum()
-    return float(diffs / (2.0 * n * total))
+    return CollapseReport(background, load_entropy(mass), starved)
 
 
 # ---------------------------------------------------------------------------
@@ -172,21 +164,6 @@ def export_csv(matrix: AffinityMatrix, path) -> None:
                 writer.writerow([c, e, repr(float(matrix.values[c, e]))])
 
 
-def read_csv(path) -> np.ndarray:
-    with open(path) as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        if header != ["class", "expert", "value"]:
-            raise ValueError(f"unexpected affinity CSV header {header}")
-        entries = [(int(c), int(e), float(v)) for c, e, v in reader]
-    n_c = max(c for c, _, _ in entries) + 1
-    n_e = max(e for _, e, _ in entries) + 1
-    out = np.full((n_c, n_e), np.nan)
-    for c, e, v in entries:
-        out[c, e] = v
-    return out
-
-
 def export_json(matrix: AffinityMatrix, path) -> None:
     payload = {
         "mode": matrix.mode,
@@ -201,9 +178,10 @@ def export_json(matrix: AffinityMatrix, path) -> None:
         json.dump(payload, f, indent=2, sort_keys=True)
 
 
-def export_svg(matrix: AffinityMatrix, path, cell: int = 24) -> None:
+def export_svg(matrix: AffinityMatrix, path) -> None:
     """Heatmap with class rows and expert columns, linear grayscale-to-blue
     color scale, provenance footer."""
+    cell = SVG_CELL
     n_c, n_e = matrix.values.shape
     footer_h = 18
     width = n_e * cell

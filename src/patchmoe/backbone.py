@@ -79,10 +79,6 @@ class ModelConfig:
         return self.image_size // self.patch_size
 
     @property
-    def num_patches(self) -> int:
-        return self.grid * self.grid
-
-    @property
     def cell(self) -> int:
         """Side length of one pixel position's block."""
         return self.patch_size // math.isqrt(self.n_px)
@@ -269,7 +265,7 @@ class Model:
         if train and cfg.dropout > 0:
             if rng is None:
                 raise ValueError("training forward needs an rng for dropout")
-            pooled = T.dropout(pooled, cfg.dropout, rng, active=True)
+            pooled = T.dropout(pooled, cfg.dropout, rng)
         result.logits = T.linear(pooled, self.head_w, self.head_b)
         return result
 
@@ -328,7 +324,7 @@ def dense_mlp_hash(layer: TransformerLayer) -> str:
     return h.hexdigest()[:16]
 
 
-def save_checkpoint(model: Model, path: Path | str, extra: dict | None = None) -> None:
+def save_checkpoint(model: Model, path: Path | str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     blob_path = path.with_suffix(".bin")
@@ -339,8 +335,6 @@ def save_checkpoint(model: Model, path: Path | str, extra: dict | None = None) -
         "params": [],
         "moe": {},
     }
-    if extra:
-        manifest["extra"] = extra
     with open(blob_path, "wb") as f:
         for name, t in model.named_parameters().items():
             offset = T.write_blob(f, t.data)

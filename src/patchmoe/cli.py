@@ -211,6 +211,13 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
+def _require_image_size(dataset, config) -> None:
+    """DataError unless the dataset's images are config.image_size square."""
+    if dataset.images and dataset.images[0].pixels.shape[0] != config.image_size:
+        raise data.DataError(f"the dataset's images are {dataset.images[0].pixels.shape[0]} "
+                             f"px, the model's image_size is {config.image_size}")
+
+
 def _run_seed(args, resolved: dict) -> int:
     """--seed when given, else [seed] seed; a negative [seed] seed is a
     config error (a negative --seed is a usage error in argparse)."""
@@ -225,6 +232,7 @@ def cmd_pretrain(args) -> int:
     dataset = data.load_dataset(args.data)
     cfg = _build(backbone.ModelConfig, num_classes=dataset.num_classes,
                  **resolved["model"], **resolved["moe"])
+    _require_image_size(dataset, cfg)
     model = backbone.Model(cfg, Rng(seed))
     return _train_and_save(model, dataset, resolved, seed, Path(args.out), "pretrain")
 
@@ -237,6 +245,11 @@ def cmd_moefy(args) -> int:
     if not model.config.moe_layers:
         raise ConfigError("no MoE layers configured (moe.moe_layers is empty)")
     params = _router_params(resolved, model.config)
+    if params.mode == "cluster" and model.config.experts > dataset.num_classes:
+        raise ConfigError(
+            f"moe.experts={model.config.experts} exceeds the dataset's "
+            f"{dataset.num_classes} classes: cluster init gives each expert at least "
+            f"one class (pretrain with fewer experts, or use router_init.mode=random)")
     router_manifests = {}
     for layer in model.config.moe_layers:
         build = router_init.build_router(model, dataset, layer,
@@ -259,6 +272,7 @@ def cmd_finetune(args) -> int:
     model = backbone.load_checkpoint(args.ckpt)
     _require_stage(model, "moe", "finetune")
     dataset = data.load_dataset(args.data)
+    _require_image_size(dataset, model.config)
     model.finetuned = True
     return _train_and_save(model, dataset, resolved, seed, Path(args.out), "finetune")
 
@@ -266,6 +280,7 @@ def cmd_finetune(args) -> int:
 def cmd_eval(args) -> int:
     model = backbone.load_checkpoint(args.ckpt)
     dataset = data.load_dataset(args.data)
+    _require_image_size(dataset, model.config)
     images = dataset.split(args.split)
     if not images:
         raise data.DataError(f"split {args.split!r} is empty")
@@ -299,6 +314,7 @@ def cmd_affinity(args) -> int:
             raise ConfigError(f"{command} does not read --{name.replace('_', '-')}")
     model = backbone.load_checkpoint(args.ckpt)
     dataset = data.load_dataset(args.data)
+    _require_image_size(dataset, model.config)
     layer = args.layer
     if not 0 <= layer < len(model.layers):
         raise ConfigError(f"--layer {layer} is out of range for a "
@@ -343,8 +359,6 @@ def cmd_inspect(args) -> int:
     for layer, per in counts["per_expert"].items():
         block = model.layers[int(layer)].mlp
         d_e = block.experts[0].w1.shape[1]
-        # moefy_layer may slice at another reduction than the config's, so d_e
-        # comes from the weights; the closed form is an unreduced width-d_e MLP
         closed = expert_init.per_expert_param_count(model.config.d_model, d_e, 1)
         print(f"layer {layer}: experts {block.router.num_experts}, d_e {d_e}, "
               f"per-expert parameters {per} (closed form {closed}), "

@@ -259,7 +259,8 @@ def save_dataset(dataset: Dataset, out_dir: Path | str) -> None:
 
 
 def load_dataset(path: Path | str) -> Dataset:
-    """Load a saved dataset (manifest present) or a bare PPM directory."""
+    """Load a saved dataset (manifest present) or a bare PPM directory; its
+    images must share one square size."""
     root = Path(path)
     manifest_path = root / "manifest.json"
     if manifest_path.exists():
@@ -270,9 +271,15 @@ def load_dataset(path: Path | str) -> Dataset:
                          tuple(entry["fg_box"]) if entry.get("fg_box") else None)
             for entry in manifest["images"]
         ]
-        return Dataset(images, manifest["class_names"], manifest.get("families"),
-                       seed=manifest.get("seed"))
-    return load_ppm_dir(root)
+        dataset = Dataset(images, manifest["class_names"], manifest.get("families"),
+                          seed=manifest.get("seed"))
+    else:
+        dataset = load_ppm_dir(root)
+    shapes = sorted({im.pixels.shape for im in dataset.images})
+    if len(shapes) > 1 or any(h != w for h, w, _ in shapes):
+        raise DataError(f"{root}: images must share one square size, found "
+                        f"{', '.join(f'{w}x{h}' for h, w, _ in shapes)}")
+    return dataset
 
 
 def load_ppm_dir(path: Path | str) -> Dataset:

@@ -103,22 +103,18 @@ def per_expert_param_count(d_model: int, d_ff: int, reduction_factor: int) -> in
 
 
 def moefy_layer(model: Model, layer_index: int, router: Router,
-                reduction_factor: int | None = None,
                 gamma: float = GAMMA_INIT) -> MoEBlock:
-    """Replace the dense MLP of one layer with an E-expert MoE block.
+    """Replace the dense MLP of one layer with an E-expert MoE block whose
+    experts keep d_ff / config.reduction_factor hidden dims each.
 
     Attention weights and the layer's MLP-input norm (which keeps feeding the
     router) are untouched.
     """
     cfg = model.config
-    if reduction_factor is None:
-        reduction_factor = cfg.reduction_factor
     layer = model.layers[layer_index]
     if isinstance(layer.mlp, MoEBlock):
         raise ValueError(f"layer {layer_index} is already a MoE block")
-    if cfg.d_ff % reduction_factor != 0:
-        raise ValueError(f"d_ff={cfg.d_ff} not divisible by reduction {reduction_factor}")
-    d_e = cfg.d_ff // reduction_factor
+    d_e = cfg.d_ff // cfg.reduction_factor
     source_hash = dense_mlp_hash(layer)
     snapshot = snapshot_dense_mlp(layer, cfg.activation)
     experts = []

@@ -21,19 +21,6 @@ from .tensor import Rng
 
 
 @dataclass
-class ClassEmbeddings:
-    class_id: int
-    embeddings: np.ndarray  # N x n_px x d patch embeddings pooled over images/scales
-    layer: int
-
-    def __post_init__(self):
-        if self.embeddings.ndim != 3 or self.embeddings.shape[0] < 1:
-            raise ValueError("embeddings must be a non-empty N x n_px x d array")
-        if not np.all(np.isfinite(self.embeddings)):
-            raise ValueError("non-finite class embeddings")
-
-
-@dataclass
 class ClusterTree:
     """Agglomerative merge sequence over n leaves.
 
@@ -49,7 +36,7 @@ class ClusterTree:
         """Leaf memberships after merging down to num_clusters groups,
         ordered by smallest member leaf."""
         if not 1 <= num_clusters <= self.n_leaves:
-            raise ValueError("cut level out of range")
+            raise ValueError(f"cannot cut {self.n_leaves} points at {num_clusters} clusters")
         members = {i: [i] for i in range(self.n_leaves)}
         for a, b, _, new_id in self.merges[: self.n_leaves - num_clusters]:
             members[new_id] = members.pop(a) + members.pop(b)
@@ -113,7 +100,7 @@ def select_representative_patches(class_embeddings: np.ndarray, k: int,
 # ---------------------------------------------------------------------------
 
 
-def ward_cluster(points: np.ndarray, num_clusters: int = 1) -> ClusterTree:
+def ward_cluster(points: np.ndarray) -> ClusterTree:
     """Full agglomerative merge sequence under Ward's minimum-variance
     criterion.
 
@@ -126,8 +113,6 @@ def ward_cluster(points: np.ndarray, num_clusters: int = 1) -> ClusterTree:
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
-    if not 1 <= num_clusters <= n:
-        raise ValueError(f"cannot cut {n} points at {num_clusters} clusters")
     m = 2 * n - 1
     dist = np.full((m, m), np.inf)
     for i in range(n - 1):
@@ -208,6 +193,8 @@ class RouterInitParams:
             raise ValueError("top_k_patches and samples_per_class must be >= 1")
         if self.refine_steps < 0:
             raise ValueError("refine_steps must be >= 0")
+        if self.refine and self.mode != "cluster":
+            raise ValueError("refine applies only to mode=cluster")
         if not self.refine_temperature > 0:
             raise ValueError("refine_temperature must be positive")
         # multiples of the model's patch_size, checked where the model is known
@@ -233,9 +220,9 @@ CAPTURE_CHUNK = 16
 
 
 def collect_embeddings(model, dataset: Dataset, layer: int, scales,
-                       samples_per_class: int, rng: Rng) -> list[ClassEmbeddings]:
+                       samples_per_class: int, rng: Rng) -> list[np.ndarray]:
     """Pre-MLP patch embeddings per class, pooled across sampled train images
-    and scales.
+    and scales: one non-empty, finite N x n_px x d array per class.
 
     Each class's rows are ordered by (picked image, scale). The captures run
     per scale over all classes' picked images, CAPTURE_CHUNK at a time.
@@ -265,7 +252,9 @@ def collect_embeddings(model, dataset: Dataset, layer: int, scales,
                     out[c] = np.empty((counts[c] * block,) + rows.shape[1:], rows.dtype)
                 lo = j * block + offset
                 out[c][lo:lo + len(rows)] = rows
-    return [ClassEmbeddings(c, emb, layer) for c, emb in enumerate(out)]
+    if any(emb is None or not np.all(np.isfinite(emb)) for emb in out):
+        raise ValueError("class embeddings must be non-empty and finite")
+    return out
 
 
 # The RouterInitParams fields select_class_patches reads; the others only
@@ -284,9 +273,9 @@ def select_class_patches(model, dataset: Dataset, layer: int, params: RouterInit
     scales = tuple(params.scales) or default_scales(model.config)
     per_class = collect_embeddings(model, dataset, layer, scales,
                                    params.samples_per_class, Rng(params.seed).child(0))
-    k_eff = min(params.top_k_patches, min(ce.embeddings.shape[0] for ce in per_class))
-    return scales, [select_representative_patches(ce.embeddings, k_eff, params.refine_steps)
-                    for ce in per_class]
+    k_eff = min(params.top_k_patches, min(emb.shape[0] for emb in per_class))
+    return scales, [select_representative_patches(emb, k_eff, params.refine_steps)
+                    for emb in per_class]
 
 
 @dataclass
@@ -315,7 +304,7 @@ def build_router(model, dataset: Dataset, layer: int, num_experts: int,
 
     assignments = None
     if params.mode == "cluster":
-        tree = ward_cluster(class_points, num_experts)
+        tree = ward_cluster(class_points)
         centroids = initial_centroids(tree, class_points, num_experts)
         assignments = tree.assignments(num_experts)
         if params.refine:

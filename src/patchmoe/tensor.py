@@ -45,8 +45,6 @@ class Rng:
     """Seeded random stream (PCG64). Same seed, same key -> bit-identical
     samples across runs and platforms."""
 
-    algorithm = "pcg64"
-
     def __init__(self, seed: int, _key: tuple[int, ...] = ()):
         self.seed = int(seed)
         self._key = tuple(int(k) for k in _key)
@@ -61,8 +59,8 @@ class Rng:
     def normal(self, shape, scale=1.0):
         return (self.gen.standard_normal(shape) * scale).astype(_default_dtype)
 
-    def uniform(self, shape, low=0.0, high=1.0):
-        return self.gen.uniform(low, high, shape).astype(_default_dtype)
+    def uniform(self, shape):  # samples from [0, 1)
+        return self.gen.uniform(0.0, 1.0, shape).astype(_default_dtype)
 
 
 class Tensor:
@@ -412,14 +410,12 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     return Tensor(out_data, _parents=(a,), _backward=backward)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float | None = None) -> Tensor:
-    """Normalize over the last (channel) axis, then affine."""
-    if eps is None:
-        eps = default_eps()
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize over the last (channel) axis, eps default_eps(), then affine."""
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + default_eps())
     xhat = xc * inv
     out_data = xhat * gain.data + bias.data
 
@@ -489,9 +485,9 @@ def activation(a: Tensor, kind: str = "silu") -> Tensor:
         raise ValueError(f"unknown activation {kind!r}") from None
 
 
-def dropout(a: Tensor, p: float, rng: Rng, active: bool) -> Tensor:
-    """Inverted dropout; identity when inactive or p == 0."""
-    if not active or p <= 0.0:
+def dropout(a: Tensor, p: float, rng: Rng) -> Tensor:
+    """Inverted dropout; identity when p == 0."""
+    if p <= 0.0:
         return a
     keep = (rng.gen.random(a.shape) >= p).astype(a.data.dtype) / (1.0 - p)
     return mul(a, Tensor(keep))

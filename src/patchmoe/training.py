@@ -8,7 +8,7 @@ classifier head at 1e-5 with weight decay 1e-8, everything else at 5e-5.
 from __future__ import annotations
 
 import csv
-import json
+import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -37,8 +37,14 @@ class OptimConfig:
 
     def __post_init__(self):
         # zero is allowed so a frozen run can serve as a bit-exactness check
-        if min(self.lr_moe, self.lr_classifier, self.lr_rest) < 0:
-            raise ValueError("learning rates must be >= 0")
+        rates = (self.lr_moe, self.lr_classifier, self.lr_rest,
+                 self.wd_classifier, self.wd_other)
+        if not all(math.isfinite(r) and r >= 0 for r in rates):
+            raise ValueError("learning rates and weight decays must be finite and >= 0")
+        if len(self.betas) != 2 or not all(0 <= b < 1 for b in self.betas):
+            raise ValueError("betas must be two values in [0, 1)")
+        if not 0 < self.eps < math.inf:
+            raise ValueError("eps must be finite and > 0")
         if self.batch_size < 1 or self.epochs < 0:
             raise ValueError("batch_size must be >= 1 and epochs >= 0")
 
@@ -241,7 +247,7 @@ def write_metrics_csv(rows: list[dict], moe_layers: list[int], path) -> None:
 
 
 def train(model, dataset: Dataset, optim: OptimConfig, augment: AugmentConfig,
-          seed: int, metrics_path=None, manifest_path=None) -> TrainResult:
+          seed: int, metrics_path=None) -> TrainResult:
     """Train on the dataset's train split, evaluating on val every epoch.
 
     Deterministic given the seed: the shuffle, flips, MixUp draws, and
@@ -266,6 +272,7 @@ def train(model, dataset: Dataset, optim: OptimConfig, augment: AugmentConfig,
         drop_rng = erng.child(2)
         epoch_loss = 0.0
         epoch_correct = 0
+        train_counts = {i: 0 for i in moe_layers}
         for start in range(0, len(order), optim.batch_size):
             idx = order[start:start + optim.batch_size]
             imgs = [train_images[i] for i in idx]
@@ -286,6 +293,8 @@ def train(model, dataset: Dataset, optim: OptimConfig, augment: AugmentConfig,
             optimizer.step()
             epoch_loss += value * len(idx)
             epoch_correct += int((np.argmax(result.logits.data, axis=-1) == labels).sum())
+            for i in moe_layers:
+                train_counts[i] = train_counts[i] + result.routing[i].expert_counts
             del result, loss  # free this step's tape before the next forward builds one
         train_row = {"epoch": epoch, "split": "train",
                      "loss": epoch_loss / len(order),
@@ -296,10 +305,9 @@ def train(model, dataset: Dataset, optim: OptimConfig, augment: AugmentConfig,
             val_row = {"epoch": epoch, "split": "val",
                        "loss": final_val.loss, "top1": final_val.top1}
         for i in moe_layers:
-            ent = final_val.expert_entropy(i) if final_val else ""
-            train_row[f"expert_entropy_layer_{i}"] = ent
+            train_row[f"expert_entropy_layer_{i}"] = load_entropy(train_counts[i])
             if val_row is not None:
-                val_row[f"expert_entropy_layer_{i}"] = ent
+                val_row[f"expert_entropy_layer_{i}"] = final_val.expert_entropy(i)
         rows.append(train_row)
         if val_row is not None:
             rows.append(val_row)
@@ -316,7 +324,4 @@ def train(model, dataset: Dataset, optim: OptimConfig, augment: AugmentConfig,
     }
     if metrics_path is not None:
         write_metrics_csv(rows, moe_layers, metrics_path)
-    if manifest_path is not None:
-        with open(manifest_path, "w") as f:
-            json.dump(manifest, f, indent=2, sort_keys=True)
     return TrainResult(rows=rows, final_val=final_val, manifest=manifest)

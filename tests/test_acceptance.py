@@ -93,14 +93,14 @@ def test_criterion_01_gradient_integrity():
 def test_criterion_02_dense_equivalence():
     """E=1, reduction 1, gamma 0 must match the dense model within 1e-6."""
     with criterion(2, "dense equivalence within 1e-6 on 100 inputs"):
-        cfg = toy_config(moe_layers=(1,), experts=1)
+        cfg = toy_config(moe_layers=(1,), experts=1, reduction_factor=1)
         model = backbone.Model(cfg, Rng(0))
         rng = np.random.default_rng(0)
         images = rng.integers(0, 256, (100, cfg.image_size, cfg.image_size, 3),
                               dtype=np.uint8)
         dense = model.forward(images).logits.data.copy()
         router = make_router(cfg.d_model, 1)
-        expert_init.moefy_layer(model, 1, router, reduction_factor=1, gamma=0.0)
+        expert_init.moefy_layer(model, 1, router, gamma=0.0)
         sliced = model.forward(images).logits.data
         assert np.max(np.abs(sliced - dense)) < 1e-6
 

@@ -10,6 +10,7 @@ from patchmoe import tensor as T
 from patchmoe.tensor import Rng
 
 from util_model import toy_config
+from util_oracles import read_affinity_csv
 from test_expert_init import make_router
 from test_training import make_two_class_dataset
 
@@ -140,7 +141,6 @@ class TestCollapseMetrics:
         assert report.background_scores.tolist() == [1, 1, 1]
         assert report.starved_experts == []
         assert report.column_entropy == pytest.approx(np.log(3))
-        assert report.column_gini == pytest.approx(0.0)
 
     def test_single_column_starves_rest(self):
         values = np.zeros((4, 3))
@@ -155,8 +155,6 @@ class TestCollapseMetrics:
         report = affinity.collapse_metrics(self.make(values))
         expected = -(0.75 * np.log(0.75) + 0.25 * np.log(0.25))
         assert report.column_entropy == pytest.approx(expected)
-        # Gini of [0.75, 0.25]: |0.75-0.25| * 2 / (2 * 2 * 1.0) = 0.25
-        assert report.column_gini == pytest.approx(0.25)
 
     def test_missing_classes_excluded(self):
         values = np.array([[1.0, 0.0], [np.nan, np.nan]])
@@ -176,7 +174,7 @@ class TestExport:
         m = self.sample()
         path = tmp_path / "aff.csv"
         affinity.export_csv(m, path)
-        back = affinity.read_csv(path)
+        back = read_affinity_csv(path)
         assert np.array_equal(back, m.values)
 
     def test_one_by_one_csv(self, tmp_path):
@@ -208,7 +206,7 @@ class TestExport:
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
-            affinity.read_csv(path)
+            read_affinity_csv(path)
 
 
 class TestValidation:

@@ -16,7 +16,7 @@ from util_oracles import (forward_capture_oracle, fold_oracle, linear_chain_orac
 class TestConfig:
     def test_layout_arithmetic(self):
         cfg = ModelConfig(num_classes=2, image_size=32, patch_size=8, n_px=4)
-        assert cfg.grid == 4 and cfg.num_patches == 16 and cfg.cell == 4
+        assert cfg.grid == 4 and cfg.cell == 4
 
     def test_invalid_moe_layer(self):
         with pytest.raises(ValueError):
@@ -121,7 +121,7 @@ class TestForward:
         images = np.random.default_rng(0).integers(0, 256, (3, 8, 8, 3), dtype=np.uint8)
         cap1 = model.capture_pre_mlp(images, 1)
         cap2 = model.capture_pre_mlp(images, 1)
-        assert cap1.shape == (3, cfg.num_patches, cfg.n_px, cfg.d_model)
+        assert cap1.shape == (3, cfg.grid ** 2, cfg.n_px, cfg.d_model)
         assert np.array_equal(cap1.data, cap2.data)
 
     def test_capture_invalid_layer(self):

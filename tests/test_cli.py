@@ -1,12 +1,13 @@
 """CLI subcommands, config resolution, exit codes, and pipeline smoke."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from patchmoe import backbone, cli, data, expert_init, router_init, training
-from util_oracles import HAND_WRITTEN_CONFIG_SCHEMA
+from util_oracles import HAND_WRITTEN_CONFIG_SCHEMA, read_affinity_csv
 
 SPEC = {"num_classes": 4, "num_families": 2, "image_size": 32,
         "images_per_class": 5, "fg_patch_cells": 2, "seed": 11}
@@ -126,7 +127,10 @@ class TestConfig:
         "model.d_model=0", "model.dropout=1.0", "moe.gate_mode=foo", "moe.top_k=5",
         "moe.experts=0", "moe.reduction_factor=0", "moe.reduction_factor=3",
         "moe.router_temperature=0", "seed.seed=-2", "model.image_size=0",
-        "model.patch_size=0", "model.n_px=0", "model.dropout=-0.1", "moe.top_k=0"])
+        "model.patch_size=0", "model.n_px=0", "model.dropout=-0.1", "moe.top_k=0",
+        "optim.betas=1.0,0.99", "optim.betas=0.9,-0.1", "optim.betas=0.9",
+        "optim.lr_moe=nan", "optim.lr_rest=inf", "optim.wd_classifier=-1",
+        "optim.wd_other=nan", "optim.eps=-1", "optim.eps=0"])
     def test_bad_override_exits_usage(self, workdir, tmp_path, override):
         rc = cli.main(["pretrain", "--config", str(workdir["config"]),
                        "--data", str(workdir["data"]), "--set", override,
@@ -211,6 +215,41 @@ class TestPipeline:
         assert rc == cli.EXIT_DATA
         assert not (tmp_path / "ckpt").exists()
 
+    @pytest.mark.parametrize("shapes", [[(32, 32, 3), (16, 16, 3)], [(32, 24, 3)] * 2],
+                             ids=["mixed-sizes", "non-square"])
+    def test_unusable_images_are_data_error(self, workdir, tmp_path, shapes):
+        for i, shape in enumerate(shapes):
+            (tmp_path / "data" / f"class_{i}").mkdir(parents=True)
+            data.write_ppm(tmp_path / "data" / f"class_{i}" / "0.ppm",
+                           np.zeros(shape, dtype=np.uint8))
+        rc = cli.main(["pretrain", "--config", str(workdir["config"]),
+                       "--data", str(tmp_path / "data"),
+                       "--out", str(tmp_path / "ckpt" / "x.json")])
+        assert rc == cli.EXIT_DATA
+        assert not (tmp_path / "ckpt").exists()
+
+    @pytest.mark.parametrize("command", ["pretrain", "finetune", "eval",
+                                         "affinity --mode post", "affinity --mode pre"])
+    def test_image_size_mismatch_is_data_error(self, workdir, tmp_path, capsys, command):
+        data40 = tmp_path / "data40"
+        data.save_dataset(data.generate(data.SynthSpec(**dict(SPEC, image_size=40))), data40)
+        out = tmp_path / "out" / "x.json"
+        if command == "eval":
+            argv = ["eval", "--ckpt", str(workdir["tuned"]), "--out", str(out),
+                    "--data", str(data40)]
+        else:
+            argv = _argv(workdir, command, out)
+            argv[argv.index("--data") + 1] = str(data40)
+        assert cli.main(argv) == cli.EXIT_DATA
+        assert "images are 40 px, the model's image_size is 32" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_default_image_size_on_32px_data_is_data_error(self, workdir, tmp_path):
+        rc = cli.main(["pretrain", "--data", str(workdir["data"]),
+                       "--out", str(tmp_path / "ckpt" / "x.json")])
+        assert rc == cli.EXIT_DATA
+        assert not (tmp_path / "ckpt").exists()
+
     def test_pretrain_artifacts(self, workdir):
         dense = workdir["dense"]
         assert dense.exists() and dense.with_suffix(".bin").exists()
@@ -251,14 +290,42 @@ class TestPipeline:
         "router_init.mode=bogus", "router_init.refine_steps=-1",
         "router_init.samples_per_class=0", "router_init.top_k_patches=0",
         "router_init.refine_temperature=0", "router_init.scales=5",
-        "router_init.scales=0", "router_init.seed=-1"])
+        "router_init.scales=0", "router_init.seed=-1",
+        "router_init.mode=random router_init.refine=true"])
     def test_bad_router_init_exits_usage(self, workdir, tmp_path, override):
         out = tmp_path / "x.json"
+        sets = [arg for item in override.split() for arg in ("--set", item)]
         rc = cli.main(["moefy", "--config", str(workdir["config"]),
                        "--ckpt", str(workdir["dense"]), "--data", str(workdir["data"]),
-                       "--set", override, "--out", str(out)])
+                       *sets, "--out", str(out)])
         assert rc == cli.EXIT_USAGE
         assert not out.exists()
+
+    def test_more_experts_than_classes_exits_usage(self, workdir, tmp_path, capsys,
+                                                   monkeypatch):
+        """Cluster init cuts the class tree at one cluster per expert, so it
+        needs at least as many classes; random init does not."""
+        model = backbone.load_checkpoint(workdir["dense"])
+        model.config = dataclasses.replace(model.config, experts=5)
+        dense = tmp_path / "dense5.json"
+        backbone.save_checkpoint(model, dense)
+        original = backbone.Model.capture_pre_mlp
+        captures = []
+
+        def counting(self, images, layer):
+            captures.append(len(images))
+            return original(self, images, layer)
+
+        monkeypatch.setattr(backbone.Model, "capture_pre_mlp", counting)
+        argv = ["moefy", "--config", str(workdir["config"]), "--ckpt", str(dense),
+                "--data", str(workdir["data"])]
+        assert cli.main(argv + ["--out", str(tmp_path / "moe.json")]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "moe.experts=5" in err and "4 classes" in err
+        assert "router_init.mode=random" in err
+        assert captures == [] and not (tmp_path / "moe.json").exists()
+        assert cli.main(argv + ["--set", "router_init.mode=random",
+                                "--out", str(tmp_path / "random.json")]) == 0
 
     def test_divergence_exit_code(self, workdir, tmp_path, monkeypatch):
         def explode(*args, **kwargs):
@@ -315,8 +382,7 @@ class TestAffinity:
                        "--mode", "post", "--batches", "2", "--batch-size", "4",
                        "--out", str(out)])
         assert rc == 0
-        from patchmoe import affinity as affinity_mod
-        values = affinity_mod.read_csv(out)
+        values = read_affinity_csv(out)
         assert values.shape == (4, 2)
         assert np.allclose(values.sum(axis=1), 1.0, atol=1e-6)
 
@@ -598,21 +664,26 @@ class TestRunConfigSections:
 
 def test_inspect_reads_expert_width_from_weights(workdir, tmp_path, capsys):
     model = backbone.load_checkpoint(workdir["dense"])
+    model.config = dataclasses.replace(model.config, reduction_factor=1)
     params = router_init.RouterInitParams(top_k_patches=16, samples_per_class=2,
                                           scales=(32,))
     build = router_init.build_router(model, data.load_dataset(workdir["data"]), 1, 2,
                                      params)
-    expert_init.moefy_layer(model, 1, build.router, reduction_factor=1)
+    expert_init.moefy_layer(model, 1, build.router)
     path = tmp_path / "whole.json"
     backbone.save_checkpoint(model, path)
     assert cli.main(["inspect", "--ckpt", str(path)]) == 0
     out = capsys.readouterr().out
     # d_model 16 and d_e = d_ff = 32: 16*32+32+32*16+16 + 2*16 + 16 + 1
     per = 16 * 32 + 32 + 32 * 16 + 16 + 2 * 16 + 16 + 1
-    assert (f"layer 1: experts 2, d_e 32, per-expert parameters {per} "
-            f"(closed form {per})") in out
+    line = f"layer 1: experts 2, d_e 32, per-expert parameters {per} (closed form {per})"
+    assert line in out
     manifest = json.loads(path.read_text())
     assert "reduction_factor" not in manifest["moe"]["1"]
     manifest["moe"]["1"]["reduction_factor"] = 2  # written by older versions
+    # a config whose factor disagrees with the saved experts: d_e still
+    # comes from the weights
+    manifest["config"]["reduction_factor"] = 2
     path.write_text(json.dumps(manifest))
     assert cli.main(["inspect", "--ckpt", str(path)]) == 0
+    assert line in capsys.readouterr().out

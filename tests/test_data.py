@@ -128,6 +128,25 @@ class TestDatasetIO:
         assert ds.class_names == ["ant", "zebra"]
         assert [im.class_id for im in ds.images] == [0, 1]
 
+    @pytest.mark.parametrize("saved", [True, False], ids=["manifest", "bare-dir"])
+    def test_mixed_sizes_rejected(self, tmp_path, small_dataset, saved):
+        data.save_dataset(small_dataset, tmp_path)
+        if not saved:
+            (tmp_path / "manifest.json").unlink()
+        data.write_ppm(next(tmp_path.glob("*/0000.ppm")), np.zeros((8, 8, 3), dtype=np.uint8))
+        with pytest.raises(data.DataError, match="one square size"):
+            data.load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("saved", [True, False], ids=["manifest", "bare-dir"])
+    def test_non_square_rejected(self, tmp_path, small_dataset, saved):
+        data.save_dataset(small_dataset, tmp_path)
+        if not saved:
+            (tmp_path / "manifest.json").unlink()
+        for ppm in tmp_path.glob("*/*.ppm"):
+            data.write_ppm(ppm, np.zeros((16, 8, 3), dtype=np.uint8))
+        with pytest.raises(data.DataError, match="one square size, found 8x16"):
+            data.load_dataset(tmp_path)
+
     def test_empty_dir(self, tmp_path):
         with pytest.raises(data.DataError, match="no classes"):
             data.load_ppm_dir(tmp_path)

@@ -191,7 +191,7 @@ class TestTrainingTape:
 
     def score_arrays(self, model, loss):
         cfg = model.config
-        n = cfg.num_patches * cfg.n_px
+        n = cfg.grid ** 2 * cfg.n_px
         shape = (3, cfg.heads, n, n)
         return [a for a in held_arrays(loss) if a.shape == shape]
 

@@ -162,10 +162,9 @@ class TestMoefyLayer:
             expert_init.moefy_layer(model, 1, make_router(cfg.d_model, 3))
 
     def test_indivisible_reduction_rejected(self):
-        model, cfg = self.make_model()
-        with pytest.raises(ValueError):
-            expert_init.moefy_layer(model, 1, make_router(cfg.d_model, 3),
-                                    reduction_factor=5)
+        # d_ff = 16: the config, moefy_layer's one source of the factor, rejects 5
+        with pytest.raises(ValueError, match="reduction_factor"):
+            self.make_model(reduction_factor=5)
 
     def test_parameter_count_closed_form(self):
         model, cfg = self.make_model()
@@ -203,7 +202,7 @@ class TestMoefyLayer:
 class TestDenseEquivalence:
     def test_single_expert_full_width_gamma_zero(self):
         """E=1, reduction 1, gamma 0 must reproduce the dense model."""
-        cfg = toy_config(moe_layers=(1,), experts=1, top_k=1)
+        cfg = toy_config(moe_layers=(1,), experts=1, top_k=1, reduction_factor=1)
         model = backbone.Model(cfg, Rng(4))
         rng = np.random.default_rng(11)
         images = rng.integers(0, 256, (20, cfg.image_size, cfg.image_size, 3),
@@ -211,8 +210,7 @@ class TestDenseEquivalence:
         dense_logits = model.forward(images).logits.data.copy()
 
         router = make_router(cfg.d_model, 1, seed=4)
-        block = expert_init.moefy_layer(model, 1, router, reduction_factor=1,
-                                        gamma=0.0)
+        block = expert_init.moefy_layer(model, 1, router, gamma=0.0)
         assert block.experts[0].indices.tolist() == list(range(cfg.d_ff))
         moe_logits = model.forward(images).logits.data
         assert np.max(np.abs(moe_logits - dense_logits)) < 1e-6

@@ -98,8 +98,8 @@ class TestWardCluster:
             assert sorted(sum(groups, [])) == list(range(9))
 
     def test_n_less_than_e(self):
-        with pytest.raises(ValueError):
-            router_init.ward_cluster(np.zeros((2, 2)), num_clusters=3)
+        with pytest.raises(ValueError, match="cannot cut 2 points at 3 clusters"):
+            router_init.ward_cluster(np.zeros((2, 2))).cut(3)
 
     @pytest.mark.parametrize("seed", range(15))
     def test_matches_bruteforce_oracle(self, seed):
@@ -228,20 +228,20 @@ class TestCollectEmbeddings:
         model, dataset = tiny_setup
         out = router_init.collect_embeddings(model, dataset, 1, scales=(32,),
                                              samples_per_class=1, rng=T.Rng(0))
-        assert all(ce.embeddings.shape == (16, 4, 16) for ce in out)
+        assert all(emb.shape == (16, 4, 16) for emb in out)
 
     def test_patch_counts_two_scales(self, tiny_setup):
         model, dataset = tiny_setup
         out = router_init.collect_embeddings(model, dataset, 1, scales=(32, 40),
                                              samples_per_class=1, rng=T.Rng(0))
-        assert out[0].embeddings.shape[0] == 16 + 25
+        assert out[0].shape[0] == 16 + 25
 
     def test_deterministic(self, tiny_setup):
         model, dataset = tiny_setup
         a = router_init.collect_embeddings(model, dataset, 1, (24, 32), 2, T.Rng(5))
         b = router_init.collect_embeddings(model, dataset, 1, (24, 32), 2, T.Rng(5))
         for ca, cb in zip(a, b):
-            assert np.array_equal(ca.embeddings, cb.embeddings)
+            assert np.array_equal(ca, cb)
 
     def test_empty_class_errors(self, tiny_setup):
         model, dataset = tiny_setup
@@ -355,10 +355,9 @@ class TestBatchedCapture:
         ref = collect_embeddings_oracle(model, chunked_dataset, layer, self.SCALES,
                                         4, T.Rng(2))
         assert len(out) == len(ref)
-        for c, (ce, r) in enumerate(zip(out, ref)):
-            assert ce.class_id == c and ce.layer == layer
-            assert ce.embeddings.dtype == np.dtype(dtype)
-            assert np.array_equal(ce.embeddings, r)
+        for emb, r in zip(out, ref):
+            assert emb.dtype == np.dtype(dtype)
+            assert np.array_equal(emb, r)
 
     def test_close_after_moe(self, chunked_dataset, dtype):
         # a batched MoE layer hands its experts more rows per matmul, and the
@@ -369,8 +368,8 @@ class TestBatchedCapture:
         ref = collect_embeddings_oracle(model, chunked_dataset, 2, self.SCALES,
                                         4, T.Rng(2))
         atol = 1e-5 if dtype == "float32" else 1e-12
-        for ce, r in zip(out, ref):
-            np.testing.assert_allclose(ce.embeddings, r, rtol=0, atol=atol)
+        for emb, r in zip(out, ref):
+            np.testing.assert_allclose(emb, r, rtol=0, atol=atol)
 
     def test_build_router_bit_identical_to_per_image_reference(
             self, chunked_dataset, dtype, monkeypatch):
@@ -379,17 +378,12 @@ class TestBatchedCapture:
                                               scales=self.SCALES)
         got = router_init.build_router(model, chunked_dataset, 1, 3, params)
 
-        def reference_collect(model, dataset, layer, scales, samples_per_class, rng):
-            rows = collect_embeddings_oracle(model, dataset, layer, scales,
-                                             samples_per_class, rng)
-            return [router_init.ClassEmbeddings(c, r, layer) for c, r in enumerate(rows)]
-
-        def reference_ward(points, num_clusters=1):
+        def reference_ward(points):
             tree = router_init.ClusterTree(n_leaves=len(points))
             tree.merges = ward_lance_williams_oracle(points)
             return tree
 
-        monkeypatch.setattr(router_init, "collect_embeddings", reference_collect)
+        monkeypatch.setattr(router_init, "collect_embeddings", collect_embeddings_oracle)
         monkeypatch.setattr(router_init, "ward_cluster", reference_ward)
         ref = router_init.build_router(model, chunked_dataset, 1, 3, params)
         assert np.array_equal(got.router.centroids.data, ref.router.centroids.data)

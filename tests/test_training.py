@@ -1,12 +1,11 @@
 """Optimizer, augmentation, and the training/eval loop."""
 
 import csv
-import json
 
 import numpy as np
 import pytest
 
-from patchmoe import backbone, expert_init, training
+from patchmoe import backbone, data, expert_init, moe, router_init, training
 from patchmoe import tensor as T
 from patchmoe.data import Dataset, LabeledImage
 from patchmoe.tensor import Rng
@@ -185,7 +184,7 @@ class TestEvaluate:
         ds = make_two_class_dataset()
         images = ds.split("val")
         result = training.evaluate(model, images, batch_size=3)
-        assert result.expert_counts[1].sum() == len(images) * cfg.num_patches
+        assert result.expert_counts[1].sum() == len(images) * cfg.grid ** 2
 
     def test_empty_split_rejected(self):
         model = backbone.Model(toy_config(), Rng(0))
@@ -242,19 +241,37 @@ class TestTrain:
         expert_init.moefy_layer(model, 1, make_router(cfg.d_model, 2))
         ds = make_two_class_dataset()
         metrics = tmp_path / "metrics.csv"
-        manifest = tmp_path / "run.json"
         result = training.train(model, ds, optim(epochs=2), training.AugmentConfig(),
-                                seed=0, metrics_path=metrics, manifest_path=manifest)
+                                seed=0, metrics_path=metrics)
         with open(metrics) as f:
             read = list(csv.reader(f))
         assert read[0] == ["epoch", "split", "loss", "top1",
                            "expert_entropy_layer_1"]
         assert len(read) == 1 + len(result.rows)
-        run = json.loads(manifest.read_text())
+        run = result.manifest
         assert run["seed"] == 0
         assert run["optim"]["lr_moe"] == 0.005
         assert run["moe_layers"] == [1]
         assert run["stage"] == "moe"
+
+    def test_train_rows_report_train_routing(self):
+        model, dataset = routed_toy()
+        forward, counts = model.forward, []
+
+        def recording(images, train=False, rng=None):
+            result = forward(images, train=train, rng=rng)
+            if train:
+                counts.append(result.routing[1].expert_counts)
+            return result
+
+        model.forward = recording
+        result = training.train(model, dataset, optim(epochs=2),
+                                training.AugmentConfig(), seed=0)
+        steps = len(counts) // 2
+        train_rows = [r for r in result.rows if r["split"] == "train"]
+        for epoch, row in enumerate(train_rows):
+            epoch_counts = sum(counts[epoch * steps:(epoch + 1) * steps])
+            assert row["expert_entropy_layer_1"] == moe.load_entropy(epoch_counts)
 
     def test_val_rows_interleaved(self):
         ds = make_two_class_dataset()
@@ -270,3 +287,35 @@ class TestTrain:
         val_set = {id(im) for im in ds.split("val")}
         assert train_set.isdisjoint(val_set)
         assert len(train_set) + len(val_set) == len(ds.images)
+
+
+def routed_toy(top_k=1, gate_mode="renorm"):
+    """A 4-class 32 px dataset and a model with a cluster-initialised
+    3-expert MoE at layer 1."""
+    dataset = data.generate(data.SynthSpec(num_classes=4, num_families=2, image_size=32,
+                                           images_per_class=5, fg_patch_cells=2, seed=3))
+    cfg = backbone.ModelConfig(num_classes=4, image_size=32, patch_size=8, n_px=4,
+                               d_model=16, d_ff=32, layers=2, heads=2, dropout=0.0,
+                               moe_layers=(1,), experts=3, top_k=top_k,
+                               gate_mode=gate_mode)
+    model = backbone.Model(cfg, Rng(0))
+    params = router_init.RouterInitParams(top_k_patches=16, samples_per_class=2,
+                                          scales=(32,))
+    expert_init.moefy_layer(model, 1, router_init.build_router(model, dataset, 1, 3,
+                                                               params).router)
+    return model, dataset
+
+
+@pytest.mark.parametrize("top_k, gate_mode, trains", [
+    (1, "renorm", False), (1, "raw", True), (2, "renorm", True)])
+def test_router_gradient_by_routing(top_k, gate_mode, trains):
+    """With one expert per patch a renormalised gate is p / p, exactly 1, so
+    no gradient reaches the centroids beyond rounding noise; raw top-1 gates
+    and top-2 gates do train the router."""
+    model, dataset = routed_toy(top_k, gate_mode)
+    images = dataset.split("train")
+    logits = model.forward(np.stack([im.pixels for im in images])).logits
+    labels = training.one_hot(np.array([im.class_id for im in images]), 4)
+    training.soft_cross_entropy(logits, labels).backward()
+    grad = np.abs(model.layers[1].mlp.router.centroids.grad).max()
+    assert grad > 1e-4 if trains else grad <= 1e-6

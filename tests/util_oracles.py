@@ -4,6 +4,7 @@ Deliberately written as plain, loop-heavy transcriptions, separate from the
 vectorized code paths they are checked against.
 """
 
+import csv
 import math
 
 import numpy as np
@@ -212,7 +213,7 @@ def forward_capture_oracle(model, images, layers, train=False, rng=None):
             result.routing[i] = record
     pooled = T.tmean(x, axis=(1, 2))
     if train and cfg.dropout > 0:
-        pooled = T.dropout(pooled, cfg.dropout, rng, active=True)
+        pooled = T.dropout(pooled, cfg.dropout, rng)
     result.logits = T.linear(pooled, model.head_w, model.head_b)
     return result, captures
 
@@ -265,3 +266,19 @@ HAND_WRITTEN_CONFIG_SCHEMA = {
     },
     "seed": {"seed": 0},
 }
+
+
+def read_affinity_csv(path) -> np.ndarray:
+    """The classes x experts matrix of an affinity.export_csv file."""
+    with open(path) as f:
+        reader = csv.reader(f)
+        header = next(reader)
+        if header != ["class", "expert", "value"]:
+            raise ValueError(f"unexpected affinity CSV header {header}")
+        entries = [(int(c), int(e), float(v)) for c, e, v in reader]
+    n_c = max(c for c, _, _ in entries) + 1
+    n_e = max(e for _, e, _ in entries) + 1
+    out = np.full((n_c, n_e), np.nan)
+    for c, e, v in entries:
+        out[c, e] = v
+    return out
