@@ -13,8 +13,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -134,7 +135,6 @@ class TransformerLayer:
     ln2_gain: Tensor
     ln2_bias: Tensor
     mlp: "DenseMLP | moe_mod.MoEBlock"
-    heads: int
 
     def parameters(self) -> dict[str, Tensor]:
         out = {"ln1.gain": self.ln1_gain, "ln1.bias": self.ln1_bias,
@@ -181,7 +181,6 @@ class Model:
                 mlp=DenseMLP(w1=w(4, (d, cfg.d_ff)), b1=T.parameter(np.zeros(cfg.d_ff)),
                              w2=w(5, (cfg.d_ff, d)), b2=T.parameter(np.zeros(d)),
                              activation=cfg.activation),
-                heads=cfg.heads,
             ))
         self.head_w = T.parameter(None, rng.child(3), (d, cfg.num_classes),
                                   scale=1 / math.sqrt(d))
@@ -234,7 +233,7 @@ class Model:
         residual included."""
         b, p, n_px, d = x.shape
         n_tok = p * n_px
-        h = layer.heads
+        h = self.config.heads
         dh = d // h
         tok = T.reshape(x, (b, n_tok, d))
         normed = T.layer_norm(tok, layer.ln1_gain, layer.ln1_bias)
@@ -325,35 +324,42 @@ def dense_mlp_hash(layer: TransformerLayer) -> str:
 
 
 def save_checkpoint(model: Model, path: Path | str) -> None:
+    """Write the blob and then the manifest to temporary siblings and move
+    each into place, manifest last: a save that fails leaves the checkpoint
+    that was at `path` as it was."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     blob_path = path.with_suffix(".bin")
+    tmp_blob = blob_path.with_name(blob_path.name + ".tmp")
+    tmp_manifest = path.with_name(path.name + ".tmp")
     manifest = {
-        "stage": model.stage,
         "finetuned": model.finetuned,
         "config": asdict(model.config),
         "params": [],
         "moe": {},
     }
-    with open(blob_path, "wb") as f:
-        for name, t in model.named_parameters().items():
-            offset = T.write_blob(f, t.data)
-            manifest["params"].append({"name": name, "shape": list(t.shape),
-                                       "offset": offset})
-    for i, layer in enumerate(model.layers):
-        if isinstance(layer.mlp, moe_mod.MoEBlock):
-            block = layer.mlp
-            manifest["moe"][str(i)] = {
-                "experts": block.router.num_experts,
-                "top_k": block.router.top_k,
-                "temperature": block.router.temperature,
-                "gate_mode": block.router.gate_mode,
-                "scaler": block.router.scaler.to_json(),
-                "indices": [ex.indices.tolist() for ex in block.experts],
-                "source_dense_hash": getattr(block, "source_hash", None),
-            }
-    with open(path, "w") as f:
-        json.dump(manifest, f, indent=1, sort_keys=True)
+    try:
+        with open(tmp_blob, "wb") as f:
+            for name, t in model.named_parameters().items():
+                offset = T.write_blob(f, t.data)
+                manifest["params"].append({"name": name, "shape": list(t.shape),
+                                           "offset": offset})
+        for i, layer in enumerate(model.layers):
+            if isinstance(layer.mlp, moe_mod.MoEBlock):
+                block = layer.mlp
+                manifest["moe"][str(i)] = {
+                    "scaler": block.router.scaler.to_json(),
+                    "indices": [ex.indices.tolist() for ex in block.experts],
+                    "source_dense_hash": block.source_hash,
+                }
+        with open(tmp_manifest, "w") as f:
+            json.dump(manifest, f, indent=1, sort_keys=True)
+    except BaseException:
+        tmp_blob.unlink(missing_ok=True)
+        tmp_manifest.unlink(missing_ok=True)
+        raise
+    os.replace(tmp_blob, blob_path)
+    os.replace(tmp_manifest, path)
 
 
 class CheckpointError(Exception):
@@ -361,21 +367,28 @@ class CheckpointError(Exception):
 
 
 def _model_from_manifest(manifest: dict) -> Model:
-    """The model a manifest describes, MoE blocks rebuilt so that every
-    parameter name resolves; parameter values are placeholders."""
+    """The model a manifest describes. The config holds every model setting;
+    an MoE entry adds only its scaler, its experts' indices (E is their
+    count) and its source hash. Parameter values are placeholders."""
+    missing = [f.name for f in fields(ModelConfig) if f.name not in manifest["config"]]
+    if missing:
+        raise ValueError(f"config lacks {', '.join(missing)}")
     config = ModelConfig(**manifest["config"])
     model = Model(config, Rng(0))
-    for key, info in manifest.get("moe", {}).items():
-        layer = model.layers[int(key)]
-        d, e = config.d_model, info["experts"]
-        scaler = ScalerParams.from_json(info["scaler"])
+    d = config.d_model
+    for key, info in manifest["moe"].items():
+        if not 0 <= int(key) < config.layers:
+            raise ValueError(f"MoE entry for layer {key} of a {config.layers}-layer model")
         router = moe_mod.Router(
-            centroids=T.parameter(np.ones((e, d))), scaler=scaler,
-            temperature=info["temperature"], top_k=info["top_k"],
-            gate_mode=info["gate_mode"])
+            centroids=T.parameter(np.ones((len(info["indices"]), d))),
+            scaler=ScalerParams.from_json(info["scaler"]),
+            temperature=config.router_temperature, top_k=config.top_k,
+            gate_mode=config.gate_mode)
         experts = []
         for idx in info["indices"]:
             idx = np.asarray(idx, dtype=np.int64)
+            if not np.all((idx >= 0) & (idx < config.d_ff)):
+                raise ValueError(f"layer {key}: expert indices outside 0..d_ff-1")
             de = idx.shape[0]
             experts.append(moe_mod.ExpertMLP(
                 indices=idx,
@@ -384,11 +397,10 @@ def _model_from_manifest(manifest: dict) -> Model:
                 w2=T.parameter(np.zeros((de, d))), b2=T.parameter(np.zeros(d)),
                 gamma=T.parameter(np.zeros(())), x_corr=T.parameter(np.zeros(d)),
                 activation=config.activation))
-        block = moe_mod.MoEBlock(router=router, experts=experts)
-        block.source_hash = info.get("source_dense_hash")
-        layer.mlp = block
-    model.stage = manifest["stage"]
-    model.finetuned = manifest.get("finetuned", False)
+        model.layers[int(key)].mlp = moe_mod.MoEBlock(
+            router=router, experts=experts, source_hash=info["source_dense_hash"])
+    model.stage = "moe" if manifest["moe"] else "dense"
+    model.finetuned = manifest["finetuned"]
     return model
 
 
@@ -421,8 +433,9 @@ def load_checkpoint(path: Path | str) -> Model:
                 arr = T.read_blob(f, offset)
             except ValueError as exc:
                 raise CheckpointError(f"{blob_path}: {name}: {exc}") from None
-            if list(arr.shape) != shape:
-                raise CheckpointError(f"shape mismatch for {name}")
+            if list(arr.shape) != shape or arr.shape != params[name].shape:
+                raise CheckpointError(f"shape mismatch for {name}: stored {list(arr.shape)}, "
+                                      f"manifest {shape}, model {list(params[name].shape)}")
             params[name].data = arr.astype(T.default_dtype())
     for i, layer in enumerate(model.layers):
         if isinstance(layer.mlp, moe_mod.MoEBlock):

@@ -211,11 +211,15 @@ def cmd_gen_data(args) -> int:
     return 0
 
 
-def _require_image_size(dataset, config) -> None:
-    """DataError unless the dataset's images are config.image_size square."""
+def _require_dataset_fits(dataset, config) -> None:
+    """DataError unless the dataset's images are config.image_size square and
+    its class count is config.num_classes."""
     if dataset.images and dataset.images[0].pixels.shape[0] != config.image_size:
         raise data.DataError(f"the dataset's images are {dataset.images[0].pixels.shape[0]} "
                              f"px, the model's image_size is {config.image_size}")
+    if dataset.num_classes != config.num_classes:
+        raise data.DataError(f"the dataset has {dataset.num_classes} classes, "
+                             f"the model's num_classes is {config.num_classes}")
 
 
 def _run_seed(args, resolved: dict) -> int:
@@ -232,7 +236,7 @@ def cmd_pretrain(args) -> int:
     dataset = data.load_dataset(args.data)
     cfg = _build(backbone.ModelConfig, num_classes=dataset.num_classes,
                  **resolved["model"], **resolved["moe"])
-    _require_image_size(dataset, cfg)
+    _require_dataset_fits(dataset, cfg)
     model = backbone.Model(cfg, Rng(seed))
     return _train_and_save(model, dataset, resolved, seed, Path(args.out), "pretrain")
 
@@ -242,6 +246,7 @@ def cmd_moefy(args) -> int:
     model = backbone.load_checkpoint(args.ckpt)
     _require_stage(model, "dense", "moefy")
     dataset = data.load_dataset(args.data)
+    _require_dataset_fits(dataset, model.config)
     if not model.config.moe_layers:
         raise ConfigError("no MoE layers configured (moe.moe_layers is empty)")
     params = _router_params(resolved, model.config)
@@ -272,7 +277,7 @@ def cmd_finetune(args) -> int:
     model = backbone.load_checkpoint(args.ckpt)
     _require_stage(model, "moe", "finetune")
     dataset = data.load_dataset(args.data)
-    _require_image_size(dataset, model.config)
+    _require_dataset_fits(dataset, model.config)
     model.finetuned = True
     return _train_and_save(model, dataset, resolved, seed, Path(args.out), "finetune")
 
@@ -280,7 +285,7 @@ def cmd_finetune(args) -> int:
 def cmd_eval(args) -> int:
     model = backbone.load_checkpoint(args.ckpt)
     dataset = data.load_dataset(args.data)
-    _require_image_size(dataset, model.config)
+    _require_dataset_fits(dataset, model.config)
     images = dataset.split(args.split)
     if not images:
         raise data.DataError(f"split {args.split!r} is empty")
@@ -314,7 +319,7 @@ def cmd_affinity(args) -> int:
             raise ConfigError(f"{command} does not read --{name.replace('_', '-')}")
     model = backbone.load_checkpoint(args.ckpt)
     dataset = data.load_dataset(args.data)
-    _require_image_size(dataset, model.config)
+    _require_dataset_fits(dataset, model.config)
     layer = args.layer
     if not 0 <= layer < len(model.layers):
         raise ConfigError(f"--layer {layer} is out of range for a "

@@ -35,13 +35,13 @@ class DenseMLPSnapshot:
         return self.w1.shape[1]
 
 
-def snapshot_dense_mlp(layer: TransformerLayer, activation: str) -> DenseMLPSnapshot:
+def snapshot_dense_mlp(layer: TransformerLayer) -> DenseMLPSnapshot:
     mlp = layer.mlp
     return DenseMLPSnapshot(
         w1=mlp.w1.data.copy(), b1=mlp.b1.data.copy(),
         w2=mlp.w2.data.copy(), b2=mlp.b2.data.copy(),
         ln_gain=layer.ln2_gain.data.copy(), ln_bias=layer.ln2_bias.data.copy(),
-        activation=activation)
+        activation=mlp.activation)
 
 
 def _normed_centroid(snapshot: DenseMLPSnapshot, centroid_raw: np.ndarray) -> np.ndarray:
@@ -114,16 +114,17 @@ def moefy_layer(model: Model, layer_index: int, router: Router,
     layer = model.layers[layer_index]
     if isinstance(layer.mlp, MoEBlock):
         raise ValueError(f"layer {layer_index} is already a MoE block")
+    if (router.top_k, router.temperature, router.gate_mode) != (
+            cfg.top_k, cfg.router_temperature, cfg.gate_mode):
+        raise ValueError("router top_k, temperature and gate_mode must be the config's")
     d_e = cfg.d_ff // cfg.reduction_factor
-    source_hash = dense_mlp_hash(layer)
-    snapshot = snapshot_dense_mlp(layer, cfg.activation)
+    snapshot = snapshot_dense_mlp(layer)
     experts = []
     for e in range(router.num_experts):
         centroid_raw = T.minmax_invert(router.scaler, router.centroids.data[e])
         indices = importance_permutation(snapshot, centroid_raw, d_e)
         experts.append(build_expert(snapshot, indices, centroid_raw, gamma=gamma))
-    block = MoEBlock(router=router, experts=experts)
-    block.source_hash = source_hash
+    block = MoEBlock(router=router, experts=experts, source_hash=dense_mlp_hash(layer))
     layer.mlp = block
     model.stage = "moe"
     return block

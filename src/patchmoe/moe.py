@@ -29,7 +29,8 @@ class Router:
 
     def validate(self) -> None:
         """ValueError unless the centroids are a non-empty E x d matrix of
-        finite, non-zero rows and temperature, top_k and gate_mode are valid."""
+        finite, non-zero rows, the scaler has d channels, and temperature,
+        top_k and gate_mode are valid."""
         c = self.centroids.data
         if c.ndim != 2 or c.shape[0] < 1:
             raise ValueError("centroids must be a non-empty E x d matrix")
@@ -37,6 +38,8 @@ class Router:
             raise ValueError("centroid rows must be finite")
         if np.any(np.all(c == 0, axis=1)):
             raise ValueError("centroid rows must be non-zero")
+        if not self.scaler.min.shape == self.scaler.max.shape == (c.shape[1],):
+            raise ValueError(f"scaler min and max must each hold {c.shape[1]} channels")
         if not self.temperature > 0:
             raise ValueError("temperature must be > 0")
         if not 1 <= self.top_k <= c.shape[0]:
@@ -82,7 +85,10 @@ class RoutingRecord:
     indices: np.ndarray      # B x P x top_k selected expert ids
     gates: np.ndarray        # B x P x top_k gate values (sum to 1 per patch)
     full_probs: np.ndarray   # B x P x E softmax over all experts
-    num_experts: int
+
+    @property
+    def num_experts(self) -> int:
+        return self.full_probs.shape[-1]
 
     @property
     def expert_counts(self) -> np.ndarray:
@@ -95,6 +101,7 @@ class RoutingRecord:
 class MoEBlock:
     router: Router
     experts: list[ExpertMLP]
+    source_hash: str | None = None  # dense_mlp_hash of the MLP it replaced
 
     def __post_init__(self):
         if len(self.experts) != self.router.num_experts:
@@ -170,8 +177,7 @@ def moe_forward(x: Tensor, captured: Tensor, block: MoEBlock):
         expert_out = T.reshape(expert_forward(pixels, block.experts[e]), (rows.size, n_px, d))
         contrib = T.scatter_rows(T.mul(expert_out, T.take(flat_gates, slots)), rows, b * p)
         out = contrib if out is None else T.add(out, contrib)
-    record = RoutingRecord(indices=indices, gates=gates.data.copy(),
-                           full_probs=probs.data.copy(), num_experts=router.num_experts)
+    record = RoutingRecord(indices, gates.data.copy(), probs.data.copy())
     return T.reshape(out, (b, p, n_px, d)), record
 
 

@@ -587,7 +587,7 @@ def write_blob(f, arr: np.ndarray) -> int:
     shape = arr.shape  # ascontiguousarray promotes 0-d arrays to 1-d
     arr = np.ascontiguousarray(arr)
     if arr.dtype not in _DTYPE_CODES:
-        arr = arr.astype(np.float64 if arr.dtype == np.float64 else np.float32)
+        arr = arr.astype(np.float32)
     offset = f.tell()
     f.write(BLOB_MAGIC)
     f.write(struct.pack("<BB", _DTYPE_CODES[arr.dtype], len(shape)))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from patchmoe import backbone, cli, data, expert_init, router_init, training
+from patchmoe import tensor as T
 from util_oracles import HAND_WRITTEN_CONFIG_SCHEMA, read_affinity_csv
 
 SPEC = {"num_classes": 4, "num_families": 2, "image_size": 32,
@@ -228,7 +229,7 @@ class TestPipeline:
         assert rc == cli.EXIT_DATA
         assert not (tmp_path / "ckpt").exists()
 
-    @pytest.mark.parametrize("command", ["pretrain", "finetune", "eval",
+    @pytest.mark.parametrize("command", ["pretrain", "moefy", "finetune", "eval",
                                          "affinity --mode post", "affinity --mode pre"])
     def test_image_size_mismatch_is_data_error(self, workdir, tmp_path, capsys, command):
         data40 = tmp_path / "data40"
@@ -242,6 +243,27 @@ class TestPipeline:
             argv[argv.index("--data") + 1] = str(data40)
         assert cli.main(argv) == cli.EXIT_DATA
         assert "images are 40 px, the model's image_size is 32" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, num_classes", [
+        ("moefy", 6), ("affinity --mode pre", 6), ("finetune", 6), ("eval", 6),
+        ("affinity --mode post", 6), ("finetune", 2), ("eval", 2)])
+    def test_class_count_mismatch_is_data_error(self, workdir, tmp_path, capsys, command,
+                                                num_classes):
+        """Every command that runs a checkpoint on a dataset needs the
+        dataset's class count to be the checkpoint's num_classes (4)."""
+        other = tmp_path / "other"
+        data.save_dataset(data.generate(data.SynthSpec(**dict(SPEC, num_classes=num_classes))),
+                          other)
+        out = tmp_path / "out" / "x.json"
+        if command == "eval":
+            argv = ["eval", "--ckpt", str(workdir["tuned"]), "--out", str(out)]
+        else:
+            argv = _argv(workdir, command, out)
+            del argv[argv.index("--data"):argv.index("--data") + 2]
+        assert cli.main(argv + ["--data", str(other)]) == cli.EXIT_DATA
+        assert (f"the dataset has {num_classes} classes, the model's num_classes is 4"
+                in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
     def test_default_image_size_on_32px_data_is_data_error(self, workdir, tmp_path):
@@ -518,6 +540,15 @@ class TestCheckpointErrors:
         assert cli.main(["inspect", "--ckpt", str(ckpt)]) == cli.EXIT_DATA
         assert "offset" in capsys.readouterr().err
 
+    def test_config_disagrees_with_weights(self, ckpt, capsys):
+        """The config, not the manifest's shape list, says what each stored
+        array must be: a d_ff of 16 over 32-wide MLP weights is refused."""
+        manifest = json.loads(ckpt.read_text())
+        manifest["config"]["d_ff"] = 16
+        ckpt.write_text(json.dumps(manifest))
+        assert cli.main(["inspect", "--ckpt", str(ckpt)]) == cli.EXIT_DATA
+        assert "shape mismatch for layer0.mlp.w1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key, value", [
         ("patch_size", 5), ("activation", "foo"), ("dropout", 1.0), ("top_k", 5),
         ("router_temperature", 0.0), ("reduction_factor", 3)])
@@ -538,22 +569,125 @@ class TestLoadedRouterValidation:
         backbone.save_checkpoint(model, path)
         return path
 
-    @pytest.mark.parametrize("edit", [lambda info: info.pop("top_k"),
-                                      lambda info: info.update(temperature=0.0)],
-                             ids=["missing-top-k", "zero-temperature"])
+    @pytest.mark.parametrize("edit", [
+        lambda entries: entries["1"].pop("scaler"),
+        lambda entries: entries["1"].pop("indices"),
+        lambda entries: entries.update({"-1": entries.pop("1")}),
+        lambda entries: entries["1"]["indices"][0].__setitem__(0, 32)],
+        ids=["missing-scaler", "missing-indices", "negative-layer", "index-past-d_ff"])
     def test_bad_moe_entry(self, workdir, tmp_path, edit):
-        manifest = json.loads(workdir["moe"].read_text())
-        edit(manifest["moe"]["1"])
-        path = tmp_path / "moe.json"
+        path = _copy_checkpoint(workdir["moe"], tmp_path / "moe.json")
+        manifest = json.loads(path.read_text())
+        edit(manifest["moe"])
         path.write_text(json.dumps(manifest))
-        path.with_suffix(".bin").write_bytes(workdir["moe"].with_suffix(".bin").read_bytes())
         assert cli.main(["inspect", "--ckpt", str(path)]) == cli.EXIT_DATA
+
+    def test_scaler_channels_must_match_centroids(self, workdir, tmp_path, capsys):
+        path = _copy_checkpoint(workdir["moe"], tmp_path / "moe.json")
+        manifest = json.loads(path.read_text())
+        manifest["moe"]["1"]["scaler"]["min"].pop()
+        path.write_text(json.dumps(manifest))
+        assert cli.main(["inspect", "--ckpt", str(path)]) == cli.EXIT_DATA
+        assert "scaler min and max must each hold 16 channels" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", [0.0, np.nan], ids=["zero", "nan"])
     def test_bad_centroid_row(self, workdir, tmp_path, capsys, value):
         path = self.write_moe_with_centroid_row(workdir, tmp_path, value)
         assert cli.main(["inspect", "--ckpt", str(path)]) == cli.EXIT_DATA
         assert "centroid rows" in capsys.readouterr().err
+
+
+def _copy_checkpoint(src, dst):
+    dst.write_text(src.read_text())
+    dst.with_suffix(".bin").write_bytes(src.with_suffix(".bin").read_bytes())
+    return dst
+
+
+class TestManifestKeys:
+    """A checkpoint manifest carries nothing the loader ignores: deleting any
+    one key of a fresh MoE checkpoint makes it unloadable."""
+
+    TOP = ["config", "finetuned", "moe", "params"]
+    CONFIG = [f.name for f in dataclasses.fields(backbone.ModelConfig)]
+    PARAM = ["name", "offset", "shape"]
+    ENTRY = ["indices", "scaler", "source_dense_hash"]
+
+    def test_keys_are_all_listed(self, workdir):
+        manifest = json.loads(workdir["moe"].read_text())
+        assert sorted(manifest) == self.TOP
+        assert sorted(manifest["config"]) == sorted(self.CONFIG)
+        assert all(sorted(e) == self.PARAM for e in manifest["params"])
+        assert sorted(manifest["moe"]["1"]) == self.ENTRY
+
+    @pytest.mark.parametrize("where, key", [("top", k) for k in TOP]
+                             + [("config", k) for k in CONFIG]
+                             + [("param", k) for k in PARAM]
+                             + [("entry", k) for k in ENTRY])
+    def test_deleting_any_key_is_data_error(self, workdir, tmp_path, where, key):
+        path = _copy_checkpoint(workdir["moe"], tmp_path / "moe.json")
+        manifest = json.loads(path.read_text())
+        holder = {"top": manifest, "config": manifest["config"],
+                  "param": manifest["params"][-1], "entry": manifest["moe"]["1"]}[where]
+        del holder[key]
+        path.write_text(json.dumps(manifest))
+        assert cli.main(["inspect", "--ckpt", str(path)]) == cli.EXIT_DATA
+
+
+class TestOlderManifests:
+    """Manifests written before the config became the one source of the
+    routing settings carry `stage` and per-layer router keys; they load,
+    and the config wins where the copies disagree."""
+
+    def logits(self, path, images):
+        return backbone.load_checkpoint(path).forward(images).logits.data
+
+    def test_older_keys_ignored(self, workdir, tmp_path, capsys):
+        path = _copy_checkpoint(workdir["tuned"], tmp_path / "tuned.json")
+        images = np.stack([im.pixels for im in data.load_dataset(workdir["data"]).images[:8]])
+        expected = self.logits(path, images)
+        manifest = json.loads(path.read_text())
+        manifest["stage"] = "moe"
+        manifest["moe"]["1"].update(experts=2, top_k=1, temperature=1.0, gate_mode="renorm")
+        path.write_text(json.dumps(manifest))
+        assert self.logits(path, images).tobytes() == expected.tobytes()
+        manifest["stage"] = "dense"
+        manifest["moe"]["1"].update(experts=5, top_k=2, temperature=0.5, gate_mode="raw")
+        path.write_text(json.dumps(manifest))
+        model = backbone.load_checkpoint(path)
+        assert model.stage == "moe"
+        router = model.layers[1].mlp.router
+        assert (router.top_k, router.temperature, router.gate_mode) == (1, 1.0, "renorm")
+        result = model.forward(images)
+        assert result.routing[1].indices.shape[-1] == 1
+        assert result.logits.data.tobytes() == expected.tobytes()
+        assert cli.main(["inspect", "--ckpt", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "layer 1: experts 2," in out and "top_k 1," in out
+
+
+def test_failed_save_keeps_old_checkpoint(workdir, tmp_path, monkeypatch):
+    """save_checkpoint moves its files into place only after both are
+    written, so a save that fails partway leaves the old checkpoint."""
+    path = _copy_checkpoint(workdir["moe"], tmp_path / "ckpt.json")
+    images = np.stack([im.pixels for im in data.load_dataset(workdir["data"]).images[:8]])
+    expected = backbone.load_checkpoint(path).forward(images).logits.data
+    tuned = backbone.load_checkpoint(workdir["tuned"])
+    write_blob, calls = T.write_blob, []
+
+    def failing(f, arr):
+        calls.append(1)
+        if len(calls) == 5:
+            raise OSError("disk full")
+        return write_blob(f, arr)
+
+    monkeypatch.setattr(T, "write_blob", failing)
+    with pytest.raises(OSError, match="disk full"):
+        backbone.save_checkpoint(tuned, path)
+    monkeypatch.undo()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.bin", "ckpt.json"]
+    after = backbone.load_checkpoint(path).forward(images).logits.data
+    assert after.tobytes() == expected.tobytes()
+    assert not np.array_equal(after, tuned.forward(images).logits.data)
 
 
 # The config sections each command reads.

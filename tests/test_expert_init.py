@@ -161,6 +161,17 @@ class TestMoefyLayer:
         with pytest.raises(ValueError):
             expert_init.moefy_layer(model, 1, make_router(cfg.d_model, 3))
 
+    @pytest.mark.parametrize("setting", [{"top_k": 2}, {"temperature": 0.5},
+                                         {"gate_mode": "raw"}],
+                             ids=["top_k", "temperature", "gate_mode"])
+    def test_router_settings_must_match_config(self, setting):
+        """The config is the one source of the routing settings a checkpoint
+        stores, so a router that disagrees with it is refused."""
+        model, cfg = self.make_model()
+        with pytest.raises(ValueError, match="config"):
+            expert_init.moefy_layer(model, 1, make_router(cfg.d_model, 3, **setting))
+        assert isinstance(model.layers[1].mlp, backbone.DenseMLP)
+
     def test_indivisible_reduction_rejected(self):
         # d_ff = 16: the config, moefy_layer's one source of the factor, rejects 5
         with pytest.raises(ValueError, match="reduction_factor"):

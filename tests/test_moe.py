@@ -308,7 +308,7 @@ class TestDispatchStats:
     def record(self, indices, e):
         idx = np.asarray(indices).reshape(1, -1, 1)
         return moe.RoutingRecord(idx, np.ones_like(idx, dtype=float),
-                                 np.zeros((1, idx.shape[1], e)), e)
+                                 np.zeros((1, idx.shape[1], e)))
 
     def test_collapse(self):
         rep = moe.dispatch_stats(self.record([0, 0, 0, 0], e=3))
@@ -332,7 +332,7 @@ def test_entropy_agrees_across_reports():
     counts = np.array([5, 0, 3, 1, 0, 7])
     record = moe.RoutingRecord(np.repeat(np.arange(6), counts).reshape(1, -1, 1),
                                np.ones((1, counts.sum(), 1)),
-                               np.zeros((1, counts.sum(), 6)), 6)
+                               np.zeros((1, counts.sum(), 6)))
     from_dispatch = moe.dispatch_stats(record).entropy
     from_eval = training.EvalResult(0.0, 0.0, {}, np.zeros(0),
                                     expert_counts={1: counts}).expert_entropy(1)

@@ -177,7 +177,7 @@ def model_attention_oracle(model, layer, x):
     self-attention over all (patch, pixel) tokens, residual included."""
     b, p, n_px, d = x.shape
     n_tok = p * n_px
-    h = layer.heads
+    h = model.config.heads
     dh = d // h
     tok = T.reshape(x, (b, n_tok, d))
     normed = T.layer_norm(tok, layer.ln1_gain, layer.ln1_bias)
