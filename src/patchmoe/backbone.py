@@ -157,7 +157,6 @@ class Model:
 
     def __init__(self, config: ModelConfig, rng: Rng | None = None):
         self.config = config
-        self.stage = "dense"
         self.finetuned = False
         if rng is None:
             rng = Rng(0)
@@ -294,6 +293,11 @@ class Model:
 
     # -- stats --------------------------------------------------------------
 
+    def moe_blocks(self) -> dict[int, moe_mod.MoEBlock]:
+        """The MoE blocks by layer index; a model without any is dense."""
+        return {i: layer.mlp for i, layer in enumerate(self.layers)
+                if isinstance(layer.mlp, moe_mod.MoEBlock)}
+
     def parameter_counts(self) -> dict:
         counts = {"total": 0, "moe_layers": 0, "per_expert": {}}
         for name, t in self.named_parameters().items():
@@ -301,12 +305,10 @@ class Model:
             counts["total"] += n
             if ".moe." in name:
                 counts["moe_layers"] += n
-        for i, layer in enumerate(self.layers):
-            if isinstance(layer.mlp, moe_mod.MoEBlock):
-                ex = layer.mlp.experts[0]
-                counts["per_expert"][str(i)] = sum(
-                    int(np.prod(t.shape)) if t.shape else 1
-                    for t in ex.parameters().values())
+        for i, block in self.moe_blocks().items():
+            counts["per_expert"][str(i)] = sum(
+                int(np.prod(t.shape)) if t.shape else 1
+                for t in block.experts[0].parameters().values())
         return counts
 
 
@@ -344,14 +346,12 @@ def save_checkpoint(model: Model, path: Path | str) -> None:
                 offset = T.write_blob(f, t.data)
                 manifest["params"].append({"name": name, "shape": list(t.shape),
                                            "offset": offset})
-        for i, layer in enumerate(model.layers):
-            if isinstance(layer.mlp, moe_mod.MoEBlock):
-                block = layer.mlp
-                manifest["moe"][str(i)] = {
-                    "scaler": block.router.scaler.to_json(),
-                    "indices": [ex.indices.tolist() for ex in block.experts],
-                    "source_dense_hash": block.source_hash,
-                }
+        for i, block in model.moe_blocks().items():
+            manifest["moe"][str(i)] = {
+                "scaler": block.router.scaler.to_json(),
+                "indices": [ex.indices.tolist() for ex in block.experts],
+                "source_dense_hash": block.source_hash,
+            }
         with open(tmp_manifest, "w") as f:
             json.dump(manifest, f, indent=1, sort_keys=True)
     except BaseException:
@@ -368,8 +368,9 @@ class CheckpointError(Exception):
 
 def _model_from_manifest(manifest: dict) -> Model:
     """The model a manifest describes. The config holds every model setting;
-    an MoE entry adds only its scaler, its experts' indices (E is their
-    count) and its source hash. Parameter values are placeholders."""
+    an MoE entry, at one of its moe_layers, adds only its scaler, its
+    experts' indices (config.experts lists of them) and its source hash.
+    Parameter values are placeholders."""
     missing = [f.name for f in fields(ModelConfig) if f.name not in manifest["config"]]
     if missing:
         raise ValueError(f"config lacks {', '.join(missing)}")
@@ -377,10 +378,14 @@ def _model_from_manifest(manifest: dict) -> Model:
     model = Model(config, Rng(0))
     d = config.d_model
     for key, info in manifest["moe"].items():
-        if not 0 <= int(key) < config.layers:
-            raise ValueError(f"MoE entry for layer {key} of a {config.layers}-layer model")
+        if int(key) not in config.moe_layers:
+            raise ValueError(f"MoE entry for layer {key}, not one of the config's "
+                             f"moe_layers {list(config.moe_layers)}")
+        if len(info["indices"]) != config.experts:
+            raise ValueError(f"layer {key}: {len(info['indices'])} experts, "
+                             f"the config's experts is {config.experts}")
         router = moe_mod.Router(
-            centroids=T.parameter(np.ones((len(info["indices"]), d))),
+            centroids=T.parameter(np.ones((config.experts, d))),
             scaler=ScalerParams.from_json(info["scaler"]),
             temperature=config.router_temperature, top_k=config.top_k,
             gate_mode=config.gate_mode)
@@ -399,7 +404,6 @@ def _model_from_manifest(manifest: dict) -> Model:
                 activation=config.activation))
         model.layers[int(key)].mlp = moe_mod.MoEBlock(
             router=router, experts=experts, source_hash=info["source_dense_hash"])
-    model.stage = "moe" if manifest["moe"] else "dense"
     model.finetuned = manifest["finetuned"]
     return model
 
@@ -437,10 +441,9 @@ def load_checkpoint(path: Path | str) -> Model:
                 raise CheckpointError(f"shape mismatch for {name}: stored {list(arr.shape)}, "
                                       f"manifest {shape}, model {list(params[name].shape)}")
             params[name].data = arr.astype(T.default_dtype())
-    for i, layer in enumerate(model.layers):
-        if isinstance(layer.mlp, moe_mod.MoEBlock):
-            try:
-                layer.mlp.router.validate()
-            except ValueError as exc:
-                raise CheckpointError(f"{blob_path}: layer {i} router: {exc}") from None
+    for i, block in model.moe_blocks().items():
+        try:
+            block.router.validate()
+        except ValueError as exc:
+            raise CheckpointError(f"{blob_path}: layer {i} router: {exc}") from None
     return model

@@ -169,9 +169,9 @@ def write_run_manifest(path: Path, command: str, resolved: dict,
 
 
 def _require_stage(model, expected: str, command: str) -> None:
-    if model.stage != expected:
-        raise StageError(
-            f"{command} needs a {expected!r} checkpoint, got stage {model.stage!r}")
+    stage = "moe" if model.moe_blocks() else "dense"
+    if stage != expected:
+        raise StageError(f"{command} needs a {expected!r} checkpoint, got stage {stage!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +192,8 @@ def _train_and_save(model, dataset, resolved: dict, seed: int, out: Path,
                             metrics_path=out.with_suffix(".metrics.csv"))
     backbone.save_checkpoint(model, out)
     write_run_manifest(out.with_suffix(".run.json"), command, resolved,
-                       {"seed": seed, "train": result.manifest})
+                       {"train_size": len(dataset.split("train")),
+                        "val_size": len(dataset.split("val"))})
     if result.final_val:
         print(f"{command} done: val top1 {result.final_val.top1:.4f}")
     return 0
@@ -201,7 +202,7 @@ def _train_and_save(model, dataset, resolved: dict, seed: int, out: Path,
 def cmd_gen_data(args) -> int:
     with open(args.spec) as f:
         try:
-            spec = data.SynthSpec.from_json(json.load(f))
+            spec = data.SynthSpec(**json.load(f))
         except (TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
             raise data.DataError(f"invalid synth spec {args.spec}: {exc}") from None
     dataset = data.generate(spec)
@@ -222,17 +223,17 @@ def _require_dataset_fits(dataset, config) -> None:
                              f"the model's num_classes is {config.num_classes}")
 
 
-def _run_seed(args, resolved: dict) -> int:
-    """--seed when given, else [seed] seed; a negative [seed] seed is a
-    config error (a negative --seed is a usage error in argparse)."""
-    if resolved["seed"]["seed"] < 0:
-        raise ConfigError(f"seed.seed must be >= 0, got {resolved['seed']['seed']}")
-    return args.seed if args.seed is not None else resolved["seed"]["seed"]
+def _run_seed(resolved: dict) -> int:
+    """[seed] seed; a negative one is a config error."""
+    seed = resolved["seed"]["seed"]
+    if seed < 0:
+        raise ConfigError(f"seed.seed must be >= 0, got {seed}")
+    return seed
 
 
 def cmd_pretrain(args) -> int:
     resolved = load_run_config(args.config, args.set, "pretrain")
-    seed = _run_seed(args, resolved)
+    seed = _run_seed(resolved)
     dataset = data.load_dataset(args.data)
     cfg = _build(backbone.ModelConfig, num_classes=dataset.num_classes,
                  **resolved["model"], **resolved["moe"])
@@ -273,7 +274,7 @@ def cmd_moefy(args) -> int:
 
 def cmd_finetune(args) -> int:
     resolved = load_run_config(args.config, args.set, "finetune")
-    seed = _run_seed(args, resolved)
+    seed = _run_seed(resolved)
     model = backbone.load_checkpoint(args.ckpt)
     _require_stage(model, "moe", "finetune")
     dataset = data.load_dataset(args.data)
@@ -324,12 +325,13 @@ def cmd_affinity(args) -> int:
     if not 0 <= layer < len(model.layers):
         raise ConfigError(f"--layer {layer} is out of range for a "
                           f"{len(model.layers)}-layer checkpoint")
-    block = model.layers[layer].mlp
-    if not hasattr(block, "router"):
+    block = model.moe_blocks().get(layer)
+    if block is None:
         raise StageError(f"layer {layer} of the checkpoint is not a MoE block")
     params = _router_params(resolved, model.config) if args.mode != "post" else None
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    provenance = {"seed": args.seed, "checkpoint": str(args.ckpt)}
+    provenance = {"seed": args.seed if params is None else params.seed,
+                  "checkpoint": str(args.ckpt)}
     if args.mode == "post":
         images = dataset.split("val") or dataset.split("train")
         matrix = affinity_mod.affinity_post(
@@ -358,7 +360,7 @@ def cmd_affinity(args) -> int:
 def cmd_inspect(args) -> int:
     model = backbone.load_checkpoint(args.ckpt)
     counts = model.parameter_counts()
-    print(f"stage: {model.stage}  finetuned: {model.finetuned}")
+    print(f"stage: {'moe' if model.moe_blocks() else 'dense'}  finetuned: {model.finetuned}")
     print(f"total parameters: {counts['total']}")
     print(f"moe parameters: {counts['moe_layers']}")
     for layer, per in counts["per_expert"].items():
@@ -389,12 +391,10 @@ def _positive(kind, zero_ok: bool = False):
     return parse
 
 
-def _add_common(p, seed=True):
+def _add_common(p):
     p.add_argument("--config", default=None, help="INI run configuration")
     p.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=V",
                    help="override one config value (repeatable, wins over file)")
-    if seed:
-        p.add_argument("--seed", type=_positive(int, zero_ok=True), default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -417,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    _add_common(p, seed=False)
+    _add_common(p)
     p.set_defaults(func=cmd_moefy)
 
     p = sub.add_parser("finetune", help="fine-tune a MoE checkpoint")
@@ -447,6 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--batches", type=_positive(int), default=None)
     p.add_argument("--batch-size", type=_positive(int), default=None)
+    p.add_argument("--seed", type=_positive(int, zero_ok=True), default=None)
     _add_common(p)
     p.set_defaults(func=cmd_affinity)
 

@@ -46,6 +46,10 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        counts = (self.num_classes, self.num_families, self.image_size,
+                  self.images_per_class, self.num_backgrounds, self.fg_patch_cells)
+        if not all(type(v) is int for v in counts + (self.seed,)) or self.seed < 0:
+            raise ValueError("counts and seed must be integers, and seed >= 0")
         if self.num_families < 1 or self.num_classes % self.num_families != 0:
             raise ValueError("families must partition classes")
         if not 1 <= self.fg_patch_cells * PATCH_CELL <= self.image_size:
@@ -55,13 +59,6 @@ class SynthSpec:
 
     def family_of(self, class_id: int) -> int:
         return class_id // (self.num_classes // self.num_families)
-
-    @classmethod
-    def from_json(cls, d: dict) -> "SynthSpec":
-        unknown = set(d) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise DataError(f"unknown synth spec keys: {sorted(unknown)}")
-        return cls(**d)
 
 
 @dataclass

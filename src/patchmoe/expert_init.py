@@ -104,8 +104,9 @@ def per_expert_param_count(d_model: int, d_ff: int, reduction_factor: int) -> in
 
 def moefy_layer(model: Model, layer_index: int, router: Router,
                 gamma: float = GAMMA_INIT) -> MoEBlock:
-    """Replace the dense MLP of one layer with an E-expert MoE block whose
-    experts keep d_ff / config.reduction_factor hidden dims each.
+    """Replace the dense MLP of one of config.moe_layers with a
+    config.experts-expert MoE block whose experts keep
+    d_ff / config.reduction_factor hidden dims each.
 
     Attention weights and the layer's MLP-input norm (which keeps feeding the
     router) are untouched.
@@ -114,6 +115,10 @@ def moefy_layer(model: Model, layer_index: int, router: Router,
     layer = model.layers[layer_index]
     if isinstance(layer.mlp, MoEBlock):
         raise ValueError(f"layer {layer_index} is already a MoE block")
+    if layer_index not in cfg.moe_layers or router.num_experts != cfg.experts:
+        raise ValueError(f"layer {layer_index} with {router.num_experts} experts is not "
+                         f"in the config's moe_layers {list(cfg.moe_layers)} "
+                         f"with experts {cfg.experts}")
     if (router.top_k, router.temperature, router.gate_mode) != (
             cfg.top_k, cfg.router_temperature, cfg.gate_mode):
         raise ValueError("router top_k, temperature and gate_mode must be the config's")
@@ -126,5 +131,4 @@ def moefy_layer(model: Model, layer_index: int, router: Router,
         experts.append(build_expert(snapshot, indices, centroid_raw, gamma=gamma))
     block = MoEBlock(router=router, experts=experts, source_hash=dense_mlp_hash(layer))
     layer.mlp = block
-    model.stage = "moe"
     return block

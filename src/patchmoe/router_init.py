@@ -284,7 +284,7 @@ class RouterBuildResult:
     class_assignments: np.ndarray | None  # class -> cluster id (cluster mode)
     class_points: np.ndarray              # per-class scaled mean of selected patches
     selected_per_class: list[SelectedPatches]
-    manifest: dict
+    manifest: dict  # for the run manifest: effective K, scales, class assignments
 
 
 def build_router(model, dataset: Dataset, layer: int, num_experts: int,
@@ -319,16 +319,8 @@ def build_router(model, dataset: Dataset, layer: int, num_experts: int,
                     temperature=cfg.router_temperature, top_k=cfg.top_k,
                     gate_mode=cfg.gate_mode)
     manifest = {
-        "layer": layer,
-        "experts": num_experts,
-        "mode": params.mode,
         "top_k_patches": len(selected[0].indices),
-        "top_k_patches_requested": params.top_k_patches,
-        "refine_steps": params.refine_steps,
         "scales": list(scales),
-        "samples_per_class": params.samples_per_class,
-        "refine": params.refine,
-        "seed": params.seed,
         "class_assignments": assignments.tolist() if assignments is not None else None,
     }
     return RouterBuildResult(router, assignments, class_points, selected, manifest)

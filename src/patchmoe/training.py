@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
 from .data import Dataset, LabeledImage
-from .moe import MoEBlock, load_entropy
+from .moe import load_entropy
 from .tensor import Rng, Tensor
 
 
@@ -227,12 +227,6 @@ def evaluate(model, images: list[LabeledImage], batch_size: int = 32) -> EvalRes
 class TrainResult:
     rows: list[dict]          # per-epoch metric rows, train and val
     final_val: EvalResult | None
-    manifest: dict
-
-
-def _moe_layer_ids(model) -> list[int]:
-    return [i for i, layer in enumerate(model.layers)
-            if isinstance(layer.mlp, MoEBlock)]
 
 
 def write_metrics_csv(rows: list[dict], moe_layers: list[int], path) -> None:
@@ -258,7 +252,7 @@ def train(model, dataset: Dataset, optim: OptimConfig, augment: AugmentConfig,
     if not train_images:
         raise ValueError("dataset has no training split")
     num_classes = model.config.num_classes
-    moe_layers = _moe_layer_ids(model)
+    moe_layers = list(model.moe_blocks())
     optimizer = AdamW(model.named_parameters(), optim)
     root = Rng(seed)
     rows: list[dict] = []
@@ -312,16 +306,6 @@ def train(model, dataset: Dataset, optim: OptimConfig, augment: AugmentConfig,
         if val_row is not None:
             rows.append(val_row)
 
-    manifest = {
-        "seed": seed,
-        "optim": asdict(optim),
-        "augment": asdict(augment),
-        "model": asdict(model.config),
-        "train_size": len(train_images),
-        "val_size": len(val_images),
-        "moe_layers": moe_layers,
-        "stage": model.stage,
-    }
     if metrics_path is not None:
         write_metrics_csv(rows, moe_layers, metrics_path)
-    return TrainResult(rows=rows, final_val=final_val, manifest=manifest)
+    return TrainResult(rows=rows, final_val=final_val)

@@ -227,7 +227,7 @@ class TestCheckpoint:
         path = tmp_path / "ck.json"
         backbone.save_checkpoint(model, path)
         loaded = backbone.load_checkpoint(path)
-        assert loaded.stage == "dense"
+        assert loaded.moe_blocks() == {}
         images = np.random.default_rng(0).integers(0, 256, (2, 8, 8, 3), dtype=np.uint8)
         assert np.array_equal(model.forward(images).logits.data,
                               loaded.forward(images).logits.data)

@@ -139,11 +139,11 @@ class TestConfig:
         assert rc == cli.EXIT_USAGE
         assert not (tmp_path / "ckpt").exists()
 
-    def test_negative_seed_flag_exits_usage(self, workdir, tmp_path):
-        rc = _exit_code(["pretrain", "--config", str(workdir["config"]),
-                         "--data", str(workdir["data"]), "--seed", "-1",
-                         "--out", str(tmp_path / "ckpt" / "dense.json")])
-        assert rc == cli.EXIT_USAGE
+    @pytest.mark.parametrize("command", ["pretrain", "finetune"])
+    def test_seed_flag_exits_usage(self, workdir, tmp_path, command):
+        """[seed] seed is the one way to seed a training run."""
+        out = tmp_path / "ckpt" / "x.json"
+        assert _exit_code(_argv(workdir, command, out) + ["--seed", "1"]) == cli.EXIT_USAGE
         assert not (tmp_path / "ckpt").exists()
 
 
@@ -179,9 +179,14 @@ class TestGenData:
         json.dumps({"fg_patch_cells": 0}),
         json.dumps({"num_backgrounds": 0}),
         '{"num_classes": 4,',
+        json.dumps({"seed": -1}),
+        json.dumps({"seed": 1.5}),
+        json.dumps({"num_classes": 4.0}),
+        json.dumps({"images_per_class": 3.0}),
     ], ids=["families-do-not-divide", "no-families", "foreground-too-large",
             "image-smaller-than-foreground", "no-images", "no-foreground",
-            "no-backgrounds", "truncated-json"])
+            "no-backgrounds", "truncated-json", "negative-seed", "fractional-seed",
+            "float-classes", "float-images"])
     def test_bad_spec_is_data_error(self, tmp_path, text):
         spec = tmp_path / "bad.json"
         spec.write_text(text)
@@ -279,20 +284,36 @@ class TestPipeline:
         run = json.loads(dense.with_suffix(".run.json").read_text())
         assert run["command"] == "pretrain"
         assert run["config"]["optim"]["epochs"] == 1
+        assert (run["train_size"], run["val_size"]) == (16, 4)
         model = backbone.load_checkpoint(dense)
-        assert model.stage == "dense"
+        assert model.moe_blocks() == {}
 
     def test_moefy_artifacts(self, workdir):
         model = backbone.load_checkpoint(workdir["moe"])
-        assert model.stage == "moe"
+        assert list(model.moe_blocks()) == [1]
         run = json.loads(workdir["moe"].with_suffix(".run.json").read_text())
-        assert run["routers"]["1"]["experts"] == 2
-        assert run["routers"]["1"]["mode"] == "cluster"
+        # 2 sampled images of 16 patches at scale 32: K = min(16, 32)
+        router = run["routers"]["1"]
+        assert (router["top_k_patches"], router["scales"]) == (16, [32])
+        assert len(router["class_assignments"]) == 4
+        assert set(router["class_assignments"]) == {0, 1}
 
     def test_finetune_artifacts(self, workdir):
         model = backbone.load_checkpoint(workdir["tuned"])
-        assert model.stage == "moe"
+        assert list(model.moe_blocks()) == [1]
         assert model.finetuned
+
+    def test_run_manifest_keys(self, workdir):
+        """A run manifest records what the run computed and the sections it
+        read, nothing the config or the checkpoint already holds."""
+        runs = {name: json.loads(workdir[name].with_suffix(".run.json").read_text())
+                for name in ("dense", "moe", "tuned")}
+        assert sorted(runs["dense"]) == ["command", "config", "train_size", "val_size"]
+        assert sorted(runs["tuned"]) == ["command", "config", "train_size", "val_size"]
+        assert sorted(runs["moe"]) == ["command", "config", "routers"]
+        assert list(runs["moe"]["routers"]) == ["1"]
+        assert sorted(runs["moe"]["routers"]["1"]) == ["class_assignments", "scales",
+                                                       "top_k_patches"]
 
     def test_moefy_on_moe_checkpoint_is_stage_error(self, workdir, tmp_path):
         rc = cli.main(["moefy", "--config", str(workdir["config"]),
@@ -428,6 +449,16 @@ class TestAffinity:
         text = out.read_text()
         assert text.count('class="cell"') == 4 * 2
         assert "temperature=0.001" in text
+
+    @pytest.mark.parametrize("mode, expected", [("pre", 7), ("figure-d", 7), ("post", 3)])
+    def test_provenance_records_the_seed_used(self, workdir, tmp_path, mode, expected):
+        """pre and figure-d sample patches with router_init.seed; post
+        samples batches with --seed."""
+        out = tmp_path / "aff.json"
+        argv = _argv(workdir, f"affinity --mode {mode}", out) + ["--format", "json"]
+        argv += ["--seed", "3"] if mode == "post" else ["--set", "router_init.seed=7"]
+        assert cli.main(argv) == 0
+        assert json.loads(out.read_text())["provenance"]["seed"] == expected
 
     def test_non_moe_layer_rejected(self, workdir, tmp_path):
         rc = cli.main(["affinity", "--ckpt", str(workdir["tuned"]),
@@ -582,6 +613,23 @@ class TestLoadedRouterValidation:
         path.write_text(json.dumps(manifest))
         assert cli.main(["inspect", "--ckpt", str(path)]) == cli.EXIT_DATA
 
+    @pytest.mark.parametrize("key, value", [("moe_layers", [0]), ("experts", 3)],
+                             ids=["moe_layers", "experts"])
+    @pytest.mark.parametrize("command", ["inspect", "eval"])
+    def test_layout_disagrees_with_entries(self, workdir, tmp_path, capsys, command,
+                                           key, value):
+        """The config's moe_layers and experts are the one source of the MoE
+        layout: an entry at another layer, or with another E, is refused."""
+        path = _copy_checkpoint(workdir["tuned"], tmp_path / "tuned.json")
+        manifest = json.loads(path.read_text())
+        manifest["config"][key] = value
+        path.write_text(json.dumps(manifest))
+        argv = [command, "--ckpt", str(path)]
+        if command == "eval":
+            argv += ["--data", str(workdir["data"]), "--out", str(tmp_path / "e.csv")]
+        assert cli.main(argv) == cli.EXIT_DATA
+        assert "the config's" in capsys.readouterr().err
+
     def test_scaler_channels_must_match_centroids(self, workdir, tmp_path, capsys):
         path = _copy_checkpoint(workdir["moe"], tmp_path / "moe.json")
         manifest = json.loads(path.read_text())
@@ -654,7 +702,7 @@ class TestOlderManifests:
         manifest["moe"]["1"].update(experts=5, top_k=2, temperature=0.5, gate_mode="raw")
         path.write_text(json.dumps(manifest))
         model = backbone.load_checkpoint(path)
-        assert model.stage == "moe"
+        assert list(model.moe_blocks()) == [1]
         router = model.layers[1].mlp.router
         assert (router.top_k, router.temperature, router.gate_mode) == (1, 1.0, "renorm")
         result = model.forward(images)

@@ -144,7 +144,7 @@ class TestMoefyLayer:
         block = expert_init.moefy_layer(model, 1, router)
         assert isinstance(model.layers[1].mlp, moe.MoEBlock)
         assert isinstance(model.layers[0].mlp, backbone.DenseMLP)
-        assert model.stage == "moe"
+        assert model.moe_blocks() == {1: block}
         assert len(block.experts) == 3
         assert all(e.indices.size == cfg.d_ff // cfg.reduction_factor
                    for e in block.experts)
@@ -171,6 +171,16 @@ class TestMoefyLayer:
         with pytest.raises(ValueError, match="config"):
             expert_init.moefy_layer(model, 1, make_router(cfg.d_model, 3, **setting))
         assert isinstance(model.layers[1].mlp, backbone.DenseMLP)
+
+    @pytest.mark.parametrize("layer, experts", [(0, 3), (1, 2)],
+                             ids=["layer-not-in-moe_layers", "experts"])
+    def test_layout_must_match_config(self, layer, experts):
+        """The config's moe_layers and experts are the one source of the MoE
+        layout a checkpoint stores (config moe_layers (1,), experts 3)."""
+        model, cfg = self.make_model()
+        with pytest.raises(ValueError, match="moe_layers"):
+            expert_init.moefy_layer(model, layer, make_router(cfg.d_model, experts))
+        assert model.moe_blocks() == {}
 
     def test_indivisible_reduction_rejected(self):
         # d_ff = 16: the config, moefy_layer's one source of the factor, rejects 5
@@ -235,7 +245,7 @@ class TestDenseEquivalence:
         before = model.forward(images).logits.data.copy()
         backbone.save_checkpoint(model, tmp_path / "m.json")
         loaded = backbone.load_checkpoint(tmp_path / "m.json")
-        assert loaded.stage == "moe"
+        assert list(loaded.moe_blocks()) == [1]
         after = loaded.forward(images).logits.data
         assert np.array_equal(before, after)
         assert (loaded.layers[1].mlp.source_hash

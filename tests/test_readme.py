@@ -1,0 +1,34 @@
+"""The README's CLI walkthrough runs as written."""
+
+import re
+import shlex
+from pathlib import Path
+
+from patchmoe import cli
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def walkthrough():
+    """The files the walkthrough writes with `cat > name <<'TAG'` and its
+    `patchmoe ...` command lines, backslash continuations joined."""
+    text = README.read_text().split("## CLI walkthrough", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", text, re.S).group(1)
+    files = {name: body for name, _, body in
+             re.findall(r"cat > (\S+) <<'(\w+)'\n(.*?\n)\2\n", block, re.S)}
+    commands = [shlex.split(line)[1:]
+                for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("patchmoe ")]
+    return files, commands
+
+
+def test_walkthrough_exits_zero(tmp_path, monkeypatch):
+    files, commands = walkthrough()
+    assert sorted(files) == ["run.ini", "spec.json"]
+    assert [argv[0] for argv in commands] == [
+        "gen-data", "pretrain", "moefy", "finetune", "eval", "affinity", "inspect"]
+    monkeypatch.chdir(tmp_path)
+    for name, body in files.items():
+        (tmp_path / name).write_text(body)
+    for argv in commands:
+        assert cli.main(argv) == 0, argv

@@ -261,9 +261,10 @@ class TestBuildRouter:
     def test_manifest_defaults(self, tiny_setup):
         model, dataset = tiny_setup
         res = router_init.build_router(model, dataset, 1, 2)
-        assert res.manifest["top_k_patches_requested"] == 128
-        assert res.manifest["refine_steps"] == 5
-        assert res.manifest["experts"] == 2
+        # 8 samples per class cap at its 4 train images, of 9 + 16 + 25 patch
+        # rows each at the default scales 24, 32 and 40: K = min(128, 200)
+        assert res.manifest == {"top_k_patches": 128, "scales": [24, 32, 40],
+                                "class_assignments": res.class_assignments.tolist()}
 
     def test_deterministic(self, tiny_setup):
         model, dataset = tiny_setup

@@ -1,6 +1,7 @@
 """Optimizer, augmentation, and the training/eval loop."""
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -248,11 +249,7 @@ class TestTrain:
         assert read[0] == ["epoch", "split", "loss", "top1",
                            "expert_entropy_layer_1"]
         assert len(read) == 1 + len(result.rows)
-        run = result.manifest
-        assert run["seed"] == 0
-        assert run["optim"]["lr_moe"] == 0.005
-        assert run["moe_layers"] == [1]
-        assert run["stage"] == "moe"
+        assert [f.name for f in dataclasses.fields(result)] == ["rows", "final_val"]
 
     def test_train_rows_report_train_routing(self):
         model, dataset = routed_toy()
