@@ -188,9 +188,11 @@ def _train_and_save(model, dataset, resolved: dict, seed: int, out: Path,
     if not dataset.split("train"):
         raise data.DataError(f"{command}: the dataset has no train images")
     out.parent.mkdir(parents=True, exist_ok=True)
-    result = training.train(model, dataset, optim, augment, seed=seed,
-                            metrics_path=out.with_suffix(".metrics.csv"))
+    result = training.train(model, dataset, optim, augment, seed=seed)
     backbone.save_checkpoint(model, out)
+    # After the checkpoint, so that a failed save leaves no orphan metrics.
+    training.write_metrics_csv(result.rows, list(model.moe_blocks()),
+                               out.with_suffix(".metrics.csv"))
     write_run_manifest(out.with_suffix(".run.json"), command, resolved,
                        {"train_size": len(dataset.split("train")),
                         "val_size": len(dataset.split("val"))})

@@ -241,7 +241,7 @@ def write_metrics_csv(rows: list[dict], moe_layers: list[int], path) -> None:
 
 
 def train(model, dataset: Dataset, optim: OptimConfig, augment: AugmentConfig,
-          seed: int, metrics_path=None) -> TrainResult:
+          seed: int) -> TrainResult:
     """Train on the dataset's train split, evaluating on val every epoch.
 
     Deterministic given the seed: the shuffle, flips, MixUp draws, and
@@ -306,6 +306,4 @@ def train(model, dataset: Dataset, optim: OptimConfig, augment: AugmentConfig,
         if val_row is not None:
             rows.append(val_row)
 
-    if metrics_path is not None:
-        write_metrics_csv(rows, moe_layers, metrics_path)
     return TrainResult(rows=rows, final_val=final_val)

@@ -184,6 +184,17 @@ class TestFusedNodesMatchChains:
     @pytest.mark.parametrize("top_k", [1, 2])
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_model_digest(self, monkeypatch, dtype, top_k, swap):
+        self.assert_fused_matches_chain(monkeypatch, dtype, top_k, swap)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_model_digest_one_image_blocks(self, monkeypatch, dtype):
+        """The same with T.attention forced to one image per block (four
+        blocks in place of one)."""
+        monkeypatch.setattr(T, "ATTN_BLOCK_BYTES", 1)
+        self.assert_fused_matches_chain(monkeypatch, dtype, 2, "attention")
+
+    @staticmethod
+    def assert_fused_matches_chain(monkeypatch, dtype, top_k, swap):
         T.set_default_dtype(dtype)
         try:
             cfg = backbone.desk_config(6, moe_layers=(1, 3), experts=4, top_k=top_k)

@@ -212,6 +212,20 @@ class TestPipeline:
             assert out.with_suffix(suffix).exists(), suffix
 
     @pytest.mark.parametrize("command, ckpt", [("pretrain", None), ("finetune", "moe")])
+    def test_failed_save_leaves_no_metrics(self, workdir, tmp_path, monkeypatch, command,
+                                           ckpt):
+        def failing_save(model, path):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(backbone, "save_checkpoint", failing_save)
+        out = tmp_path / "ckpt" / "x.json"
+        args = ["--ckpt", str(workdir[ckpt])] if ckpt else []
+        with pytest.raises(OSError):
+            cli.main([command, "--config", str(workdir["config"]), *args,
+                      "--data", str(workdir["data"]), "--out", str(out)])
+        assert list(out.parent.iterdir()) == []  # no metrics CSV, no run manifest
+
+    @pytest.mark.parametrize("command, ckpt", [("pretrain", None), ("finetune", "moe")])
     def test_no_train_images_is_data_error(self, workdir, tmp_path, command, ckpt):
         (tmp_path / "data" / "class_a").mkdir(parents=True)
         args = ["--ckpt", str(workdir[ckpt])] if ckpt else []

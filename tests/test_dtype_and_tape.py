@@ -2,6 +2,8 @@
 (evaluate, affinity_post, capture_pre_mlp) build no autodiff tape, and a
 training tape keeps only what its backward reads."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,23 @@ class TestNoTape:
         assert model.head_w.requires_grad
 
 
+class TestAttentionMemory:
+    def test_no_grad_forward_holds_one_block(self):
+        """An untaped T.attention never holds the whole (B, heads, N, N)
+        score array: its traced peak is under half of it."""
+        rng = np.random.default_rng(0)
+        q, k, v = (T.Tensor(rng.standard_normal((16, 2, 256, 16)).astype(np.float32))
+                   for _ in range(3))
+        whole = 16 * 2 * 256 * 256 * 4  # 8 MiB
+        tracemalloc.start()
+        try:
+            T.attention(q, k, v, 0.25)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < whole / 2
+
+
 def held_arrays(root):
     """Every array the tape from root holds: node payloads and the arrays
     the backward closures captured, one entry per distinct buffer."""
@@ -202,6 +221,13 @@ class TestTrainingTape:
         assert len(scores) == len(model.layers)
         for p in scores:  # the softmax probabilities: rows sum to 1
             assert np.allclose(p.sum(axis=-1), 1.0, atol=1e-5)
+
+    def test_one_score_array_per_layer_in_blocks(self, monkeypatch):
+        """With one image per attention block, the tape still keeps P whole."""
+        monkeypatch.setattr(T, "ATTN_BLOCK_BYTES", 1)
+        model = make_model()
+        scores = self.score_arrays(model, self.forward_loss(model, self.images()))
+        assert len(scores) == len(model.layers)
 
     def test_chain_oracle_held_three_per_layer(self, monkeypatch):
         """The count above sees the score arrays the op chain kept."""

@@ -239,6 +239,58 @@ class TestFusedNodesMatchChains:
                      T.Tensor(np.zeros(2)))
 
 
+class TestAttentionBlocks:
+    """T.attention works through the leading (image) axis one block at a
+    time; the block size changes no byte of the output or of any input
+    gradient."""
+
+    @staticmethod
+    def run(monkeypatch, block_bytes, leaves, cot, requires, views):
+        monkeypatch.setattr(T, "ATTN_BLOCK_BYTES", block_bytes)
+        ins = [T.Tensor(a, requires_grad=r) for a, r in zip(leaves, requires)]
+        out = T.attention(*[T.transpose(t, (0, 2, 1, 3)) for t in ins] if views else ins, 0.3)
+        if any(requires):
+            out.backward(cot)
+        return [out.data] + [t.grad for t in ins]
+
+    @staticmethod
+    def assert_same(got, want):
+        for g, w in zip(got, want):
+            assert (g is None) == (w is None)
+            if g is not None:
+                assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("per_block, n_blocks", [(1, 5), (2, 3), (8, 1)],
+                             ids=["one-image", "remainder", "larger-than-batch"])
+    @pytest.mark.parametrize("requires", [(True, True, True), (False, True, False),
+                                          (True, False, True), (False, False, False)],
+                             ids=["qkv", "k", "qv", "none"])
+    @pytest.mark.parametrize("views", [False, True], ids=["contiguous", "head-split"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_block_size_changes_no_byte(self, monkeypatch, per_block, n_blocks, requires,
+                                        views, dtype):
+        b, heads, n, dh = 5, 2, 12, 4
+        block_bytes = per_block * heads * n * n * np.dtype(dtype).itemsize
+        monkeypatch.setattr(T, "ATTN_BLOCK_BYTES", block_bytes)
+        assert len(T._image_blocks((b, heads, n, n), np.dtype(dtype).itemsize)[0]) == n_blocks
+        rng = np.random.default_rng(per_block)
+        leaves = [rng.standard_normal((b, n, heads, dh) if views else (b, heads, n, dh))
+                  .astype(dtype) for _ in range(3)]
+        cot = rng.standard_normal((b, heads, n, dh)).astype(dtype)
+        blocked = self.run(monkeypatch, block_bytes, leaves, cot, requires, views)
+        whole = self.run(monkeypatch, 1 << 62, leaves, cot, requires, views)
+        self.assert_same(blocked, whole)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_2d_call_is_one_block(self, monkeypatch, dtype):
+        rng = np.random.default_rng(0)
+        leaves = [rng.standard_normal((7, 3)).astype(dtype) for _ in range(3)]
+        cot = rng.standard_normal((7, 3)).astype(dtype)
+        tiny = self.run(monkeypatch, 1, leaves, cot, (True, True, True), False)
+        whole = self.run(monkeypatch, 1 << 62, leaves, cot, (True, True, True), False)
+        self.assert_same(tiny, whole)
+
+
 def test_minmax_apply_gradcheck():
     params = T.ScalerParams(np.array([-1.0, 0.0, 0.5]), np.array([1.0, 0.0, 2.0]))
     gradcheck(lambda x: T.minmax_apply(params, x), [(4, 3)],

@@ -243,7 +243,8 @@ class TestTrain:
         ds = make_two_class_dataset()
         metrics = tmp_path / "metrics.csv"
         result = training.train(model, ds, optim(epochs=2), training.AugmentConfig(),
-                                seed=0, metrics_path=metrics)
+                                seed=0)
+        training.write_metrics_csv(result.rows, list(model.moe_blocks()), metrics)
         with open(metrics) as f:
             read = list(csv.reader(f))
         assert read[0] == ["epoch", "split", "loss", "top1",
