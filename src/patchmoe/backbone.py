@@ -3,9 +3,9 @@
 The model is deliberately small and auditable: a single learned projection of
 non-overlapping pixel blocks, learned additive positional embeddings per
 (patch, pixel) slot, pre-norm multi-head self-attention, and an MLP sublayer
-that can be swapped for a mixture-of-experts block per layer. The activation
-after attention and the MLP-input layer norm is the capture point for router
-initialization.
+that can be swapped for a mixture-of-experts block per layer. The MLP's
+activation is SiLU, as in MobileViTV2. The activation after attention and the
+MLP-input layer norm is the capture point for router initialization.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ class ModelConfig:
     layers: int = 9
     heads: int = 2
     dropout: float = 0.1
-    activation: str = "silu"
     moe_layers: tuple[int, ...] = ()
     experts: int = 16
     top_k: int = 1
@@ -50,6 +49,8 @@ class ModelConfig:
             raise ValueError("need at least one layer")
         if any(i < 0 or i >= self.layers for i in self.moe_layers):
             raise ValueError("moe_layers outside 0..layers-1")
+        if len(set(self.moe_layers)) != len(self.moe_layers):
+            raise ValueError("moe_layers repeats a layer")
         sizes = ("image_size", "patch_size", "n_px", "heads", "d_model", "d_ff", "experts")
         if min(getattr(self, k) for k in sizes) < 1:
             raise ValueError(f"{', '.join(sizes)} must be >= 1")
@@ -62,8 +63,6 @@ class ModelConfig:
             raise ValueError("image_size not divisible by the patch grid")
         if self.d_model % self.heads != 0:
             raise ValueError("d_model not divisible by heads")
-        if self.activation not in T.ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
         if not 1 <= self.top_k <= self.experts:
@@ -110,10 +109,9 @@ class DenseMLP:
     b1: Tensor
     w2: Tensor
     b2: Tensor
-    activation: str = "silu"
 
     def forward(self, pre: Tensor) -> Tensor:
-        h = T.activation(T.linear(pre, self.w1, self.b1), self.activation)
+        h = T.silu(T.linear(pre, self.w1, self.b1))
         return T.linear(h, self.w2, self.b2)
 
     def parameters(self) -> dict[str, Tensor]:
@@ -178,8 +176,7 @@ class Model:
                 bv=T.parameter(np.zeros(d)), bo=T.parameter(np.zeros(d)),
                 ln2_gain=T.parameter(np.ones(d)), ln2_bias=T.parameter(np.zeros(d)),
                 mlp=DenseMLP(w1=w(4, (d, cfg.d_ff)), b1=T.parameter(np.zeros(cfg.d_ff)),
-                             w2=w(5, (cfg.d_ff, d)), b2=T.parameter(np.zeros(d)),
-                             activation=cfg.activation),
+                             w2=w(5, (cfg.d_ff, d)), b2=T.parameter(np.zeros(d))),
             ))
         self.head_w = T.parameter(None, rng.child(3), (d, cfg.num_classes),
                                   scale=1 / math.sqrt(d))
@@ -371,10 +368,15 @@ def _model_from_manifest(manifest: dict) -> Model:
     an MoE entry, at one of its moe_layers, adds only its scaler, its
     experts' indices (config.experts lists of them) and its source hash.
     Parameter values are placeholders."""
-    missing = [f.name for f in fields(ModelConfig) if f.name not in manifest["config"]]
+    stored = dict(manifest["config"])
+    # Older manifests record the MLP activation, which is always SiLU.
+    activation = stored.pop("activation", "silu")
+    if activation != "silu":
+        raise ValueError(f"config.activation is {activation!r}; the model uses 'silu'")
+    missing = [f.name for f in fields(ModelConfig) if f.name not in stored]
     if missing:
         raise ValueError(f"config lacks {', '.join(missing)}")
-    config = ModelConfig(**manifest["config"])
+    config = ModelConfig(**stored)
     model = Model(config, Rng(0))
     d = config.d_model
     for key, info in manifest["moe"].items():
@@ -400,8 +402,7 @@ def _model_from_manifest(manifest: dict) -> Model:
                 ln_gain=T.parameter(np.ones(d)), ln_bias=T.parameter(np.zeros(d)),
                 w1=T.parameter(np.zeros((d, de))), b1=T.parameter(np.zeros(de)),
                 w2=T.parameter(np.zeros((de, d))), b2=T.parameter(np.zeros(d)),
-                gamma=T.parameter(np.zeros(())), x_corr=T.parameter(np.zeros(d)),
-                activation=config.activation))
+                gamma=T.parameter(np.zeros(())), x_corr=T.parameter(np.zeros(d))))
         model.layers[int(key)].mlp = moe_mod.MoEBlock(
             router=router, experts=experts, source_hash=info["source_dense_hash"])
     model.finetuned = manifest["finetuned"]

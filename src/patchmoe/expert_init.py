@@ -28,7 +28,6 @@ class DenseMLPSnapshot:
     b2: np.ndarray
     ln_gain: np.ndarray
     ln_bias: np.ndarray
-    activation: str = "silu"
 
     @property
     def d_ff(self) -> int:
@@ -40,8 +39,7 @@ def snapshot_dense_mlp(layer: TransformerLayer) -> DenseMLPSnapshot:
     return DenseMLPSnapshot(
         w1=mlp.w1.data.copy(), b1=mlp.b1.data.copy(),
         w2=mlp.w2.data.copy(), b2=mlp.b2.data.copy(),
-        ln_gain=layer.ln2_gain.data.copy(), ln_bias=layer.ln2_bias.data.copy(),
-        activation=mlp.activation)
+        ln_gain=layer.ln2_gain.data.copy(), ln_bias=layer.ln2_bias.data.copy())
 
 
 def _normed_centroid(snapshot: DenseMLPSnapshot, centroid_raw: np.ndarray) -> np.ndarray:
@@ -55,7 +53,7 @@ def _normed_centroid(snapshot: DenseMLPSnapshot, centroid_raw: np.ndarray) -> np
 def hidden_activations(snapshot: DenseMLPSnapshot, centroid_raw: np.ndarray) -> np.ndarray:
     h = _normed_centroid(snapshot, centroid_raw)
     pre = h @ snapshot.w1.astype(np.float64) + snapshot.b1
-    return T.activation(Tensor(pre), snapshot.activation).data
+    return T.silu(Tensor(pre)).data
 
 
 def importance_permutation(snapshot: DenseMLPSnapshot, centroid_raw: np.ndarray,
@@ -91,7 +89,6 @@ def build_expert(snapshot: DenseMLPSnapshot, indices: np.ndarray,
         b2=T.parameter(snapshot.b2.copy()),
         gamma=T.parameter(np.asarray(gamma, dtype=dtype)),
         x_corr=T.parameter(full_mlp_output(snapshot, centroid_raw).astype(dtype)),
-        activation=snapshot.activation,
     )
 
 

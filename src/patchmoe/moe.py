@@ -63,7 +63,6 @@ class ExpertMLP:
     b2: Tensor  # d
     gamma: Tensor  # scalar blend weight, clamped to [0, 1] after each step
     x_corr: Tensor  # d, full-MLP output at the expert's raw-space centroid
-    activation: str = "silu"
 
     def parameters(self) -> dict[str, Tensor]:
         return {"ln.gain": self.ln_gain, "ln.bias": self.ln_bias,
@@ -74,7 +73,7 @@ class ExpertMLP:
 def expert_forward(x_pixels: Tensor, expert: ExpertMLP) -> Tensor:
     """Run one expert on an n x d pixel batch."""
     h = T.layer_norm(x_pixels, expert.ln_gain, expert.ln_bias)
-    a = T.activation(T.linear(h, expert.w1, expert.b1), expert.activation)
+    a = T.silu(T.linear(h, expert.w1, expert.b1))
     out = T.linear(a, expert.w2, expert.b2)
     one_minus = T.sub(T.Tensor(1.0), expert.gamma)
     return T.add(T.mul(out, one_minus), T.mul(expert.x_corr, expert.gamma))

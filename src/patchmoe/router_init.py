@@ -293,8 +293,9 @@ def build_router(model, dataset: Dataset, layer: int, num_experts: int,
     (-> optional weighted refinement) -> Router."""
     cfg = model.config
     params = params or RouterInitParams()
-    if layer not in cfg.moe_layers and cfg.moe_layers:
-        raise ValueError(f"layer {layer} is not a configured MoE layer")
+    if layer not in cfg.moe_layers or num_experts != cfg.experts:
+        raise ValueError(f"layer {layer} with {num_experts} experts is not in the "
+                         f"config's moe_layers {list(cfg.moe_layers)} with experts {cfg.experts}")
     scales, selected = select_class_patches(model, dataset, layer, params)
 
     pooled = np.concatenate([s.rows for s in selected], axis=0)

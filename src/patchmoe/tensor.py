@@ -14,7 +14,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 FLOAT_DTYPES = {"float32": np.float32, "float64": np.float64}
 
@@ -492,10 +491,6 @@ def clamp_min(a: Tensor, floor: float) -> Tensor:
     return Tensor(out_data, _parents=(a,), _backward=backward)
 
 
-def relu(a: Tensor) -> Tensor:
-    return clamp_min(a, 0.0)
-
-
 def silu(a: Tensor) -> Tensor:
     sig = 1.0 / (1.0 + np.exp(-a.data))
     out_data = a.data * sig
@@ -505,33 +500,6 @@ def silu(a: Tensor) -> Tensor:
             a._accumulate(g * sig * (1.0 + a.data * (1.0 - sig)))
 
     return Tensor(out_data, _parents=(a,), _backward=backward)
-
-
-# Python floats, so they take the dtype of the array they scale.
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-def gelu(a: Tensor) -> Tensor:
-    cdf = 0.5 * (1.0 + erf(a.data * _INV_SQRT2))
-    out_data = a.data * cdf
-
-    def backward(g):
-        if a.requires_grad:
-            pdf = _INV_SQRT2PI * np.exp(-0.5 * a.data * a.data)
-            a._accumulate(g * (cdf + a.data * pdf))
-
-    return Tensor(out_data, _parents=(a,), _backward=backward)
-
-
-ACTIVATIONS = {"silu": silu, "relu": relu, "gelu": gelu}
-
-
-def activation(a: Tensor, kind: str = "silu") -> Tensor:
-    try:
-        return ACTIVATIONS[kind](a)
-    except KeyError:
-        raise ValueError(f"unknown activation {kind!r}") from None
 
 
 def dropout(a: Tensor, p: float, rng: Rng) -> Tensor:

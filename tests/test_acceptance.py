@@ -214,7 +214,7 @@ def make_expert_constant(d, value):
         ln_bias=T.parameter(np.zeros(d)), w1=T.parameter(np.zeros((d, 1))),
         b1=T.parameter(np.zeros(1)), w2=T.parameter(np.zeros((1, d))),
         b2=T.parameter(np.zeros(d)), gamma=T.parameter(np.asarray(1.0)),
-        x_corr=T.parameter(np.full(d, value)), activation="relu")
+        x_corr=T.parameter(np.full(d, value)))
 
 
 def test_criterion_06_affinity_arithmetic():

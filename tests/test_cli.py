@@ -131,7 +131,8 @@ class TestConfig:
         "model.patch_size=0", "model.n_px=0", "model.dropout=-0.1", "moe.top_k=0",
         "optim.betas=1.0,0.99", "optim.betas=0.9,-0.1", "optim.betas=0.9",
         "optim.lr_moe=nan", "optim.lr_rest=inf", "optim.wd_classifier=-1",
-        "optim.wd_other=nan", "optim.eps=-1", "optim.eps=0"])
+        "optim.wd_other=nan", "optim.eps=-1", "optim.eps=0", "moe.moe_layers=1,1",
+        "moe.moe_layers=0,1,0"])
     def test_bad_override_exits_usage(self, workdir, tmp_path, override):
         rc = cli.main(["pretrain", "--config", str(workdir["config"]),
                        "--data", str(workdir["data"]), "--set", override,
@@ -596,7 +597,7 @@ class TestCheckpointErrors:
 
     @pytest.mark.parametrize("key, value", [
         ("patch_size", 5), ("activation", "foo"), ("dropout", 1.0), ("top_k", 5),
-        ("router_temperature", 0.0), ("reduction_factor", 3)])
+        ("router_temperature", 0.0), ("reduction_factor", 3), ("moe_layers", [1, 1])])
     def test_rejected_config(self, ckpt, key, value):
         manifest = json.loads(ckpt.read_text())
         manifest["config"][key] = value
@@ -726,6 +727,22 @@ class TestOlderManifests:
         out = capsys.readouterr().out
         assert "layer 1: experts 2," in out and "top_k 1," in out
 
+    def test_older_activation_key(self, workdir, tmp_path, capsys):
+        """Older configs record the MLP activation: "silu" loads and forwards
+        bit for bit as the checkpoint without it; any other value exits 3."""
+        path = _copy_checkpoint(workdir["tuned"], tmp_path / "tuned.json")
+        images = np.stack([im.pixels for im in data.load_dataset(workdir["data"]).images[:8]])
+        expected = self.logits(path, images)
+        manifest = json.loads(path.read_text())
+        assert "activation" not in manifest["config"]
+        manifest["config"]["activation"] = "silu"
+        path.write_text(json.dumps(manifest))
+        assert self.logits(path, images).tobytes() == expected.tobytes()
+        manifest["config"]["activation"] = "gelu"
+        path.write_text(json.dumps(manifest))
+        assert cli.main(["inspect", "--ckpt", str(path)]) == cli.EXIT_DATA
+        assert "activation" in capsys.readouterr().err
+
 
 def test_failed_save_keeps_old_checkpoint(workdir, tmp_path, monkeypatch):
     """save_checkpoint moves its files into place only after both are
@@ -785,6 +802,7 @@ class TestRunConfigSections:
         expected = {s: dict(keys) for s, keys in HAND_WRITTEN_CONFIG_SCHEMA.items()
                     if s != "data"}
         del expected["model"]["num_classes"]
+        del expected["model"]["activation"]  # the MLP activation is always SiLU
         assert cli.CONFIG_SCHEMA == expected
         assert router_init.RouterInitParams().scales == ()
 
@@ -851,11 +869,21 @@ class TestRunConfigSections:
         ("pretrain", ["--set", "data.seed=1"]),
         ("pretrain", ["--set", "model.num_classes=5"]),
         ("moefy", ["--seed", "1"]),
-    ], ids=["data-section", "model-num-classes", "moefy-seed"])
+        ("pretrain", ["--set", "model.activation=silu"]),
+    ], ids=["data-section", "model-num-classes", "moefy-seed", "model-activation"])
     def test_removed_settings_exit_usage(self, workdir, tmp_path, command, extra):
         out = tmp_path / "out" / "x.json"
         assert _exit_code(_argv(workdir, command, out) + extra) == cli.EXIT_USAGE
         assert not (tmp_path / "out").exists()
+
+    def test_activation_in_file_exits_usage(self, workdir, tmp_path, capsys):
+        config = tmp_path / "run.ini"
+        config.write_text(CONFIG_INI.replace("[model]\n", "[model]\nactivation = silu\n"))
+        out = tmp_path / "out" / "x.json"
+        assert cli.main(["pretrain", "--config", str(config), "--data", str(workdir["data"]),
+                         "--out", str(out)]) == cli.EXIT_USAGE
+        assert not (tmp_path / "out").exists()
+        assert "unknown key 'activation'" in capsys.readouterr().err
 
 
 def test_inspect_reads_expert_width_from_weights(workdir, tmp_path, capsys):

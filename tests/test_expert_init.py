@@ -11,12 +11,12 @@ from patchmoe.tensor import Rng, Tensor
 from util_model import toy_config
 
 
-def identity_snapshot(d, d_ff, activation="relu", seed=0):
+def identity_snapshot(d, d_ff, seed=0):
     rng = np.random.default_rng(seed)
     return expert_init.DenseMLPSnapshot(
         w1=rng.normal(size=(d, d_ff)), b1=rng.normal(size=d_ff),
         w2=rng.normal(size=(d_ff, d)), b2=rng.normal(size=d),
-        ln_gain=np.ones(d), ln_bias=np.zeros(d), activation=activation)
+        ln_gain=np.ones(d), ln_bias=np.zeros(d))
 
 
 def make_router(d, num_experts, seed=0, **kwargs):
@@ -31,16 +31,19 @@ HAND_SNAPSHOT = expert_init.DenseMLPSnapshot(
     b1=np.zeros(4),
     w2=np.arange(8, dtype=np.float64).reshape(4, 2),
     b2=np.array([0.5, -0.5]),
-    ln_gain=np.ones(2), ln_bias=np.zeros(2), activation="relu")
+    ln_gain=np.ones(2), ln_bias=np.zeros(2))
 HAND_CENTROID = np.array([1.0, -1.0])  # zero mean, unit variance: LN is identity
+# SiLU of the hand case's pre-activations [3, 1, 2, 2]
+HAND_ACTS = np.array([2.85772238, 0.73105858, 1.76159416, 1.76159416])
 
 
 class TestImportancePermutation:
     def test_hand_case_with_tie(self):
-        # LN([1,-1]) = [1,-1]; pre-activations [3, 1, 2, 2]; the tie at
-        # value 2 goes to index 2
+        # LN([1,-1]) = [1,-1]; pre-activations [3, 1, 2, 2]; SiLU keeps their
+        # order and the tie at value 2, which goes to index 2
         acts = expert_init.hidden_activations(HAND_SNAPSHOT, HAND_CENTROID)
-        assert np.allclose(acts, [3.0, 1.0, 2.0, 2.0])
+        assert np.allclose(acts, HAND_ACTS)
+        assert acts[2] == acts[3]
         idx = expert_init.importance_permutation(HAND_SNAPSHOT, HAND_CENTROID, 2)
         assert idx.tolist() == [0, 2]
 
@@ -81,10 +84,9 @@ class TestBuildExpert:
         assert float(ex.gamma.data) == pytest.approx(0.9)
 
     def test_x_corr_is_full_mlp_output(self):
-        # acts [3,1,2,2] @ w2 + b2, with the unsliced hidden width
+        # SiLU([3,1,2,2]) @ w2 + b2, with the unsliced hidden width
         ex = expert_init.build_expert(HAND_SNAPSHOT, np.array([0, 2]), HAND_CENTROID)
-        acts = np.array([3.0, 1.0, 2.0, 2.0])
-        expected = acts @ HAND_SNAPSHOT.w2 + HAND_SNAPSHOT.b2
+        expected = HAND_ACTS @ HAND_SNAPSHOT.w2 + HAND_SNAPSHOT.b2
         assert np.allclose(ex.x_corr.data, expected)
 
     def test_gamma_one_outputs_x_corr(self):
@@ -95,14 +97,13 @@ class TestBuildExpert:
         assert np.allclose(out.data, np.broadcast_to(ex.x_corr.data, (5, 2)))
 
     def test_full_permutation_gamma_zero_matches_dense(self):
-        snap = identity_snapshot(8, 16, activation="silu", seed=7)
+        snap = identity_snapshot(8, 16, seed=7)
         ex = expert_init.build_expert(snap, np.arange(16), np.zeros(8), gamma=0.0)
         rng = np.random.default_rng(2)
         x = rng.normal(size=(10, 8))
         out = moe.expert_forward(Tensor(x), ex)
         normed = T.layer_norm(Tensor(x), Tensor(snap.ln_gain), Tensor(snap.ln_bias))
-        h = T.activation(T.add(T.matmul(normed, Tensor(snap.w1)), Tensor(snap.b1)),
-                         "silu")
+        h = T.silu(T.add(T.matmul(normed, Tensor(snap.w1)), Tensor(snap.b1)))
         dense = T.add(T.matmul(h, Tensor(snap.w2)), Tensor(snap.b2))
         assert np.allclose(out.data, dense.data, atol=1e-6)
 
@@ -124,7 +125,7 @@ class TestBuildExpert:
         w1[2:, 4:] = 1.0
         snap = expert_init.DenseMLPSnapshot(
             w1=w1, b1=np.zeros(d_ff), w2=np.zeros((d_ff, d)), b2=np.zeros(d),
-            ln_gain=np.ones(d), ln_bias=np.zeros(d), activation="relu")
+            ln_gain=np.ones(d), ln_bias=np.zeros(d))
         c_a = np.array([3.0, 3.0, -1.0, -1.0])
         c_b = np.array([-1.0, -1.0, 3.0, 3.0])
         idx_a = expert_init.importance_permutation(snap, c_a, 4)

@@ -124,7 +124,7 @@ class TestExpertForward:
         assert np.allclose(out, dense, atol=1e-5)
 
     def test_hand_sized_case(self):
-        # d=2, d_ff=4, d_e=2 with explicit weights, ReLU for hand tractability.
+        # d=2, d_ff=4, d_e=2 with explicit weights.
         w1 = np.array([[1.0, 0.0], [0.0, -1.0]])   # already sliced to d_e=2
         w2 = np.array([[1.0, 2.0], [3.0, 4.0]])
         ex = moe.ExpertMLP(
@@ -133,14 +133,14 @@ class TestExpertForward:
             w1=T.parameter(w1), b1=T.parameter(np.array([0.5, 0.5])),
             w2=T.parameter(w2), b2=T.parameter(np.array([1.0, -1.0])),
             gamma=T.parameter(np.asarray(0.25)), x_corr=T.parameter(np.array([4.0, 8.0])),
-            activation="relu",
         )
         x = Tensor(np.array([[1.0, 3.0]]))
-        # layer norm of [1,3] -> [-1,1]; h = relu([-1*1+0.5, -1*-1*... ])
-        # ln = [-1, 1]; pre-act = [-1+0.5, -1+0.5] = [-0.5, -0.5] -> relu = 0
-        # out = b2 = [1, -1]; blend = 0.75*[1,-1] + 0.25*[4,8] = [1.75, 1.25]
+        # ln = [-1, 1]; pre-act = [-1+0.5, -1+0.5] = [-0.5, -0.5]
+        # -> silu = -0.5 / (1 + e^0.5) = -0.18877033 for both
+        # out = -0.18877033 * [1+3, 2+4] + b2 = [0.24491866, -2.13262201]
+        # blend = 0.75*out + 0.25*[4,8] = [1.18368900, 0.40053350]
         out = moe.expert_forward(x, ex).data
-        assert np.allclose(out, [[1.75, 1.25]], atol=1e-4)
+        assert np.allclose(out, [[1.183689, 0.4005335]], atol=1e-4)
 
 
 class TestMoEForward:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -223,6 +225,11 @@ def tiny_setup():
     return model, dataset
 
 
+def set_experts(monkeypatch, model, experts):
+    """Give a shared model's config another E for one test."""
+    monkeypatch.setattr(model, "config", dataclasses.replace(model.config, experts=experts))
+
+
 class TestCollectEmbeddings:
     def test_patch_counts_single_scale(self, tiny_setup):
         model, dataset = tiny_setup
@@ -252,8 +259,9 @@ class TestCollectEmbeddings:
 
 
 class TestBuildRouter:
-    def test_single_expert_is_mean_of_class_points(self, tiny_setup):
+    def test_single_expert_is_mean_of_class_points(self, tiny_setup, monkeypatch):
         model, dataset = tiny_setup
+        set_experts(monkeypatch, model, 1)
         res = router_init.build_router(model, dataset, 1, 1)
         assert np.allclose(res.router.centroids.data,
                            res.class_points.mean(axis=0), atol=1e-5)
@@ -280,17 +288,30 @@ class TestBuildRouter:
         assert res.class_assignments.shape == (4,)
         assert set(res.class_assignments) <= {0, 1}
 
-    def test_random_mode(self, tiny_setup):
+    def test_random_mode(self, tiny_setup, monkeypatch):
         model, dataset = tiny_setup
+        set_experts(monkeypatch, model, 3)
         p = router_init.RouterInitParams(mode="random", seed=4)
         res = router_init.build_router(model, dataset, 1, 3, p)
         assert res.class_assignments is None
         assert res.router.centroids.shape == (3, 16)
 
-    def test_wrong_layer_rejected(self, tiny_setup):
+    @pytest.mark.parametrize("layer, experts, moe_layers", [
+        (0, 2, (1,)), (1, 3, (1,)), (1, 1, (1,)), (1, 2, ())],
+        ids=["other-layer", "more-experts", "fewer-experts", "no-moe-layers"])
+    def test_refused_before_any_capture(self, tiny_setup, monkeypatch,
+                                        layer, experts, moe_layers):
+        """A router moefy_layer must refuse is not built: build_router fails
+        before its first capture forward."""
         model, dataset = tiny_setup
-        with pytest.raises(ValueError, match="not a configured MoE layer"):
-            router_init.build_router(model, dataset, 0, 2)
+        monkeypatch.setattr(model, "config",
+                            dataclasses.replace(model.config, moe_layers=moe_layers))
+        calls = []
+        monkeypatch.setattr(backbone.Model, "capture_pre_mlp",
+                            lambda self, images, layer: calls.append(layer))
+        with pytest.raises(ValueError, match="not in the config's moe_layers"):
+            router_init.build_router(model, dataset, layer, experts)
+        assert calls == []
 
 
 def test_default_scales():
@@ -375,6 +396,7 @@ class TestBatchedCapture:
     def test_build_router_bit_identical_to_per_image_reference(
             self, chunked_dataset, dtype, monkeypatch):
         model = three_layer_model(chunked_dataset, moefied=False)
+        set_experts(monkeypatch, model, 3)
         params = router_init.RouterInitParams(samples_per_class=4, seed=3,
                                               scales=self.SCALES)
         got = router_init.build_router(model, chunked_dataset, 1, 3, params)
