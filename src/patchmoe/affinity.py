@@ -68,7 +68,7 @@ def cosine_softmax(points: np.ndarray, centroids: np.ndarray, temperature: float
 
 
 def affinity_pre(centroids: np.ndarray, class_points: list[np.ndarray],
-                 temperature: float = 1.0, threshold: float = 0.0,
+                 temperature: float, threshold: float = 0.0,
                  provenance: dict | None = None) -> AffinityMatrix:
     """Average routing distribution of each class's selected patches.
 

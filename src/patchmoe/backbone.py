@@ -366,8 +366,9 @@ class CheckpointError(Exception):
 def _model_from_manifest(manifest: dict) -> Model:
     """The model a manifest describes. The config holds every model setting;
     an MoE entry, at one of its moe_layers, adds only its scaler, its
-    experts' indices (config.experts lists of them) and its source hash.
-    Parameter values are placeholders."""
+    experts' indices (config.experts lists of d_ff // reduction_factor
+    strictly increasing hidden dims) and its source hash. Parameter values
+    are placeholders."""
     stored = dict(manifest["config"])
     # Older manifests record the MLP activation, which is always SiLU.
     activation = stored.pop("activation", "silu")
@@ -379,6 +380,7 @@ def _model_from_manifest(manifest: dict) -> Model:
     config = ModelConfig(**stored)
     model = Model(config, Rng(0))
     d = config.d_model
+    de = config.d_ff // config.reduction_factor
     for key, info in manifest["moe"].items():
         if int(key) not in config.moe_layers:
             raise ValueError(f"MoE entry for layer {key}, not one of the config's "
@@ -394,9 +396,12 @@ def _model_from_manifest(manifest: dict) -> Model:
         experts = []
         for idx in info["indices"]:
             idx = np.asarray(idx, dtype=np.int64)
-            if not np.all((idx >= 0) & (idx < config.d_ff)):
-                raise ValueError(f"layer {key}: expert indices outside 0..d_ff-1")
-            de = idx.shape[0]
+            if idx.shape != (de,):
+                raise ValueError(f"layer {key}: an expert has {len(idx)} indices, "
+                                 f"d_ff // reduction_factor is {de}")
+            if not (idx[0] >= 0 and idx[-1] < config.d_ff and np.all(np.diff(idx) > 0)):
+                raise ValueError(f"layer {key}: expert indices must increase strictly "
+                                 f"within 0..d_ff-1")
             experts.append(moe_mod.ExpertMLP(
                 indices=idx,
                 ln_gain=T.parameter(np.ones(d)), ln_bias=T.parameter(np.zeros(d)),

@@ -4,10 +4,11 @@ affinity, inspect.
 Configuration comes from an INI file (sections model, moe, router_init,
 optim, augment, seed) merged with repeatable `--set section.key=value`
 overrides; overrides win. Each command reads a fixed set of sections
-(COMMAND_SECTIONS), and affinity --mode pre/figure-d only some keys of
-[router_init] (COMMAND_KEYS): the file's other sections and keys are checked
-and skipped, an override of one is a usage error, and the run manifest
-records the resolved sections the command read.
+(COMMAND_SECTIONS), pretrain all of [optim] but lr_moe and affinity --mode
+pre/figure-d only some keys of [router_init] (COMMAND_KEYS): the file's
+other sections and keys are checked and skipped, an override of one is a
+usage error, and the run manifest records the resolved sections the command
+read.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 data/checkpoint
 error, 4 numeric divergence.
@@ -72,8 +73,10 @@ COMMAND_SECTIONS = {
     "affinity --mode figure-d": ("router_init",),
     "affinity --mode post": (),
 }
-# (command, section) -> the keys of the section it reads, where not all
+# (command, section) -> the keys of the section it reads, where not all; a
+# dense model has no MoE parameter for lr_moe to train
 COMMAND_KEYS = {
+    ("pretrain", "optim"): tuple(k for k in CONFIG_SCHEMA["optim"] if k != "lr_moe"),
     ("affinity --mode pre", "router_init"): router_init.SELECT_KEYS,
     ("affinity --mode figure-d", "router_init"): router_init.SELECT_KEYS,
 }
@@ -92,10 +95,8 @@ def _coerce(raw: str, default):
             return int(raw)
         if isinstance(default, float):
             return float(raw)
-        if isinstance(default, tuple):
-            parts = [p.strip() for p in raw.split(",") if p.strip()]
-            elem = float if default and isinstance(default[0], float) else int
-            return tuple(elem(p) for p in parts)
+        if isinstance(default, tuple):  # every tuple setting holds ints
+            return tuple(int(p) for p in raw.split(",") if p.strip())
     except ValueError:
         raise ConfigError(f"cannot read {raw!r} as {type(default).__name__}") from None
     return raw
@@ -307,8 +308,7 @@ def cmd_eval(args) -> int:
 
 
 # affinity flag -> (the one mode that reads it, its default)
-AFFINITY_MODE_FLAGS = {"temperature": ("pre", 1.0), "threshold": ("pre", 0.0),
-                       "batches": ("post", 50), "batch_size": ("post", 128),
+AFFINITY_MODE_FLAGS = {"batches": ("post", 50), "batch_size": ("post", 128),
                        "seed": ("post", 0)}
 
 
@@ -349,7 +349,7 @@ def cmd_affinity(args) -> int:
             matrix = affinity_mod.figure_d_variant(centroids, points, provenance)
         else:
             matrix = affinity_mod.affinity_pre(
-                centroids, points, args.temperature, args.threshold, provenance)
+                centroids, points, block.router.temperature, provenance=provenance)
     exporter = {"csv": affinity_mod.export_csv, "json": affinity_mod.export_json,
                 "svg": affinity_mod.export_svg}[args.format]
     exporter(matrix, args.out)
@@ -365,10 +365,11 @@ def cmd_inspect(args) -> int:
     print(f"stage: {'moe' if model.moe_blocks() else 'dense'}  finetuned: {model.finetuned}")
     print(f"total parameters: {counts['total']}")
     print(f"moe parameters: {counts['moe_layers']}")
+    cfg = model.config
+    d_e = cfg.d_ff // cfg.reduction_factor
+    closed = expert_init.per_expert_param_count(cfg.d_model, cfg.d_ff, cfg.reduction_factor)
     for layer, per in counts["per_expert"].items():
         block = model.layers[int(layer)].mlp
-        d_e = block.experts[0].w1.shape[1]
-        closed = expert_init.per_expert_param_count(model.config.d_model, d_e, 1)
         print(f"layer {layer}: experts {block.router.num_experts}, d_e {d_e}, "
               f"per-expert parameters {per} (closed form {closed}), "
               f"top_k {block.router.top_k}, source {block.source_hash}")
@@ -445,8 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("pre", "post", "figure-d"), default="post")
     p.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
     # None marks a flag not given: AFFINITY_MODE_FLAGS holds the defaults
-    p.add_argument("--temperature", type=_positive(float), default=None)
-    p.add_argument("--threshold", type=float, default=None)
     p.add_argument("--batches", type=_positive(int), default=None)
     p.add_argument("--batch-size", type=_positive(int), default=None)
     p.add_argument("--seed", type=_positive(int, zero_ok=True), default=None)

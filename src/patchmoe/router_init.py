@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tensor as T
-from .affinity import cosine_softmax
+from .affinity import FIGURE_TEMPERATURE, FIGURE_THRESHOLD, cosine_softmax
 from .data import Dataset, resize_nearest
 from .moe import Router
 from .tensor import Rng
@@ -181,9 +181,7 @@ class RouterInitParams:
     scales: tuple[int, ...] = ()   # () -> config size -25%/+0/+25%
     samples_per_class: int = 8
     mode: str = "cluster"          # "cluster" | "random" (baseline)
-    refine: bool = False
-    refine_temperature: float = 0.001
-    refine_threshold: float = 0.05
+    refine: bool = False           # at Figure D's temperature and threshold
     seed: int = 0
 
     def __post_init__(self):
@@ -195,8 +193,6 @@ class RouterInitParams:
             raise ValueError("refine_steps must be >= 0")
         if self.refine and self.mode != "cluster":
             raise ValueError("refine applies only to mode=cluster")
-        if not self.refine_temperature > 0:
-            raise ValueError("refine_temperature must be positive")
         # multiples of the model's patch_size, checked where the model is known
         if any(s < 1 for s in self.scales):
             raise ValueError("scales must be positive")
@@ -310,8 +306,7 @@ def build_router(model, dataset: Dataset, layer: int, num_experts: int,
         assignments = tree.assignments(num_experts)
         if params.refine:
             centroids = refine_centroids_weighted(
-                centroids, class_points,
-                params.refine_temperature, params.refine_threshold)
+                centroids, class_points, FIGURE_TEMPERATURE, FIGURE_THRESHOLD)
     else:
         centroids = Rng(params.seed).child(1).uniform(
             (num_experts, cfg.d_model)).astype(np.float64)

@@ -2,7 +2,9 @@
 deterministic evaluation with routing capture.
 
 Parameter groups: MoE layers (centroids and experts) train at 0.005, the
-classifier head at 1e-5 with weight decay 1e-8, everything else at 5e-5.
+classifier head at 1e-5, everything else at 5e-5. AdamW runs at BETAS
+(0.9, 0.99) and EPS 1e-8, and only the head decays, by WD_CLASSIFIER 1e-8
+(decoupled, arXiv 1711.05101).
 """
 
 from __future__ import annotations
@@ -19,6 +21,11 @@ from .moe import load_entropy
 from .tensor import Rng, Tensor
 
 
+BETAS = (0.9, 0.99)
+EPS = 1e-8
+WD_CLASSIFIER = 1e-8
+
+
 class DivergenceError(RuntimeError):
     """Raised when the training loss turns non-finite."""
 
@@ -28,23 +35,14 @@ class OptimConfig:
     lr_moe: float = 0.005
     lr_classifier: float = 1e-5
     lr_rest: float = 5e-5
-    wd_classifier: float = 1e-8
-    wd_other: float = 0.0
-    betas: tuple[float, float] = (0.9, 0.99)
-    eps: float = 1e-8
     batch_size: int = 32
     epochs: int = 80
 
     def __post_init__(self):
         # zero is allowed so a frozen run can serve as a bit-exactness check
-        rates = (self.lr_moe, self.lr_classifier, self.lr_rest,
-                 self.wd_classifier, self.wd_other)
+        rates = (self.lr_moe, self.lr_classifier, self.lr_rest)
         if not all(math.isfinite(r) and r >= 0 for r in rates):
-            raise ValueError("learning rates and weight decays must be finite and >= 0")
-        if len(self.betas) != 2 or not all(0 <= b < 1 for b in self.betas):
-            raise ValueError("betas must be two values in [0, 1)")
-        if not 0 < self.eps < math.inf:
-            raise ValueError("eps must be finite and > 0")
+            raise ValueError("learning rates must be finite and >= 0")
         if self.batch_size < 1 or self.epochs < 0:
             raise ValueError("batch_size must be >= 1 and epochs >= 0")
 
@@ -87,14 +85,13 @@ class AdamW:
         group = parameter_group(name)
         cfg = self.config
         if group == "moe":
-            return cfg.lr_moe, cfg.wd_other
+            return cfg.lr_moe, 0.0
         if group == "classifier":
-            return cfg.lr_classifier, cfg.wd_classifier
-        return cfg.lr_rest, cfg.wd_other
+            return cfg.lr_classifier, WD_CLASSIFIER
+        return cfg.lr_rest, 0.0
 
     def step(self) -> None:
-        cfg = self.config
-        b1, b2 = cfg.betas
+        b1, b2 = BETAS
         self.t += 1
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
@@ -111,7 +108,7 @@ class AdamW:
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * g * g
-            update = (m / bc1) / (np.sqrt(v / bc2) + cfg.eps)
+            update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
             if wd:
                 update = update + wd * p.data
             p.data = p.data - lr * update

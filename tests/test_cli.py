@@ -71,7 +71,6 @@ class TestConfig:
     def test_defaults_without_file(self):
         resolved = cli.load_run_config(None)
         assert resolved["optim"]["lr_moe"] == 0.005
-        assert resolved["optim"]["betas"] == (0.9, 0.99)
         assert resolved["augment"]["hflip_p"] == 0.5
         assert resolved["seed"]["seed"] == 0
 
@@ -129,10 +128,8 @@ class TestConfig:
         "moe.experts=0", "moe.reduction_factor=0", "moe.reduction_factor=3",
         "moe.router_temperature=0", "seed.seed=-2", "model.image_size=0",
         "model.patch_size=0", "model.n_px=0", "model.dropout=-0.1", "moe.top_k=0",
-        "optim.betas=1.0,0.99", "optim.betas=0.9,-0.1", "optim.betas=0.9",
-        "optim.lr_moe=nan", "optim.lr_rest=inf", "optim.wd_classifier=-1",
-        "optim.wd_other=nan", "optim.eps=-1", "optim.eps=0", "moe.moe_layers=1,1",
-        "moe.moe_layers=0,1,0"])
+        "optim.lr_classifier=nan", "optim.lr_rest=inf", "optim.lr_rest=-1",
+        "moe.moe_layers=1,1", "moe.moe_layers=0,1,0"])
     def test_bad_override_exits_usage(self, workdir, tmp_path, override):
         rc = cli.main(["pretrain", "--config", str(workdir["config"]),
                        "--data", str(workdir["data"]), "--set", override,
@@ -347,8 +344,7 @@ class TestPipeline:
     @pytest.mark.parametrize("override", [
         "router_init.mode=bogus", "router_init.refine_steps=-1",
         "router_init.samples_per_class=0", "router_init.top_k_patches=0",
-        "router_init.refine_temperature=0", "router_init.scales=5",
-        "router_init.scales=0", "router_init.seed=-1",
+        "router_init.scales=5", "router_init.scales=0", "router_init.seed=-1",
         "router_init.mode=random router_init.refine=true"])
     def test_bad_router_init_exits_usage(self, workdir, tmp_path, override):
         out = tmp_path / "x.json"
@@ -495,12 +491,7 @@ def _exit_code(argv: list[str]) -> int:
     ("affinity", ["--layer", "-1"]),
     ("affinity", ["--layer", "1", "--batch-size", "0"]),
     ("affinity", ["--layer", "1", "--batches", "0"]),
-    ("affinity", ["--layer", "1", "--mode", "pre", "--temperature", "0"]),
     ("eval", ["--batch-size", "0"]),
-    ("affinity", ["--layer", "1", "--mode", "post", "--temperature", "5"]),
-    ("affinity", ["--layer", "1", "--mode", "post", "--threshold", "0.9"]),
-    ("affinity", ["--layer", "1", "--mode", "figure-d", "--temperature", "5"]),
-    ("affinity", ["--layer", "1", "--mode", "figure-d", "--threshold", "0.9"]),
     ("affinity", ["--layer", "1", "--mode", "pre", "--seed", "3"]),
     ("affinity", ["--layer", "1", "--mode", "figure-d", "--seed", "3"]),
     ("affinity", ["--layer", "1", "--mode", "pre", "--batches", "2"]),
@@ -508,8 +499,7 @@ def _exit_code(argv: list[str]) -> int:
     ("affinity", ["--layer", "1", "--mode", "pre", "--set", "router_init.scales=5"]),
     ("affinity", ["--layer", "1", "--seed", "-1"]),
 ], ids=["layer-5", "layer-neg1", "affinity-batch-size-0", "batches-0",
-        "temperature-0", "eval-batch-size-0", "post-temperature", "post-threshold",
-        "figure-d-temperature", "figure-d-threshold", "pre-seed", "figure-d-seed",
+        "eval-batch-size-0", "pre-seed", "figure-d-seed",
         "pre-batches", "figure-d-batch-size", "pre-scales-not-patch-multiple",
         "negative-seed"])
 def test_bad_argument_exits_usage(workdir, tmp_path, command, extra):
@@ -784,6 +774,36 @@ OVERRIDE = {"model": "model.dropout=0.5", "moe": "moe.experts=2",
             "augment": "augment.hflip_p=0.0", "seed": "seed.seed=7"}
 
 
+# Removed [section] keys: (command, section.key, a value), each given as a
+# --set and as a line of the file.
+REMOVED_KEYS = [
+    ("pretrain", "optim.betas", "1.0,0.99"), ("pretrain", "optim.betas", "0.9,-0.1"),
+    ("pretrain", "optim.betas", "0.9"), ("pretrain", "optim.wd_classifier", "-1"),
+    ("finetune", "optim.wd_other", "nan"), ("finetune", "optim.eps", "-1"),
+    ("finetune", "optim.eps", "0"), ("moefy", "router_init.refine_temperature", "0"),
+    ("moefy", "router_init.refine_threshold", "0.05")]
+# Removed affinity flags: (mode, flag, value)
+REMOVED_FLAGS = [("pre", "--temperature", "0"), ("post", "--temperature", "5"),
+                 ("post", "--threshold", "0.9"), ("figure-d", "--temperature", "5"),
+                 ("figure-d", "--threshold", "0.9")]
+# (command, the extra arguments or ("file", section, line), what the error names)
+REMOVED_SETTINGS = [
+    pytest.param("pretrain", ["--set", "data.seed=1"], "data.seed", id="data-section"),
+    pytest.param("pretrain", ["--set", "model.num_classes=5"], "model.num_classes",
+                 id="model-num-classes"),
+    pytest.param("moefy", ["--seed", "1"], "--seed", id="moefy-seed"),
+    pytest.param("pretrain", ["--set", "model.activation=silu"], "model.activation",
+                 id="model-activation"),
+    *[pytest.param(command, ["--set", f"{entry}={value}"], entry, id=f"set-{entry}={value}")
+      for command, entry, value in REMOVED_KEYS],
+    *[pytest.param(command, ["file", entry.split(".")[0], f"{entry.split('.')[1]} = {value}"],
+                   f"unknown key '{entry.split('.')[1]}'", id=f"file-{entry}={value}")
+      for command, entry, value in REMOVED_KEYS],
+    *[pytest.param(f"affinity --mode {mode}", [flag, value], flag, id=f"{mode}{flag}")
+      for mode, flag, value in REMOVED_FLAGS],
+]
+
+
 def _argv(workdir, command, out):
     """A valid invocation of `command` with the all-sections config file."""
     argv = [*command.split(), "--config", str(workdir["config"]),
@@ -829,9 +849,7 @@ class TestRunConfigSections:
             assert set(run["config"]) == READS[command]
 
     @pytest.mark.parametrize("mode", ["pre", "figure-d"])
-    @pytest.mark.parametrize("override", [
-        "router_init.mode=random", "router_init.refine=true",
-        "router_init.refine_temperature=3", "router_init.refine_threshold=0.5"])
+    @pytest.mark.parametrize("override", ["router_init.mode=random", "router_init.refine=true"])
     def test_override_of_unread_router_init_key_exits_usage(self, workdir, tmp_path, capsys,
                                                             mode, override):
         """affinity --mode pre/figure-d select patches only: the router_init
@@ -846,8 +864,7 @@ class TestRunConfigSections:
     def test_unread_router_init_keys_in_file_skipped(self, workdir, tmp_path, mode):
         config = tmp_path / "build.ini"
         config.write_text(workdir["config"].read_text().replace(
-            "[router_init]\n", "[router_init]\nmode = random\nrefine = true\n"
-            "refine_temperature = 3\nrefine_threshold = 0.5\n"))
+            "[router_init]\n", "[router_init]\nmode = random\nrefine = true\n"))
         command = f"affinity --mode {mode}"
         plain, built = tmp_path / "plain.json", tmp_path / "built.json"
         assert cli.main(_argv(workdir, command, plain)) == 0
@@ -865,16 +882,61 @@ class TestRunConfigSections:
         assert list(run["config"]) == ["router_init"]
         assert run["config"]["router_init"]["scales"] == [32]
 
-    @pytest.mark.parametrize("command, extra", [
-        ("pretrain", ["--set", "data.seed=1"]),
-        ("pretrain", ["--set", "model.num_classes=5"]),
-        ("moefy", ["--seed", "1"]),
-        ("pretrain", ["--set", "model.activation=silu"]),
-    ], ids=["data-section", "model-num-classes", "moefy-seed", "model-activation"])
-    def test_removed_settings_exit_usage(self, workdir, tmp_path, command, extra):
+    @pytest.mark.parametrize("command, extra, named", REMOVED_SETTINGS)
+    def test_removed_settings_exit_usage(self, workdir, tmp_path, capsys, command, extra,
+                                         named):
+        """A setting that is not one (any more) is refused by name, as a
+        --set, a line of the config file or a flag."""
         out = tmp_path / "out" / "x.json"
-        assert _exit_code(_argv(workdir, command, out) + extra) == cli.EXIT_USAGE
+        argv = _argv(workdir, command, out)
+        if extra[0] == "file":
+            _, section, line = extra
+            config = tmp_path / "run.ini"
+            config.write_text(workdir["config"].read_text().replace(
+                f"[{section}]\n", f"[{section}]\n{line}\n"))
+            argv[argv.index("--config") + 1] = str(config)
+        else:
+            argv += extra
+        assert _exit_code(argv) == cli.EXIT_USAGE
         assert not (tmp_path / "out").exists()
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, value, message", [
+        ("pretrain", "7", "pretrain does not read optim.lr_moe (it reads optim.lr_classifier,"),
+        ("finetune", "nan", "learning rates must be finite and >= 0")],
+        ids=["pretrain", "finetune"])
+    def test_lr_moe_override(self, workdir, tmp_path, capsys, command, value, message):
+        """finetune trains the MoE layers at lr_moe and checks it; a dense
+        model has no MoE parameter, so pretrain does not read it."""
+        out = tmp_path / "out" / "x.json"
+        argv = _argv(workdir, command, out) + ["--set", f"optim.lr_moe={value}"]
+        assert cli.main(argv) == cli.EXIT_USAGE
+        assert not (tmp_path / "out").exists()
+        assert message in capsys.readouterr().err
+
+    def test_lr_moe_in_file_skipped_by_pretrain(self, workdir, tmp_path):
+        config = tmp_path / "run.ini"
+        config.write_text(workdir["config"].read_text().replace(
+            "[optim]\n", "[optim]\nlr_moe = 7\n"))
+        out = tmp_path / "dense.json"
+        argv = _argv(workdir, "pretrain", out)
+        argv[argv.index("--config") + 1] = str(config)
+        assert cli.main(argv) == 0
+        assert (out.with_suffix(".bin").read_bytes()
+                == workdir["dense"].with_suffix(".bin").read_bytes())
+        for run in (out, workdir["dense"]):
+            optim = json.loads(run.with_suffix(".run.json").read_text())["config"]["optim"]
+            assert "lr_moe" not in optim and optim["lr_rest"] == 5e-5
+        tuned = json.loads(workdir["tuned"].with_suffix(".run.json").read_text())
+        assert tuned["config"]["optim"]["lr_moe"] == 0.005
+
+    def test_moefy_with_refine(self, workdir, tmp_path):
+        out = tmp_path / "refined.json"
+        argv = _argv(workdir, "moefy", out) + ["--set", "router_init.refine=true"]
+        assert cli.main(argv) == 0
+        run = json.loads(out.with_suffix(".run.json").read_text())
+        assert run["config"]["router_init"]["refine"] is True
+        assert list(backbone.load_checkpoint(out).moe_blocks()) == [1]
 
     def test_activation_in_file_exits_usage(self, workdir, tmp_path, capsys):
         config = tmp_path / "run.ini"
@@ -886,7 +948,9 @@ class TestRunConfigSections:
         assert "unknown key 'activation'" in capsys.readouterr().err
 
 
-def test_inspect_reads_expert_width_from_weights(workdir, tmp_path, capsys):
+def test_inspect_expert_width_from_config(workdir, tmp_path, capsys):
+    """Each expert holds d_ff // reduction_factor strictly increasing hidden
+    dims; a manifest whose index lists break that is a checkpoint error."""
     model = backbone.load_checkpoint(workdir["dense"])
     model.config = dataclasses.replace(model.config, reduction_factor=1)
     params = router_init.RouterInitParams(top_k_patches=16, samples_per_class=2,
@@ -904,10 +968,20 @@ def test_inspect_reads_expert_width_from_weights(workdir, tmp_path, capsys):
     assert line in out
     manifest = json.loads(path.read_text())
     assert "reduction_factor" not in manifest["moe"]["1"]
-    manifest["moe"]["1"]["reduction_factor"] = 2  # written by older versions
-    # a config whose factor disagrees with the saved experts: d_e still
-    # comes from the weights
-    manifest["config"]["reduction_factor"] = 2
+    manifest["moe"]["1"]["reduction_factor"] = 2  # written by older versions, ignored
     path.write_text(json.dumps(manifest))
     assert cli.main(["inspect", "--ckpt", str(path)]) == 0
     assert line in capsys.readouterr().out
+
+    entry = manifest["moe"]["1"]
+    first = entry["indices"][0]
+    repeated = [first[0]] + first[:-1]
+    swapped = [first[1], first[0]] + first[2:]
+    for named, change in [
+            # a config whose factor disagrees with the saved experts' 32 indices
+            ("reduction_factor", {"config": dict(manifest["config"], reduction_factor=2)}),
+            ("indices", {"moe": {"1": dict(entry, indices=[repeated] + entry["indices"][1:])}}),
+            ("indices", {"moe": {"1": dict(entry, indices=[swapped] + entry["indices"][1:])}})]:
+        path.write_text(json.dumps({**manifest, **change}))
+        assert cli.main(["inspect", "--ckpt", str(path)]) == cli.EXIT_DATA
+        assert named in capsys.readouterr().err

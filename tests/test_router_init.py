@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from patchmoe import backbone, data, expert_init, router_init
+from patchmoe import affinity, backbone, data, expert_init, router_init
 from patchmoe import tensor as T
 from util_oracles import (collect_embeddings_oracle, forward_capture_oracle,
                           representative_patches_oracle, ward_lance_williams_oracle,
@@ -295,6 +295,29 @@ class TestBuildRouter:
         res = router_init.build_router(model, dataset, 1, 3, p)
         assert res.class_assignments is None
         assert res.router.centroids.shape == (3, 16)
+
+    def test_refine_end_to_end(self):
+        """refine=True applies the weighted update at Figure D's temperature
+        and threshold to the Ward centroids. On these 8 classes it moves
+        them; on tiny_setup's 4 it would change nothing."""
+        dataset = data.generate(data.SynthSpec(num_classes=8, num_families=4, image_size=32,
+                                               images_per_class=3, fg_patch_cells=2, seed=3))
+        cfg = backbone.ModelConfig(num_classes=8, image_size=32, patch_size=8, n_px=4,
+                                   d_model=16, d_ff=32, layers=2, heads=2,
+                                   moe_layers=(1,), experts=2)
+        model = backbone.Model(cfg, T.Rng(0))
+        params = router_init.RouterInitParams(samples_per_class=2, scales=(32,))
+        plain = router_init.build_router(model, dataset, 1, 2, params)
+        refined = router_init.build_router(model, dataset, 1, 2,
+                                           dataclasses.replace(params, refine=True))
+        points = plain.class_points
+        assert np.array_equal(refined.class_points, points)
+        unrefined = router_init.initial_centroids(router_init.ward_cluster(points), points, 2)
+        assert plain.router.centroids.data.tobytes() == T.parameter(unrefined).data.tobytes()
+        expected = router_init.refine_centroids_weighted(
+            unrefined, points, affinity.FIGURE_TEMPERATURE, affinity.FIGURE_THRESHOLD)
+        assert refined.router.centroids.data.tobytes() == T.parameter(expected).data.tobytes()
+        assert np.abs(refined.router.centroids.data - plain.router.centroids.data).max() > 0.01
 
     @pytest.mark.parametrize("layer, experts, moe_layers", [
         (0, 2, (1,)), (1, 3, (1,)), (1, 1, (1,)), (1, 2, ())],

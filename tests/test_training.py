@@ -41,24 +41,30 @@ class TestAdamW:
 
     def test_first_step_approx_lr_times_sign(self):
         # bias-corrected first step: m_hat = g, v_hat = g^2, so the update is
-        # lr * g / (|g| + eps), within eps of lr * sign(g)
+        # lr * g / (|g| + EPS), within EPS of lr * sign(g)
         params = named(**{"layer0.mlp.w1": np.array([1.0, -2.0])})
-        cfg = optim(lr_rest=0.01, eps=1e-8)
+        cfg = optim(lr_rest=0.01)
         opt = training.AdamW(params, cfg)
         params["layer0.mlp.w1"].grad = np.array([5.0, -3.0])
         opt.step()
         expected = np.array([1.0, -2.0]) - 0.01 * np.array([1.0, -1.0])
         assert np.allclose(params["layer0.mlp.w1"].data, expected, atol=1e-7)
 
-    def test_decoupled_decay_only(self):
-        # classifier group carries weight decay; zero gradient isolates it
-        params = named(**{"head.w": np.array([2.0, -4.0])})
-        cfg = optim(lr_classifier=0.1, wd_classifier=0.5)
-        opt = training.AdamW(params, cfg)
-        params["head.w"].grad = np.zeros(2)
+    def test_decoupled_decay_only(self, monkeypatch):
+        # only the classifier group decays; zero gradient isolates the decay,
+        # and a decay of 0.5 shows where WD_CLASSIFIER's 1e-8 would not
+        monkeypatch.setattr(training, "WD_CLASSIFIER", 0.5)
+        start = {"head.w": [2.0, -4.0], "embed.w": [3.0, -1.0],
+                 "layer1.moe.expert0.w1": [-2.0, 5.0]}
+        params = named(**start)
+        opt = training.AdamW(params, optim(lr_classifier=0.1, lr_rest=0.1, lr_moe=0.1))
+        for p in params.values():
+            p.grad = np.zeros(2)
         opt.step()
         expected = np.array([2.0, -4.0]) * (1 - 0.1 * 0.5)
         assert np.allclose(params["head.w"].data, expected)
+        for name in ("embed.w", "layer1.moe.expert0.w1"):
+            assert np.array_equal(params[name].data, start[name]), name
 
     def test_gamma_clamped_to_unit_interval(self):
         params = named(**{"layer1.moe.expert0.gamma": np.asarray(0.99)})

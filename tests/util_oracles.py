@@ -250,13 +250,11 @@ HAND_WRITTEN_CONFIG_SCHEMA = {
     },
     "router_init": {
         "top_k_patches": 128, "refine_steps": 5, "scales": (),
-        "samples_per_class": 8, "mode": "cluster", "refine": False,
-        "refine_temperature": 0.001, "refine_threshold": 0.05, "seed": 0,
+        "samples_per_class": 8, "mode": "cluster", "refine": False, "seed": 0,
     },
     "optim": {
         "lr_moe": 0.005, "lr_classifier": 1e-5, "lr_rest": 5e-5,
-        "wd_classifier": 1e-8, "wd_other": 0.0, "betas": (0.9, 0.99),
-        "eps": 1e-8, "batch_size": 32, "epochs": 80,
+        "batch_size": 32, "epochs": 80,
     },
     "augment": {"hflip_p": 0.5, "mixup_alpha": 0.2},
     "data": {
