@@ -125,8 +125,8 @@ def affinity_post(model, images: list[LabeledImage], layer: int,
     values[seen] = sums[seen] / patch_counts[seen, None]
     prov = dict(provenance or {})
     prov.update({"layer": layer, "n_batches": n_batches, "batch_size": batch_size})
-    return AffinityMatrix(values, "post_finetune", 1.0, 0.0, prov,
-                          missing_classes=missing)
+    return AffinityMatrix(values, "post_finetune", model.config.router_temperature, 0.0,
+                          prov, missing_classes=missing)
 
 
 # ---------------------------------------------------------------------------

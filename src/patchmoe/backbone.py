@@ -16,6 +16,7 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -334,15 +335,13 @@ def save_checkpoint(model: Model, path: Path | str) -> None:
     manifest = {
         "finetuned": model.finetuned,
         "config": asdict(model.config),
-        "params": [],
+        "params": list(model.named_parameters()),  # in the order of the blob's records
         "moe": {},
     }
     try:
         with open(tmp_blob, "wb") as f:
-            for name, t in model.named_parameters().items():
-                offset = T.write_blob(f, t.data)
-                manifest["params"].append({"name": name, "shape": list(t.shape),
-                                           "offset": offset})
+            for t in model.named_parameters().values():
+                T.write_blob(f, t.data)
         for i, block in model.moe_blocks().items():
             manifest["moe"][str(i)] = {
                 "scaler": block.router.scaler.to_json(),
@@ -416,7 +415,8 @@ def _model_from_manifest(manifest: dict) -> Model:
 
 def load_checkpoint(path: Path | str) -> Model:
     """Rebuild a model from its manifest and blob file. Raises CheckpointError
-    unless every parameter of the rebuilt model is read, valid, from the blob."""
+    unless `params` names the model's parameters in order and the blob, read
+    front to back, holds one valid record per name and nothing else."""
     path = Path(path)
     with open(path) as f:
         try:
@@ -425,28 +425,29 @@ def load_checkpoint(path: Path | str) -> Model:
             raise CheckpointError(f"malformed checkpoint manifest {path}: {exc}") from None
     try:
         model = _model_from_manifest(manifest)
-        entries = [(e["name"], list(e["shape"]), int(e["offset"]))
-                   for e in manifest["params"]]
+        # Older manifests list {name, shape, offset} records, in this same order.
+        names = [e["name"] if isinstance(e, dict) else e for e in manifest["params"]]
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise CheckpointError(f"invalid checkpoint manifest {path}: "
                               f"{type(exc).__name__}: {exc}") from None
     params = model.named_parameters()
+    if names != list(params):
+        stored, wanted = next((a, b) for a, b in zip_longest(names, params) if a != b)
+        raise CheckpointError(f"checkpoint parameters differ from the model's: the "
+                              f"manifest lists {stored!r} where the model has {wanted!r}")
     blob_path = path.with_suffix(".bin")
-    missing = sorted(set(params) - {name for name, _, _ in entries})
-    if missing:
-        raise CheckpointError(f"checkpoint lacks parameters {', '.join(missing)}")
     with open(blob_path, "rb") as f:
-        for name, shape, offset in entries:
-            if name not in params:
-                raise CheckpointError(f"unknown parameter {name} in checkpoint")
+        for name, t in params.items():
             try:
-                arr = T.read_blob(f, offset)
+                arr = T.read_blob(f)
             except ValueError as exc:
                 raise CheckpointError(f"{blob_path}: {name}: {exc}") from None
-            if list(arr.shape) != shape or arr.shape != params[name].shape:
+            if arr.shape != t.shape:
                 raise CheckpointError(f"shape mismatch for {name}: stored {list(arr.shape)}, "
-                                      f"manifest {shape}, model {list(params[name].shape)}")
-            params[name].data = arr.astype(T.default_dtype())
+                                      f"model {list(t.shape)}")
+            t.data = arr.astype(T.default_dtype())
+        if f.read(1):
+            raise CheckpointError(f"{blob_path}: bytes after the last parameter record")
     for i, block in model.moe_blocks().items():
         try:
             block.router.validate()

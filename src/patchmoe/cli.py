@@ -365,13 +365,11 @@ def cmd_inspect(args) -> int:
     print(f"stage: {'moe' if model.moe_blocks() else 'dense'}  finetuned: {model.finetuned}")
     print(f"total parameters: {counts['total']}")
     print(f"moe parameters: {counts['moe_layers']}")
-    cfg = model.config
-    d_e = cfg.d_ff // cfg.reduction_factor
-    closed = expert_init.per_expert_param_count(cfg.d_model, cfg.d_ff, cfg.reduction_factor)
+    d_e = model.config.d_ff // model.config.reduction_factor
     for layer, per in counts["per_expert"].items():
         block = model.layers[int(layer)].mlp
         print(f"layer {layer}: experts {block.router.num_experts}, d_e {d_e}, "
-              f"per-expert parameters {per} (closed form {closed}), "
+              f"per-expert parameters {per}, "
               f"top_k {block.router.top_k}, source {block.source_hash}")
     return 0
 

@@ -56,6 +56,10 @@ class SynthSpec:
             raise ValueError("foreground must fit the image")
         if min(self.images_per_class, self.num_backgrounds) < 1:
             raise ValueError("images_per_class and num_backgrounds must be >= 1")
+        for key in ("intra_family_similarity", "noise"):
+            value = getattr(self, key)
+            if type(value) not in (int, float) or not 0 <= value <= 1:
+                raise ValueError(f"{key} must be a number in [0, 1]")
 
     def family_of(self, class_id: int) -> int:
         return class_id // (self.num_classes // self.num_families)

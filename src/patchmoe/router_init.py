@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .affinity import FIGURE_TEMPERATURE, FIGURE_THRESHOLD, cosine_softmax
-from .data import Dataset, resize_nearest
+from .data import DataError, Dataset, resize_nearest
 from .moe import Router
 from .tensor import Rng
 
@@ -228,7 +228,7 @@ def collect_embeddings(model, dataset: Dataset, layer: int, scales,
     for c in range(dataset.num_classes):
         images = dataset.by_class(c, "train")
         if not images:
-            raise ValueError(f"class {c} has no training samples")
+            raise DataError(f"class {c} has no training samples")
         crng = rng.child(c)
         n = min(samples_per_class, len(images))
         picks = sorted(crng.gen.choice(len(images), size=n, replace=False).tolist())

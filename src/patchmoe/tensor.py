@@ -598,20 +598,18 @@ _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
 
 
-def write_blob(f, arr: np.ndarray) -> int:
-    """Append one tensor record; returns the record's byte offset."""
+def write_blob(f, arr: np.ndarray) -> None:
+    """Append one tensor record."""
     arr = np.asarray(arr)
     shape = arr.shape  # ascontiguousarray promotes 0-d arrays to 1-d
     arr = np.ascontiguousarray(arr)
     if arr.dtype not in _DTYPE_CODES:
         arr = arr.astype(np.float32)
-    offset = f.tell()
     f.write(BLOB_MAGIC)
     f.write(struct.pack("<BB", _DTYPE_CODES[arr.dtype], len(shape)))
     for extent in shape:
         f.write(struct.pack("<Q", extent))
     f.write(arr.astype(arr.dtype.newbyteorder("<")).tobytes())
-    return offset
 
 
 def _read_exact(f, n: int) -> bytes:
@@ -621,10 +619,8 @@ def _read_exact(f, n: int) -> bytes:
     return data
 
 
-def read_blob(f, offset: int | None = None) -> np.ndarray:
-    """Read one tensor record; ValueError on a corrupt or truncated record."""
-    if offset is not None:
-        f.seek(offset)
+def read_blob(f) -> np.ndarray:
+    """Read the record at the file's position; ValueError if corrupt or truncated."""
     magic = f.read(8)
     if magic != BLOB_MAGIC:
         raise ValueError(f"bad tensor blob magic {magic!r}")

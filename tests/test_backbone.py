@@ -3,6 +3,8 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from patchmoe import backbone, expert_init
 from patchmoe import tensor as T
@@ -248,3 +250,40 @@ class TestCheckpoint:
         model = Model(cfg, T.Rng(0))
         backbone.save_checkpoint(model, tmp_path / "ck.json")
         assert backbone.load_checkpoint(tmp_path / "ck.json").config == cfg
+
+
+@pytest.fixture(scope="module")
+def moe_checkpoint(tmp_path_factory):
+    """A toy MoE checkpoint's manifest and blob bytes, and a path to write
+    variants of them to."""
+    cfg = toy_config(moe_layers=(1,), experts=2)
+    model = Model(cfg, T.Rng(3))
+    expert_init.moefy_layer(model, 1, make_router(cfg.d_model, 2))
+    path = tmp_path_factory.mktemp("ckpt") / "moe.json"
+    backbone.save_checkpoint(model, path)
+    backbone.load_checkpoint(path)
+    return json.loads(path.read_text()), path.with_suffix(".bin").read_bytes(), path
+
+
+@given(st.data())
+def test_every_truncation_or_name_edit_is_refused(moe_checkpoint, data):
+    """Cutting the blob at any byte, or dropping, repeating or swapping any
+    name in the manifest, makes the checkpoint unloadable."""
+    manifest, blob, path = moe_checkpoint
+    names = list(manifest["params"])
+    kind = data.draw(st.sampled_from(["truncate", "drop", "repeat", "swap"]))
+    if kind == "truncate":
+        blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
+    else:
+        i = data.draw(st.integers(0, len(names) - 1))
+        if kind == "drop":
+            del names[i]
+        elif kind == "repeat":
+            names.insert(data.draw(st.integers(0, len(names))), names[i])
+        else:
+            j = data.draw(st.integers(0, len(names) - 1).filter(lambda j: j != i))
+            names[i], names[j] = names[j], names[i]
+    path.write_text(json.dumps({**manifest, "params": names}))
+    path.with_suffix(".bin").write_bytes(blob)
+    with pytest.raises(backbone.CheckpointError):
+        backbone.load_checkpoint(path)

@@ -192,6 +192,22 @@ class TestGenData:
         assert rc == cli.EXIT_DATA
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("noise", "x"), ("intra_family_similarity", "a"), ("noise", float("nan")),
+        ("noise", float("inf")), ("noise", -1), ("intra_family_similarity", 1.5),
+        ("noise", True), ("intra_family_similarity", None)],
+        ids=["noise-string", "similarity-string", "noise-nan", "noise-inf",
+             "noise-negative", "similarity-above-one", "noise-bool", "similarity-null"])
+    def test_bad_float_field_is_data_error(self, tmp_path, capsys, key, value):
+        """noise and intra_family_similarity must be finite numbers in [0, 1],
+        not booleans; json writes nan and inf as NaN and Infinity."""
+        spec = tmp_path / "bad.json"
+        spec.write_text(json.dumps({key: value}))
+        rc = cli.main(["gen-data", "--spec", str(spec), "--out", str(tmp_path / "d")])
+        assert rc == cli.EXIT_DATA
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     def test_bad_spec_key_is_data_error(self, tmp_path):
         spec = tmp_path / "bad.json"
         spec.write_text(json.dumps({"bogus_key": 1}))
@@ -471,6 +487,20 @@ class TestAffinity:
         assert cli.main(argv) == 0
         assert json.loads(out.read_text())["provenance"]["seed"] == expected
 
+    def test_post_mode_records_router_temperature(self, workdir, tmp_path):
+        """The post export records the temperature the router scored at, as
+        the pre export does."""
+        path = _copy_checkpoint(workdir["tuned"], tmp_path / "tuned.json")
+        manifest = json.loads(path.read_text())
+        manifest["config"]["router_temperature"] = 2.0
+        path.write_text(json.dumps(manifest))
+        for mode in ("post", "pre"):
+            out = tmp_path / f"{mode}.json"
+            argv = _argv(workdir, f"affinity --mode {mode}", out) + ["--format", "json"]
+            argv[argv.index("--ckpt") + 1] = str(path)
+            assert cli.main(argv) == 0
+            assert json.loads(out.read_text())["temperature"] == 2.0
+
     def test_non_moe_layer_rejected(self, workdir, tmp_path):
         rc = cli.main(["affinity", "--ckpt", str(workdir["tuned"]),
                        "--data", str(workdir["data"]), "--layer", "0",
@@ -517,7 +547,8 @@ class TestInspect:
         assert "stage: moe" in out
         # d_model 16, d_ff 32, reduction 2: 16*16+16+16*16+16 + 32 + 16 + 1
         closed = 16 * 16 + 16 + 16 * 16 + 16 + 2 * 16 + 16 + 1
-        assert f"per-expert parameters {closed} (closed form {closed})" in out
+        assert closed == expert_init.per_expert_param_count(16, 32, 2)
+        assert f"per-expert parameters {closed}, top_k 1," in out
 
     def test_dense_checkpoint(self, workdir, capsys):
         assert cli.main(["inspect", "--ckpt", str(workdir["dense"])]) == 0
@@ -541,7 +572,7 @@ class TestCheckpointErrors:
 
     def test_missing_parameter(self, ckpt, capsys):
         manifest = json.loads(ckpt.read_text())
-        manifest["params"] = [e for e in manifest["params"] if e["name"] != "head.w"]
+        manifest["params"] = [n for n in manifest["params"] if n != "head.w"]
         ckpt.write_text(json.dumps(manifest))
         assert cli.main(["inspect", "--ckpt", str(ckpt)]) == cli.EXIT_DATA
         assert "head.w" in capsys.readouterr().err
@@ -552,11 +583,22 @@ class TestCheckpointErrors:
         assert cli.main(["inspect", "--ckpt", str(ckpt)]) == cli.EXIT_DATA
 
     def test_truncated_blob_header(self, ckpt):
+        """A cut inside the last record's header, found by reading the
+        records before it."""
         manifest = json.loads(ckpt.read_text())
-        last = max(e["offset"] for e in manifest["params"])
         blob = ckpt.with_suffix(".bin")
+        with open(blob, "rb") as f:
+            for _ in manifest["params"][:-1]:
+                T.read_blob(f)
+            last = f.tell()
         blob.write_bytes(blob.read_bytes()[:last + 9])
         assert cli.main(["inspect", "--ckpt", str(ckpt)]) == cli.EXIT_DATA
+
+    def test_trailing_bytes(self, ckpt, capsys):
+        blob = ckpt.with_suffix(".bin")
+        blob.write_bytes(blob.read_bytes() + bytes(700))
+        assert cli.main(["inspect", "--ckpt", str(ckpt)]) == cli.EXIT_DATA
+        assert "after the last parameter" in capsys.readouterr().err
 
     def test_malformed_manifest(self, ckpt):
         ckpt.write_text('{"stage": "dense", ')
@@ -569,12 +611,20 @@ class TestCheckpointErrors:
         assert cli.main(["inspect", "--ckpt", str(ckpt)]) == cli.EXIT_DATA
         assert "config" in capsys.readouterr().err
 
-    def test_missing_entry_offset(self, ckpt, capsys):
+    @pytest.mark.parametrize("edit, named", [
+        (lambda names: names.insert(4, names.pop(3)), "layer0.ln1.gain"),
+        (lambda names: names.insert(4, names[3]), "layer0.ln1.gain"),
+        (lambda names: names.__setitem__(3, 3), "lists 3 where")],
+        ids=["reordered", "repeated", "non-string"])
+    def test_bad_name_list(self, ckpt, capsys, edit, named):
+        """`params` must be the model's names in blob order: a reordered or
+        repeated name, or a non-string, is refused and named."""
         manifest = json.loads(ckpt.read_text())
-        del manifest["params"][3]["offset"]
+        assert manifest["params"][3:5] == ["layer0.ln1.gain", "layer0.ln1.bias"]
+        edit(manifest["params"])
         ckpt.write_text(json.dumps(manifest))
         assert cli.main(["inspect", "--ckpt", str(ckpt)]) == cli.EXIT_DATA
-        assert "offset" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
 
     def test_config_disagrees_with_weights(self, ckpt, capsys):
         """The config, not the manifest's shape list, says what each stored
@@ -662,25 +712,24 @@ class TestManifestKeys:
 
     TOP = ["config", "finetuned", "moe", "params"]
     CONFIG = [f.name for f in dataclasses.fields(backbone.ModelConfig)]
-    PARAM = ["name", "offset", "shape"]
     ENTRY = ["indices", "scaler", "source_dense_hash"]
 
     def test_keys_are_all_listed(self, workdir):
         manifest = json.loads(workdir["moe"].read_text())
         assert sorted(manifest) == self.TOP
         assert sorted(manifest["config"]) == sorted(self.CONFIG)
-        assert all(sorted(e) == self.PARAM for e in manifest["params"])
+        assert manifest["params"] == list(backbone.load_checkpoint(workdir["moe"])
+                                          .named_parameters())
         assert sorted(manifest["moe"]["1"]) == self.ENTRY
 
     @pytest.mark.parametrize("where, key", [("top", k) for k in TOP]
                              + [("config", k) for k in CONFIG]
-                             + [("param", k) for k in PARAM]
                              + [("entry", k) for k in ENTRY])
     def test_deleting_any_key_is_data_error(self, workdir, tmp_path, where, key):
         path = _copy_checkpoint(workdir["moe"], tmp_path / "moe.json")
         manifest = json.loads(path.read_text())
         holder = {"top": manifest, "config": manifest["config"],
-                  "param": manifest["params"][-1], "entry": manifest["moe"]["1"]}[where]
+                  "entry": manifest["moe"]["1"]}[where]
         del holder[key]
         path.write_text(json.dumps(manifest))
         assert cli.main(["inspect", "--ckpt", str(path)]) == cli.EXIT_DATA
@@ -717,6 +766,43 @@ class TestOlderManifests:
         out = capsys.readouterr().out
         assert "layer 1: experts 2," in out and "top_k 1," in out
 
+    @staticmethod
+    def older_param_records(path):
+        """The manifest at `path` with its names turned into the
+        {name, shape, offset} records that older versions wrote."""
+        manifest = json.loads(path.read_text())
+        records, offset = [], 0
+        with open(path.with_suffix(".bin"), "rb") as f:
+            for name in manifest["params"]:
+                shape = list(T.read_blob(f).shape)
+                records.append({"name": name, "shape": shape, "offset": offset})
+                offset = f.tell()
+        manifest["params"] = records
+        return manifest
+
+    @pytest.mark.parametrize("edit", [
+        lambda by_name: None,
+        lambda by_name: by_name["layer0.attn.wk"].update(
+            offset=by_name["layer0.attn.wq"]["offset"]),
+        lambda by_name: by_name["layer0.attn.wk"].update(offset=-1),
+        lambda by_name: by_name["head.w"].update(shape=[1])],
+        ids=["intact", "aliased-offset", "negative-offset", "wrong-shape"])
+    def test_older_param_records(self, workdir, tmp_path, edit):
+        """Older manifests list {name, shape, offset} records in blob order.
+        They load by name with offsets and shapes ignored, so every
+        parameter gets the blob's own array whatever its offset says."""
+        path = _copy_checkpoint(workdir["tuned"], tmp_path / "tuned.json")
+        images = np.stack([im.pixels for im in data.load_dataset(workdir["data"]).images[:8]])
+        expected = self.logits(path, images)
+        fresh = backbone.load_checkpoint(path).named_parameters()
+        assert not np.array_equal(fresh["layer0.attn.wk"].data, fresh["layer0.attn.wq"].data)
+        manifest = self.older_param_records(path)
+        edit({record["name"]: record for record in manifest["params"]})
+        path.write_text(json.dumps(manifest))
+        loaded = backbone.load_checkpoint(path).named_parameters()
+        assert all(loaded[n].data.tobytes() == fresh[n].data.tobytes() for n in fresh)
+        assert self.logits(path, images).tobytes() == expected.tobytes()
+
     def test_older_activation_key(self, workdir, tmp_path, capsys):
         """Older configs record the MLP activation: "silu" loads and forwards
         bit for bit as the checkpoint without it; any other value exits 3."""
@@ -732,6 +818,44 @@ class TestOlderManifests:
         path.write_text(json.dumps(manifest))
         assert cli.main(["inspect", "--ckpt", str(path)]) == cli.EXIT_DATA
         assert "activation" in capsys.readouterr().err
+
+
+class TestEmptyClass:
+    """A bare PPM directory whose class 2 holds no image pretrains, but
+    selecting router patches needs train images of every class."""
+
+    @pytest.fixture(scope="class")
+    def empty_class(self, workdir, tmp_path_factory):
+        """The data directory and a dense checkpoint pretrained on it."""
+        root = tmp_path_factory.mktemp("empty_class")
+        class_dirs = sorted(p for p in workdir["data"].iterdir() if p.is_dir())
+        for i, src in enumerate(class_dirs):
+            dst = root / "data" / src.name
+            dst.mkdir(parents=True)
+            for ppm in src.glob("*.ppm") if i != 2 else ():
+                (dst / ppm.name).write_bytes(ppm.read_bytes())
+        assert data.load_dataset(root / "data").num_classes == 4
+        dense = root / "dense.json"
+        assert cli.main(["pretrain", "--config", str(workdir["config"]),
+                         "--data", str(root / "data"), "--out", str(dense)]) == 0
+        return root / "data", dense
+
+    @pytest.mark.parametrize("command", ["moefy --set router_init.mode=cluster",
+                                         "moefy --set router_init.mode=random",
+                                         "affinity --mode pre"],
+                             ids=["moefy-cluster", "moefy-random", "affinity-pre"])
+    def test_exits_data(self, workdir, empty_class, tmp_path, capsys, command):
+        data_dir, dense = empty_class
+        out = tmp_path / "out.json"
+        argv = [*command.split(), "--config", str(workdir["config"]),
+                "--data", str(data_dir), "--out", str(out)]
+        if command.startswith("affinity"):
+            argv += ["--ckpt", str(workdir["tuned"]), "--layer", "1"]
+        else:
+            argv += ["--ckpt", str(dense)]
+        assert cli.main(argv) == cli.EXIT_DATA
+        assert "class 2 has no training samples" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_failed_save_keeps_old_checkpoint(workdir, tmp_path, monkeypatch):
@@ -964,7 +1088,8 @@ def test_inspect_expert_width_from_config(workdir, tmp_path, capsys):
     out = capsys.readouterr().out
     # d_model 16 and d_e = d_ff = 32: 16*32+32+32*16+16 + 2*16 + 16 + 1
     per = 16 * 32 + 32 + 32 * 16 + 16 + 2 * 16 + 16 + 1
-    line = f"layer 1: experts 2, d_e 32, per-expert parameters {per} (closed form {per})"
+    assert per == expert_init.per_expert_param_count(16, 32, 1)
+    line = f"layer 1: experts 2, d_e 32, per-expert parameters {per}, top_k 1,"
     assert line in out
     manifest = json.loads(path.read_text())
     assert "reduction_factor" not in manifest["moe"]["1"]

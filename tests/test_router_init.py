@@ -254,7 +254,7 @@ class TestCollectEmbeddings:
         model, dataset = tiny_setup
         pruned = data.Dataset([im for im in dataset.images if im.class_id != 2],
                               dataset.class_names)
-        with pytest.raises(ValueError, match="class 2"):
+        with pytest.raises(data.DataError, match="class 2"):
             router_init.collect_embeddings(model, pruned, 1, (32,), 1, T.Rng(0))
 
 

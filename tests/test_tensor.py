@@ -309,19 +309,24 @@ class TestBlob:
         for dtype in (np.float32, np.float64):
             buf = io.BytesIO()
             arr = nprng.standard_normal((2, 3, 4)).astype(dtype)
-            off = T.write_blob(buf, arr)
-            out = T.read_blob(buf, off)
+            T.write_blob(buf, arr)
+            buf.seek(0)
+            out = T.read_blob(buf)
             assert out.dtype == dtype
             assert np.array_equal(out, arr)
 
-    def test_multiple_records_by_offset(self, nprng):
+    def test_multiple_records_in_order(self, nprng):
+        """Each read starts where the previous record ended."""
         buf = io.BytesIO()
         a = nprng.standard_normal(3).astype(np.float32)
         b = nprng.standard_normal((2, 2)).astype(np.float32)
-        off_a = T.write_blob(buf, a)
-        off_b = T.write_blob(buf, b)
-        assert np.array_equal(T.read_blob(buf, off_b), b)
-        assert np.array_equal(T.read_blob(buf, off_a), a)
+        T.write_blob(buf, a)
+        T.write_blob(buf, b)
+        end = buf.tell()
+        buf.seek(0)
+        assert np.array_equal(T.read_blob(buf), a)
+        assert np.array_equal(T.read_blob(buf), b)
+        assert buf.tell() == end
 
     def test_bad_magic(self):
         with pytest.raises(ValueError):
@@ -330,7 +335,8 @@ class TestBlob:
     def test_scalar_rank_zero(self):
         buf = io.BytesIO()
         T.write_blob(buf, np.float32(3.5))
-        out = T.read_blob(buf, 0)
+        buf.seek(0)
+        out = T.read_blob(buf)
         assert out.shape == ()
         assert out == np.float32(3.5)
 
