@@ -52,6 +52,15 @@ class ClusterTree:
         return out
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot of each row of the n x d float64 `a` with `b` (a d-vector or an
+    n x d array), bit-equal to np.dot per row. A stack of (1 x d)(d x 1)
+    matmuls makes numpy call the same BLAS ddot per row that np.dot(row, b)
+    calls, so the sum runs in the same order; a matvec (gemv), einsum or
+    (a * b).sum(1) may block or pair the terms differently."""
+    return np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
+
+
 def _topk_indices(scores: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest scores; ties go to the lower row index."""
     return np.argsort(-scores, kind="stable")[:k]
@@ -82,16 +91,13 @@ def select_representative_patches(class_embeddings: np.ndarray, k: int,
         raise ValueError("refine_steps must be >= 0")
     if n < k:
         raise ValueError(f"need at least K={k} patches, got {n}")
-    # per-row dots rather than a matvec: tie-breaks must see bit-identical
-    # scores regardless of how a BLAS kernel orders its accumulation
-    def scores(centroid):
-        return np.array([np.dot(row, centroid) for row in x])
-
+    # batched row dots, not a matvec: each score is the BLAS ddot that
+    # np.dot(row, centroid) computes, so ties break as in a per-row loop
     centroid = x.max(axis=0)
-    selected = _topk_indices(scores(centroid), k)
+    selected = _topk_indices(_row_dots(x, centroid), k)
     for _ in range(refine_steps):
         centroid = x[selected].mean(axis=0)
-        selected = _topk_indices(scores(centroid), k)
+        selected = _topk_indices(_row_dots(x, centroid), k)
     return SelectedPatches(x[selected].copy(), selected)
 
 
@@ -116,10 +122,11 @@ def ward_cluster(points: np.ndarray) -> ClusterTree:
     m = 2 * n - 1
     dist = np.full((m, m), np.inf)
     for i in range(n - 1):
-        # one dot product per pair, not a Gram matrix: distances stay bit-equal
-        # to those of the pairwise recurrence, so merges and ties do too
-        row = [0.5 * float(diff @ diff) for diff in points[i] - points[i + 1:]]
-        dist[i, i + 1:n] = dist[i + 1:n, i] = row
+        # batched pair dots, not a Gram matrix: each distance is the BLAS ddot
+        # of diff @ diff, bit-equal to the pairwise recurrence, so merges and
+        # ties are too
+        diffs = points[i] - points[i + 1:]
+        dist[i, i + 1:n] = dist[i + 1:n, i] = 0.5 * _row_dots(diffs, diffs)
     sizes = np.zeros(m, dtype=np.int64)
     sizes[:n] = 1
     active = np.zeros(m, dtype=bool)

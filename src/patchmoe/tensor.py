@@ -9,6 +9,7 @@ checks every one of them against central finite differences.
 
 from __future__ import annotations
 
+import io
 import math
 import struct
 from dataclasses import dataclass
@@ -629,6 +630,11 @@ def read_blob(f) -> np.ndarray:
         raise ValueError(f"unknown dtype code {code}")
     shape = tuple(struct.unpack("<Q", _read_exact(f, 8))[0] for _ in range(rank))
     dtype = _CODE_DTYPES[code]
-    n = int(np.prod(shape)) if shape else 1
-    payload = _read_exact(f, n * dtype.itemsize)
+    size = math.prod(shape) * dtype.itemsize
+    # a corrupt extent must not become one huge read: check the bytes left first
+    here = f.tell()
+    if size > f.seek(0, io.SEEK_END) - here:
+        raise ValueError("truncated tensor blob")
+    f.seek(here)
+    payload = _read_exact(f, size)
     return np.frombuffer(payload, dtype=dtype.newbyteorder("<")).astype(dtype).reshape(shape)

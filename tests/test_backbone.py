@@ -1,3 +1,4 @@
+import io
 import json
 from dataclasses import asdict
 
@@ -285,5 +286,33 @@ def test_every_truncation_or_name_edit_is_refused(moe_checkpoint, data):
             names[i], names[j] = names[j], names[i]
     path.write_text(json.dumps({**manifest, "params": names}))
     path.with_suffix(".bin").write_bytes(blob)
+    with pytest.raises(backbone.CheckpointError):
+        backbone.load_checkpoint(path)
+
+
+def record_headers(blob: bytes) -> list[range]:
+    """Byte positions of each record's header in a blob: magic, dtype code,
+    rank and extents."""
+    headers = []
+    with io.BytesIO(blob) as f:
+        while f.tell() < len(blob):
+            start = f.tell()
+            headers.append(range(start, start + 10 + 8 * blob[start + 9]))
+            T.read_blob(f)
+    return headers
+
+
+@given(st.data())
+def test_every_header_byte_edit_is_refused(moe_checkpoint, data):
+    """Rewriting any one header byte of any record (magic, dtype code, rank
+    or an extent byte) to another value makes the checkpoint unloadable:
+    CheckpointError, never MemoryError or another exception."""
+    manifest, blob, path = moe_checkpoint
+    header = data.draw(st.sampled_from(record_headers(blob)))
+    i = data.draw(st.sampled_from(header))
+    edited = bytearray(blob)
+    edited[i] = data.draw(st.integers(0, 255).filter(lambda v: v != blob[i]))
+    path.write_text(json.dumps(manifest))
+    path.with_suffix(".bin").write_bytes(bytes(edited))
     with pytest.raises(backbone.CheckpointError):
         backbone.load_checkpoint(path)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -593,6 +594,20 @@ class TestCheckpointErrors:
             last = f.tell()
         blob.write_bytes(blob.read_bytes()[:last + 9])
         assert cli.main(["inspect", "--ckpt", str(ckpt)]) == cli.EXIT_DATA
+
+    def test_huge_extent(self, ckpt, capsys):
+        """A record whose first extent is rewritten to 2**40 is found short
+        before its payload is read, not by a 4 TB read that runs out of
+        memory."""
+        blob = ckpt.with_suffix(".bin")
+        data = bytearray(blob.read_bytes())
+        assert data[:8] == T.BLOB_MAGIC and data[9] >= 1  # rank >= 1
+        data[10:18] = struct.pack("<Q", 2**40)
+        blob.write_bytes(bytes(data))
+        with pytest.raises(backbone.CheckpointError, match="truncated tensor blob"):
+            backbone.load_checkpoint(ckpt)
+        assert cli.main(["inspect", "--ckpt", str(ckpt)]) == cli.EXIT_DATA
+        assert "truncated tensor blob" in capsys.readouterr().err
 
     def test_trailing_bytes(self, ckpt, capsys):
         blob = ckpt.with_suffix(".bin")

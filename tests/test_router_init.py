@@ -71,6 +71,62 @@ class TestSelectRepresentativePatches:
         assert np.array_equal(np.sort(sel.rows, axis=0), np.sort(sel_p.rows, axis=0))
 
 
+def row_layouts(rng, n, d):
+    """The same n x d float64 values C-ordered, F-ordered and row-strided."""
+    x = rng.standard_normal((n, d))
+    strided = np.zeros((2 * n, d + 3))
+    strided[::2, 1:d + 1] = x
+    return [x, np.asfortranarray(x), strided[::2, 1:d + 1]]
+
+
+class TestRowDots:
+    """The batched dots equal the per-row loops they replace bit for bit, so
+    scores, distances and every tie-break stay as before."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_per_row_np_dot(self, seed):
+        rng = np.random.default_rng(seed)
+        for d in range(1, 65):
+            n = int(rng.integers(1, 401))
+            centroid = rng.standard_normal(d)
+            for x in row_layouts(rng, n, d):
+                expected = np.array([np.dot(row, centroid) for row in x])
+                assert np.array_equal(router_init._row_dots(x, centroid), expected)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_per_pair_diff_dot(self, seed):
+        rng = np.random.default_rng(seed)
+        for d in range(1, 65):
+            n = int(rng.integers(1, 401))
+            for diffs in row_layouts(rng, n, d):
+                expected = [float(diff @ diff) for diff in diffs]
+                assert router_init._row_dots(diffs, diffs).tolist() == expected
+
+    def test_select_at_router_scale_with_ties(self):
+        """N = 400, n_px = 4, d = 24, K = 128, T = 5: indices and rows as the
+        oracle picks. Every patch is a permutation of one vector, so scores
+        agree up to rounding and the summation order decides the picks
+        (a matvec or (x * c).sum(1) picks differently); the last 100 patches
+        repeat earlier ones, so exact ties occur too."""
+        rng = np.random.default_rng(11)
+        v = rng.standard_normal(24)
+        rows = np.stack([rng.permutation(v) for _ in range(400)])
+        rows[300:] = rows[rng.integers(0, 300, 100)]
+        below = rng.random((400, 4, 1))
+        below[:, 0] = 0.0  # pixel 0 holds the row, the other three lie below it
+        x = rows[:, None, :] - below
+        sel = router_init.select_representative_patches(x, 128, 5)
+        oracle_idx, oracle_rows = representative_patches_oracle(x, 128, 5)
+        assert np.array_equal(sel.indices, oracle_idx)
+        assert np.array_equal(sel.rows, oracle_rows)
+        assert len(np.unique(sel.rows, axis=0)) < 128  # tied duplicates picked
+
+    def test_ward_at_router_scale(self):
+        pts = np.random.default_rng(12).standard_normal((48, 24))
+        pts[40:] = pts[:8]  # duplicates merge first, at distance 0
+        assert router_init.ward_cluster(pts).merges == ward_lance_williams_oracle(pts)
+
+
 class TestWardCluster:
     def test_two_points_single_merge(self):
         tree = router_init.ward_cluster(np.array([[0.0], [2.0]]))
