@@ -403,7 +403,6 @@ def _model_from_manifest(manifest: dict) -> Model:
                                  f"within 0..d_ff-1")
             experts.append(moe_mod.ExpertMLP(
                 indices=idx,
-                ln_gain=T.parameter(np.ones(d)), ln_bias=T.parameter(np.zeros(d)),
                 w1=T.parameter(np.zeros((d, de))), b1=T.parameter(np.zeros(de)),
                 w2=T.parameter(np.zeros((de, d))), b2=T.parameter(np.zeros(d)),
                 gamma=T.parameter(np.zeros(())), x_corr=T.parameter(np.zeros(d))))

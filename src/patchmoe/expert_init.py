@@ -43,8 +43,8 @@ def snapshot_dense_mlp(layer: TransformerLayer) -> DenseMLPSnapshot:
 
 
 def _normed_centroid(snapshot: DenseMLPSnapshot, centroid_raw: np.ndarray) -> np.ndarray:
-    """Raw-space centroid through the MLP-input layer norm, matching the
-    runtime expert input path."""
+    """Raw-space centroid through the layer's MLP-input norm, which the
+    experts read at run time."""
     x = Tensor(np.asarray(centroid_raw, dtype=np.float64).reshape(1, -1))
     return T.layer_norm(x, Tensor(snapshot.ln_gain.astype(np.float64)),
                         Tensor(snapshot.ln_bias.astype(np.float64))).data[0]
@@ -81,8 +81,6 @@ def build_expert(snapshot: DenseMLPSnapshot, indices: np.ndarray,
     dtype = T.default_dtype()
     return ExpertMLP(
         indices=indices,
-        ln_gain=T.parameter(snapshot.ln_gain.copy()),
-        ln_bias=T.parameter(snapshot.ln_bias.copy()),
         w1=T.parameter(snapshot.w1[:, indices].astype(dtype)),
         b1=T.parameter(snapshot.b1[indices].astype(dtype)),
         w2=T.parameter(snapshot.w2[indices, :].astype(dtype)),
@@ -94,9 +92,10 @@ def build_expert(snapshot: DenseMLPSnapshot, indices: np.ndarray,
 
 def per_expert_param_count(d_model: int, d_ff: int, reduction_factor: int) -> int:
     """Trainable scalars per expert: sliced MLP (d*d_e + d_e + d_e*d + d),
-    input layer norm (2d), x_corr (d), gamma (1)."""
+    x_corr (d), gamma (1). The input norm is the layer's, shared with the
+    router."""
     d_e = d_ff // reduction_factor
-    return d_model * d_e + d_e + d_e * d_model + d_model + 2 * d_model + d_model + 1
+    return d_model * d_e + d_e + d_e * d_model + d_model + d_model + 1
 
 
 def moefy_layer(model: Model, layer_index: int, router: Router,
@@ -105,8 +104,8 @@ def moefy_layer(model: Model, layer_index: int, router: Router,
     config.experts-expert MoE block whose experts keep
     d_ff / config.reduction_factor hidden dims each.
 
-    Attention weights and the layer's MLP-input norm (which keeps feeding the
-    router) are untouched.
+    Attention weights and the layer's MLP-input norm are untouched; the norm
+    feeds the router and the experts, as it fed the dense MLP.
     """
     cfg = model.config
     layer = model.layers[layer_index]

@@ -2,8 +2,9 @@
 
 Routing is cosine similarity between fixed-initialized centroids and the
 min-max-scaled, pixel-averaged patch embedding; every pixel of a patch goes
-to the same expert set. Experts are sliced MLPs with a per-expert input layer
-norm and a trainable correction blend (1 - gamma) * MLP_e(x) + gamma * x_corr.
+to the same expert set. Experts are slices of the dense MLP and, like it, read
+the layer's MLP-input norm output, blended with a trainable correction:
+(1 - gamma) * MLP_e(h) + gamma * x_corr.
 """
 
 from __future__ import annotations
@@ -55,8 +56,6 @@ class Router:
 @dataclass
 class ExpertMLP:
     indices: np.ndarray  # permutation indices into the dense hidden dim
-    ln_gain: Tensor
-    ln_bias: Tensor
     w1: Tensor  # d x d_e (sliced columns)
     b1: Tensor  # d_e
     w2: Tensor  # d_e x d (sliced rows)
@@ -65,15 +64,13 @@ class ExpertMLP:
     x_corr: Tensor  # d, full-MLP output at the expert's raw-space centroid
 
     def parameters(self) -> dict[str, Tensor]:
-        return {"ln.gain": self.ln_gain, "ln.bias": self.ln_bias,
-                "w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2,
+        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2,
                 "gamma": self.gamma, "x_corr": self.x_corr}
 
 
-def expert_forward(x_pixels: Tensor, expert: ExpertMLP) -> Tensor:
-    """Run one expert on an n x d pixel batch."""
-    h = T.layer_norm(x_pixels, expert.ln_gain, expert.ln_bias)
-    a = T.silu(T.linear(h, expert.w1, expert.b1))
+def expert_forward(h_pixels: Tensor, expert: ExpertMLP) -> Tensor:
+    """Run one expert on an n x d batch of MLP-input-normed pixels."""
+    a = T.silu(T.linear(h_pixels, expert.w1, expert.b1))
     out = T.linear(a, expert.w2, expert.b2)
     one_minus = T.sub(T.Tensor(1.0), expert.gamma)
     return T.add(T.mul(out, one_minus), T.mul(expert.x_corr, expert.gamma))
@@ -91,9 +88,7 @@ class RoutingRecord:
 
     @property
     def expert_counts(self) -> np.ndarray:
-        counts = np.zeros(self.num_experts, dtype=np.int64)
-        np.add.at(counts, self.indices.reshape(-1), 1)
-        return counts
+        return np.bincount(self.indices.reshape(-1), minlength=self.num_experts)
 
 
 @dataclass
@@ -151,18 +146,20 @@ def moe_forward(x: Tensor, captured: Tensor, block: MoEBlock):
     """Apply the MoE sublayer (without the outer residual, which the caller
     adds).
 
-    x is the post-attention activation; captured is the same activation after
-    the layer's MLP-input norm, which is the space the router was built in.
+    captured is the post-attention activation after the layer's MLP-input
+    norm: the router routes on it and each expert reads its rows, as the
+    dense MLP it replaced did. x, the activation before that norm, is not
+    read; it stays in the signature because perfbench/replay.py passes it.
     Each expert runs once on the rows routed to it, with no capacity limit;
     per-expert outputs are combined in fixed expert-index order.
     """
-    b, p, n_px, d = x.shape
+    b, p, n_px, d = captured.shape
     router = block.router
     logits = routing_logits(captured, router)
     indices, gates, probs = select_experts(logits, router.top_k, router.gate_mode)
 
     k = router.top_k
-    flat_x = T.reshape(x, (b * p, n_px, d))
+    flat_h = T.reshape(captured, (b * p, n_px, d))
     # slot r*k + j is row r's rank-j expert; each expert gathers its rows
     flat_idx = indices.reshape(-1)
     flat_gates = T.reshape(gates, (b * p * k, 1, 1))
@@ -172,7 +169,7 @@ def moe_forward(x: Tensor, captured: Tensor, block: MoEBlock):
         if slots.size == 0:
             continue
         rows = slots // k
-        pixels = T.reshape(T.take(flat_x, rows), (rows.size * n_px, d))
+        pixels = T.reshape(T.take(flat_h, rows), (rows.size * n_px, d))
         expert_out = T.reshape(expert_forward(pixels, block.experts[e]), (rows.size, n_px, d))
         contrib = T.scatter_rows(T.mul(expert_out, T.take(flat_gates, slots)), rows, b * p)
         out = contrib if out is None else T.add(out, contrib)

@@ -394,10 +394,11 @@ def take(a: Tensor, indices, axis: int = 0) -> Tensor:
 
 def scatter_rows(values: Tensor, indices, n_rows: int) -> Tensor:
     """Inverse of take along axis 0: rows land at `indices` in a zero tensor
-    of n_rows rows (duplicate indices accumulate)."""
+    of n_rows rows. The indices must not repeat (a repeat keeps one row);
+    moe_forward's are distinct because a patch's top_k experts are."""
     idx = np.asarray(indices)
     out_data = np.zeros((n_rows,) + values.shape[1:], dtype=values.data.dtype)
-    np.add.at(out_data, idx, values.data)
+    out_data[idx] = values.data
 
     def backward(g):
         if values.requires_grad:

@@ -210,8 +210,7 @@ def test_criterion_05_routing_invariants():
 def make_expert_constant(d, value):
     """Expert whose output is `value` everywhere (gamma 1, constant x_corr)."""
     return moe.ExpertMLP(
-        indices=np.arange(1), ln_gain=T.parameter(np.ones(d)),
-        ln_bias=T.parameter(np.zeros(d)), w1=T.parameter(np.zeros((d, 1))),
+        indices=np.arange(1), w1=T.parameter(np.zeros((d, 1))),
         b1=T.parameter(np.zeros(1)), w2=T.parameter(np.zeros((1, d))),
         b2=T.parameter(np.zeros(d)), gamma=T.parameter(np.asarray(1.0)),
         x_corr=T.parameter(np.full(d, value)))

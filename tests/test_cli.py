@@ -546,8 +546,8 @@ class TestInspect:
         assert cli.main(["inspect", "--ckpt", str(workdir["moe"])]) == 0
         out = capsys.readouterr().out
         assert "stage: moe" in out
-        # d_model 16, d_ff 32, reduction 2: 16*16+16+16*16+16 + 32 + 16 + 1
-        closed = 16 * 16 + 16 + 16 * 16 + 16 + 2 * 16 + 16 + 1
+        # d_model 16, d_ff 32, reduction 2: 16*16+16+16*16+16 + 16 + 1
+        closed = 16 * 16 + 16 + 16 * 16 + 16 + 16 + 1
         assert closed == expert_init.per_expert_param_count(16, 32, 2)
         assert f"per-expert parameters {closed}, top_k 1," in out
 
@@ -753,7 +753,8 @@ class TestManifestKeys:
 class TestOlderManifests:
     """Manifests written before the config became the one source of the
     routing settings carry `stage` and per-layer router keys; they load,
-    and the config wins where the copies disagree."""
+    and the config wins where the copies disagree. MoE checkpoints whose
+    experts carried their own layer norm exit 3."""
 
     def logits(self, path, images):
         return backbone.load_checkpoint(path).forward(images).logits.data
@@ -833,6 +834,33 @@ class TestOlderManifests:
         path.write_text(json.dumps(manifest))
         assert cli.main(["inspect", "--ckpt", str(path)]) == cli.EXIT_DATA
         assert "activation" in capsys.readouterr().err
+
+    def test_older_expert_layer_norms(self, workdir, tmp_path, capsys):
+        """Experts once carried their own copy of the MLP-input norm, stored
+        as expertE.ln.gain and ln.bias before each expert's w1. Such an MoE
+        checkpoint exits 3 naming the first one."""
+        path = _copy_checkpoint(workdir["tuned"], tmp_path / "tuned.json")
+        manifest = json.loads(path.read_text())
+        prefix = "layer1.moe.expert0."
+        assert [n[len(prefix):] for n in manifest["params"] if n.startswith(prefix)] \
+            == ["w1", "b1", "w2", "b2", "gamma", "x_corr"]
+        d = manifest["config"]["d_model"]
+        names = []
+        with open(path.with_suffix(".bin"), "rb") as f:
+            arrays = [T.read_blob(f) for _ in manifest["params"]]
+        with open(path.with_suffix(".bin"), "wb") as f:
+            for name, arr in zip(manifest["params"], arrays):
+                if ".moe.expert" in name and name.endswith(".w1"):
+                    prefix = name[:-len("w1")]
+                    for suffix, value in (("ln.gain", np.ones(d)), ("ln.bias", np.zeros(d))):
+                        names.append(prefix + suffix)
+                        T.write_blob(f, value.astype(arr.dtype))
+                names.append(name)
+                T.write_blob(f, arr)
+        manifest["params"] = names
+        path.write_text(json.dumps(manifest))
+        assert cli.main(["inspect", "--ckpt", str(path)]) == cli.EXIT_DATA
+        assert "'layer1.moe.expert0.ln.gain'" in capsys.readouterr().err
 
 
 class TestEmptyClass:
@@ -1101,8 +1129,8 @@ def test_inspect_expert_width_from_config(workdir, tmp_path, capsys):
     backbone.save_checkpoint(model, path)
     assert cli.main(["inspect", "--ckpt", str(path)]) == 0
     out = capsys.readouterr().out
-    # d_model 16 and d_e = d_ff = 32: 16*32+32+32*16+16 + 2*16 + 16 + 1
-    per = 16 * 32 + 32 + 32 * 16 + 16 + 2 * 16 + 16 + 1
+    # d_model 16 and d_e = d_ff = 32: 16*32+32+32*16+16 + 16 + 1
+    per = 16 * 32 + 32 + 32 * 16 + 16 + 16 + 1
     assert per == expert_init.per_expert_param_count(16, 32, 1)
     line = f"layer 1: experts 2, d_e 32, per-expert parameters {per}, top_k 1,"
     assert line in out

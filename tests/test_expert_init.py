@@ -101,8 +101,9 @@ class TestBuildExpert:
         ex = expert_init.build_expert(snap, np.arange(16), np.zeros(8), gamma=0.0)
         rng = np.random.default_rng(2)
         x = rng.normal(size=(10, 8))
-        out = moe.expert_forward(Tensor(x), ex)
+        # experts read the layer's MLP-input norm output, as the dense MLP does
         normed = T.layer_norm(Tensor(x), Tensor(snap.ln_gain), Tensor(snap.ln_bias))
+        out = moe.expert_forward(normed, ex)
         h = T.silu(T.add(T.matmul(normed, Tensor(snap.w1)), Tensor(snap.b1)))
         dense = T.add(T.matmul(h, Tensor(snap.w2)), Tensor(snap.b2))
         assert np.allclose(out.data, dense.data, atol=1e-6)
@@ -192,8 +193,8 @@ class TestMoefyLayer:
         model, cfg = self.make_model()
         expert_init.moefy_layer(model, 1, make_router(cfg.d_model, 3))
         expected = expert_init.per_expert_param_count(cfg.d_model, cfg.d_ff, 2)
-        # d=8, d_ff=16, reduction 2: 64+8+64+8 sliced MLP, 16 norm, 8 x_corr, 1 gamma
-        assert expected == 169
+        # d=8, d_ff=16, reduction 2: 64+8+64+8 sliced MLP, 8 x_corr, 1 gamma
+        assert expected == 153
         assert model.parameter_counts()["per_expert"]["1"] == expected
 
     def test_moe_param_total(self):

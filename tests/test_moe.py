@@ -19,7 +19,6 @@ def make_expert(d, d_ff, d_e, rng, gamma=0.0, indices=None):
         indices = np.arange(d_e)
     return moe.ExpertMLP(
         indices=np.asarray(indices),
-        ln_gain=T.parameter(np.ones(d)), ln_bias=T.parameter(np.zeros(d)),
         w1=T.parameter(rng.standard_normal((d, d_e)) * 0.5),
         b1=T.parameter(rng.standard_normal(d_e) * 0.1),
         w2=T.parameter(rng.standard_normal((d_e, d)) * 0.5),
@@ -118,8 +117,7 @@ class TestExpertForward:
         ex = make_expert(4, 8, 8, rng, gamma=0.0)
         x = rng.standard_normal((6, 4))
         out = moe.expert_forward(Tensor(x), ex).data
-        h = T.layer_norm(Tensor(x), ex.ln_gain, ex.ln_bias).data
-        a = h @ ex.w1.data + ex.b1.data
+        a = x @ ex.w1.data + ex.b1.data
         dense = (a * (1 / (1 + np.exp(-a)))) @ ex.w2.data + ex.b2.data
         assert np.allclose(out, dense, atol=1e-5)
 
@@ -129,13 +127,13 @@ class TestExpertForward:
         w2 = np.array([[1.0, 2.0], [3.0, 4.0]])
         ex = moe.ExpertMLP(
             indices=np.array([0, 2]),
-            ln_gain=T.parameter(np.ones(2)), ln_bias=T.parameter(np.zeros(2)),
             w1=T.parameter(w1), b1=T.parameter(np.array([0.5, 0.5])),
             w2=T.parameter(w2), b2=T.parameter(np.array([1.0, -1.0])),
             gamma=T.parameter(np.asarray(0.25)), x_corr=T.parameter(np.array([4.0, 8.0])),
         )
-        x = Tensor(np.array([[1.0, 3.0]]))
-        # ln = [-1, 1]; pre-act = [-1+0.5, -1+0.5] = [-0.5, -0.5]
+        # the input is already the layer's MLP-input norm output
+        x = Tensor(np.array([[-1.0, 1.0]]))
+        # pre-act = [-1+0.5, -1+0.5] = [-0.5, -0.5]
         # -> silu = -0.5 / (1 + e^0.5) = -0.18877033 for both
         # out = -0.18877033 * [1+3, 2+4] + b2 = [0.24491866, -2.13262201]
         # blend = 0.75*out + 0.25*[4,8] = [1.18368900, 0.40053350]
@@ -146,6 +144,19 @@ class TestExpertForward:
 class TestMoEForward:
     def x(self, b=2, p=3, n_px=2, d=4, seed=0):
         return Tensor(np.random.default_rng(seed).random((b, p, n_px, d)))
+
+    @pytest.mark.parametrize("top_k", [1, 2])
+    def test_experts_read_captured_not_x(self, top_k):
+        """Experts take the rows of `captured`, the MLP-input norm output the
+        router routes on: with it held fixed, noise in place of x changes
+        nothing."""
+        block = make_block(e=3, top_k=top_k, seed=5, gamma=0.3)
+        captured = self.x(seed=6)
+        out, record = moe.moe_forward(self.x(seed=7), captured, block)
+        noise = Tensor(np.random.default_rng(8).standard_normal(captured.shape) * 100)
+        out2, record2 = moe.moe_forward(noise, captured, block)
+        assert out.data.tobytes() == out2.data.tobytes()
+        assert record.indices.tobytes() == record2.indices.tobytes()
 
     def test_single_expert_gate_is_one(self):
         block = make_block(e=1)

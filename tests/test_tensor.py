@@ -151,7 +151,7 @@ OPS = {
     "sum_axis": (lambda a: T.tsum(a, axis=1), [(3, 4)]),
     "mean_axis": (lambda a: T.tmean(a, axis=0, keepdims=True), [(3, 4)]),
     "take": (lambda a: T.take(a, np.array([2, 0, 2])), [(4, 3)]),
-    "scatter_rows": (lambda a: T.scatter_rows(a, np.array([1, 3, 1]), 5), [(3, 2)]),
+    "scatter_rows": (lambda a: T.scatter_rows(a, np.array([1, 3, 0]), 5), [(3, 2)]),
     "sqrt": (lambda a: T.sqrt(T.add(T.mul(a, a), T.Tensor(1.0))), [(4,)]),
     "softmax": (lambda a: T.softmax(a, axis=-1), [(3, 5)]),
     "log_softmax": (lambda a: T.log_softmax(a, axis=-1), [(3, 5)]),

@@ -135,13 +135,14 @@ def _scatter_last_oracle(values, indices, size):
 
 def moe_forward_gate_matrix_oracle(x, captured, block):
     """MoE sublayer through a dense B*P x E gate matrix: zero where an expert
-    was not selected, re-gathered one column at a time for each expert's rows.
-    Per-expert outputs are added in expert-index order."""
-    b, p, n_px, d = x.shape
+    was not selected, re-gathered one column at a time for each expert's rows
+    of `captured` (x is not read, as in moe.moe_forward). Per-expert outputs
+    are scattered with np.add.at and added in expert-index order."""
+    b, p, n_px, d = captured.shape
     router = block.router
     logits = moe.routing_logits(captured, router)
     indices, gates, _ = moe.select_experts(logits, router.top_k, router.gate_mode)
-    flat_x = T.reshape(x, (b * p, n_px, d))
+    flat_h = T.reshape(captured, (b * p, n_px, d))
     flat_idx = indices.reshape(b * p, router.top_k)
     gate_matrix = _scatter_last_oracle(T.reshape(gates, (b * p, router.top_k)),
                                        flat_idx, router.num_experts)
@@ -150,14 +151,26 @@ def moe_forward_gate_matrix_oracle(x, captured, block):
         rows = np.nonzero((flat_idx == e).any(axis=-1))[0]
         if rows.size == 0:
             continue
-        pixels = T.reshape(T.take(flat_x, rows), (rows.size * n_px, d))
+        pixels = T.reshape(T.take(flat_h, rows), (rows.size * n_px, d))
         expert_out = T.reshape(moe.expert_forward(pixels, block.experts[e]),
                                (rows.size, n_px, d))
         gate = T.reshape(T.gather_last(T.take(gate_matrix, rows),
                                        np.full((rows.size, 1), e)), (rows.size, 1, 1))
-        contrib = T.scatter_rows(T.mul(expert_out, gate), rows, b * p)
+        contrib = _scatter_rows_oracle(T.mul(expert_out, gate), rows, b * p)
         out = contrib if out is None else T.add(out, contrib)
     return T.reshape(out, (b, p, n_px, d))
+
+
+def _scatter_rows_oracle(values, rows, n_rows):
+    """Rows of `values` added at `rows` of an n_rows zero tensor."""
+    out_data = np.zeros((n_rows,) + values.shape[1:], dtype=values.data.dtype)
+    np.add.at(out_data, rows, values.data)
+
+    def backward(g):
+        if values.requires_grad:
+            values._accumulate(g[rows])
+
+    return T.Tensor(out_data, _parents=(values,), _backward=backward)
 
 
 def linear_chain_oracle(x, w, b):
