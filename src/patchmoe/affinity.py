@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import moe
 from . import tensor as T
 from .data import LabeledImage
-from .moe import load_entropy
 from .tensor import Rng
 
 FIGURE_TEMPERATURE = 0.001
@@ -99,23 +99,27 @@ def affinity_post(model, images: list[LabeledImage], layer: int,
 
     Every patch contributes its complete distribution over experts; a patch's
     class is the label of its image. Classes never sampled are flagged as
-    missing (NaN row) rather than zero-filled. Builds no autodiff tape.
+    missing (NaN row) rather than zero-filled. Each batch runs only up to the
+    routed layer's capture and applies the router's softmax to it, the one
+    the full forward's expert selection applies, so later layers, the routed
+    layer's experts and the head never run. Builds no autodiff tape.
     """
     if not images:
         raise ValueError("no images to sample")
+    block = model.moe_blocks().get(layer)
+    if block is None:
+        raise ValueError(f"layer {layer} is not a MoE block")
     rng = rng or Rng(0)
     num_classes = model.config.num_classes
-    sums = None
+    sums = np.zeros((num_classes, block.router.num_experts))
     patch_counts = np.zeros(num_classes, dtype=np.int64)
     with model.no_grad():
         for _ in range(n_batches):
             idx = rng.gen.integers(0, len(images), size=min(batch_size, len(images)))
             x = np.stack([images[i].pixels for i in idx])
             labels = np.array([images[i].class_id for i in idx])
-            record = model.forward(x).routing[layer]
-            probs = record.full_probs  # B x P x E
-            if sums is None:
-                sums = np.zeros((num_classes, record.num_experts))
+            logits = moe.routing_logits(model.capture_pre_mlp(x, layer), block.router)
+            probs = T.softmax(logits, axis=-1).data  # B x P x E
             per_image = probs.sum(axis=1)  # sum over patches
             np.add.at(sums, labels, per_image)
             np.add.at(patch_counts, labels, probs.shape[1])
@@ -147,7 +151,7 @@ def collapse_metrics(matrix: AffinityMatrix) -> CollapseReport:
     background = above.sum(axis=0)
     mass = values.sum(axis=0)
     starved = [int(e) for e in np.flatnonzero(background == 0)]
-    return CollapseReport(background, load_entropy(mass), starved)
+    return CollapseReport(background, moe.load_entropy(mass), starved)
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +160,7 @@ def collapse_metrics(matrix: AffinityMatrix) -> CollapseReport:
 
 
 def export_csv(matrix: AffinityMatrix, path) -> None:
-    with open(path, "w", newline="") as f:
+    with T.atomic_write(path, newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["class", "expert", "value"])
         for c in range(matrix.num_classes):
@@ -174,7 +178,7 @@ def export_json(matrix: AffinityMatrix, path) -> None:
         "values": [[None if np.isnan(v) else v for v in row]
                    for row in matrix.values.tolist()],
     }
-    with open(path, "w") as f:
+    with T.atomic_write(path) as f:
         json.dump(payload, f, indent=2, sort_keys=True)
 
 
@@ -206,5 +210,5 @@ def export_svg(matrix: AffinityMatrix, path) -> None:
     parts.append(f'<text x="2" y="{height - 5}" font-size="10">'
                  f'{prov} {extra}</text>')
     parts.append("</svg>")
-    with open(path, "w") as f:
+    with T.atomic_write(path) as f:
         f.write("\n".join(parts))

@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from itertools import zip_longest
@@ -329,33 +328,20 @@ def save_checkpoint(model: Model, path: Path | str) -> None:
     that was at `path` as it was."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    blob_path = path.with_suffix(".bin")
-    tmp_blob = blob_path.with_name(blob_path.name + ".tmp")
-    tmp_manifest = path.with_name(path.name + ".tmp")
     manifest = {
         "finetuned": model.finetuned,
         "config": asdict(model.config),
         "params": list(model.named_parameters()),  # in the order of the blob's records
-        "moe": {},
+        "moe": {str(i): {"scaler": block.router.scaler.to_json(),
+                         "indices": [ex.indices.tolist() for ex in block.experts],
+                         "source_dense_hash": block.source_hash}
+                for i, block in model.moe_blocks().items()},
     }
-    try:
-        with open(tmp_blob, "wb") as f:
-            for t in model.named_parameters().values():
-                T.write_blob(f, t.data)
-        for i, block in model.moe_blocks().items():
-            manifest["moe"][str(i)] = {
-                "scaler": block.router.scaler.to_json(),
-                "indices": [ex.indices.tolist() for ex in block.experts],
-                "source_dense_hash": block.source_hash,
-            }
-        with open(tmp_manifest, "w") as f:
-            json.dump(manifest, f, indent=1, sort_keys=True)
-    except BaseException:
-        tmp_blob.unlink(missing_ok=True)
-        tmp_manifest.unlink(missing_ok=True)
-        raise
-    os.replace(tmp_blob, blob_path)
-    os.replace(tmp_manifest, path)
+    # `with a, b` exits b first: the blob is moved into place before the manifest
+    with T.atomic_write(path) as fm, T.atomic_write(path.with_suffix(".bin"), "wb") as fb:
+        for t in model.named_parameters().values():
+            T.write_blob(fb, t.data)
+        json.dump(manifest, fm, indent=1, sort_keys=True)
 
 
 class CheckpointError(Exception):

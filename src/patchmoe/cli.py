@@ -165,7 +165,7 @@ def write_run_manifest(path: Path, command: str, resolved: dict,
     payload = {"command": command, "config": resolved}
     payload.update(extra or {})
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as f:
+    with T.atomic_write(path) as f:
         json.dump(payload, f, indent=2, sort_keys=True)
 
 
@@ -299,7 +299,7 @@ def cmd_eval(args) -> int:
     rows += [(f"class_{c}_acc", acc) for c, acc in sorted(result.per_class.items())]
     rows += [(f"expert_entropy_layer_{i}", result.expert_entropy(i))
              for i in sorted(result.expert_counts)]
-    with open(args.out, "w") as f:
+    with T.atomic_write(args.out) as f:
         f.write("metric,value\n")
         for name, value in rows:
             f.write(f"{name},{value!r}\n")
@@ -371,6 +371,8 @@ def cmd_inspect(args) -> int:
         print(f"layer {layer}: experts {block.router.num_experts}, d_e {d_e}, "
               f"per-expert parameters {per}, "
               f"top_k {block.router.top_k}, source {block.source_hash}")
+        print(f"layer {layer}: gamma per expert "
+              + " ".join(f"{float(ex.gamma.data):.4g}" for ex in block.experts))
     return 0
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import Rng
+from .tensor import Rng, atomic_write
 
 
 class DataError(Exception):
@@ -255,7 +255,7 @@ def save_dataset(dataset: Dataset, out_dir: Path | str) -> None:
             "file": rel, "class": im.class_id, "split": im.split,
             "fg_box": list(im.fg_box) if im.fg_box else None,
         })
-    with open(out / "manifest.json", "w") as f:
+    with atomic_write(out / "manifest.json") as f:
         json.dump(manifest, f, indent=1, sort_keys=True)
 
 

@@ -1,6 +1,6 @@
 """Dense tensors with reverse-mode autodiff, plus the small numeric helpers
-(min-max scaling, cosine similarity, blob serialization, seeded RNG) the rest
-of the package is built on.
+(min-max scaling, cosine similarity, blob serialization, atomic file writes,
+seeded RNG) the rest of the package is built on.
 
 Everything is backed by numpy arrays in either float32 (training default) or
 float64 (verification mode). Gradients are analytic per op; the test suite
@@ -11,8 +11,11 @@ from __future__ import annotations
 
 import io
 import math
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -592,8 +595,25 @@ def cosine_matrix(x: Tensor, c: Tensor, eps: float | None = None) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# Binary tensor blob format
+# Files: atomic writes and the binary tensor blob format
 # ---------------------------------------------------------------------------
+
+
+@contextmanager
+def atomic_write(path, mode: str = "w", **open_kwargs):
+    """Yield a file open on `path` plus ".tmp" and move it onto `path` when
+    the block completes. A block that raises removes the temporary file and
+    leaves whatever was at `path` as it was."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
 
 BLOB_MAGIC = b"PMTBLOB1"
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}

@@ -229,7 +229,7 @@ class TrainResult:
 def write_metrics_csv(rows: list[dict], moe_layers: list[int], path) -> None:
     columns = ["epoch", "split", "loss", "top1"]
     columns += [f"expert_entropy_layer_{i}" for i in moe_layers]
-    with open(path, "w", newline="") as f:
+    with T.atomic_write(path, newline="") as f:
         writer = csv.writer(f)
         writer.writerow(columns)
         for row in rows:

@@ -5,12 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from patchmoe import affinity, backbone, expert_init, training
+from patchmoe import affinity, backbone, expert_init, moe, training
 from patchmoe import tensor as T
 from patchmoe.tensor import Rng
 
 from util_model import toy_config
-from util_oracles import read_affinity_csv
+from util_oracles import affinity_post_forward_oracle, read_affinity_csv
 from test_expert_init import make_router
 from test_training import make_two_class_dataset
 
@@ -86,6 +86,76 @@ class TestAffinityPost:
         model = backbone.Model(cfg, Rng(0))
         expert_init.moefy_layer(model, 1, make_router(cfg.d_model, num_experts))
         return model
+
+    def two_moe_layer_model(self, top_k=1, gate_mode="renorm", layers=2):
+        """MoE at layers 0 and 1, so that layer 1 routes behind an MoE layer."""
+        cfg = toy_config(num_classes=2, layers=layers, moe_layers=(0, 1), experts=3,
+                         top_k=top_k, gate_mode=gate_mode)
+        model = backbone.Model(cfg, Rng(2))
+        for i in cfg.moe_layers:
+            expert_init.moefy_layer(model, i, make_router(cfg.d_model, 3, seed=i, top_k=top_k,
+                                                          gate_mode=gate_mode))
+        return model
+
+    @pytest.mark.parametrize("gate_mode", ["renorm", "raw"])
+    @pytest.mark.parametrize("top_k", [1, 2])
+    @pytest.mark.parametrize("layer", [0, 1])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_matches_full_forward_oracle(self, dtype, layer, top_k, gate_mode):
+        """Stopping at the routed layer's capture averages the same softmax
+        as the full forward's routing record, byte for byte."""
+        T.set_default_dtype(dtype)
+        try:
+            model = self.two_moe_layer_model(top_k, gate_mode)
+            images = make_two_class_dataset().split("val")
+            got = affinity.affinity_post(model, images, layer, 3, 5, Rng(4))
+            want = affinity_post_forward_oracle(model, images, layer, 3, 5, Rng(4))
+        finally:
+            T.set_default_dtype("float32")
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.missing_classes == want.missing_classes
+        assert got.provenance == want.provenance
+        assert got.temperature == want.temperature
+
+    @pytest.mark.parametrize("layer", [0, 1])
+    def test_runs_nothing_after_the_routed_layer(self, monkeypatch, layer):
+        model = self.two_moe_layer_model(layers=3)
+        images = make_two_class_dataset().split("val")
+        calls = {"attention": 0, "expert": 0}
+        attention, expert_forward = backbone.Model.attention, moe.expert_forward
+
+        def count_attention(self, *args):
+            calls["attention"] += 1
+            return attention(self, *args)
+
+        def count_expert(*args):
+            calls["expert"] += 1
+            return expert_forward(*args)
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("affinity_post ran the full forward")
+
+        monkeypatch.setattr(backbone.Model, "attention", count_attention)
+        monkeypatch.setattr(moe, "expert_forward", count_expert)
+        monkeypatch.setattr(model, "forward", no_forward)
+        affinity.affinity_post(model, images, layer, n_batches=2, batch_size=4)
+        assert calls["attention"] == 2 * (layer + 1)
+        if layer == 0:
+            assert calls["expert"] == 0
+        else:
+            assert calls["expert"] > 0  # layer 0's experts feed layer 1's capture
+
+    @pytest.mark.parametrize("layer", [0, 5])
+    def test_layer_without_moe_block_refused_before_any_forward(self, monkeypatch, layer):
+        model = self.moe_model()  # MoE at layer 1 only
+        images = make_two_class_dataset().split("val")
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("a forward ran")
+
+        monkeypatch.setattr(backbone.Model, "patch_embed", no_forward)
+        with pytest.raises(ValueError, match=f"layer {layer} is not a MoE block"):
+            affinity.affinity_post(model, images, layer, n_batches=2, batch_size=4)
 
     def test_rows_sum_to_one(self):
         model = self.moe_model()

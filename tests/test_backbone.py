@@ -1,10 +1,12 @@
 import io
 import json
+import tempfile
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from patchmoe import backbone, expert_init
@@ -251,6 +253,43 @@ class TestCheckpoint:
         model = Model(cfg, T.Rng(0))
         backbone.save_checkpoint(model, tmp_path / "ck.json")
         assert backbone.load_checkpoint(tmp_path / "ck.json").config == cfg
+
+
+@settings(max_examples=40, deadline=None)
+@given(dtype=st.sampled_from(["float32", "float64"]),
+       moe_layers=st.sampled_from([(), (0,), (1,), (0, 1)]),
+       top_k=st.sampled_from([1, 2]), gate_mode=st.sampled_from(["renorm", "raw"]),
+       seed=st.integers(0, 2**16))
+def test_save_load_round_trip_is_bit_exact(dtype, moe_layers, top_k, gate_mode, seed):
+    """A loaded checkpoint computes what the saved model computed, bit for
+    bit: eval logits, every layer's routing indices and gates, and the
+    train-mode logits and gradients (model_digest)."""
+    T.set_default_dtype(dtype)
+    try:
+        cfg = toy_config(moe_layers=moe_layers, experts=3, top_k=top_k,
+                         gate_mode=gate_mode, dropout=0.1)
+        model = Model(cfg, T.Rng(seed))
+        for i in moe_layers:
+            expert_init.moefy_layer(model, i, make_router(cfg.d_model, 3, seed=seed + i,
+                                                          top_k=top_k, gate_mode=gate_mode))
+        nprng = np.random.default_rng(seed)
+        for p in model.named_parameters().values():  # move every value off its init
+            p.data = (p.data + nprng.normal(0, 0.1, p.shape)).astype(dtype)
+        images = nprng.integers(0, 256, (3, 8, 8, 3), dtype=np.uint8)
+        labels = nprng.integers(0, cfg.num_classes, 3)
+        with tempfile.TemporaryDirectory() as tmp:
+            backbone.save_checkpoint(model, Path(tmp) / "ck.json")
+            loaded = backbone.load_checkpoint(Path(tmp) / "ck.json")
+        saved_out, loaded_out = model.forward(images), loaded.forward(images)
+        assert loaded_out.logits.data.tobytes() == saved_out.logits.data.tobytes()
+        assert sorted(loaded_out.routing) == sorted(saved_out.routing) == list(moe_layers)
+        for i, record in saved_out.routing.items():
+            assert loaded_out.routing[i].indices.tobytes() == record.indices.tobytes()
+            assert loaded_out.routing[i].gates.tobytes() == record.gates.tobytes()
+        assert (model_digest(loaded, images, labels, T.Rng(seed))
+                == model_digest(model, images, labels, T.Rng(seed)))
+    finally:
+        T.set_default_dtype("float32")
 
 
 @pytest.fixture(scope="module")

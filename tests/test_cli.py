@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from patchmoe import backbone, cli, data, expert_init, router_init, training
+from patchmoe import affinity, backbone, cli, data, expert_init, router_init, training
 from patchmoe import tensor as T
 from util_oracles import HAND_WRITTEN_CONFIG_SCHEMA, read_affinity_csv
 
@@ -551,6 +551,12 @@ class TestInspect:
         assert closed == expert_init.per_expert_param_count(16, 32, 2)
         assert f"per-expert parameters {closed}, top_k 1," in out
 
+    def test_gamma_per_expert(self, workdir, capsys):
+        """A freshly moefied checkpoint holds every expert's initial gamma."""
+        assert expert_init.GAMMA_INIT == 0.9
+        assert cli.main(["inspect", "--ckpt", str(workdir["moe"])]) == 0
+        assert "\nlayer 1: gamma per expert 0.9 0.9\n" in capsys.readouterr().out
+
     def test_dense_checkpoint(self, workdir, capsys):
         assert cli.main(["inspect", "--ckpt", str(workdir["dense"])]) == 0
         out = capsys.readouterr().out
@@ -924,6 +930,62 @@ def test_failed_save_keeps_old_checkpoint(workdir, tmp_path, monkeypatch):
     after = backbone.load_checkpoint(path).forward(images).logits.data
     assert after.tobytes() == expected.tobytes()
     assert not np.array_equal(after, tuned.forward(images).logits.data)
+
+
+class Unwritable:
+    """A value no writer can format: json.dump, float() and repr() fail."""
+
+    def __repr__(self):
+        raise RuntimeError("unwritable")
+
+
+def _poisoned_matrix(**kwargs):
+    """A 2 x 2 affinity matrix whose second entry cannot be written."""
+    matrix = affinity.AffinityMatrix(np.eye(2), "pre_init", 1.0, 0.0, **kwargs)
+    matrix.values = np.array([[0.5, Unwritable()], [0.0, 1.0]], dtype=object)
+    return matrix
+
+
+def _artifact_writers():
+    """name -> a call that writes an artifact at `path` and raises partway."""
+    row = {"epoch": 1, "split": "train", "loss": 0.5, "top1": 1.0}
+    return {
+        "run_manifest": lambda path: cli.write_run_manifest(
+            path, "pretrain", {"seed": {"seed": 0}}, {"z": Unwritable()}),
+        "metrics_csv": lambda path: training.write_metrics_csv([row, {"epoch": 2}], [], path),
+        "affinity_csv": lambda path: affinity.export_csv(_poisoned_matrix(), path),
+        "affinity_json": lambda path: affinity.export_json(
+            affinity.AffinityMatrix(np.eye(2), "pre_init", 1.0, 0.0,
+                                    provenance={"z": Unwritable()}), path),
+        "affinity_svg": lambda path: affinity.export_svg(_poisoned_matrix(), path),
+        "dataset_manifest": lambda path: data.save_dataset(
+            data.Dataset([], ["a"], seed=Unwritable()), path.parent),
+    }
+
+
+@pytest.mark.parametrize("writer", sorted(_artifact_writers()))
+def test_failed_artifact_write_keeps_the_old_file(tmp_path, writer):
+    """Each artifact is written through a temporary file: a write that
+    raises partway leaves the previous file byte-identical and no .tmp."""
+    path = tmp_path / "manifest.json"
+    path.write_bytes(b"previous artifact\n")
+    with pytest.raises((KeyError, RuntimeError, TypeError)):
+        _artifact_writers()[writer](path)
+    assert path.read_bytes() == b"previous artifact\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.json"]
+
+
+def test_failed_eval_csv_write_keeps_the_old_file(workdir, tmp_path, monkeypatch):
+    out = tmp_path / "eval.csv"
+    out.write_bytes(b"previous artifact\n")
+    result = training.EvalResult(loss=Unwritable(), top1=1.0, per_class={},
+                                 predictions=np.zeros(0))
+    monkeypatch.setattr(training, "evaluate", lambda *args, **kwargs: result)
+    with pytest.raises(RuntimeError, match="unwritable"):
+        cli.main(["eval", "--ckpt", str(workdir["tuned"]), "--data", str(workdir["data"]),
+                  "--out", str(out)])
+    assert out.read_bytes() == b"previous artifact\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["eval.csv"]
 
 
 # The config sections each command reads.

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from patchmoe import affinity, backbone, expert_init, training
+from patchmoe import affinity, backbone, expert_init, moe, training
 from patchmoe import tensor as T
 from patchmoe.data import LabeledImage
 from patchmoe.tensor import Rng
@@ -95,20 +95,22 @@ class TestNoTape:
         params = model.named_parameters()
         assert params and all(p.requires_grad for p in params.values())
 
-    def spy_forward(self, model, monkeypatch):
-        """Record every ForwardResult the model returns."""
-        results, forward = [], model.forward
+    def spy(self, monkeypatch, owner, name):
+        """Record everything owner.name returns."""
+        results, call = [], getattr(owner, name)
 
         def spy(*args, **kwargs):
-            results.append(forward(*args, **kwargs))
+            results.append(call(*args, **kwargs))
             return results[-1]
-        monkeypatch.setattr(model, "forward", spy)
+        monkeypatch.setattr(owner, name, spy)
         return results
 
     def assert_untaped(self, results):
+        """Each result, a Tensor or a ForwardResult's logits, is off the tape."""
         assert results
         for r in results:
-            assert not r.logits.requires_grad and r.logits._parents == ()
+            t = getattr(r, "logits", r)
+            assert not t.requires_grad and t._parents == ()
 
     def bad_images(self):
         """Four channels: the forward raises in patch_embed."""
@@ -129,7 +131,7 @@ class TestNoTape:
     def test_evaluate(self, monkeypatch):
         model = make_model()
         images = make_two_class_dataset().split("val")
-        results = self.spy_forward(model, monkeypatch)
+        results = self.spy(monkeypatch, model, "forward")
         first = training.evaluate(model, images, batch_size=4)
         self.assert_all_require_grad(model)
         self.assert_untaped(results)
@@ -141,10 +143,12 @@ class TestNoTape:
     def test_affinity_post(self, monkeypatch):
         model = make_model()
         images = make_two_class_dataset().split("val")
-        results = self.spy_forward(model, monkeypatch)
+        captures = self.spy(monkeypatch, model, "capture_pre_mlp")
+        logits = self.spy(monkeypatch, moe, "routing_logits")
         affinity.affinity_post(model, images, layer=1, n_batches=2, batch_size=4)
         self.assert_all_require_grad(model)
-        self.assert_untaped(results)
+        self.assert_untaped(captures)
+        self.assert_untaped(logits)
         with pytest.raises(ValueError):
             affinity.affinity_post(model, self.bad_images(), layer=1, n_batches=1)
         self.assert_all_require_grad(model)

@@ -341,6 +341,32 @@ class TestBlob:
         assert out == np.float32(3.5)
 
 
+class TestAtomicWrite:
+    @pytest.mark.parametrize("mode, old, part", [("w", "old text\n", "new"),
+                                                 ("wb", b"old bytes", b"new")])
+    def test_write_that_raises_keeps_the_old_file(self, tmp_path, mode, old, part):
+        path = tmp_path / "out"
+        (path.write_bytes if "b" in mode else path.write_text)(old)
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError, match="midway"):
+            with T.atomic_write(path, mode) as f:
+                f.write(part)
+                f.flush()
+                assert (tmp_path / "out.tmp").exists() and path.read_bytes() == before
+                raise RuntimeError("midway")
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+    def test_completed_write_replaces_the_file(self, tmp_path):
+        path = tmp_path / "out"
+        path.write_text("old")
+        with T.atomic_write(path) as f:
+            f.write("new")
+            assert path.read_text() == "old"
+        assert path.read_text() == "new"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
+
 def test_dropout_zero_is_identity(nprng):
     x = T.Tensor(nprng.standard_normal((4, 4)))
     assert T.dropout(x, 0.0, T.Rng(0)) is x

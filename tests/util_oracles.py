@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from patchmoe import backbone, moe
+from patchmoe import affinity, backbone, moe
 from patchmoe import tensor as T
 from patchmoe.data import resize_nearest
 
@@ -229,6 +229,37 @@ def forward_capture_oracle(model, images, layers, train=False, rng=None):
         pooled = T.dropout(pooled, cfg.dropout, rng)
     result.logits = T.linear(pooled, model.head_w, model.head_b)
     return result, captures
+
+
+def affinity_post_forward_oracle(model, images, layer, n_batches=50, batch_size=128,
+                                 rng=None, provenance=None):
+    """affinity.affinity_post as it was before it stopped at the routed
+    layer: every sampled batch runs the complete forward, and the routed
+    layer's RoutingRecord.full_probs are averaged per class."""
+    rng = rng or T.Rng(0)
+    num_classes = model.config.num_classes
+    sums = None
+    patch_counts = np.zeros(num_classes, dtype=np.int64)
+    with model.no_grad():
+        for _ in range(n_batches):
+            idx = rng.gen.integers(0, len(images), size=min(batch_size, len(images)))
+            x = np.stack([images[i].pixels for i in idx])
+            labels = np.array([images[i].class_id for i in idx])
+            record = model.forward(x).routing[layer]
+            probs = record.full_probs  # B x P x E
+            if sums is None:
+                sums = np.zeros((num_classes, record.num_experts))
+            per_image = probs.sum(axis=1)  # sum over patches
+            np.add.at(sums, labels, per_image)
+            np.add.at(patch_counts, labels, probs.shape[1])
+    missing = [c for c in range(num_classes) if patch_counts[c] == 0]
+    values = np.full_like(sums, np.nan)
+    seen = patch_counts > 0
+    values[seen] = sums[seen] / patch_counts[seen, None]
+    prov = dict(provenance or {})
+    prov.update({"layer": layer, "n_batches": n_batches, "batch_size": batch_size})
+    return affinity.AffinityMatrix(values, "post_finetune", model.config.router_temperature,
+                                   0.0, prov, missing_classes=missing)
 
 
 def fold_oracle(blocks, image_size, patch_size, n_px):
