@@ -341,7 +341,18 @@ def save_checkpoint(model: Model, path: Path | str) -> None:
     with T.atomic_write(path) as fm, T.atomic_write(path.with_suffix(".bin"), "wb") as fb:
         for t in model.named_parameters().values():
             T.write_blob(fb, t.data)
+        fb.flush()
+        # the loader checks it, so that a blob written for another manifest is refused
+        manifest["blob_sha256"] = _file_sha256(fb.name)
         json.dump(manifest, fm, indent=1, sort_keys=True)
+
+
+def _file_sha256(path) -> str:
+    h = hashlib.sha256()
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            h.update(chunk)
+    return h.hexdigest()
 
 
 class CheckpointError(Exception):
@@ -433,6 +444,11 @@ def load_checkpoint(path: Path | str) -> Model:
             t.data = arr.astype(T.default_dtype())
         if f.read(1):
             raise CheckpointError(f"{blob_path}: bytes after the last parameter record")
+    # A blob of the same config parses above; its digest tells it apart. Manifests
+    # written before the digest was recorded have no blob_sha256.
+    if "blob_sha256" in manifest and _file_sha256(blob_path) != manifest["blob_sha256"]:
+        raise CheckpointError(f"{blob_path}: sha256 differs from the blob_sha256 that "
+                              f"{path} records; the blob was written for another manifest")
     for i, block in model.moe_blocks().items():
         try:
             block.router.validate()

@@ -150,8 +150,13 @@ def moe_forward(x: Tensor, captured: Tensor, block: MoEBlock):
     norm: the router routes on it and each expert reads its rows, as the
     dense MLP it replaced did. x, the activation before that norm, is not
     read; it stays in the signature because perfbench/replay.py passes it.
-    Each expert runs once on the rows routed to it, with no capacity limit;
-    per-expert outputs are combined in fixed expert-index order.
+
+    Dispatch is one stable sort of the B*P*k slots by expert: one gather
+    lays each expert's rows out as one contiguous segment, in ascending row
+    order, and each expert runs once on its segment, with no capacity limit.
+    One concat puts the outputs back in slot order, the gates multiply them,
+    and each row's k contributions are summed in ascending expert order. The
+    tape holds the same full-size arrays however many experts are active.
     """
     b, p, n_px, d = captured.shape
     router = block.router
@@ -159,22 +164,23 @@ def moe_forward(x: Tensor, captured: Tensor, block: MoEBlock):
     indices, gates, probs = select_experts(logits, router.top_k, router.gate_mode)
 
     k = router.top_k
-    flat_h = T.reshape(captured, (b * p, n_px, d))
-    # slot r*k + j is row r's rank-j expert; each expert gathers its rows
-    flat_idx = indices.reshape(-1)
-    flat_gates = T.reshape(gates, (b * p * k, 1, 1))
-    out = None
-    for e in range(router.num_experts):
-        slots = np.flatnonzero(flat_idx == e)
-        if slots.size == 0:
-            continue
-        rows = slots // k
-        pixels = T.reshape(T.take(flat_h, rows), (rows.size * n_px, d))
-        expert_out = T.reshape(expert_forward(pixels, block.experts[e]), (rows.size, n_px, d))
-        contrib = T.scatter_rows(T.mul(expert_out, T.take(flat_gates, slots)), rows, b * p)
-        out = contrib if out is None else T.add(out, contrib)
+    # each row's k slots in ascending expert order, so that its contributions
+    # sum in that order; slot r*k + j is then row r's j-th lowest expert
+    by_expert = np.argsort(indices, axis=-1)
+    flat_idx = np.take_along_axis(indices, by_expert, axis=-1).reshape(-1)
+    order = np.argsort(flat_idx, kind="stable")
+    sizes = np.bincount(flat_idx, minlength=router.num_experts)
+    segments = T.split_rows(T.reshape(captured, (b * p, n_px, d)), order // k, sizes)
+    outs = [T.reshape(expert_forward(T.reshape(seg, (-1, d)), expert), seg.shape)
+            for seg, expert in zip(segments, block.experts) if len(seg.data)]
+    # without a tape, each full-size array is freed once the next is built
+    del segments
+    gated = T.mul(T.concat_rows(outs, order),
+                  T.reshape(T.gather_last(gates, by_expert), (-1, 1, 1)))
+    del outs
+    out = T.tsum(T.reshape(gated, (b, p, k, n_px, d)), axis=2)
     record = RoutingRecord(indices, gates.data.copy(), probs.data.copy())
-    return T.reshape(out, (b, p, n_px, d)), record
+    return out, record
 
 
 @dataclass
@@ -182,6 +188,7 @@ class UtilizationReport:
     load_fractions: np.ndarray  # per-expert share of routed patch slots
     entropy: float              # natural-log entropy of the load distribution
     max_load_ratio: float       # max share / uniform share
+    starved_experts: int        # experts no slot was routed to
 
 
 def load_entropy(mass) -> float:
@@ -195,9 +202,14 @@ def load_entropy(mass) -> float:
     return float(-(p * np.log(p)).sum())
 
 
-def dispatch_stats(record: RoutingRecord) -> UtilizationReport:
-    counts = record.expert_counts
+def dispatch_stats(counts) -> UtilizationReport:
+    """Load report from per-expert slot counts: one RoutingRecord's, or an
+    E-vector of them summed over forwards, as train() and evaluate() do."""
+    if isinstance(counts, RoutingRecord):
+        counts = counts.expert_counts
+    counts = np.asarray(counts)
     total = counts.sum()
     fractions = counts / total if total else np.zeros_like(counts, dtype=float)
-    max_ratio = float(fractions.max() * record.num_experts) if total else 0.0
-    return UtilizationReport(fractions, load_entropy(counts), max_ratio)
+    max_ratio = float(fractions.max() * counts.size) if total else 0.0
+    return UtilizationReport(fractions, load_entropy(counts), max_ratio,
+                             int(np.count_nonzero(counts == 0)))

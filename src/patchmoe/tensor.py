@@ -103,8 +103,14 @@ class Tensor:
     def detach(self) -> "Tensor":
         return Tensor(self.data)
 
-    def _accumulate(self, g: np.ndarray) -> None:
-        if self.grad is None:
+    def _accumulate(self, g: np.ndarray, at=None) -> None:
+        """Add g to .grad; with `at` (an index into .grad that names no element
+        twice), g covers only grad[at] and lands there in place."""
+        if at is not None:
+            if self.grad is None:
+                self.grad = np.zeros_like(self.data)
+            self.grad[at] += g
+        elif self.grad is None:
             # One pass into an array laid out like self.data (a transposed g
             # would otherwise pass its memory order, and so its summation
             # order, on); adding 0.0 turns -0.0 into +0.0 as zeros-then-add did.
@@ -382,32 +388,57 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def take(a: Tensor, indices, axis: int = 0) -> Tensor:
-    """Row gather; backward scatter-adds into the source."""
+    """Gather along axis. The backward adds into the source in place where
+    no index repeats, and scatter-adds in index order (np.add.at) where some
+    do, so a repeated row's gradients are summed in the order it was taken."""
     idx = np.asarray(indices)
     out_data = np.take(a.data, idx, axis=axis)
 
     def backward(g):
-        if a.requires_grad:
-            acc = np.zeros_like(a.data)
-            np.add.at(np.moveaxis(acc, axis, 0), idx, np.moveaxis(g, axis, 0))
-            a._accumulate(acc)
+        if not a.requires_grad:
+            return
+        if idx.size == 0 or np.bincount(idx.reshape(-1) % a.shape[axis]).max() == 1:
+            a._accumulate(g, at=(slice(None),) * axis + (idx,))
+            return
+        acc = np.zeros_like(a.data)
+        np.add.at(np.moveaxis(acc, axis, 0), idx, np.moveaxis(g, axis, 0))
+        a._accumulate(acc)
 
     return Tensor(out_data, _parents=(a,), _backward=backward)
 
 
-def scatter_rows(values: Tensor, indices, n_rows: int) -> Tensor:
-    """Inverse of take along axis 0: rows land at `indices` in a zero tensor
-    of n_rows rows. The indices must not repeat (a repeat keeps one row);
-    moe_forward's are distinct because a patch's top_k experts are."""
-    idx = np.asarray(indices)
-    out_data = np.zeros((n_rows,) + values.shape[1:], dtype=values.data.dtype)
-    out_data[idx] = values.data
+def split_rows(a: Tensor, rows, sizes) -> list[Tensor]:
+    """a's rows (axis 0) in the order `rows`, cut into consecutive segments
+    of `sizes` rows: one gather, and each segment a view of it. Every
+    segment's backward writes its rows of one shared gradient buffer (the
+    gather's grad), which the gather's backward (take) then adds into a."""
+    whole = take(a, rows)
+    bounds = np.cumsum([0, *sizes])
+    segments = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        def backward(g, at=slice(lo, hi)):
+            whole._accumulate(g, at=at)
+        segments.append(Tensor(whole.data[lo:hi], _parents=(whole,), _backward=backward))
+    return segments
+
+
+def concat_rows(parts: list[Tensor], rows) -> Tensor:
+    """Inverse of split_rows on a permutation: the parts' rows, stacked in
+    order, with stacked row i placed at row rows[i] of the result. `rows`
+    must name every row once; each row is assigned, never added, and the
+    backward hands each part its rows of the gradient."""
+    rows = np.asarray(rows)
+    out_data = np.empty((rows.size,) + parts[0].shape[1:], dtype=parts[0].data.dtype)
+    bounds = np.cumsum([0] + [len(part.data) for part in parts])
+    for part, lo, hi in zip(parts, bounds[:-1], bounds[1:]):
+        out_data[rows[lo:hi]] = part.data
 
     def backward(g):
-        if values.requires_grad:
-            values._accumulate(g[idx])
+        for part, lo, hi in zip(parts, bounds[:-1], bounds[1:]):
+            if part.requires_grad:
+                part._accumulate(g[rows[lo:hi]])
 
-    return Tensor(out_data, _parents=(values,), _backward=backward)
+    return Tensor(out_data, _parents=tuple(parts), _backward=backward)
 
 
 def gather_last(a: Tensor, indices: np.ndarray) -> Tensor:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import Dataset, LabeledImage
-from .moe import load_entropy
+from .moe import dispatch_stats, load_entropy
 from .tensor import Rng, Tensor
 
 
@@ -226,9 +226,20 @@ class TrainResult:
     final_val: EvalResult | None
 
 
+LOAD_COLUMNS = ("expert_entropy", "max_load_ratio", "starved_experts")
+
+
+def _load_columns(layer: int, counts) -> dict:
+    """A metrics row's LOAD_COLUMNS for one MoE layer, from the per-expert
+    slot counts of that split's forwards in the epoch."""
+    stats = dispatch_stats(counts)
+    values = (stats.entropy, stats.max_load_ratio, stats.starved_experts)
+    return {f"{name}_layer_{layer}": v for name, v in zip(LOAD_COLUMNS, values)}
+
+
 def write_metrics_csv(rows: list[dict], moe_layers: list[int], path) -> None:
     columns = ["epoch", "split", "loss", "top1"]
-    columns += [f"expert_entropy_layer_{i}" for i in moe_layers]
+    columns += [f"{name}_layer_{i}" for name in LOAD_COLUMNS for i in moe_layers]
     with T.atomic_write(path, newline="") as f:
         writer = csv.writer(f)
         writer.writerow(columns)
@@ -296,9 +307,9 @@ def train(model, dataset: Dataset, optim: OptimConfig, augment: AugmentConfig,
             val_row = {"epoch": epoch, "split": "val",
                        "loss": final_val.loss, "top1": final_val.top1}
         for i in moe_layers:
-            train_row[f"expert_entropy_layer_{i}"] = load_entropy(train_counts[i])
+            train_row.update(_load_columns(i, train_counts[i]))
             if val_row is not None:
-                val_row[f"expert_entropy_layer_{i}"] = final_val.expert_entropy(i)
+                val_row.update(_load_columns(i, final_val.expert_counts[i]))
         rows.append(train_row)
         if val_row is not None:
             rows.append(val_row)

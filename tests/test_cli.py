@@ -1,6 +1,7 @@
 """CLI subcommands, config resolution, exit codes, and pipeline smoke."""
 
 import dataclasses
+import hashlib
 import json
 import struct
 
@@ -577,6 +578,16 @@ class TestCheckpointErrors:
     def test_intact_copy_loads(self, ckpt):
         assert cli.main(["inspect", "--ckpt", str(ckpt)]) == 0
 
+    def test_blob_of_another_save(self, workdir, tmp_path, capsys):
+        """A crash between a save's two moves leaves the new blob beside the
+        old manifest. The fine-tuned blob has the moefied manifest's config,
+        so every name and shape agrees; the manifest's blob_sha256 refuses it."""
+        path = _copy_checkpoint(workdir["moe"], tmp_path / "moe.json")
+        blob = path.with_suffix(".bin")
+        blob.write_bytes(workdir["tuned"].with_suffix(".bin").read_bytes())
+        assert cli.main(["inspect", "--ckpt", str(path)]) == cli.EXIT_DATA
+        assert f"{blob}: sha256 differs" in capsys.readouterr().err
+
     def test_missing_parameter(self, ckpt, capsys):
         manifest = json.loads(ckpt.read_text())
         manifest["params"] = [n for n in manifest["params"] if n != "head.w"]
@@ -729,7 +740,8 @@ def _copy_checkpoint(src, dst):
 
 class TestManifestKeys:
     """A checkpoint manifest carries nothing the loader ignores: deleting any
-    one key of a fresh MoE checkpoint makes it unloadable."""
+    one key of a fresh MoE checkpoint makes it unloadable, except the blob
+    digest, which manifests written before it lack."""
 
     TOP = ["config", "finetuned", "moe", "params"]
     CONFIG = [f.name for f in dataclasses.fields(backbone.ModelConfig)]
@@ -737,7 +749,9 @@ class TestManifestKeys:
 
     def test_keys_are_all_listed(self, workdir):
         manifest = json.loads(workdir["moe"].read_text())
-        assert sorted(manifest) == self.TOP
+        assert sorted(manifest) == sorted(self.TOP + ["blob_sha256"])
+        assert manifest["blob_sha256"] == hashlib.sha256(
+            workdir["moe"].with_suffix(".bin").read_bytes()).hexdigest()
         assert sorted(manifest["config"]) == sorted(self.CONFIG)
         assert manifest["params"] == list(backbone.load_checkpoint(workdir["moe"])
                                           .named_parameters())
@@ -754,6 +768,15 @@ class TestManifestKeys:
         del holder[key]
         path.write_text(json.dumps(manifest))
         assert cli.main(["inspect", "--ckpt", str(path)]) == cli.EXIT_DATA
+
+    def test_manifest_without_blob_digest_loads(self, workdir, tmp_path):
+        path = _copy_checkpoint(workdir["moe"], tmp_path / "moe.json")
+        manifest = json.loads(path.read_text())
+        del manifest["blob_sha256"]
+        path.write_text(json.dumps(manifest))
+        loaded = backbone.load_checkpoint(path).named_parameters()
+        want = backbone.load_checkpoint(workdir["moe"]).named_parameters()
+        assert all(np.array_equal(loaded[n].data, t.data) for n, t in want.items())
 
 
 class TestOlderManifests:

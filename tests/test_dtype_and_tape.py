@@ -192,13 +192,16 @@ class TestAttentionMemory:
 
 def held_arrays(root):
     """Every array the tape from root holds: node payloads and the arrays
-    the backward closures captured, one entry per distinct buffer."""
+    the backward closures captured, one entry per distinct buffer. A view
+    counts as the array that owns its memory."""
     held = {}
     for node in tape_nodes(root):
         cells = [c.cell_contents for c in (node._backward.__closure__ or ())] \
             if node._backward is not None else []
         for arr in [node.data] + [c for c in cells if isinstance(c, np.ndarray)]:
-            held[(arr.__array_interface__["data"][0], arr.shape)] = arr
+            while isinstance(arr.base, np.ndarray):
+                arr = arr.base
+            held[id(arr)] = arr
     return list(held.values())
 
 
@@ -253,6 +256,52 @@ class TestTrainingTape:
         assert all(n.grad is not None for n in leaves)
         if not moe:
             assert all(p.grad is not None for p in model.named_parameters().values())
+
+
+class TestMoETape:
+    """The taped MoE forward holds a fixed number of full-size arrays, one
+    row per patch (B*P, n_px, d) or per routed slot (B*P*k, n_px, d),
+    however many experts get rows."""
+
+    def held_full_size(self, top_k, pick_router):
+        """(active experts, full-size arrays the tape holds) for a toy model
+        whose layer-1 router pick_router(captured patches) builds."""
+        cfg = toy_config(num_classes=2, moe_layers=(1,), experts=4, top_k=top_k)
+        model = backbone.Model(cfg, Rng(0))
+        images = np.random.default_rng(0).integers(0, 256, (6, 8, 8, 3), dtype=np.uint8)
+        pooled = model.capture_pre_mlp(images, 1).data.mean(axis=2).reshape(-1, cfg.d_model)
+        scaler, centroids = pick_router(pooled)
+        expert_init.moefy_layer(model, 1, moe.Router(T.parameter(centroids), scaler,
+                                                     top_k=top_k))
+        result = model.forward(images, train=True, rng=Rng(1))
+        active = np.count_nonzero(result.routing[1].expert_counts)
+        shapes = {(rows, cfg.n_px, cfg.d_model) for rows in (len(pooled), len(pooled) * top_k)}
+        return active, len([a for a in held_arrays(result.logits) if a.shape in shapes])
+
+    @staticmethod
+    def two_experts(pooled):
+        """Every scaled patch lies in the positive orthant, so the two
+        positive centroids beat the two negative ones: 1 or 2 experts at
+        top-1, exactly 2 at top-2."""
+        d = pooled.shape[1]
+        ones = np.ones(d)
+        scaler = T.ScalerParams(np.full(d, -10.0), np.full(d, 10.0))
+        return scaler, np.stack([ones, ones + np.eye(d)[0], -ones, -ones])
+
+    @staticmethod
+    def four_experts(pooled):
+        """Four patches' own scaled features as centroids: each of them
+        routes to its own expert at top-1, so all four get rows."""
+        scaler = T.minmax_fit(pooled)
+        picks = T.minmax_apply(scaler, pooled)[[0, 7, 13, 22]]
+        return scaler, picks
+
+    @pytest.mark.parametrize("top_k", [1, 2])
+    def test_count_does_not_grow_with_active_experts(self, top_k):
+        few, few_held = self.held_full_size(top_k, self.two_experts)
+        many, many_held = self.held_full_size(top_k, self.four_experts)
+        assert few <= 2 and many >= 3
+        assert few_held == many_held
 
 
 class TestAccumulate:

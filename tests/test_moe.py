@@ -337,6 +337,17 @@ class TestDispatchStats:
         assert np.allclose(rep.load_fractions, [0.5, 0.25, 0.25])
         expected = -(0.5 * np.log(0.5) + 2 * 0.25 * np.log(0.25))
         assert rep.entropy == pytest.approx(expected)
+        assert rep.starved_experts == 0
+
+    def test_summed_counts_match_one_record(self):
+        """Counts summed over forwards give the report of one record holding
+        all their slots."""
+        rep = moe.dispatch_stats(np.array([3, 0, 1, 0]))
+        whole = moe.dispatch_stats(self.record([0, 2, 0, 0], e=4))
+        assert np.array_equal(rep.load_fractions, whole.load_fractions)
+        assert rep.entropy == whole.entropy
+        assert rep.max_load_ratio == whole.max_load_ratio == 3.0
+        assert rep.starved_experts == whole.starved_experts == 2
 
 
 def test_entropy_agrees_across_reports():

@@ -151,7 +151,13 @@ OPS = {
     "sum_axis": (lambda a: T.tsum(a, axis=1), [(3, 4)]),
     "mean_axis": (lambda a: T.tmean(a, axis=0, keepdims=True), [(3, 4)]),
     "take": (lambda a: T.take(a, np.array([2, 0, 2])), [(4, 3)]),
-    "scatter_rows": (lambda a: T.scatter_rows(a, np.array([1, 3, 0]), 5), [(3, 2)]),
+    "take_distinct": (lambda a: T.take(a, np.array([3, 0, 2])), [(4, 3)]),
+    "take_distinct_axis1": (lambda a: T.take(a, np.array([2, 0]), axis=1), [(2, 3, 2)]),
+    "split_rows": (lambda a: T.mul(*T.split_rows(a, np.array([2, 0, 2, 1]), [2, 2])), [(4, 3)]),
+    "split_rows_permutation": (lambda a: T.mul(*T.split_rows(a, np.array([3, 1, 0, 2]), [2, 2])),
+                               [(4, 3)]),
+    "concat_rows": (lambda a, b: T.concat_rows([a, b], np.array([3, 0, 4, 1, 2])),
+                    [(2, 3), (3, 3)]),
     "sqrt": (lambda a: T.sqrt(T.add(T.mul(a, a), T.Tensor(1.0))), [(4,)]),
     "softmax": (lambda a: T.softmax(a, axis=-1), [(3, 5)]),
     "log_softmax": (lambda a: T.log_softmax(a, axis=-1), [(3, 5)]),

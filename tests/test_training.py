@@ -246,8 +246,8 @@ class TestTrain:
         training.write_metrics_csv(result.rows, list(model.moe_blocks()), metrics)
         with open(metrics) as f:
             read = list(csv.reader(f))
-        assert read[0] == ["epoch", "split", "loss", "top1",
-                           "expert_entropy_layer_1"]
+        assert read[0] == ["epoch", "split", "loss", "top1", "expert_entropy_layer_1",
+                           "max_load_ratio_layer_1", "starved_experts_layer_1"]
         assert len(read) == 1 + len(result.rows)
         assert [f.name for f in dataclasses.fields(result)] == ["rows", "final_val"]
 
@@ -269,6 +269,34 @@ class TestTrain:
         for epoch, row in enumerate(train_rows):
             epoch_counts = sum(counts[epoch * steps:(epoch + 1) * steps])
             assert row["expert_entropy_layer_1"] == moe.load_entropy(epoch_counts)
+            stats = moe.dispatch_stats(epoch_counts)
+            assert row["max_load_ratio_layer_1"] == stats.max_load_ratio
+            assert row["starved_experts_layer_1"] == stats.starved_experts
+
+    def test_load_columns_on_known_routing(self, tmp_path):
+        """Every pooled patch lies in the positive orthant after the router's
+        scaler, so cosine routing sends every patch to expert 0, the one
+        all-positive centroid: 3 experts, a max-load ratio of 3 and 2 starved
+        experts in every train and val row."""
+        cfg = toy_config(num_classes=2, moe_layers=(1,), experts=3)
+        model = backbone.Model(cfg, Rng(0))
+        d = cfg.d_model
+        router = moe.Router(T.parameter(np.stack([np.ones(d), -np.ones(d), -np.ones(d)])),
+                            T.ScalerParams(np.full(d, -10.0), np.full(d, 10.0)))
+        expert_init.moefy_layer(model, 1, router)
+        result = training.train(model, make_two_class_dataset(), optim(epochs=2),
+                                training.AugmentConfig(), seed=0)
+        assert [r["split"] for r in result.rows] == ["train", "val"] * 2
+        for row in result.rows:
+            assert row["max_load_ratio_layer_1"] == 3.0
+            assert row["starved_experts_layer_1"] == 2
+            assert row["expert_entropy_layer_1"] == 0.0
+        metrics = tmp_path / "metrics.csv"
+        training.write_metrics_csv(result.rows, [1], metrics)
+        with open(metrics) as f:
+            read = list(csv.DictReader(f))
+        assert [(r["max_load_ratio_layer_1"], r["starved_experts_layer_1"]) for r in read] \
+            == [("3.0", "2")] * 4
 
     def test_val_rows_interleaved(self):
         ds = make_two_class_dataset()
