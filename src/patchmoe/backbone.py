@@ -333,7 +333,6 @@ def save_checkpoint(model: Model, path: Path | str) -> None:
         "config": asdict(model.config),
         "params": list(model.named_parameters()),  # in the order of the blob's records
         "moe": {str(i): {"scaler": block.router.scaler.to_json(),
-                         "indices": [ex.indices.tolist() for ex in block.experts],
                          "source_dense_hash": block.source_hash}
                 for i, block in model.moe_blocks().items()},
     }
@@ -361,15 +360,11 @@ class CheckpointError(Exception):
 
 def _model_from_manifest(manifest: dict) -> Model:
     """The model a manifest describes. The config holds every model setting;
-    an MoE entry, at one of its moe_layers, adds only its scaler, its
-    experts' indices (config.experts lists of d_ff // reduction_factor
-    strictly increasing hidden dims) and its source hash. Parameter values
-    are placeholders."""
-    stored = dict(manifest["config"])
-    # Older manifests record the MLP activation, which is always SiLU.
-    activation = stored.pop("activation", "silu")
-    if activation != "silu":
-        raise ValueError(f"config.activation is {activation!r}; the model uses 'silu'")
+    an MoE entry, at one of its moe_layers, adds only its scaler and its
+    source hash. Parameter values are placeholders, each of the shape the
+    config gives it: config.experts experts of d_ff // reduction_factor
+    hidden dims per MoE layer."""
+    stored = manifest["config"]
     missing = [f.name for f in fields(ModelConfig) if f.name not in stored]
     if missing:
         raise ValueError(f"config lacks {', '.join(missing)}")
@@ -381,28 +376,16 @@ def _model_from_manifest(manifest: dict) -> Model:
         if int(key) not in config.moe_layers:
             raise ValueError(f"MoE entry for layer {key}, not one of the config's "
                              f"moe_layers {list(config.moe_layers)}")
-        if len(info["indices"]) != config.experts:
-            raise ValueError(f"layer {key}: {len(info['indices'])} experts, "
-                             f"the config's experts is {config.experts}")
         router = moe_mod.Router(
             centroids=T.parameter(np.ones((config.experts, d))),
             scaler=ScalerParams.from_json(info["scaler"]),
             temperature=config.router_temperature, top_k=config.top_k,
             gate_mode=config.gate_mode)
-        experts = []
-        for idx in info["indices"]:
-            idx = np.asarray(idx, dtype=np.int64)
-            if idx.shape != (de,):
-                raise ValueError(f"layer {key}: an expert has {len(idx)} indices, "
-                                 f"d_ff // reduction_factor is {de}")
-            if not (idx[0] >= 0 and idx[-1] < config.d_ff and np.all(np.diff(idx) > 0)):
-                raise ValueError(f"layer {key}: expert indices must increase strictly "
-                                 f"within 0..d_ff-1")
-            experts.append(moe_mod.ExpertMLP(
-                indices=idx,
-                w1=T.parameter(np.zeros((d, de))), b1=T.parameter(np.zeros(de)),
-                w2=T.parameter(np.zeros((de, d))), b2=T.parameter(np.zeros(d)),
-                gamma=T.parameter(np.zeros(())), x_corr=T.parameter(np.zeros(d))))
+        experts = [moe_mod.ExpertMLP(
+            w1=T.parameter(np.zeros((d, de))), b1=T.parameter(np.zeros(de)),
+            w2=T.parameter(np.zeros((de, d))), b2=T.parameter(np.zeros(d)),
+            gamma=T.parameter(np.zeros(())), x_corr=T.parameter(np.zeros(d)))
+            for _ in range(config.experts)]
         model.layers[int(key)].mlp = moe_mod.MoEBlock(
             router=router, experts=experts, source_hash=info["source_dense_hash"])
     model.finetuned = manifest["finetuned"]
@@ -421,15 +404,14 @@ def load_checkpoint(path: Path | str) -> Model:
             raise CheckpointError(f"malformed checkpoint manifest {path}: {exc}") from None
     try:
         model = _model_from_manifest(manifest)
-        # Older manifests list {name, shape, offset} records, in this same order.
-        names = [e["name"] if isinstance(e, dict) else e for e in manifest["params"]]
+        names, blob_sha256 = manifest["params"], manifest["blob_sha256"]
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise CheckpointError(f"invalid checkpoint manifest {path}: "
                               f"{type(exc).__name__}: {exc}") from None
     params = model.named_parameters()
     if names != list(params):
         stored, wanted = next((a, b) for a, b in zip_longest(names, params) if a != b)
-        raise CheckpointError(f"checkpoint parameters differ from the model's: the "
+        raise CheckpointError(f"checkpoint parameters differ from the config's model: the "
                               f"manifest lists {stored!r} where the model has {wanted!r}")
     blob_path = path.with_suffix(".bin")
     with open(blob_path, "rb") as f:
@@ -440,13 +422,13 @@ def load_checkpoint(path: Path | str) -> Model:
                 raise CheckpointError(f"{blob_path}: {name}: {exc}") from None
             if arr.shape != t.shape:
                 raise CheckpointError(f"shape mismatch for {name}: stored {list(arr.shape)}, "
-                                      f"model {list(t.shape)}")
+                                      f"model {list(t.shape)} from the config's sizes "
+                                      f"and reduction_factor")
             t.data = arr.astype(T.default_dtype())
         if f.read(1):
             raise CheckpointError(f"{blob_path}: bytes after the last parameter record")
-    # A blob of the same config parses above; its digest tells it apart. Manifests
-    # written before the digest was recorded have no blob_sha256.
-    if "blob_sha256" in manifest and _file_sha256(blob_path) != manifest["blob_sha256"]:
+    # A blob of the same config parses above; its digest tells it apart.
+    if _file_sha256(blob_path) != blob_sha256:
         raise CheckpointError(f"{blob_path}: sha256 differs from the blob_sha256 that "
                               f"{path} records; the blob was written for another manifest")
     for i, block in model.moe_blocks().items():

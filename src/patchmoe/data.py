@@ -265,14 +265,23 @@ def load_dataset(path: Path | str) -> Dataset:
     root = Path(path)
     manifest_path = root / "manifest.json"
     if manifest_path.exists():
-        with open(manifest_path) as f:
-            manifest = json.load(f)
-        images = [
-            LabeledImage(read_ppm(root / entry["file"]), entry["class"], entry["split"],
-                         tuple(entry["fg_box"]) if entry.get("fg_box") else None)
-            for entry in manifest["images"]
-        ]
-        dataset = Dataset(images, manifest["class_names"], manifest.get("families"),
+        try:
+            with open(manifest_path) as f:
+                manifest = json.load(f)
+            class_names = manifest["class_names"]
+            images = []
+            for entry in manifest["images"]:
+                cid = entry["class"]
+                if type(cid) is not int or not 0 <= cid < len(class_names):
+                    raise ValueError(f"class {cid!r} is not a class id in "
+                                     f"0..{len(class_names) - 1}")
+                images.append(LabeledImage(
+                    read_ppm(root / entry["file"]), cid, entry["split"],
+                    tuple(entry["fg_box"]) if entry.get("fg_box") else None))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"invalid dataset manifest {manifest_path}: "
+                            f"{type(exc).__name__}: {exc}") from None
+        dataset = Dataset(images, class_names, manifest.get("families"),
                           seed=manifest.get("seed"))
     else:
         dataset = load_ppm_dir(root)

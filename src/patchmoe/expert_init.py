@@ -59,7 +59,7 @@ def hidden_activations(snapshot: DenseMLPSnapshot, centroid_raw: np.ndarray) -> 
 def importance_permutation(snapshot: DenseMLPSnapshot, centroid_raw: np.ndarray,
                            d_e: int) -> np.ndarray:
     """Indices of the d_e most strongly activated hidden dims at the
-    centroid; ties to the lower index, stored sorted ascending."""
+    centroid; ties to the lower index, sorted ascending."""
     if d_e > snapshot.d_ff:
         raise ValueError(f"d_e={d_e} exceeds hidden width {snapshot.d_ff}")
     acts = hidden_activations(snapshot, centroid_raw)
@@ -80,7 +80,6 @@ def build_expert(snapshot: DenseMLPSnapshot, indices: np.ndarray,
         raise ValueError("permutation indices out of range")
     dtype = T.default_dtype()
     return ExpertMLP(
-        indices=indices,
         w1=T.parameter(snapshot.w1[:, indices].astype(dtype)),
         b1=T.parameter(snapshot.b1[indices].astype(dtype)),
         w2=T.parameter(snapshot.w2[indices, :].astype(dtype)),

@@ -55,7 +55,6 @@ class Router:
 
 @dataclass
 class ExpertMLP:
-    indices: np.ndarray  # permutation indices into the dense hidden dim
     w1: Tensor  # d x d_e (sliced columns)
     b1: Tensor  # d_e
     w2: Tensor  # d_e x d (sliced rows)

@@ -369,12 +369,9 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     def backward(g):
         if not a.requires_grad:
             return
-        if axis is None:
-            a._accumulate(np.broadcast_to(g, a.shape).copy())
-            return
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(g, a.shape).copy())
+        a._accumulate(np.broadcast_to(g, a.shape))
 
     return Tensor(out_data, _parents=(a,), _backward=backward)
 

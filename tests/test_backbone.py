@@ -248,6 +248,29 @@ class TestCheckpoint:
         assert np.array_equal(model.forward(images).logits.data,
                               loaded.forward(images).logits.data)
 
+    def test_experts_of_any_hidden_units_round_trip(self, tmp_path):
+        """How experts are sliced is not part of the format: experts built
+        from unsorted or repeated hidden units save and load bit for bit."""
+        cfg = toy_config(moe_layers=(1,), experts=3)
+        model = Model(cfg, T.Rng(2))
+        snapshot = expert_init.snapshot_dense_mlp(model.layers[1])
+        block = expert_init.moefy_layer(model, 1, make_router(cfg.d_model, 3, seed=2))
+        d_e = cfg.d_ff // cfg.reduction_factor
+        for e, indices in enumerate([np.arange(d_e)[::-1], np.full(d_e, 3)]):
+            centroid = T.minmax_invert(block.router.scaler, block.router.centroids.data[e])
+            block.experts[e] = expert_init.build_expert(snapshot, indices, centroid)
+        path = tmp_path / "ck.json"
+        backbone.save_checkpoint(model, path)
+        loaded = backbone.load_checkpoint(path)
+        want = model.named_parameters()
+        assert all(t.data.tobytes() == want[n].data.tobytes()
+                   for n, t in loaded.named_parameters().items())
+        nprng = np.random.default_rng(2)
+        images = nprng.integers(0, 256, (3, 8, 8, 3), dtype=np.uint8)
+        labels = nprng.integers(0, cfg.num_classes, 3)
+        assert (model_digest(loaded, images, labels, T.Rng(2))
+                == model_digest(model, images, labels, T.Rng(2)))
+
     def test_config_survives(self, tmp_path):
         cfg = toy_config(num_classes=5)
         model = Model(cfg, T.Rng(0))

@@ -301,6 +301,32 @@ class TestPipeline:
                 in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["eval", "finetune"])
+    @pytest.mark.parametrize("edit, named", [
+        (lambda text: text.replace('"class": 0,', '"class": 99,', 1), "class 99"),
+        (lambda text: text.replace('"images"', '"pictures"'), "'images'"),
+        (lambda text: text[:-2], "JSONDecodeError")],
+        ids=["class-99", "no-images", "not-json"])
+    def test_malformed_dataset_manifest_is_data_error(self, workdir, tmp_path, capsys,
+                                                      command, edit, named):
+        """A dataset manifest that does not parse, lacks `images`, or labels
+        an image with a class the dataset does not have exits 3 naming it,
+        before any forward: eval once scored such a label and finetune
+        raised an IndexError."""
+        copy = tmp_path / "data"
+        data.save_dataset(data.load_dataset(workdir["data"]), copy)
+        text = (copy / "manifest.json").read_text()
+        (copy / "manifest.json").write_text(edit(text))
+        out = tmp_path / "out" / "x.json"
+        if command == "eval":
+            argv = ["eval", "--ckpt", str(workdir["tuned"]), "--out", str(out)]
+        else:
+            argv = _argv(workdir, command, out)
+            del argv[argv.index("--data"):argv.index("--data") + 2]
+        assert cli.main(argv + ["--data", str(copy)]) == cli.EXIT_DATA
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_default_image_size_on_32px_data_is_data_error(self, workdir, tmp_path):
         rc = cli.main(["pretrain", "--data", str(workdir["data"]),
                        "--out", str(tmp_path / "ckpt" / "x.json")])
@@ -689,10 +715,8 @@ class TestLoadedRouterValidation:
 
     @pytest.mark.parametrize("edit", [
         lambda entries: entries["1"].pop("scaler"),
-        lambda entries: entries["1"].pop("indices"),
-        lambda entries: entries.update({"-1": entries.pop("1")}),
-        lambda entries: entries["1"]["indices"][0].__setitem__(0, 32)],
-        ids=["missing-scaler", "missing-indices", "negative-layer", "index-past-d_ff"])
+        lambda entries: entries.update({"-1": entries.pop("1")})],
+        ids=["missing-scaler", "negative-layer"])
     def test_bad_moe_entry(self, workdir, tmp_path, edit):
         path = _copy_checkpoint(workdir["moe"], tmp_path / "moe.json")
         manifest = json.loads(path.read_text())
@@ -740,16 +764,15 @@ def _copy_checkpoint(src, dst):
 
 class TestManifestKeys:
     """A checkpoint manifest carries nothing the loader ignores: deleting any
-    one key of a fresh MoE checkpoint makes it unloadable, except the blob
-    digest, which manifests written before it lack."""
+    one key of a fresh MoE checkpoint makes it unloadable."""
 
-    TOP = ["config", "finetuned", "moe", "params"]
+    TOP = ["blob_sha256", "config", "finetuned", "moe", "params"]
     CONFIG = [f.name for f in dataclasses.fields(backbone.ModelConfig)]
-    ENTRY = ["indices", "scaler", "source_dense_hash"]
+    ENTRY = ["scaler", "source_dense_hash"]
 
     def test_keys_are_all_listed(self, workdir):
         manifest = json.loads(workdir["moe"].read_text())
-        assert sorted(manifest) == sorted(self.TOP + ["blob_sha256"])
+        assert sorted(manifest) == self.TOP
         assert manifest["blob_sha256"] == hashlib.sha256(
             workdir["moe"].with_suffix(".bin").read_bytes()).hexdigest()
         assert sorted(manifest["config"]) == sorted(self.CONFIG)
@@ -769,21 +792,23 @@ class TestManifestKeys:
         path.write_text(json.dumps(manifest))
         assert cli.main(["inspect", "--ckpt", str(path)]) == cli.EXIT_DATA
 
-    def test_manifest_without_blob_digest_loads(self, workdir, tmp_path):
+    def test_manifest_without_blob_digest_exits_data(self, workdir, tmp_path, capsys):
+        """Manifests written before the blob digest was recorded lack it:
+        they exit 3 with a message that names the key."""
         path = _copy_checkpoint(workdir["moe"], tmp_path / "moe.json")
         manifest = json.loads(path.read_text())
         del manifest["blob_sha256"]
         path.write_text(json.dumps(manifest))
-        loaded = backbone.load_checkpoint(path).named_parameters()
-        want = backbone.load_checkpoint(workdir["moe"]).named_parameters()
-        assert all(np.array_equal(loaded[n].data, t.data) for n, t in want.items())
+        assert cli.main(["inspect", "--ckpt", str(path)]) == cli.EXIT_DATA
+        assert "'blob_sha256'" in capsys.readouterr().err
 
 
 class TestOlderManifests:
-    """Manifests written before the config became the one source of the
-    routing settings carry `stage` and per-layer router keys; they load,
-    and the config wins where the copies disagree. MoE checkpoints whose
-    experts carried their own layer norm exit 3."""
+    """There is one checkpoint format. Keys that older versions wrote beside
+    it (`stage`, per-layer router settings, per-expert `indices`) are
+    ignored, and the config wins where the copies disagree. Older forms of
+    a key the loader reads exit 3 with a message that names it: `params`
+    records, a config `activation`, and experts with their own layer norm."""
 
     def logits(self, path, images):
         return backbone.load_checkpoint(path).forward(images).logits.data
@@ -795,6 +820,8 @@ class TestOlderManifests:
         manifest = json.loads(path.read_text())
         manifest["stage"] = "moe"
         manifest["moe"]["1"].update(experts=2, top_k=1, temperature=1.0, gate_mode="renorm")
+        # each expert's 16 of 32 dense hidden units, as the previous version listed them
+        manifest["moe"]["1"]["indices"] = [list(range(0, 32, 2)), list(range(1, 32, 2))]
         path.write_text(json.dumps(manifest))
         assert self.logits(path, images).tobytes() == expected.tobytes()
         manifest["stage"] = "dense"
@@ -811,10 +838,10 @@ class TestOlderManifests:
         out = capsys.readouterr().out
         assert "layer 1: experts 2," in out and "top_k 1," in out
 
-    @staticmethod
-    def older_param_records(path):
-        """The manifest at `path` with its names turned into the
-        {name, shape, offset} records that older versions wrote."""
+    def test_older_param_records(self, workdir, tmp_path, capsys):
+        """Older manifests list {name, shape, offset} records in blob order;
+        they exit 3 with a message that names the first record."""
+        path = _copy_checkpoint(workdir["tuned"], tmp_path / "tuned.json")
         manifest = json.loads(path.read_text())
         records, offset = [], 0
         with open(path.with_suffix(".bin"), "rb") as f:
@@ -823,46 +850,22 @@ class TestOlderManifests:
                 records.append({"name": name, "shape": shape, "offset": offset})
                 offset = f.tell()
         manifest["params"] = records
-        return manifest
-
-    @pytest.mark.parametrize("edit", [
-        lambda by_name: None,
-        lambda by_name: by_name["layer0.attn.wk"].update(
-            offset=by_name["layer0.attn.wq"]["offset"]),
-        lambda by_name: by_name["layer0.attn.wk"].update(offset=-1),
-        lambda by_name: by_name["head.w"].update(shape=[1])],
-        ids=["intact", "aliased-offset", "negative-offset", "wrong-shape"])
-    def test_older_param_records(self, workdir, tmp_path, edit):
-        """Older manifests list {name, shape, offset} records in blob order.
-        They load by name with offsets and shapes ignored, so every
-        parameter gets the blob's own array whatever its offset says."""
-        path = _copy_checkpoint(workdir["tuned"], tmp_path / "tuned.json")
-        images = np.stack([im.pixels for im in data.load_dataset(workdir["data"]).images[:8]])
-        expected = self.logits(path, images)
-        fresh = backbone.load_checkpoint(path).named_parameters()
-        assert not np.array_equal(fresh["layer0.attn.wk"].data, fresh["layer0.attn.wq"].data)
-        manifest = self.older_param_records(path)
-        edit({record["name"]: record for record in manifest["params"]})
-        path.write_text(json.dumps(manifest))
-        loaded = backbone.load_checkpoint(path).named_parameters()
-        assert all(loaded[n].data.tobytes() == fresh[n].data.tobytes() for n in fresh)
-        assert self.logits(path, images).tobytes() == expected.tobytes()
-
-    def test_older_activation_key(self, workdir, tmp_path, capsys):
-        """Older configs record the MLP activation: "silu" loads and forwards
-        bit for bit as the checkpoint without it; any other value exits 3."""
-        path = _copy_checkpoint(workdir["tuned"], tmp_path / "tuned.json")
-        images = np.stack([im.pixels for im in data.load_dataset(workdir["data"]).images[:8]])
-        expected = self.logits(path, images)
-        manifest = json.loads(path.read_text())
-        assert "activation" not in manifest["config"]
-        manifest["config"]["activation"] = "silu"
-        path.write_text(json.dumps(manifest))
-        assert self.logits(path, images).tobytes() == expected.tobytes()
-        manifest["config"]["activation"] = "gelu"
         path.write_text(json.dumps(manifest))
         assert cli.main(["inspect", "--ckpt", str(path)]) == cli.EXIT_DATA
-        assert "activation" in capsys.readouterr().err
+        assert "lists {'name': 'embed.w', " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("activation", ["silu", "gelu"])
+    def test_older_activation_key(self, workdir, tmp_path, capsys, activation):
+        """Older configs record the MLP activation, which is always SiLU: a
+        config with the key exits 3 with a message that names it, whatever
+        its value."""
+        path = _copy_checkpoint(workdir["tuned"], tmp_path / "tuned.json")
+        manifest = json.loads(path.read_text())
+        assert "activation" not in manifest["config"]
+        manifest["config"]["activation"] = activation
+        path.write_text(json.dumps(manifest))
+        assert cli.main(["inspect", "--ckpt", str(path)]) == cli.EXIT_DATA
+        assert "'activation'" in capsys.readouterr().err
 
     def test_older_expert_layer_norms(self, workdir, tmp_path, capsys):
         """Experts once carried their own copy of the MLP-input norm, stored
@@ -1201,8 +1204,9 @@ class TestRunConfigSections:
 
 
 def test_inspect_expert_width_from_config(workdir, tmp_path, capsys):
-    """Each expert holds d_ff // reduction_factor strictly increasing hidden
-    dims; a manifest whose index lists break that is a checkpoint error."""
+    """Each expert holds d_ff // reduction_factor hidden dims; a config whose
+    reduction_factor disagrees with the stored expert weights is a
+    checkpoint error."""
     model = backbone.load_checkpoint(workdir["dense"])
     model.config = dataclasses.replace(model.config, reduction_factor=1)
     params = router_init.RouterInitParams(top_k_patches=16, samples_per_class=2,
@@ -1226,15 +1230,8 @@ def test_inspect_expert_width_from_config(workdir, tmp_path, capsys):
     assert cli.main(["inspect", "--ckpt", str(path)]) == 0
     assert line in capsys.readouterr().out
 
-    entry = manifest["moe"]["1"]
-    first = entry["indices"][0]
-    repeated = [first[0]] + first[:-1]
-    swapped = [first[1], first[0]] + first[2:]
-    for named, change in [
-            # a config whose factor disagrees with the saved experts' 32 indices
-            ("reduction_factor", {"config": dict(manifest["config"], reduction_factor=2)}),
-            ("indices", {"moe": {"1": dict(entry, indices=[repeated] + entry["indices"][1:])}}),
-            ("indices", {"moe": {"1": dict(entry, indices=[swapped] + entry["indices"][1:])}})]:
-        path.write_text(json.dumps({**manifest, **change}))
-        assert cli.main(["inspect", "--ckpt", str(path)]) == cli.EXIT_DATA
-        assert named in capsys.readouterr().err
+    # a config whose factor disagrees with the saved experts' 32 hidden units
+    path.write_text(json.dumps({**manifest,
+                                "config": dict(manifest["config"], reduction_factor=2)}))
+    assert cli.main(["inspect", "--ckpt", str(path)]) == cli.EXIT_DATA
+    assert "reduction_factor" in capsys.readouterr().err

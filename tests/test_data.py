@@ -147,6 +147,29 @@ class TestDatasetIO:
         with pytest.raises(data.DataError, match="one square size, found 8x16"):
             data.load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("edit, named", [
+        (lambda text: text[:-2], "JSONDecodeError"),
+        (lambda text: text.replace('"images"', '"pictures"'), "'images'"),
+        (lambda text: text.replace('"class": 3,', '"class": 4,', 1), "class 4"),
+        (lambda text: text.replace('"class": 3,', '"class": -1,', 1), "class -1"),
+        (lambda text: text.replace('"class": 3,', '"class": "3",', 1), "class '3'"),
+        (lambda text: text.replace('"file"', '"path"', 1), "'file'"),
+        (lambda text: text.replace('"class"', '"label"', 1), "'class'"),
+        (lambda text: text.replace('"split"', '"subset"', 1), "'split'")],
+        ids=["not-json", "no-images", "class-past-end", "negative-class", "string-class",
+             "no-file", "no-class", "no-split"])
+    def test_malformed_manifest(self, tmp_path, small_dataset, edit, named):
+        """A dataset manifest that does not parse, or an entry whose class is
+        not one of the manifest's class ids, is a DataError naming what is
+        wrong, never a traceback or a label no prediction can match."""
+        data.save_dataset(small_dataset, tmp_path)
+        path = tmp_path / "manifest.json"
+        text = path.read_text()
+        path.write_text(edit(text))
+        assert path.read_text() != text
+        with pytest.raises(data.DataError, match=named):
+            data.load_dataset(tmp_path)
+
     def test_empty_dir(self, tmp_path):
         with pytest.raises(data.DataError, match="no classes"):
             data.load_ppm_dir(tmp_path)

@@ -148,7 +148,7 @@ class TestMoefyLayer:
         assert isinstance(model.layers[0].mlp, backbone.DenseMLP)
         assert model.moe_blocks() == {1: block}
         assert len(block.experts) == 3
-        assert all(e.indices.size == cfg.d_ff // cfg.reduction_factor
+        assert all(e.w1.shape == (cfg.d_model, cfg.d_ff // cfg.reduction_factor)
                    for e in block.experts)
 
     def test_source_hash_recorded(self):
@@ -232,9 +232,10 @@ class TestDenseEquivalence:
                               dtype=np.uint8)
         dense_logits = model.forward(images).logits.data.copy()
 
+        dense_w1 = model.layers[1].mlp.w1.data.copy()
         router = make_router(cfg.d_model, 1, seed=4)
         block = expert_init.moefy_layer(model, 1, router, gamma=0.0)
-        assert block.experts[0].indices.tolist() == list(range(cfg.d_ff))
+        assert np.array_equal(block.experts[0].w1.data, dense_w1)
         moe_logits = model.forward(images).logits.data
         assert np.max(np.abs(moe_logits - dense_logits)) < 1e-6
 

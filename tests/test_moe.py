@@ -14,11 +14,8 @@ def identity_scaler(d):
     return ScalerParams(np.zeros(d), np.ones(d))
 
 
-def make_expert(d, d_ff, d_e, rng, gamma=0.0, indices=None):
-    if indices is None:
-        indices = np.arange(d_e)
+def make_expert(d, d_ff, d_e, rng, gamma=0.0):
     return moe.ExpertMLP(
-        indices=np.asarray(indices),
         w1=T.parameter(rng.standard_normal((d, d_e)) * 0.5),
         b1=T.parameter(rng.standard_normal(d_e) * 0.1),
         w2=T.parameter(rng.standard_normal((d_e, d)) * 0.5),
@@ -126,7 +123,6 @@ class TestExpertForward:
         w1 = np.array([[1.0, 0.0], [0.0, -1.0]])   # already sliced to d_e=2
         w2 = np.array([[1.0, 2.0], [3.0, 4.0]])
         ex = moe.ExpertMLP(
-            indices=np.array([0, 2]),
             w1=T.parameter(w1), b1=T.parameter(np.array([0.5, 0.5])),
             w2=T.parameter(w2), b2=T.parameter(np.array([1.0, -1.0])),
             gamma=T.parameter(np.asarray(0.25)), x_corr=T.parameter(np.array([4.0, 8.0])),

@@ -22,7 +22,15 @@ def walkthrough():
     return files, commands
 
 
-def test_walkthrough_exits_zero(tmp_path, monkeypatch):
+def quoted_inspect_lines():
+    """The `inspect` output lines the walkthrough's prose quotes, each
+    joined onto one line."""
+    text = README.read_text().split("## CLI walkthrough", 1)[1].split("\n### ", 1)[0]
+    return [" ".join(quote.split()) for quote in re.findall(r"`(layer \d+: .*?)`", text, re.S)]
+
+
+def test_walkthrough_exits_zero(tmp_path, monkeypatch, capsys):
+    """Every command exits 0, and `inspect` prints the lines README quotes."""
     files, commands = walkthrough()
     assert sorted(files) == ["run.ini", "spec.json"]
     assert [argv[0] for argv in commands] == [
@@ -32,3 +40,7 @@ def test_walkthrough_exits_zero(tmp_path, monkeypatch):
         (tmp_path / name).write_text(body)
     for argv in commands:
         assert cli.main(argv) == 0, argv
+    quoted = quoted_inspect_lines()
+    assert [line.split(":")[1].split()[0] for line in quoted] == ["experts", "gamma"]
+    out = capsys.readouterr().out.splitlines()
+    assert all(line in out for line in quoted), quoted
