@@ -392,12 +392,20 @@ def _model_from_manifest(manifest: dict) -> Model:
     return model
 
 
+def _open_checkpoint_file(path: Path, mode: str):
+    try:
+        return open(path, mode)
+    except OSError as exc:
+        raise CheckpointError(f"cannot open checkpoint file {path}: "
+                              f"{exc.strerror or exc}") from None
+
+
 def load_checkpoint(path: Path | str) -> Model:
     """Rebuild a model from its manifest and blob file. Raises CheckpointError
     unless `params` names the model's parameters in order and the blob, read
     front to back, holds one valid record per name and nothing else."""
     path = Path(path)
-    with open(path) as f:
+    with _open_checkpoint_file(path, "r") as f:
         try:
             manifest = json.load(f)
         except json.JSONDecodeError as exc:
@@ -414,7 +422,7 @@ def load_checkpoint(path: Path | str) -> Model:
         raise CheckpointError(f"checkpoint parameters differ from the config's model: the "
                               f"manifest lists {stored!r} where the model has {wanted!r}")
     blob_path = path.with_suffix(".bin")
-    with open(blob_path, "rb") as f:
+    with _open_checkpoint_file(blob_path, "rb") as f:
         for name, t in params.items():
             try:
                 arr = T.read_blob(f)

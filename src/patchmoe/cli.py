@@ -335,9 +335,10 @@ def cmd_affinity(args) -> int:
     provenance = {"seed": args.seed if params is None else params.seed,
                   "checkpoint": str(args.ckpt)}
     if args.mode == "post":
-        images = dataset.split("val") or dataset.split("train")
+        # a dataset without val images is sampled from train, and says so
+        provenance["split"] = "val" if dataset.split("val") else "train"
         matrix = affinity_mod.affinity_post(
-            model, images, layer, n_batches=args.batches,
+            model, dataset.split(provenance["split"]), layer, n_batches=args.batches,
             batch_size=args.batch_size, rng=Rng(args.seed),
             provenance=provenance)
     else:

@@ -275,6 +275,9 @@ def load_dataset(path: Path | str) -> Dataset:
                 if type(cid) is not int or not 0 <= cid < len(class_names):
                     raise ValueError(f"class {cid!r} is not a class id in "
                                      f"0..{len(class_names) - 1}")
+                if entry["split"] not in ("train", "val"):
+                    raise ValueError(f"{entry['file']}: split {entry['split']!r} is not "
+                                     f"'train' or 'val'")
                 images.append(LabeledImage(
                     read_ppm(root / entry["file"]), cid, entry["split"],
                     tuple(entry["fg_box"]) if entry.get("fg_box") else None))

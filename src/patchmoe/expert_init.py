@@ -1,91 +1,49 @@
 """Converts dense MLP sublayers into sliced experts.
 
-Per expert: pick the hidden dimensions the dense MLP activates most strongly
-at the expert's centroid (mapped back to raw activation space), slice the
-dense weights at those dimensions, and initialize the correction blend with
-gamma = 0.9 and x_corr = the full dense MLP's output at the centroid.
+Per expert, one function (slice_expert) runs the expert's centroid, mapped
+back to raw activation space, once through the layer's MLP-input norm, w1 and
+SiLU. The d_e hidden units it activates most strongly are the expert's slice
+of the dense weights, and the full dense MLP's output at the centroid is its
+correction term x_corr, blended in with gamma = 0.9.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import tensor as T
-from .backbone import Model, TransformerLayer, dense_mlp_hash
+from .backbone import DenseMLP, Model, dense_mlp_hash
 from .moe import ExpertMLP, MoEBlock, Router
 from .tensor import Tensor
 
 GAMMA_INIT = 0.9
 
 
-@dataclass
-class DenseMLPSnapshot:
-    w1: np.ndarray  # d x d_ff
-    b1: np.ndarray
-    w2: np.ndarray  # d_ff x d
-    b2: np.ndarray
-    ln_gain: np.ndarray
-    ln_bias: np.ndarray
+def slice_expert(mlp: DenseMLP, ln_gain: np.ndarray, ln_bias: np.ndarray,
+                 centroid_raw: np.ndarray, d_e: int, gamma: float = GAMMA_INIT) -> ExpertMLP:
+    """The expert of one raw-space centroid, from the dense MLP and its
+    input norm's gain and bias.
 
-    @property
-    def d_ff(self) -> int:
-        return self.w1.shape[1]
+    The centroid runs once through the norm, w1 and SiLU in float64, with
+    the weights in C order whatever their layout, so the sums are too. The
+    expert keeps the d_e (at most d_ff) most strongly activated hidden units,
+    ties to the lower index, in ascending order; x_corr is the unsliced MLP's
+    output from the same activations. The weights are copies.
+    """
+    def f64(a):
+        return a.astype(np.float64, order="C")
 
-
-def snapshot_dense_mlp(layer: TransformerLayer) -> DenseMLPSnapshot:
-    mlp = layer.mlp
-    return DenseMLPSnapshot(
-        w1=mlp.w1.data.copy(), b1=mlp.b1.data.copy(),
-        w2=mlp.w2.data.copy(), b2=mlp.b2.data.copy(),
-        ln_gain=layer.ln2_gain.data.copy(), ln_bias=layer.ln2_bias.data.copy())
-
-
-def _normed_centroid(snapshot: DenseMLPSnapshot, centroid_raw: np.ndarray) -> np.ndarray:
-    """Raw-space centroid through the layer's MLP-input norm, which the
-    experts read at run time."""
     x = Tensor(np.asarray(centroid_raw, dtype=np.float64).reshape(1, -1))
-    return T.layer_norm(x, Tensor(snapshot.ln_gain.astype(np.float64)),
-                        Tensor(snapshot.ln_bias.astype(np.float64))).data[0]
-
-
-def hidden_activations(snapshot: DenseMLPSnapshot, centroid_raw: np.ndarray) -> np.ndarray:
-    h = _normed_centroid(snapshot, centroid_raw)
-    pre = h @ snapshot.w1.astype(np.float64) + snapshot.b1
-    return T.silu(Tensor(pre)).data
-
-
-def importance_permutation(snapshot: DenseMLPSnapshot, centroid_raw: np.ndarray,
-                           d_e: int) -> np.ndarray:
-    """Indices of the d_e most strongly activated hidden dims at the
-    centroid; ties to the lower index, sorted ascending."""
-    if d_e > snapshot.d_ff:
-        raise ValueError(f"d_e={d_e} exceeds hidden width {snapshot.d_ff}")
-    acts = hidden_activations(snapshot, centroid_raw)
-    top = np.argsort(-acts, kind="stable")[:d_e]
-    return np.sort(top)
-
-
-def full_mlp_output(snapshot: DenseMLPSnapshot, centroid_raw: np.ndarray) -> np.ndarray:
-    """The unsliced dense MLP's output at the raw-space centroid."""
-    acts = hidden_activations(snapshot, centroid_raw)
-    return acts @ snapshot.w2.astype(np.float64) + snapshot.b2
-
-
-def build_expert(snapshot: DenseMLPSnapshot, indices: np.ndarray,
-                 centroid_raw: np.ndarray, gamma: float = GAMMA_INIT) -> ExpertMLP:
-    indices = np.asarray(indices, dtype=np.int64)
-    if indices.size and (indices.min() < 0 or indices.max() >= snapshot.d_ff):
-        raise ValueError("permutation indices out of range")
-    dtype = T.default_dtype()
+    h = T.layer_norm(x, Tensor(f64(ln_gain)), Tensor(f64(ln_bias))).data[0]
+    acts = T.silu(Tensor(h @ f64(mlp.w1.data) + mlp.b1.data)).data
+    keep = np.sort(np.argsort(-acts, kind="stable")[:d_e])
     return ExpertMLP(
-        w1=T.parameter(snapshot.w1[:, indices].astype(dtype)),
-        b1=T.parameter(snapshot.b1[indices].astype(dtype)),
-        w2=T.parameter(snapshot.w2[indices, :].astype(dtype)),
-        b2=T.parameter(snapshot.b2.copy()),
-        gamma=T.parameter(np.asarray(gamma, dtype=dtype)),
-        x_corr=T.parameter(full_mlp_output(snapshot, centroid_raw).astype(dtype)),
+        w1=T.parameter(mlp.w1.data[:, keep]),
+        b1=T.parameter(mlp.b1.data[keep]),
+        w2=T.parameter(mlp.w2.data[keep, :]),
+        b2=T.parameter(mlp.b2.data.copy()),
+        gamma=T.parameter(gamma),
+        x_corr=T.parameter(acts @ f64(mlp.w2.data) + mlp.b2.data),
     )
 
 
@@ -118,12 +76,9 @@ def moefy_layer(model: Model, layer_index: int, router: Router,
             cfg.top_k, cfg.router_temperature, cfg.gate_mode):
         raise ValueError("router top_k, temperature and gate_mode must be the config's")
     d_e = cfg.d_ff // cfg.reduction_factor
-    snapshot = snapshot_dense_mlp(layer)
-    experts = []
-    for e in range(router.num_experts):
-        centroid_raw = T.minmax_invert(router.scaler, router.centroids.data[e])
-        indices = importance_permutation(snapshot, centroid_raw, d_e)
-        experts.append(build_expert(snapshot, indices, centroid_raw, gamma=gamma))
+    experts = [slice_expert(layer.mlp, layer.ln2_gain.data, layer.ln2_bias.data,
+                            T.minmax_invert(router.scaler, centroid), d_e, gamma)
+               for centroid in router.centroids.data]
     block = MoEBlock(router=router, experts=experts, source_hash=dense_mlp_hash(layer))
     layer.mlp = block
     return block

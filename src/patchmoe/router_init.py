@@ -44,13 +44,6 @@ class ClusterTree:
         groups.sort(key=lambda g: g[0])
         return groups
 
-    def assignments(self, num_clusters: int) -> np.ndarray:
-        """Per-leaf cluster index at the given cut."""
-        out = np.empty(self.n_leaves, dtype=np.int64)
-        for ci, group in enumerate(self.cut(num_clusters)):
-            out[group] = ci
-        return out
-
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot of each row of the n x d float64 `a` with `b` (a d-vector or an
@@ -148,14 +141,6 @@ def ward_cluster(points: np.ndarray) -> ClusterTree:
     return tree
 
 
-def initial_centroids(tree: ClusterTree, class_points: np.ndarray,
-                      num_clusters: int) -> np.ndarray:
-    """Unweighted mean of member class points per cluster (scaled space)."""
-    class_points = np.asarray(class_points, dtype=np.float64)
-    return np.stack([class_points[group].mean(axis=0)
-                     for group in tree.cut(num_clusters)])
-
-
 def refine_centroids_weighted(centroids: np.ndarray, class_points: np.ndarray,
                               temperature: float, threshold: float) -> np.ndarray:
     """Affinity-weighted centroid update.
@@ -227,11 +212,14 @@ def collect_embeddings(model, dataset: Dataset, layer: int, scales,
     """Pre-MLP patch embeddings per class, pooled across sampled train images
     and scales: one non-empty, finite N x n_px x d array per class.
 
-    Each class's rows are ordered by (picked image, scale). The captures run
-    per scale over all classes' picked images, CAPTURE_CHUNK at a time.
+    Every capture lands in one (picked image, patch row, n_px, d) array, each
+    image's patch rows in scale order; a class's rows are a view of its
+    images' slice, ordered by (picked image, scale). The captures run per
+    scale over all classes' picked images, CAPTURE_CHUNK at a time.
     """
-    picked = []  # (class, block index within the class, pixels)
-    counts = []
+    cfg = model.config
+    picked = []    # pixels of the picked images, class by class
+    bounds = [0]   # class c's images are picked[bounds[c]:bounds[c + 1]]
     for c in range(dataset.num_classes):
         images = dataset.by_class(c, "train")
         if not images:
@@ -239,25 +227,19 @@ def collect_embeddings(model, dataset: Dataset, layer: int, scales,
         crng = rng.child(c)
         n = min(samples_per_class, len(images))
         picks = sorted(crng.gen.choice(len(images), size=n, replace=False).tolist())
-        picked += [(c, j, images[i].pixels) for j, i in enumerate(picks)]
-        counts.append(n)
-    # each picked image owns `block` rows: P_s patch rows per scale, in order
-    offsets = np.cumsum([0] + [(s // model.config.patch_size) ** 2 for s in scales])
-    block = int(offsets[-1])
-    out: list[np.ndarray | None] = [None] * dataset.num_classes
-    for scale, offset in zip(scales, offsets):
+        picked += [images[i].pixels for i in picks]
+        bounds.append(len(picked))
+    offsets = np.cumsum([0] + [(s // cfg.patch_size) ** 2 for s in scales])
+    captures = np.empty((len(picked), offsets[-1], cfg.n_px, cfg.d_model), T.default_dtype())
+    for scale, lo, hi in zip(scales, offsets, offsets[1:]):
         for start in range(0, len(picked), CAPTURE_CHUNK):
-            chunk = picked[start:start + CAPTURE_CHUNK]
-            batch = np.stack([resize_nearest(pixels, scale) for _, _, pixels in chunk])
-            captures = model.capture_pre_mlp(batch, layer).data  # B x P x n_px x d
-            for (c, j, _), rows in zip(chunk, captures):
-                if out[c] is None:
-                    out[c] = np.empty((counts[c] * block,) + rows.shape[1:], rows.dtype)
-                lo = j * block + offset
-                out[c][lo:lo + len(rows)] = rows
-    if any(emb is None or not np.all(np.isfinite(emb)) for emb in out):
+            batch = np.stack([resize_nearest(pixels, scale)
+                              for pixels in picked[start:start + CAPTURE_CHUNK]])
+            captures[start:start + len(batch), lo:hi] = model.capture_pre_mlp(batch, layer).data
+    if captures.size == 0 or not np.isfinite(captures).all():
         raise ValueError("class embeddings must be non-empty and finite")
-    return out
+    return [captures[a:b].reshape(-1, cfg.n_px, cfg.d_model)
+            for a, b in zip(bounds, bounds[1:])]
 
 
 # The RouterInitParams fields select_class_patches reads; the others only
@@ -308,9 +290,12 @@ def build_router(model, dataset: Dataset, layer: int, num_experts: int,
 
     assignments = None
     if params.mode == "cluster":
-        tree = ward_cluster(class_points)
-        centroids = initial_centroids(tree, class_points, num_experts)
-        assignments = tree.assignments(num_experts)
+        # one cut: each cluster's centroid is its classes' unweighted mean
+        groups = ward_cluster(class_points).cut(num_experts)
+        centroids = np.stack([class_points[g].mean(axis=0) for g in groups])
+        assignments = np.empty(len(class_points), dtype=np.int64)
+        for e, g in enumerate(groups):
+            assignments[g] = e
         if params.refine:
             centroids = refine_centroids_weighted(
                 centroids, class_points, FIGURE_TEMPERATURE, FIGURE_THRESHOLD)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patchmoe import backbone, expert_init
+from patchmoe import backbone, expert_init, moe
 from patchmoe import tensor as T
 from patchmoe.backbone import Model, ModelConfig, unfold
 from test_expert_init import make_router
@@ -253,12 +253,14 @@ class TestCheckpoint:
         from unsorted or repeated hidden units save and load bit for bit."""
         cfg = toy_config(moe_layers=(1,), experts=3)
         model = Model(cfg, T.Rng(2))
-        snapshot = expert_init.snapshot_dense_mlp(model.layers[1])
+        w1, b1, w2, b2 = (t.data.copy() for t in model.layers[1].mlp.parameters().values())
         block = expert_init.moefy_layer(model, 1, make_router(cfg.d_model, 3, seed=2))
         d_e = cfg.d_ff // cfg.reduction_factor
-        for e, indices in enumerate([np.arange(d_e)[::-1], np.full(d_e, 3)]):
-            centroid = T.minmax_invert(block.router.scaler, block.router.centroids.data[e])
-            block.experts[e] = expert_init.build_expert(snapshot, indices, centroid)
+        for e, units in enumerate([np.arange(d_e)[::-1], np.full(d_e, 3)]):
+            block.experts[e] = moe.ExpertMLP(
+                w1=T.parameter(w1[:, units]), b1=T.parameter(b1[units]),
+                w2=T.parameter(w2[units]), b2=T.parameter(b2),
+                gamma=block.experts[e].gamma, x_corr=block.experts[e].x_corr)
         path = tmp_path / "ck.json"
         backbone.save_checkpoint(model, path)
         loaded = backbone.load_checkpoint(path)

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import shutil
 import struct
 
 import numpy as np
@@ -515,6 +516,23 @@ class TestAffinity:
         assert cli.main(argv) == 0
         assert json.loads(out.read_text())["provenance"]["seed"] == expected
 
+    @pytest.mark.parametrize("bare", [False, True], ids=["saved", "bare-ppm-dir"])
+    def test_post_mode_records_the_split_sampled(self, workdir, tmp_path, bare):
+        """post samples val images, or train images where there are none, as
+        in a bare PPM directory, and the export names the split it sampled."""
+        data_dir = workdir["data"]
+        if bare:
+            data_dir = tmp_path / "bare"
+            shutil.copytree(workdir["data"], data_dir)
+            (data_dir / "manifest.json").unlink()
+            assert not data.load_dataset(data_dir).split("val")
+        out = tmp_path / "aff.json"
+        argv = _argv(workdir, "affinity --mode post", out) + ["--format", "json"]
+        argv[argv.index("--data") + 1] = str(data_dir)
+        assert cli.main(argv) == 0
+        assert json.loads(out.read_text())["provenance"]["split"] == (
+            "train" if bare else "val")
+
     def test_post_mode_records_router_temperature(self, workdir, tmp_path):
         """The post export records the temperature the router scored at, as
         the pre export does."""
@@ -657,6 +675,23 @@ class TestCheckpointErrors:
         blob.write_bytes(blob.read_bytes() + bytes(700))
         assert cli.main(["inspect", "--ckpt", str(ckpt)]) == cli.EXIT_DATA
         assert "after the last parameter" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["inspect", "eval"])
+    @pytest.mark.parametrize("suffix", [".json", ".bin"], ids=["manifest", "blob"])
+    def test_directory_in_place_of_a_file(self, ckpt, workdir, tmp_path, capsys,
+                                          suffix, command):
+        """A directory where the manifest or its blob should be exits 3 and
+        names the path, not an IsADirectoryError traceback."""
+        target = ckpt.with_suffix(suffix)
+        target.unlink()
+        target.mkdir()
+        with pytest.raises(backbone.CheckpointError, match=f"cannot open .*{target}"):
+            backbone.load_checkpoint(ckpt)
+        argv = {"inspect": ["inspect", "--ckpt", str(ckpt)],
+                "eval": ["eval", "--ckpt", str(ckpt), "--data", str(workdir["data"]),
+                         "--out", str(tmp_path / "eval.csv")]}[command]
+        assert cli.main(argv) == cli.EXIT_DATA
+        assert str(target) in capsys.readouterr().err
 
     def test_malformed_manifest(self, ckpt):
         ckpt.write_text('{"stage": "dense", ')

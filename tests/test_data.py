@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -168,6 +170,23 @@ class TestDatasetIO:
         path.write_text(edit(text))
         assert path.read_text() != text
         with pytest.raises(data.DataError, match=named):
+            data.load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("split", ["Val", "test", None])
+    def test_unknown_split_rejected(self, tmp_path, small_dataset, split):
+        """Every image is in train or val: relabelling the val entries is a
+        DataError naming the first one's file and split, not 4 of 20 images
+        that no split holds."""
+        data.save_dataset(small_dataset, tmp_path)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        relabelled = [e for e in manifest["images"] if e["split"] == "val"]
+        assert len(relabelled) == 4
+        for entry in relabelled:
+            entry["split"] = split
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(data.DataError,
+                           match=re.escape(f"{relabelled[0]['file']}: split {split!r}")):
             data.load_dataset(tmp_path)
 
     def test_empty_dir(self, tmp_path):

@@ -1,4 +1,4 @@
-"""Dense-to-expert conversion: importance permutation, slicing, correction
+"""Dense-to-expert conversion: hidden-unit ranking, slicing, correction
 term, and dense equivalence."""
 
 import numpy as np
@@ -9,14 +9,39 @@ from patchmoe import tensor as T
 from patchmoe.tensor import Rng, Tensor
 
 from util_model import toy_config
+from util_oracles import moefy_layer_oracle
 
 
-def identity_snapshot(d, d_ff, seed=0):
+def dense_mlp(w1, b1, w2, b2):
+    return backbone.DenseMLP(*(Tensor(np.asarray(a, dtype=np.float64))
+                               for a in (w1, b1, w2, b2)))
+
+
+def random_mlp(d, d_ff, seed=0):
     rng = np.random.default_rng(seed)
-    return expert_init.DenseMLPSnapshot(
-        w1=rng.normal(size=(d, d_ff)), b1=rng.normal(size=d_ff),
-        w2=rng.normal(size=(d_ff, d)), b2=rng.normal(size=d),
-        ln_gain=np.ones(d), ln_bias=np.zeros(d))
+    return dense_mlp(rng.normal(size=(d, d_ff)), rng.normal(size=d_ff),
+                     rng.normal(size=(d_ff, d)), rng.normal(size=d))
+
+
+def slice_expert(mlp, centroid, d_e, **kwargs):
+    """slice_expert behind an identity input norm (gain 1, bias 0)."""
+    d = mlp.w1.shape[0]
+    return expert_init.slice_expert(mlp, np.ones(d), np.zeros(d), centroid, d_e, **kwargs)
+
+
+def kept_units(expert, mlp):
+    """The dense hidden units an expert kept, found by its w2 rows (the
+    dense w2 rows must be distinct)."""
+    dense = mlp.w2.data.astype(expert.w2.data.dtype)
+    return [int(np.flatnonzero((dense == row).all(axis=1))[0]) for row in expert.w2.data]
+
+
+def hidden_activations(mlp, centroid):
+    """SiLU(LN(centroid) . w1 + b1) behind an identity norm."""
+    c = np.asarray(centroid, dtype=np.float64)
+    h = (c - c.mean()) / np.sqrt(c.var() + T.default_eps())
+    pre = h @ mlp.w1.data + mlp.b1.data
+    return pre / (1.0 + np.exp(-pre))
 
 
 def make_router(d, num_experts, seed=0, **kwargs):
@@ -26,57 +51,21 @@ def make_router(d, num_experts, seed=0, **kwargs):
     return moe.Router(centroids=T.parameter(centroids), scaler=scaler, **kwargs)
 
 
-HAND_SNAPSHOT = expert_init.DenseMLPSnapshot(
-    w1=np.array([[2.0, 1.0, 1.0, 0.0], [-1.0, 0.0, -1.0, -2.0]]),
-    b1=np.zeros(4),
-    w2=np.arange(8, dtype=np.float64).reshape(4, 2),
-    b2=np.array([0.5, -0.5]),
-    ln_gain=np.ones(2), ln_bias=np.zeros(2))
+HAND_MLP = dense_mlp(w1=[[2.0, 1.0, 1.0, 0.0], [-1.0, 0.0, -1.0, -2.0]], b1=np.zeros(4),
+                     w2=np.arange(8).reshape(4, 2), b2=[0.5, -0.5])
 HAND_CENTROID = np.array([1.0, -1.0])  # zero mean, unit variance: LN is identity
 # SiLU of the hand case's pre-activations [3, 1, 2, 2]
 HAND_ACTS = np.array([2.85772238, 0.73105858, 1.76159416, 1.76159416])
 
 
-class TestImportancePermutation:
+class TestSliceExpert:
     def test_hand_case_with_tie(self):
         # LN([1,-1]) = [1,-1]; pre-activations [3, 1, 2, 2]; SiLU keeps their
-        # order and the tie at value 2, which goes to index 2
-        acts = expert_init.hidden_activations(HAND_SNAPSHOT, HAND_CENTROID)
-        assert np.allclose(acts, HAND_ACTS)
-        assert acts[2] == acts[3]
-        idx = expert_init.importance_permutation(HAND_SNAPSHOT, HAND_CENTROID, 2)
-        assert idx.tolist() == [0, 2]
-
-    def test_sorted_ascending_full_width(self):
-        snap = identity_snapshot(6, 12)
-        idx = expert_init.importance_permutation(snap, np.arange(6.0), 12)
-        assert idx.tolist() == list(range(12))
-
-    def test_indices_distinct_and_in_range(self):
-        snap = identity_snapshot(8, 16, seed=3)
-        for seed in range(10):
-            c = np.random.default_rng(seed).normal(size=8)
-            idx = expert_init.importance_permutation(snap, c, 8)
-            assert len(set(idx.tolist())) == 8
-            assert idx.min() >= 0 and idx.max() < 16
-            assert np.all(np.diff(idx) > 0)
-
-    def test_selects_largest_activations(self):
-        snap = identity_snapshot(8, 16, seed=5)
-        c = np.random.default_rng(1).normal(size=8)
-        acts = expert_init.hidden_activations(snap, c)
-        idx = expert_init.importance_permutation(snap, c, 4)
-        dropped = np.setdiff1d(np.arange(16), idx)
-        assert acts[idx].min() >= acts[dropped].max()
-
-    def test_d_e_too_large(self):
-        with pytest.raises(ValueError):
-            expert_init.importance_permutation(HAND_SNAPSHOT, HAND_CENTROID, 5)
-
-
-class TestBuildExpert:
-    def test_hand_case_sliced_weights(self):
-        ex = expert_init.build_expert(HAND_SNAPSHOT, np.array([0, 2]), HAND_CENTROID)
+        # order and the tie at value 2, which goes to index 2: units [0, 2]
+        acts = hidden_activations(HAND_MLP, HAND_CENTROID)
+        assert np.allclose(acts, HAND_ACTS) and acts[2] == acts[3]
+        ex = slice_expert(HAND_MLP, HAND_CENTROID, 2)
+        assert kept_units(ex, HAND_MLP) == [0, 2]
         assert np.allclose(ex.w1.data, [[2.0, 1.0], [-1.0, -1.0]])
         assert np.allclose(ex.b1.data, [0.0, 0.0])
         assert np.allclose(ex.w2.data, [[0.0, 1.0], [4.0, 5.0]])
@@ -85,38 +74,50 @@ class TestBuildExpert:
 
     def test_x_corr_is_full_mlp_output(self):
         # SiLU([3,1,2,2]) @ w2 + b2, with the unsliced hidden width
-        ex = expert_init.build_expert(HAND_SNAPSHOT, np.array([0, 2]), HAND_CENTROID)
-        expected = HAND_ACTS @ HAND_SNAPSHOT.w2 + HAND_SNAPSHOT.b2
+        ex = slice_expert(HAND_MLP, HAND_CENTROID, 2)
+        expected = HAND_ACTS @ HAND_MLP.w2.data + HAND_MLP.b2.data
         assert np.allclose(ex.x_corr.data, expected)
 
+    def test_sorted_ascending_full_width(self):
+        mlp = random_mlp(6, 12)
+        ex = slice_expert(mlp, np.arange(6.0), 12)
+        assert kept_units(ex, mlp) == list(range(12))
+        assert np.array_equal(ex.w1.data, mlp.w1.data.astype(np.float32))
+
+    def test_units_distinct_ascending_and_largest(self):
+        mlp = random_mlp(8, 16, seed=3)
+        for seed in range(10):
+            c = np.random.default_rng(seed).normal(size=8)
+            units = kept_units(slice_expert(mlp, c, 8), mlp)
+            assert np.all(np.diff(units) > 0)
+            acts = hidden_activations(mlp, c)
+            dropped = np.setdiff1d(np.arange(16), units)
+            assert acts[units].min() >= acts[dropped].max()
+
     def test_gamma_one_outputs_x_corr(self):
-        ex = expert_init.build_expert(HAND_SNAPSHOT, np.array([0, 2]), HAND_CENTROID,
-                                      gamma=1.0)
+        ex = slice_expert(HAND_MLP, HAND_CENTROID, 2, gamma=1.0)
         x = Tensor(np.random.default_rng(0).normal(size=(5, 2)))
         out = moe.expert_forward(x, ex)
         assert np.allclose(out.data, np.broadcast_to(ex.x_corr.data, (5, 2)))
 
-    def test_full_permutation_gamma_zero_matches_dense(self):
-        snap = identity_snapshot(8, 16, seed=7)
-        ex = expert_init.build_expert(snap, np.arange(16), np.zeros(8), gamma=0.0)
-        rng = np.random.default_rng(2)
-        x = rng.normal(size=(10, 8))
+    def test_full_width_gamma_zero_matches_dense(self):
+        mlp = random_mlp(8, 16, seed=7)
+        gain, bias = np.random.default_rng(8).normal(size=(2, 8))
+        ex = expert_init.slice_expert(mlp, gain, bias, np.zeros(8), 16, gamma=0.0)
+        x = np.random.default_rng(2).normal(size=(10, 8))
         # experts read the layer's MLP-input norm output, as the dense MLP does
-        normed = T.layer_norm(Tensor(x), Tensor(snap.ln_gain), Tensor(snap.ln_bias))
+        normed = T.layer_norm(Tensor(x), Tensor(gain), Tensor(bias))
         out = moe.expert_forward(normed, ex)
-        h = T.silu(T.add(T.matmul(normed, Tensor(snap.w1)), Tensor(snap.b1)))
-        dense = T.add(T.matmul(h, Tensor(snap.w2)), Tensor(snap.b2))
-        assert np.allclose(out.data, dense.data, atol=1e-6)
+        assert np.allclose(out.data, mlp.forward(normed).data, atol=1e-6)
 
     def test_copies_are_independent(self):
-        snap = identity_snapshot(4, 8)
-        ex = expert_init.build_expert(snap, np.arange(8), np.zeros(4))
-        ex.w1.data += 1.0
-        assert np.allclose(snap.w1, identity_snapshot(4, 8).w1)
-
-    def test_out_of_range_indices(self):
-        with pytest.raises(ValueError):
-            expert_init.build_expert(HAND_SNAPSHOT, np.array([0, 4]), HAND_CENTROID)
+        mlp = random_mlp(4, 8)
+        ex = slice_expert(mlp, np.zeros(4), 8)
+        for t in ex.parameters().values():
+            t.data += 1.0
+        fresh = random_mlp(4, 8)
+        assert all(np.array_equal(t.data, fresh.parameters()[k].data)
+                   for k, t in mlp.parameters().items())
 
     def test_block_diagonal_w1_gives_disjoint_experts(self):
         # each centroid lights up only its own block of hidden dims
@@ -124,15 +125,51 @@ class TestBuildExpert:
         w1 = np.zeros((d, d_ff))
         w1[:2, :4] = 1.0
         w1[2:, 4:] = 1.0
-        snap = expert_init.DenseMLPSnapshot(
-            w1=w1, b1=np.zeros(d_ff), w2=np.zeros((d_ff, d)), b2=np.zeros(d),
-            ln_gain=np.ones(d), ln_bias=np.zeros(d))
-        c_a = np.array([3.0, 3.0, -1.0, -1.0])
-        c_b = np.array([-1.0, -1.0, 3.0, 3.0])
-        idx_a = expert_init.importance_permutation(snap, c_a, 4)
-        idx_b = expert_init.importance_permutation(snap, c_b, 4)
-        assert idx_a.tolist() == [0, 1, 2, 3]
-        assert idx_b.tolist() == [4, 5, 6, 7]
+        mlp = dense_mlp(w1, np.zeros(d_ff), np.arange(d_ff * d).reshape(d_ff, d), np.zeros(d))
+        ex_a = slice_expert(mlp, np.array([3.0, 3.0, -1.0, -1.0]), 4)
+        ex_b = slice_expert(mlp, np.array([-1.0, -1.0, 3.0, 3.0]), 4)
+        assert kept_units(ex_a, mlp) == [0, 1, 2, 3]
+        assert kept_units(ex_b, mlp) == [4, 5, 6, 7]
+
+
+@pytest.fixture(params=["float32", "float64"])
+def dtype(request):
+    T.set_default_dtype(request.param)
+    yield request.param
+    T.set_default_dtype("float32")
+
+
+class TestMatchesOracle:
+    """Every expert parameter moefy_layer builds is byte-equal to the helper
+    chain's in tests/util_oracles.py."""
+
+    def assert_byte_equal(self, model, layer, router):
+        want = moefy_layer_oracle(model, layer, router)
+        block = expert_init.moefy_layer(model, layer, router)
+        assert len(block.experts) == len(want)
+        for got, ref in zip(block.experts, want):
+            for name, t in got.parameters().items():
+                r = ref.parameters()[name].data
+                assert t.data.dtype == r.dtype == T.default_dtype(), name
+                assert t.data.shape == r.shape and t.data.tobytes() == r.tobytes(), name
+
+    def test_single_expert_full_width(self, dtype):
+        cfg = toy_config(moe_layers=(1,), experts=1, top_k=1, reduction_factor=1)
+        model = backbone.Model(cfg, Rng(4))
+        self.assert_byte_equal(model, 1, make_router(cfg.d_model, 1, seed=4))
+
+    def test_experts_with_tied_activations(self, dtype):
+        """Every hidden unit is a copy of unit 0, 1 or 2 (six, five and five
+        copies), so at any centroid the 8 kept of 16 split a tied group and
+        the tie goes to the lower index. The copied w1 is column-major, and
+        the sums must not follow its layout."""
+        cfg = toy_config(moe_layers=(1,), experts=3)
+        model = backbone.Model(cfg, Rng(5))
+        mlp = model.layers[1].mlp
+        copies = np.arange(cfg.d_ff) % 3
+        mlp.w1.data = mlp.w1.data[:, copies]
+        mlp.b1.data = mlp.b1.data[copies]
+        self.assert_byte_equal(model, 1, make_router(cfg.d_model, 3, seed=5))
 
 
 class TestMoefyLayer:

@@ -1,12 +1,18 @@
-"""The README's CLI walkthrough runs as written."""
+"""The README's CLI walkthrough runs as written, and the names it cites
+exist."""
 
+import importlib
+import json
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
+import patchmoe
 from patchmoe import cli
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def walkthrough():
@@ -44,3 +50,27 @@ def test_walkthrough_exits_zero(tmp_path, monkeypatch, capsys):
     assert [line.split(":")[1].split()[0] for line in quoted] == ["experts", "gamma"]
     out = capsys.readouterr().out.splitlines()
     assert all(line in out for line in quoted), quoted
+
+
+def module_references():
+    """The backticked `module.name` references in the README whose module
+    is a patchmoe module or `T`, the name the code imports tensor as."""
+    modules = {m.name for m in pkgutil.iter_modules(patchmoe.__path__)} | {"T"}
+    return sorted({(module, name) for module, name
+                   in re.findall(r"`(\w+)\.(\w+)", README.read_text()) if module in modules})
+
+
+def test_module_references_resolve():
+    """Each reference is an attribute of its module, else a key of that
+    section of the run configuration (`router_init.seed`), else a per-layer
+    metric the benchmark reports (`tensor.tape_bytes_per_batch`)."""
+    metrics = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    refs = module_references()
+    assert ("router_init", "CAPTURE_CHUNK") in refs and ("T", "split_rows") in refs
+    unresolved = [
+        f"{module}.{name}" for module, name in refs
+        if not hasattr(importlib.import_module(f"patchmoe.{'tensor' if module == 'T' else module}"),
+                       name)
+        and name not in cli.CONFIG_SCHEMA.get(module, {})
+        and f"{module}.{name}" not in metrics]
+    assert unresolved == []

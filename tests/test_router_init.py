@@ -215,19 +215,24 @@ class TestWardMatchesLanceWilliamsOracle:
         assert router_init.ward_cluster(pts).merges == ward_lance_williams_oracle(pts)
 
 
-class TestInitialCentroids:
+def cluster_means(points, num_clusters):
+    """Unweighted mean of each Ward cluster's points, clusters in cut order."""
+    return np.stack([points[g].mean(axis=0)
+                     for g in router_init.ward_cluster(points).cut(num_clusters)])
+
+
+class TestClusterMeans:
     def test_singleton_and_midpoint(self):
         pts = np.array([[0.0, 0.0], [1.0, 1.0], [10.0, 0.0]])
-        tree = router_init.ward_cluster(pts)
-        cents = router_init.initial_centroids(tree, pts, 2)
+        assert router_init.ward_cluster(pts).cut(2) == [[0, 1], [2]]
+        cents = cluster_means(pts, 2)
         assert np.allclose(cents[0], [0.5, 0.5])  # {0,1} midpoint
         assert np.allclose(cents[1], [10.0, 0.0])  # singleton
 
     def test_three_member_mean(self):
         pts = np.array([[0.0], [1.0], [2.0], [50.0]])
-        tree = router_init.ward_cluster(pts)
-        cents = router_init.initial_centroids(tree, pts, 2)
-        assert np.allclose(sorted(cents.ravel()), [1.0, 50.0])
+        assert router_init.ward_cluster(pts).cut(2) == [[0, 1, 2], [3]]
+        assert np.allclose(cluster_means(pts, 2).ravel(), [1.0, 50.0])
 
 
 class TestRefineCentroids:
@@ -259,8 +264,7 @@ class TestRefineCentroids:
         base = np.array([[10.0, 0.0, 0.0], [0.0, 10.0, 0.0]])
         pts = np.concatenate([base[0] + rng.random((4, 3)) * 0.1,
                               base[1] + rng.random((4, 3)) * 0.1])
-        tree = router_init.ward_cluster(pts)
-        init = router_init.initial_centroids(tree, pts, 2)
+        init = cluster_means(pts, 2)
         refined = router_init.refine_centroids_weighted(init, pts, 0.001, 0.0)
         assert np.allclose(refined, init, atol=1e-6)
 
@@ -306,6 +310,13 @@ class TestCollectEmbeddings:
         for ca, cb in zip(a, b):
             assert np.array_equal(ca, cb)
 
+    def test_classes_are_views_of_one_capture_array(self, tiny_setup):
+        model, dataset = tiny_setup
+        out = router_init.collect_embeddings(model, dataset, 1, (24, 32), 2, T.Rng(0))
+        base = out[0].base
+        assert base is not None and base.shape == (2 * dataset.num_classes, 9 + 16, 4, 16)
+        assert all(emb.base is base for emb in out)
+
     def test_empty_class_errors(self, tiny_setup):
         model, dataset = tiny_setup
         pruned = data.Dataset([im for im in dataset.images if im.class_id != 2],
@@ -344,6 +355,20 @@ class TestBuildRouter:
         assert res.class_assignments.shape == (4,)
         assert set(res.class_assignments) <= {0, 1}
 
+    def test_centroids_and_assignments_from_one_cut(self, chunked_dataset, monkeypatch):
+        """Each centroid is the mean of the classes assigned to it, both read
+        from the one Ward cut at E clusters."""
+        model = three_layer_model(chunked_dataset, moefied=False)
+        set_experts(monkeypatch, model, 3)
+        params = router_init.RouterInitParams(samples_per_class=2, scales=(32,))
+        res = router_init.build_router(model, chunked_dataset, 1, 3, params)
+        points = res.class_points
+        groups = router_init.ward_cluster(points).cut(3)
+        assert [np.flatnonzero(res.class_assignments == e).tolist()
+                for e in range(3)] == groups
+        assert (res.router.centroids.data.tobytes()
+                == T.parameter(cluster_means(points, 3)).data.tobytes())
+
     def test_random_mode(self, tiny_setup, monkeypatch):
         model, dataset = tiny_setup
         set_experts(monkeypatch, model, 3)
@@ -368,7 +393,7 @@ class TestBuildRouter:
                                            dataclasses.replace(params, refine=True))
         points = plain.class_points
         assert np.array_equal(refined.class_points, points)
-        unrefined = router_init.initial_centroids(router_init.ward_cluster(points), points, 2)
+        unrefined = cluster_means(points, 2)
         assert plain.router.centroids.data.tobytes() == T.parameter(unrefined).data.tobytes()
         expected = router_init.refine_centroids_weighted(
             unrefined, points, affinity.FIGURE_TEMPERATURE, affinity.FIGURE_THRESHOLD)

@@ -116,6 +116,40 @@ def collect_embeddings_oracle(model, dataset, layer, scales, samples_per_class, 
     return out
 
 
+def moefy_layer_oracle(model, layer_index, router, gamma=0.9):
+    """The experts moefy_layer built as a chain of helpers: a copy of the
+    dense MLP and its input norm, the centroid's hidden activations computed
+    once to rank the hidden units and again for x_corr, and each expert
+    sliced from the copy at the ranked units. The model is left as it is."""
+    layer = model.layers[layer_index]
+    w1, b1, w2, b2 = (t.data.copy() for t in (layer.mlp.w1, layer.mlp.b1,
+                                             layer.mlp.w2, layer.mlp.b2))
+    ln_gain, ln_bias = layer.ln2_gain.data.copy(), layer.ln2_bias.data.copy()
+    d_e = w1.shape[1] // model.config.reduction_factor
+    dtype = T.default_dtype()
+
+    def hidden_activations(centroid_raw):
+        x = T.Tensor(np.asarray(centroid_raw, dtype=np.float64).reshape(1, -1))
+        h = T.layer_norm(x, T.Tensor(ln_gain.astype(np.float64)),
+                         T.Tensor(ln_bias.astype(np.float64))).data[0]
+        return T.silu(T.Tensor(h @ w1.astype(np.float64) + b1)).data
+
+    experts = []
+    for e in range(router.num_experts):
+        centroid_raw = T.minmax_invert(router.scaler, router.centroids.data[e])
+        # the d_e largest, ties to the lower index, in ascending order
+        units = np.sort(np.argsort(-hidden_activations(centroid_raw), kind="stable")[:d_e])
+        x_corr = hidden_activations(centroid_raw) @ w2.astype(np.float64) + b2
+        experts.append(moe.ExpertMLP(
+            w1=T.parameter(w1[:, units].astype(dtype)),
+            b1=T.parameter(b1[units].astype(dtype)),
+            w2=T.parameter(w2[units, :].astype(dtype)),
+            b2=T.parameter(b2.copy()),
+            gamma=T.parameter(np.asarray(gamma, dtype=dtype)),
+            x_corr=T.parameter(x_corr.astype(dtype))))
+    return experts
+
+
 def _scatter_last_oracle(values, indices, size):
     """Place values at `indices` along a new last axis of extent `size`
     (duplicates accumulate); backward gathers them back."""
