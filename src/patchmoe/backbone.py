@@ -67,8 +67,8 @@ class ModelConfig:
             raise ValueError("dropout must be in [0, 1)")
         if not 1 <= self.top_k <= self.experts:
             raise ValueError("top_k must be in 1..experts")
-        if not self.router_temperature > 0:
-            raise ValueError("router_temperature must be > 0")
+        if not (math.isfinite(self.router_temperature) and self.router_temperature > 0):
+            raise ValueError("router_temperature must be finite and > 0")
         if self.gate_mode not in ("renorm", "raw"):
             raise ValueError(f"unknown gate_mode {self.gate_mode!r}")
         if self.reduction_factor < 1 or self.d_ff % self.reduction_factor:

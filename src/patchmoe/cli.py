@@ -11,7 +11,7 @@ usage error, and the run manifest records the resolved sections the command
 read.
 
 Exit codes: 0 success, 2 usage or configuration error, 3 data/checkpoint
-error, 4 numeric divergence.
+error or a path that cannot be read or written, 4 numeric divergence.
 """
 
 from __future__ import annotations
@@ -83,13 +83,6 @@ COMMAND_KEYS = {
 
 
 def _coerce(raw: str, default):
-    if isinstance(default, bool):
-        lowered = raw.strip().lower()
-        if lowered in ("true", "1", "yes"):
-            return True
-        if lowered in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"expected boolean, got {raw!r}")
     try:
         if isinstance(default, int):
             return int(raw)
@@ -467,8 +460,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (data.DataError, backbone.CheckpointError, StageError,
-            FileNotFoundError) as exc:
+    except (data.DataError, backbone.CheckpointError, StageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except training.DivergenceError as exc:

@@ -1,9 +1,8 @@
 """Builds router centroids from a pretrained dense model.
 
 Pipeline: multi-scale pre-MLP embedding collection, iterative selection of
-the most representative patches per class, min-max scaling, Ward
-agglomerative clustering of per-class means, and optional affinity-weighted
-centroid refinement.
+the most representative patches per class, min-max scaling, and Ward
+agglomerative clustering of per-class means into one centroid per expert.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import tensor as T
-from .affinity import FIGURE_TEMPERATURE, FIGURE_THRESHOLD, cosine_softmax
 from .data import DataError, Dataset, resize_nearest
 from .moe import Router
 from .tensor import Rng
@@ -141,26 +139,6 @@ def ward_cluster(points: np.ndarray) -> ClusterTree:
     return tree
 
 
-def refine_centroids_weighted(centroids: np.ndarray, class_points: np.ndarray,
-                              temperature: float, threshold: float) -> np.ndarray:
-    """Affinity-weighted centroid update.
-
-    Cosine similarity class-points x centroids, sharp softmax over the expert
-    axis at `temperature`, zero weights below `threshold`, then each centroid
-    becomes the weight-normalized mean of its contributing points. Centroids
-    with no surviving weight keep their previous value.
-    """
-    weights = cosine_softmax(class_points, centroids, temperature, threshold)
-    centroids = np.asarray(centroids, dtype=np.float64)
-    class_points = np.asarray(class_points, dtype=np.float64)
-    out = centroids.copy()
-    mass = weights.sum(axis=0)
-    for e in range(centroids.shape[0]):
-        if mass[e] > 0:
-            out[e] = (weights[:, e][:, None] * class_points).sum(axis=0) / mass[e]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # End-to-end router construction
 # ---------------------------------------------------------------------------
@@ -173,7 +151,6 @@ class RouterInitParams:
     scales: tuple[int, ...] = ()   # () -> config size -25%/+0/+25%
     samples_per_class: int = 8
     mode: str = "cluster"          # "cluster" | "random" (baseline)
-    refine: bool = False           # at Figure D's temperature and threshold
     seed: int = 0
 
     def __post_init__(self):
@@ -183,8 +160,6 @@ class RouterInitParams:
             raise ValueError("top_k_patches and samples_per_class must be >= 1")
         if self.refine_steps < 0:
             raise ValueError("refine_steps must be >= 0")
-        if self.refine and self.mode != "cluster":
-            raise ValueError("refine applies only to mode=cluster")
         # multiples of the model's patch_size, checked where the model is known
         if any(s < 1 for s in self.scales):
             raise ValueError("scales must be positive")
@@ -275,7 +250,7 @@ class RouterBuildResult:
 def build_router(model, dataset: Dataset, layer: int, num_experts: int,
                  params: RouterInitParams | None = None) -> RouterBuildResult:
     """collect -> select -> fit scaler -> per-class means -> Ward -> centroids
-    (-> optional weighted refinement) -> Router."""
+    -> Router."""
     cfg = model.config
     params = params or RouterInitParams()
     if layer not in cfg.moe_layers or num_experts != cfg.experts:
@@ -296,9 +271,6 @@ def build_router(model, dataset: Dataset, layer: int, num_experts: int,
         assignments = np.empty(len(class_points), dtype=np.int64)
         for e, g in enumerate(groups):
             assignments[g] = e
-        if params.refine:
-            centroids = refine_centroids_weighted(
-                centroids, class_points, FIGURE_TEMPERATURE, FIGURE_THRESHOLD)
     else:
         centroids = Rng(params.seed).child(1).uniform(
             (num_experts, cfg.d_model)).astype(np.float64)

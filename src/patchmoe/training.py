@@ -55,8 +55,8 @@ class AugmentConfig:
     def __post_init__(self):
         if not 0.0 <= self.hflip_p <= 1.0:
             raise ValueError("hflip_p must be in [0, 1]")
-        if self.mixup_alpha < 0:
-            raise ValueError("mixup_alpha must be >= 0")
+        if not (math.isfinite(self.mixup_alpha) and self.mixup_alpha >= 0):
+            raise ValueError("mixup_alpha must be finite and >= 0")
 
 
 def parameter_group(name: str) -> str:

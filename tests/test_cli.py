@@ -108,12 +108,6 @@ class TestConfig:
         with pytest.raises(cli.ConfigError):
             cli.load_run_config(None, ["optim.nope=7"])
 
-    def test_bool_coercion(self):
-        resolved = cli.load_run_config(None, ["router_init.refine=true"])
-        assert resolved["router_init"]["refine"] is True
-        with pytest.raises(cli.ConfigError):
-            cli.load_run_config(None, ["router_init.refine=maybe"])
-
     def test_missing_file_rejected(self):
         with pytest.raises(cli.ConfigError):
             cli.load_run_config("/nonexistent/run.ini")
@@ -132,7 +126,9 @@ class TestConfig:
         "moe.router_temperature=0", "seed.seed=-2", "model.image_size=0",
         "model.patch_size=0", "model.n_px=0", "model.dropout=-0.1", "moe.top_k=0",
         "optim.lr_classifier=nan", "optim.lr_rest=inf", "optim.lr_rest=-1",
-        "moe.moe_layers=1,1", "moe.moe_layers=0,1,0"])
+        "moe.moe_layers=1,1", "moe.moe_layers=0,1,0", "moe.router_temperature=inf",
+        "augment.mixup_alpha=nan", "augment.mixup_alpha=inf", "augment.mixup_alpha=-1",
+        "augment.hflip_p=1.5", "augment.hflip_p=nan"])
     def test_bad_override_exits_usage(self, workdir, tmp_path, override):
         rc = cli.main(["pretrain", "--config", str(workdir["config"]),
                        "--data", str(workdir["data"]), "--set", override,
@@ -229,17 +225,17 @@ class TestPipeline:
             assert out.with_suffix(suffix).exists(), suffix
 
     @pytest.mark.parametrize("command, ckpt", [("pretrain", None), ("finetune", "moe")])
-    def test_failed_save_leaves_no_metrics(self, workdir, tmp_path, monkeypatch, command,
-                                           ckpt):
+    def test_failed_save_leaves_no_metrics(self, workdir, tmp_path, monkeypatch, capsys,
+                                           command, ckpt):
         def failing_save(model, path):
             raise OSError("no space left on device")
 
         monkeypatch.setattr(backbone, "save_checkpoint", failing_save)
         out = tmp_path / "ckpt" / "x.json"
         args = ["--ckpt", str(workdir[ckpt])] if ckpt else []
-        with pytest.raises(OSError):
-            cli.main([command, "--config", str(workdir["config"]), *args,
-                      "--data", str(workdir["data"]), "--out", str(out)])
+        assert cli.main([command, "--config", str(workdir["config"]), *args,
+                         "--data", str(workdir["data"]), "--out", str(out)]) == cli.EXIT_DATA
+        assert "no space left on device" in capsys.readouterr().err
         assert list(out.parent.iterdir()) == []  # no metrics CSV, no run manifest
 
     @pytest.mark.parametrize("command, ckpt", [("pretrain", None), ("finetune", "moe")])
@@ -389,14 +385,12 @@ class TestPipeline:
     @pytest.mark.parametrize("override", [
         "router_init.mode=bogus", "router_init.refine_steps=-1",
         "router_init.samples_per_class=0", "router_init.top_k_patches=0",
-        "router_init.scales=5", "router_init.scales=0", "router_init.seed=-1",
-        "router_init.mode=random router_init.refine=true"])
+        "router_init.scales=5", "router_init.scales=0", "router_init.seed=-1"])
     def test_bad_router_init_exits_usage(self, workdir, tmp_path, override):
         out = tmp_path / "x.json"
-        sets = [arg for item in override.split() for arg in ("--set", item)]
         rc = cli.main(["moefy", "--config", str(workdir["config"]),
                        "--ckpt", str(workdir["dense"]), "--data", str(workdir["data"]),
-                       *sets, "--out", str(out)])
+                       "--set", override, "--out", str(out)])
         assert rc == cli.EXIT_USAGE
         assert not out.exists()
 
@@ -471,6 +465,49 @@ class TestEval:
                        "--data", str(workdir["data"]), "--split", "nope",
                        "--out", str(tmp_path / "x.csv")])
         assert rc == cli.EXIT_DATA
+
+
+def _directory_as_spec(workdir, tmp_path):
+    spec = tmp_path / "spec"
+    spec.mkdir()
+    return ["gen-data", "--spec", str(spec), "--out", str(tmp_path / "d")], spec
+
+
+def _directory_as_image(workdir, tmp_path):
+    """A copy of the dataset whose first manifest entry names its class's
+    directory in place of a PPM."""
+    root = tmp_path / "data"
+    shutil.copytree(workdir["data"], root)
+    manifest = json.loads((root / "manifest.json").read_text())
+    entry = manifest["images"][0]
+    entry["file"] = entry["file"].split("/")[0]
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    return (["eval", "--ckpt", str(workdir["tuned"]), "--data", str(root),
+             "--out", str(tmp_path / "eval.csv")], root / entry["file"])
+
+
+def _file_as_data_out(workdir, tmp_path):
+    out = tmp_path / "d"
+    out.write_text("")
+    return ["gen-data", "--spec", str(workdir["spec"]), "--out", str(out)], out
+
+
+def _file_as_ckpt_parent(workdir, tmp_path):
+    parent = tmp_path / "afile"
+    parent.write_text("")
+    return (["pretrain", "--config", str(workdir["config"]), "--data", str(workdir["data"]),
+             "--out", str(parent / "dense.json")], parent)
+
+
+@pytest.mark.parametrize("setup", [_directory_as_spec, _directory_as_image,
+                                   _file_as_data_out, _file_as_ckpt_parent],
+                         ids=["spec-dir", "image-dir", "data-out-file", "ckpt-parent-file"])
+def test_unusable_path_is_data_error(workdir, tmp_path, capsys, setup):
+    """A path that cannot be read or written exits 3 and names the path, not
+    1 with an OSError traceback."""
+    argv, path = setup(workdir, tmp_path)
+    assert cli.main(argv) == cli.EXIT_DATA
+    assert str(path) in capsys.readouterr().err
 
 
 class TestAffinity:
@@ -730,7 +767,8 @@ class TestCheckpointErrors:
 
     @pytest.mark.parametrize("key, value", [
         ("patch_size", 5), ("activation", "foo"), ("dropout", 1.0), ("top_k", 5),
-        ("router_temperature", 0.0), ("reduction_factor", 3), ("moe_layers", [1, 1])])
+        ("router_temperature", 0.0), ("router_temperature", float("inf")),
+        ("reduction_factor", 3), ("moe_layers", [1, 1])])
     def test_rejected_config(self, ckpt, key, value):
         manifest = json.loads(ckpt.read_text())
         manifest["config"][key] = value
@@ -1071,7 +1109,7 @@ REMOVED_KEYS = [
     ("pretrain", "optim.betas", "0.9"), ("pretrain", "optim.wd_classifier", "-1"),
     ("finetune", "optim.wd_other", "nan"), ("finetune", "optim.eps", "-1"),
     ("finetune", "optim.eps", "0"), ("moefy", "router_init.refine_temperature", "0"),
-    ("moefy", "router_init.refine_threshold", "0.05")]
+    ("moefy", "router_init.refine_threshold", "0.05"), ("moefy", "router_init.refine", "true")]
 # Removed affinity flags: (mode, flag, value)
 REMOVED_FLAGS = [("pre", "--temperature", "0"), ("post", "--temperature", "5"),
                  ("post", "--threshold", "0.9"), ("figure-d", "--temperature", "5"),
@@ -1139,7 +1177,7 @@ class TestRunConfigSections:
             assert set(run["config"]) == READS[command]
 
     @pytest.mark.parametrize("mode", ["pre", "figure-d"])
-    @pytest.mark.parametrize("override", ["router_init.mode=random", "router_init.refine=true"])
+    @pytest.mark.parametrize("override", ["router_init.mode=random"])
     def test_override_of_unread_router_init_key_exits_usage(self, workdir, tmp_path, capsys,
                                                             mode, override):
         """affinity --mode pre/figure-d select patches only: the router_init
@@ -1154,7 +1192,7 @@ class TestRunConfigSections:
     def test_unread_router_init_keys_in_file_skipped(self, workdir, tmp_path, mode):
         config = tmp_path / "build.ini"
         config.write_text(workdir["config"].read_text().replace(
-            "[router_init]\n", "[router_init]\nmode = random\nrefine = true\n"))
+            "[router_init]\n", "[router_init]\nmode = random\n"))
         command = f"affinity --mode {mode}"
         plain, built = tmp_path / "plain.json", tmp_path / "built.json"
         assert cli.main(_argv(workdir, command, plain)) == 0
@@ -1163,7 +1201,7 @@ class TestRunConfigSections:
         assert cli.main(argv) == 0
         assert built.read_bytes() == plain.read_bytes()
         bad = tmp_path / "bad.ini"
-        bad.write_text(config.read_text().replace("refine = true", "refine = maybe"))
+        bad.write_text(config.read_text().replace("top_k_patches = 16", "top_k_patches = many"))
         argv[argv.index("--config") + 1] = str(bad)
         assert cli.main(argv) == cli.EXIT_USAGE
 
@@ -1219,14 +1257,6 @@ class TestRunConfigSections:
             assert "lr_moe" not in optim and optim["lr_rest"] == 5e-5
         tuned = json.loads(workdir["tuned"].with_suffix(".run.json").read_text())
         assert tuned["config"]["optim"]["lr_moe"] == 0.005
-
-    def test_moefy_with_refine(self, workdir, tmp_path):
-        out = tmp_path / "refined.json"
-        argv = _argv(workdir, "moefy", out) + ["--set", "router_init.refine=true"]
-        assert cli.main(argv) == 0
-        run = json.loads(out.with_suffix(".run.json").read_text())
-        assert run["config"]["router_init"]["refine"] is True
-        assert list(backbone.load_checkpoint(out).moe_blocks()) == [1]
 
     def test_activation_in_file_exits_usage(self, workdir, tmp_path, capsys):
         config = tmp_path / "run.ini"

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from patchmoe import affinity, backbone, data, expert_init, router_init
+from patchmoe import backbone, data, expert_init, router_init
 from patchmoe import tensor as T
 from util_oracles import (collect_embeddings_oracle, forward_capture_oracle,
                           representative_patches_oracle, ward_lance_williams_oracle,
@@ -235,44 +235,6 @@ class TestClusterMeans:
         assert np.allclose(cluster_means(pts, 2).ravel(), [1.0, 50.0])
 
 
-class TestRefineCentroids:
-    def test_infinite_temperature_gives_global_mean(self):
-        rng = np.random.default_rng(0)
-        pts = rng.random((6, 3))
-        cents = rng.random((2, 3))
-        out = router_init.refine_centroids_weighted(cents, pts, temperature=1e9,
-                                                    threshold=0.0)
-        assert np.allclose(out, np.tile(pts.mean(axis=0), (2, 1)), atol=1e-6)
-
-    def test_sharp_softmax_snaps_to_point(self):
-        cents = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        pts = np.array([[2.0, 0.0, 0.0], [0.0, 3.0, 0.0], [0.0, 2.9, 0.1]])
-        out = router_init.refine_centroids_weighted(cents, pts, 0.001, 0.0)
-        assert np.allclose(out[0], pts[0], atol=1e-6)
-
-    def test_impossible_threshold_keeps_centroids(self):
-        rng = np.random.default_rng(1)
-        cents = rng.random((3, 4))
-        out = router_init.refine_centroids_weighted(cents, rng.random((5, 4)), 1.0, 1.1)
-        assert np.array_equal(out, cents)
-
-    def test_separated_clusters_recover_initial_centroids(self):
-        # With well-separated clusters and a sharp softmax, every point puts
-        # all of its weight on its own cluster's centroid, so refinement
-        # reproduces the unweighted cluster means.
-        rng = np.random.default_rng(2)
-        base = np.array([[10.0, 0.0, 0.0], [0.0, 10.0, 0.0]])
-        pts = np.concatenate([base[0] + rng.random((4, 3)) * 0.1,
-                              base[1] + rng.random((4, 3)) * 0.1])
-        init = cluster_means(pts, 2)
-        refined = router_init.refine_centroids_weighted(init, pts, 0.001, 0.0)
-        assert np.allclose(refined, init, atol=1e-6)
-
-    def test_bad_temperature(self):
-        with pytest.raises(ValueError):
-            router_init.refine_centroids_weighted(np.ones((1, 2)), np.ones((2, 2)), 0.0, 0.0)
-
-
 @pytest.fixture(scope="module")
 def tiny_setup():
     spec = data.SynthSpec(num_classes=4, num_families=2, image_size=32,
@@ -376,29 +338,6 @@ class TestBuildRouter:
         res = router_init.build_router(model, dataset, 1, 3, p)
         assert res.class_assignments is None
         assert res.router.centroids.shape == (3, 16)
-
-    def test_refine_end_to_end(self):
-        """refine=True applies the weighted update at Figure D's temperature
-        and threshold to the Ward centroids. On these 8 classes it moves
-        them; on tiny_setup's 4 it would change nothing."""
-        dataset = data.generate(data.SynthSpec(num_classes=8, num_families=4, image_size=32,
-                                               images_per_class=3, fg_patch_cells=2, seed=3))
-        cfg = backbone.ModelConfig(num_classes=8, image_size=32, patch_size=8, n_px=4,
-                                   d_model=16, d_ff=32, layers=2, heads=2,
-                                   moe_layers=(1,), experts=2)
-        model = backbone.Model(cfg, T.Rng(0))
-        params = router_init.RouterInitParams(samples_per_class=2, scales=(32,))
-        plain = router_init.build_router(model, dataset, 1, 2, params)
-        refined = router_init.build_router(model, dataset, 1, 2,
-                                           dataclasses.replace(params, refine=True))
-        points = plain.class_points
-        assert np.array_equal(refined.class_points, points)
-        unrefined = cluster_means(points, 2)
-        assert plain.router.centroids.data.tobytes() == T.parameter(unrefined).data.tobytes()
-        expected = router_init.refine_centroids_weighted(
-            unrefined, points, affinity.FIGURE_TEMPERATURE, affinity.FIGURE_THRESHOLD)
-        assert refined.router.centroids.data.tobytes() == T.parameter(expected).data.tobytes()
-        assert np.abs(refined.router.centroids.data - plain.router.centroids.data).max() > 0.01
 
     @pytest.mark.parametrize("layer, experts, moe_layers", [
         (0, 2, (1,)), (1, 3, (1,)), (1, 1, (1,)), (1, 2, ())],

@@ -328,7 +328,7 @@ HAND_WRITTEN_CONFIG_SCHEMA = {
     },
     "router_init": {
         "top_k_patches": 128, "refine_steps": 5, "scales": (),
-        "samples_per_class": 8, "mode": "cluster", "refine": False, "seed": 0,
+        "samples_per_class": 8, "mode": "cluster", "seed": 0,
     },
     "optim": {
         "lr_moe": 0.005, "lr_classifier": 1e-5, "lr_rest": 5e-5,
