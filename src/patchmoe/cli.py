@@ -107,13 +107,18 @@ def load_run_config(path: str | None, overrides: list[str] | None = None,
                 for s in sections}
     if path is not None:
         parser = configparser.ConfigParser()
-        read = parser.read(path)
+        try:
+            read = parser.read(path, encoding="utf-8")
+            # items() interpolates, so a bare % fails here, not in read()
+            entries = {section: parser.items(section) for section in parser.sections()}
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot parse config file {path}: {exc}") from None
         if not read:
             raise ConfigError(f"cannot read config file {path}")
-        for section in parser.sections():
+        for section, items in entries.items():
             if section not in CONFIG_SCHEMA:
                 raise ConfigError(f"unknown config section [{section}]")
-            for key, raw in parser.items(section):
+            for key, raw in items:
                 if key not in CONFIG_SCHEMA[section]:
                     raise ConfigError(f"unknown key {key!r} in section [{section}]")
                 value = _coerce(raw, CONFIG_SCHEMA[section][key])

@@ -135,7 +135,9 @@ def select_experts(logits: Tensor, top_k: int, gate_mode: str = "renorm"):
     probs = T.softmax(logits, axis=-1)
     order = np.argsort(-probs.data, axis=-1, kind="stable")  # stable => lower index wins ties
     indices = order[..., :top_k]
-    gates = T.gather_last(probs, indices)
+    # flat positions of the picks in probs; none repeats
+    rows = np.arange(probs.data.size // e).reshape(probs.shape[:-1] + (1,))
+    gates = T.take(T.reshape(probs, (-1,)), rows * e + indices)
     if gate_mode == "renorm":
         gates = T.div(gates, T.tsum(gates, axis=-1, keepdims=True))
     return indices, gates, probs
@@ -150,36 +152,32 @@ def moe_forward(x: Tensor, captured: Tensor, block: MoEBlock):
     dense MLP it replaced did. x, the activation before that norm, is not
     read; it stays in the signature because perfbench/replay.py passes it.
 
-    Dispatch is one stable sort of the B*P*k slots by expert: one gather
-    lays each expert's rows out as one contiguous segment, in ascending row
-    order, and each expert runs once on its segment, with no capacity limit.
-    One concat puts the outputs back in slot order, the gates multiply them,
-    and each row's k contributions are summed in ascending expert order. The
-    tape holds the same full-size arrays however many experts are active.
+    Dispatch is one stable sort of the B*P*k slots by expert, where slot
+    r*k + j is row r's j-th pick: one gather lays each expert's rows out as
+    one contiguous segment, in ascending row order, and each expert runs
+    once on its segment, with no capacity limit. One weighted scatter-add
+    (T.add_rows) multiplies each segment by its gates and adds it into its
+    rows, segment after segment, so each row sums its k contributions in
+    ascending expert order from +0.0. The tape holds the same full-size
+    arrays however many experts are active.
     """
     b, p, n_px, d = captured.shape
     router = block.router
     logits = routing_logits(captured, router)
     indices, gates, probs = select_experts(logits, router.top_k, router.gate_mode)
 
-    k = router.top_k
-    # each row's k slots in ascending expert order, so that its contributions
-    # sum in that order; slot r*k + j is then row r's j-th lowest expert
-    by_expert = np.argsort(indices, axis=-1)
-    flat_idx = np.take_along_axis(indices, by_expert, axis=-1).reshape(-1)
+    flat_idx = indices.reshape(-1)
     order = np.argsort(flat_idx, kind="stable")
+    rows = order // router.top_k
     sizes = np.bincount(flat_idx, minlength=router.num_experts)
-    segments = T.split_rows(T.reshape(captured, (b * p, n_px, d)), order // k, sizes)
+    segments = T.split_rows(T.reshape(captured, (b * p, n_px, d)), rows, sizes)
     outs = [T.reshape(expert_forward(T.reshape(seg, (-1, d)), expert), seg.shape)
             for seg, expert in zip(segments, block.experts) if len(seg.data)]
-    # without a tape, each full-size array is freed once the next is built
+    # without a tape, the gathered rows are freed before the output is built
     del segments
-    gated = T.mul(T.concat_rows(outs, order),
-                  T.reshape(T.gather_last(gates, by_expert), (-1, 1, 1)))
-    del outs
-    out = T.tsum(T.reshape(gated, (b, p, k, n_px, d)), axis=2)
-    record = RoutingRecord(indices, gates.data.copy(), probs.data.copy())
-    return out, record
+    out = T.reshape(T.add_rows(outs, T.take(T.reshape(gates, (-1,)), order), rows, b * p),
+                    (b, p, n_px, d))
+    return out, RoutingRecord(indices, gates.data, probs.data)
 
 
 @dataclass

@@ -419,39 +419,32 @@ def split_rows(a: Tensor, rows, sizes) -> list[Tensor]:
     return segments
 
 
-def concat_rows(parts: list[Tensor], rows) -> Tensor:
-    """Inverse of split_rows on a permutation: the parts' rows, stacked in
-    order, with stacked row i placed at row rows[i] of the result. `rows`
-    must name every row once; each row is assigned, never added, and the
-    backward hands each part its rows of the gradient."""
+def add_rows(parts: list[Tensor], weights: Tensor, rows, n_rows: int) -> Tensor:
+    """Scatter-add of weighted rows: n_rows rows of zeros, then each part's
+    rows times their weights added at `rows`, one part after another.
+    `weights` and `rows` hold one entry per row of the parts stacked in
+    order; no row repeats within a part. The backward gives each part
+    g[rows] * w and the weights sum(g[rows] * part) over the non-row axes."""
     rows = np.asarray(rows)
-    out_data = np.empty((rows.size,) + parts[0].shape[1:], dtype=parts[0].data.dtype)
+    w = weights.data.reshape((-1,) + (1,) * (parts[0].ndim - 1))
+    out_data = np.zeros((n_rows,) + parts[0].shape[1:], dtype=parts[0].data.dtype)
     bounds = np.cumsum([0] + [len(part.data) for part in parts])
-    for part, lo, hi in zip(parts, bounds[:-1], bounds[1:]):
-        out_data[rows[lo:hi]] = part.data
+    spans = list(zip(parts, bounds[:-1], bounds[1:]))
+    for part, lo, hi in spans:
+        out_data[rows[lo:hi]] += part.data * w[lo:hi]
 
     def backward(g):
-        for part, lo, hi in zip(parts, bounds[:-1], bounds[1:]):
+        w_grad = np.empty_like(weights.data).reshape(-1) if weights.requires_grad else None
+        for part, lo, hi in spans:
+            g_rows = g[rows[lo:hi]]
             if part.requires_grad:
-                part._accumulate(g[rows[lo:hi]])
+                part._accumulate(g_rows * w[lo:hi])
+            if w_grad is not None:
+                w_grad[lo:hi] = (g_rows * part.data).sum(axis=tuple(range(1, part.ndim)))
+        if w_grad is not None:
+            weights._accumulate(w_grad.reshape(weights.shape))
 
-    return Tensor(out_data, _parents=tuple(parts), _backward=backward)
-
-
-def gather_last(a: Tensor, indices: np.ndarray) -> Tensor:
-    """Pick entries along the last axis; indices shape = a.shape[:-1] + (k,)."""
-    idx = np.asarray(indices)
-    out_data = np.take_along_axis(a.data, idx, axis=-1)
-
-    def backward(g):
-        if a.requires_grad:
-            acc = np.zeros_like(a.data).reshape(-1, a.shape[-1])
-            flat_idx = idx.reshape(-1, idx.shape[-1])
-            rows = np.arange(flat_idx.shape[0])[:, None]
-            np.add.at(acc, (rows, flat_idx), g.reshape(flat_idx.shape))
-            a._accumulate(acc.reshape(a.shape))
-
-    return Tensor(out_data, _parents=(a,), _backward=backward)
+    return Tensor(out_data, _parents=(*parts, weights), _backward=backward)
 
 
 def sqrt(a: Tensor) -> Tensor:

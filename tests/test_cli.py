@@ -136,6 +136,19 @@ class TestConfig:
         assert rc == cli.EXIT_USAGE
         assert not (tmp_path / "ckpt").exists()
 
+    @pytest.mark.parametrize("text", [
+        b"[optim]\nepochs = 1\nepochs = 2\n", b"epochs = 1\n",
+        b"[optim]\nlr_rest = 5%\n", b"[optim]\nepochs = \xff\n"],
+        ids=["duplicate-key", "no-section", "bare-percent", "non-utf8"])
+    def test_unparsable_file_exits_usage(self, workdir, tmp_path, capsys, text):
+        config = tmp_path / "bad.ini"
+        config.write_bytes(text)
+        rc = cli.main(["pretrain", "--config", str(config), "--data", str(workdir["data"]),
+                       "--out", str(tmp_path / "ckpt" / "dense.json")])
+        assert rc == cli.EXIT_USAGE
+        assert f"cannot parse config file {config}" in capsys.readouterr().err
+        assert not (tmp_path / "ckpt").exists()
+
     @pytest.mark.parametrize("command", ["pretrain", "finetune"])
     def test_seed_flag_exits_usage(self, workdir, tmp_path, command):
         """[seed] seed is the one way to seed a training run."""

@@ -156,8 +156,9 @@ OPS = {
     "split_rows": (lambda a: T.mul(*T.split_rows(a, np.array([2, 0, 2, 1]), [2, 2])), [(4, 3)]),
     "split_rows_permutation": (lambda a: T.mul(*T.split_rows(a, np.array([3, 1, 0, 2]), [2, 2])),
                                [(4, 3)]),
-    "concat_rows": (lambda a, b: T.concat_rows([a, b], np.array([3, 0, 4, 1, 2])),
-                    [(2, 3), (3, 3)]),
+    # row 0 is named by both parts
+    "add_rows": (lambda a, b, w: T.add_rows([a, b], w, np.array([3, 0, 4, 1, 0]), 5),
+                 [(2, 3), (3, 3), (5,)]),
     "sqrt": (lambda a: T.sqrt(T.add(T.mul(a, a), T.Tensor(1.0))), [(4,)]),
     "softmax": (lambda a: T.softmax(a, axis=-1), [(3, 5)]),
     "log_softmax": (lambda a: T.log_softmax(a, axis=-1), [(3, 5)]),

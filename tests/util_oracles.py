@@ -188,8 +188,7 @@ def moe_forward_gate_matrix_oracle(x, captured, block):
         pixels = T.reshape(T.take(flat_h, rows), (rows.size * n_px, d))
         expert_out = T.reshape(moe.expert_forward(pixels, block.experts[e]),
                                (rows.size, n_px, d))
-        gate = T.reshape(T.gather_last(T.take(gate_matrix, rows),
-                                       np.full((rows.size, 1), e)), (rows.size, 1, 1))
+        gate = T.reshape(T.take(T.take(gate_matrix, rows), [e], axis=1), (rows.size, 1, 1))
         contrib = _scatter_rows_oracle(T.mul(expert_out, gate), rows, b * p)
         out = contrib if out is None else T.add(out, contrib)
     return T.reshape(out, (b, p, n_px, d))
