@@ -322,11 +322,20 @@ def dense_mlp_hash(layer: TransformerLayer) -> str:
     return h.hexdigest()[:16]
 
 
+def checkpoint_blob(path: Path) -> Path:
+    """The blob file beside the manifest at `path`; ValueError for a path
+    ending in .bin, whose manifest and blob would be one file."""
+    if path.suffix == ".bin":
+        raise ValueError(f"checkpoint path {path} ends in .bin, the suffix of its blob file")
+    return path.with_suffix(".bin")
+
+
 def save_checkpoint(model: Model, path: Path | str) -> None:
     """Write the blob and then the manifest to temporary siblings and move
     each into place, manifest last: a save that fails leaves the checkpoint
     that was at `path` as it was."""
     path = Path(path)
+    blob = checkpoint_blob(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     manifest = {
         "finetuned": model.finetuned,
@@ -337,7 +346,7 @@ def save_checkpoint(model: Model, path: Path | str) -> None:
                 for i, block in model.moe_blocks().items()},
     }
     # `with a, b` exits b first: the blob is moved into place before the manifest
-    with T.atomic_write(path) as fm, T.atomic_write(path.with_suffix(".bin"), "wb") as fb:
+    with T.atomic_write(path) as fm, T.atomic_write(blob, "wb") as fb:
         for t in model.named_parameters().values():
             T.write_blob(fb, t.data)
         fb.flush()
@@ -386,8 +395,12 @@ def _model_from_manifest(manifest: dict) -> Model:
             w2=T.parameter(np.zeros((de, d))), b2=T.parameter(np.zeros(d)),
             gamma=T.parameter(np.zeros(())), x_corr=T.parameter(np.zeros(d)))
             for _ in range(config.experts)]
+        if not isinstance(info["source_dense_hash"], str):
+            raise ValueError(f"layer {key} source_dense_hash must be a string")
         model.layers[int(key)].mlp = moe_mod.MoEBlock(
             router=router, experts=experts, source_hash=info["source_dense_hash"])
+    if not isinstance(manifest["finetuned"], bool):
+        raise ValueError("finetuned must be true or false")
     model.finetuned = manifest["finetuned"]
     return model
 
@@ -408,12 +421,12 @@ def load_checkpoint(path: Path | str) -> Model:
     with _open_checkpoint_file(path, "r") as f:
         try:
             manifest = json.load(f)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or not UTF-8 (a blob given as --ckpt)
             raise CheckpointError(f"malformed checkpoint manifest {path}: {exc}") from None
     try:
         model = _model_from_manifest(manifest)
         names, blob_sha256 = manifest["params"], manifest["blob_sha256"]
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
         raise CheckpointError(f"invalid checkpoint manifest {path}: "
                               f"{type(exc).__name__}: {exc}") from None
     params = model.named_parameters()

@@ -240,7 +240,7 @@ def cmd_pretrain(args) -> int:
                  **resolved["model"], **resolved["moe"])
     _require_dataset_fits(dataset, cfg)
     model = backbone.Model(cfg, Rng(seed))
-    return _train_and_save(model, dataset, resolved, seed, Path(args.out), "pretrain")
+    return _train_and_save(model, dataset, resolved, seed, args.out, "pretrain")
 
 
 def cmd_moefy(args) -> int:
@@ -263,9 +263,8 @@ def cmd_moefy(args) -> int:
                                          model.config.experts, params)
         expert_init.moefy_layer(model, layer, build.router)
         router_manifests[str(layer)] = build.manifest
-    out = Path(args.out)
-    backbone.save_checkpoint(model, out)
-    write_run_manifest(out.with_suffix(".run.json"), "moefy", resolved,
+    backbone.save_checkpoint(model, args.out)
+    write_run_manifest(args.out.with_suffix(".run.json"), "moefy", resolved,
                        {"routers": router_manifests})
     counts = model.parameter_counts()
     print(f"moefied layers {list(model.config.moe_layers)}: "
@@ -281,7 +280,7 @@ def cmd_finetune(args) -> int:
     dataset = data.load_dataset(args.data)
     _require_dataset_fits(dataset, model.config)
     model.finetuned = True
-    return _train_and_save(model, dataset, resolved, seed, Path(args.out), "finetune")
+    return _train_and_save(model, dataset, resolved, seed, args.out, "finetune")
 
 
 def cmd_eval(args) -> int:
@@ -393,6 +392,16 @@ def _positive(kind, zero_ok: bool = False):
     return parse
 
 
+def _checkpoint_out(raw: str) -> Path:
+    """argparse type: a checkpoint path save_checkpoint accepts, checked
+    before any work (else exit 2)."""
+    try:
+        backbone.checkpoint_blob(Path(raw))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return Path(raw)
+
+
 def _add_common(p):
     p.add_argument("--config", default=None, help="INI run configuration")
     p.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=V",
@@ -411,21 +420,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pretrain", help="train the dense backbone")
     p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_checkpoint_out, required=True)
     _add_common(p)
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("moefy", help="convert dense MLPs to MoE blocks")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_checkpoint_out, required=True)
     _add_common(p)
     p.set_defaults(func=cmd_moefy)
 
     p = sub.add_parser("finetune", help="fine-tune a MoE checkpoint")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out", type=_checkpoint_out, required=True)
     _add_common(p)
     p.set_defaults(func=cmd_finetune)
 

@@ -30,8 +30,8 @@ class Router:
 
     def validate(self) -> None:
         """ValueError unless the centroids are a non-empty E x d matrix of
-        finite, non-zero rows, the scaler has d channels, and temperature,
-        top_k and gate_mode are valid."""
+        finite, non-zero rows, the scaler has d finite channels with
+        max >= min, and temperature, top_k and gate_mode are valid."""
         c = self.centroids.data
         if c.ndim != 2 or c.shape[0] < 1:
             raise ValueError("centroids must be a non-empty E x d matrix")
@@ -41,6 +41,9 @@ class Router:
             raise ValueError("centroid rows must be non-zero")
         if not self.scaler.min.shape == self.scaler.max.shape == (c.shape[1],):
             raise ValueError(f"scaler min and max must each hold {c.shape[1]} channels")
+        lo, hi = self.scaler.min, self.scaler.max
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi)) and np.all(hi >= lo)):
+            raise ValueError("scaler min and max must be finite with max >= min")
         if not self.temperature > 0:
             raise ValueError("temperature must be > 0")
         if not 1 <= self.top_k <= c.shape[0]:
@@ -114,8 +117,6 @@ def routing_logits(x_captured: Tensor, router: Router) -> Tensor:
     input), cosine similarity to each centroid, divide by temperature.
     """
     b, p, _, d = x_captured.shape
-    if d != router.scaler.channels:
-        raise ValueError("activation channels do not match router scaler")
     pooled = T.tmean(x_captured, axis=2)  # B x P x d
     scaled = T.minmax_apply(router.scaler, pooled)
     sims = T.cosine_matrix(T.reshape(scaled, (b * p, d)), router.centroids)

@@ -59,7 +59,7 @@ def _topk_indices(scores: np.ndarray, k: int) -> np.ndarray:
 
 class SelectedPatches(NamedTuple):
     rows: np.ndarray     # K x d pixel-maxed patch embeddings
-    indices: np.ndarray  # K row indices into the pixel-maxed matrix
+    indices: np.ndarray  # K row indices into the class's N x d rows
 
 
 def select_representative_patches(class_embeddings: np.ndarray, k: int,
@@ -67,16 +67,14 @@ def select_representative_patches(class_embeddings: np.ndarray, k: int,
     """Pick the K patches most in agreement with an iteratively refined
     centroid.
 
-    Steps: max over the pixel axis per patch; initial centroid = elementwise
-    max over patches; dot-product similarity centroid x patches; take top K;
-    then `refine_steps` rounds of (centroid = mean of selection, re-score,
-    re-select). Ties break to the lower row index.
+    Takes N x d pixel-maxed patch rows (collect_embeddings). Steps: initial
+    centroid = elementwise max over patches; dot-product similarity centroid
+    x patches; take top K; then `refine_steps` rounds of (centroid = mean of
+    selection, re-score, re-select). Ties break to the lower row index.
     """
     x = np.asarray(class_embeddings, dtype=np.float64)
-    if x.ndim == 3:
-        x = x.max(axis=1)
     if x.ndim != 2:
-        raise ValueError("expected N x n_px x d or N x d embeddings")
+        raise ValueError("expected N x d embeddings")
     n = x.shape[0]
     if refine_steps < 0:
         raise ValueError("refine_steps must be >= 0")
@@ -185,9 +183,11 @@ CAPTURE_CHUNK = 16
 def collect_embeddings(model, dataset: Dataset, layer: int, scales,
                        samples_per_class: int, rng: Rng) -> list[np.ndarray]:
     """Pre-MLP patch embeddings per class, pooled across sampled train images
-    and scales: one non-empty, finite N x n_px x d array per class.
+    and scales, each patch maxed over its pixel axis: one non-empty N x d
+    array per class. Each capture is checked finite before the max, which
+    would hide a -inf pixel.
 
-    Every capture lands in one (picked image, patch row, n_px, d) array, each
+    Every capture lands in one (picked image, patch row, d) array, each
     image's patch rows in scale order; a class's rows are a view of its
     images' slice, ordered by (picked image, scale). The captures run per
     scale over all classes' picked images, CAPTURE_CHUNK at a time.
@@ -205,16 +205,18 @@ def collect_embeddings(model, dataset: Dataset, layer: int, scales,
         picked += [images[i].pixels for i in picks]
         bounds.append(len(picked))
     offsets = np.cumsum([0] + [(s // cfg.patch_size) ** 2 for s in scales])
-    captures = np.empty((len(picked), offsets[-1], cfg.n_px, cfg.d_model), T.default_dtype())
+    captures = np.empty((len(picked), offsets[-1], cfg.d_model), T.default_dtype())
+    if captures.size == 0:
+        raise ValueError("class embeddings must be non-empty and finite")
     for scale, lo, hi in zip(scales, offsets, offsets[1:]):
         for start in range(0, len(picked), CAPTURE_CHUNK):
             batch = np.stack([resize_nearest(pixels, scale)
                               for pixels in picked[start:start + CAPTURE_CHUNK]])
-            captures[start:start + len(batch), lo:hi] = model.capture_pre_mlp(batch, layer).data
-    if captures.size == 0 or not np.isfinite(captures).all():
-        raise ValueError("class embeddings must be non-empty and finite")
-    return [captures[a:b].reshape(-1, cfg.n_px, cfg.d_model)
-            for a, b in zip(bounds, bounds[1:])]
+            capture = model.capture_pre_mlp(batch, layer).data
+            if not np.isfinite(capture).all():
+                raise ValueError("class embeddings must be non-empty and finite")
+            captures[start:start + len(batch), lo:hi] = capture.max(axis=2)
+    return [captures[a:b].reshape(-1, cfg.d_model) for a, b in zip(bounds, bounds[1:])]
 
 
 # The RouterInitParams fields select_class_patches reads; the others only

@@ -160,6 +160,8 @@ def parameter(data, rng: Rng | None = None, shape=None, scale=None) -> Tensor:
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum grad back down to a broadcast operand's shape."""
+    if grad.shape == shape:
+        return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))
@@ -169,52 +171,34 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data + b.data
-
+def _op(out_data, *inputs) -> Tensor:
+    """Tape node for out_data. Each input is a (tensor, grad) pair: grad maps
+    the output's gradient to the tensor's, before a broadcast is summed away.
+    The backward runs the pairs in order, skipping inputs that take no
+    gradient, and adds each result into the tensor's .grad."""
     def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape))
+        for t, grad in inputs:
+            if t.requires_grad:
+                t._accumulate(_unbroadcast(grad(g), t.shape))
 
-    return Tensor(out_data, _parents=(a, b), _backward=backward)
+    return Tensor(out_data, _parents=tuple([t for t, _ in inputs]), _backward=backward)
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    return _op(a.data + b.data, (a, lambda g: g), (b, lambda g: g))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data - b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.shape))
-
-    return Tensor(out_data, _parents=(a, b), _backward=backward)
+    return _op(a.data - b.data, (a, lambda g: g), (b, lambda g: -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data * b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.shape))
-
-    return Tensor(out_data, _parents=(a, b), _backward=backward)
+    return _op(a.data * b.data, (a, lambda g: g * b.data), (b, lambda g: g * a.data))
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    out_data = a.data / b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g / b.data, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return Tensor(out_data, _parents=(a, b), _backward=backward)
+    return _op(a.data / b.data, (a, lambda g: g / b.data),
+               (b, lambda g: -g * a.data / (b.data * b.data)))
 
 
 def _check_matmul(a: Tensor, b: Tensor) -> None:
@@ -227,15 +211,8 @@ def _check_matmul(a: Tensor, b: Tensor) -> None:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product, batched on leading dims. dA = dC.B^T, dB = A^T.dC."""
     _check_matmul(a, b)
-    out_data = a.data @ b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
-
-    return Tensor(out_data, _parents=(a, b), _backward=backward)
+    return _op(a.data @ b.data, (a, lambda g: g @ np.swapaxes(b.data, -1, -2)),
+               (b, lambda g: np.swapaxes(a.data, -1, -2) @ g))
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -244,16 +221,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     _check_matmul(x, w)
     out_data = x.data @ w.data
     np.add(out_data, b.data, out=out_data)
-
-    def backward(g):
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape))
-        if x.requires_grad:
-            x._accumulate(_unbroadcast(g @ np.swapaxes(w.data, -1, -2), x.shape))
-        if w.requires_grad:
-            w._accumulate(_unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.shape))
-
-    return Tensor(out_data, _parents=(x, w, b), _backward=backward)
+    return _op(out_data, (b, lambda g: g), (x, lambda g: g @ np.swapaxes(w.data, -1, -2)),
+               (w, lambda g: np.swapaxes(x.data, -1, -2) @ g))
 
 
 # Bytes of attention scores in one block: about one core's L2 cache, so that
@@ -342,46 +311,27 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    out_data = a.data.reshape(shape)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g.reshape(a.shape))
-
-    return Tensor(out_data, _parents=(a,), _backward=backward)
+    return _op(a.data.reshape(shape), (a, lambda g: g.reshape(a.shape)))
 
 
 def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
-    out_data = a.data.transpose(axes)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g.transpose(inv))
-
-    return Tensor(out_data, _parents=(a,), _backward=backward)
+    return _op(a.data.transpose(axes), (a, lambda g: g.transpose(inv)))
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out_data = a.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        if not a.requires_grad:
-            return
+    def grad(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(g, a.shape))
+        return np.broadcast_to(g, a.shape)
 
-    return Tensor(out_data, _parents=(a,), _backward=backward)
+    return _op(a.data.sum(axis=axis, keepdims=keepdims), (a, grad))
 
 
 def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        n = a.data.size
-    else:
-        n = a.shape[axis] if isinstance(axis, int) else int(np.prod([a.shape[i] for i in axis]))
-    return mul(tsum(a, axis=axis, keepdims=keepdims), Tensor(1.0 / n))
+    total = tsum(a, axis=axis, keepdims=keepdims)
+    return mul(total, Tensor(1.0 / (a.data.size // total.data.size)))
 
 
 def take(a: Tensor, indices, axis: int = 0) -> Tensor:
@@ -449,12 +399,7 @@ def add_rows(parts: list[Tensor], weights: Tensor, rows, n_rows: int) -> Tensor:
 
 def sqrt(a: Tensor) -> Tensor:
     out_data = np.sqrt(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * 0.5 / out_data)
-
-    return Tensor(out_data, _parents=(a,), _backward=backward)
+    return _op(out_data, (a, lambda g: g * 0.5 / out_data))
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -462,26 +407,15 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     out_data = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        if a.requires_grad:
-            dot = (g * out_data).sum(axis=axis, keepdims=True)
-            a._accumulate(out_data * (g - dot))
-
-    return Tensor(out_data, _parents=(a,), _backward=backward)
+    return _op(out_data,
+               (a, lambda g: out_data * (g - (g * out_data).sum(axis=axis, keepdims=True))))
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     out_data = shifted - lse
-    soft = np.exp(out_data)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g - soft * g.sum(axis=axis, keepdims=True))
-
-    return Tensor(out_data, _parents=(a,), _backward=backward)
+    return _op(out_data, (a, lambda g: g - np.exp(out_data) * g.sum(axis=axis, keepdims=True)))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -491,41 +425,24 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + default_eps())
     xhat = xc * inv
-    out_data = xhat * gain.data + bias.data
 
-    def backward(g):
-        if gain.requires_grad:
-            gain._accumulate(_unbroadcast(g * xhat, gain.shape))
-        if bias.requires_grad:
-            bias._accumulate(_unbroadcast(g, bias.shape))
-        if x.requires_grad:
-            gh = g * gain.data
-            x._accumulate(inv * (gh - gh.mean(axis=-1, keepdims=True)
-                                 - xhat * (gh * xhat).mean(axis=-1, keepdims=True)))
+    def x_grad(g):
+        gh = g * gain.data
+        return inv * (gh - gh.mean(axis=-1, keepdims=True)
+                      - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
 
-    return Tensor(out_data, _parents=(x, gain, bias), _backward=backward)
+    return _op(xhat * gain.data + bias.data, (gain, lambda g: g * xhat),
+               (bias, lambda g: g), (x, x_grad))
 
 
 def clamp_min(a: Tensor, floor: float) -> Tensor:
     """max(a, floor); gradient passes only where a > floor."""
-    out_data = np.maximum(a.data, floor)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * (a.data > floor))
-
-    return Tensor(out_data, _parents=(a,), _backward=backward)
+    return _op(np.maximum(a.data, floor), (a, lambda g: g * (a.data > floor)))
 
 
 def silu(a: Tensor) -> Tensor:
     sig = 1.0 / (1.0 + np.exp(-a.data))
-    out_data = a.data * sig
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * sig * (1.0 + a.data * (1.0 - sig)))
-
-    return Tensor(out_data, _parents=(a,), _backward=backward)
+    return _op(a.data * sig, (a, lambda g: g * sig * (1.0 + a.data * (1.0 - sig))))
 
 
 def dropout(a: Tensor, p: float, rng: Rng) -> Tensor:

@@ -122,7 +122,8 @@ def test_criterion_03_algorithm1_oracle():
                 x = rng.normal(size=(n, 4, d))
             else:
                 x = rng.normal(size=(n, d))
-            got = router_init.select_representative_patches(x, k, t)
+            got = router_init.select_representative_patches(
+                x.max(axis=1) if x.ndim == 3 else x, k, t)
             want_idx, want_rows = representative_patches_oracle(x, k, t)
             assert np.array_equal(got.indices, want_idx)
             assert np.array_equal(got.rows, want_rows)

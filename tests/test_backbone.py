@@ -273,6 +273,13 @@ class TestCheckpoint:
         assert (model_digest(loaded, images, labels, T.Rng(2))
                 == model_digest(model, images, labels, T.Rng(2)))
 
+    def test_bin_path_refused(self, tmp_path):
+        """A manifest at x.bin would share one file with its blob."""
+        model = Model(toy_config(), T.Rng(0))
+        with pytest.raises(ValueError, match="ends in .bin"):
+            backbone.save_checkpoint(model, tmp_path / "ck.bin")
+        assert list(tmp_path.iterdir()) == []
+
     def test_config_survives(self, tmp_path):
         cfg = toy_config(num_classes=5)
         model = Model(cfg, T.Rng(0))

@@ -237,6 +237,19 @@ class TestPipeline:
         for suffix in (".json", ".bin", ".metrics.csv", ".run.json"):
             assert out.with_suffix(suffix).exists(), suffix
 
+    @pytest.mark.parametrize("command", ["pretrain", "moefy", "finetune"])
+    def test_bin_out_exits_usage(self, workdir, tmp_path, capsys, command):
+        """A manifest path ending in .bin would be its own blob file: it is
+        refused before any work, and the blob already there stays as it was."""
+        manifest = _copy_checkpoint(workdir["dense"], tmp_path / "dense.json")
+        out = manifest.with_suffix(".bin")
+        before = out.read_bytes()
+        assert _exit_code(_argv(workdir, command, out)) == cli.EXIT_USAGE
+        assert "ends in .bin" in capsys.readouterr().err
+        assert out.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dense.bin", "dense.json"]
+        backbone.load_checkpoint(manifest)
+
     @pytest.mark.parametrize("command, ckpt", [("pretrain", None), ("finetune", "moe")])
     def test_failed_save_leaves_no_metrics(self, workdir, tmp_path, monkeypatch, capsys,
                                            command, ckpt):
@@ -747,6 +760,12 @@ class TestCheckpointErrors:
         ckpt.write_text('{"stage": "dense", ')
         assert cli.main(["inspect", "--ckpt", str(ckpt)]) == cli.EXIT_DATA
 
+    def test_blob_as_manifest(self, ckpt, capsys):
+        """The blob's bytes are not UTF-8: a --ckpt naming it exits 3."""
+        blob = ckpt.with_suffix(".bin")
+        assert cli.main(["inspect", "--ckpt", str(blob)]) == cli.EXIT_DATA
+        assert f"malformed checkpoint manifest {blob}" in capsys.readouterr().err
+
     def test_missing_config(self, ckpt, capsys):
         manifest = json.loads(ckpt.read_text())
         del manifest["config"]
@@ -834,6 +853,28 @@ class TestLoadedRouterValidation:
         path.write_text(json.dumps(manifest))
         assert cli.main(["inspect", "--ckpt", str(path)]) == cli.EXIT_DATA
         assert "scaler min and max must each hold 16 channels" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda m: m["moe"]["1"]["scaler"]["min"].__setitem__(0, float("nan")),
+         "scaler min and max must be finite"),
+        (lambda m: m["moe"]["1"]["scaler"]["max"].__setitem__(0, float("-inf")),
+         "scaler min and max must be finite"),
+        (lambda m: m["moe"]["1"]["scaler"]["max"].__setitem__(
+            0, m["moe"]["1"]["scaler"]["min"][0] - 1.0), "with max >= min"),
+        (lambda m: m.__setitem__("finetuned", "maybe"), "finetuned must be true or false"),
+        (lambda m: m["moe"]["1"].__setitem__("source_dense_hash", [1, 2]),
+         "source_dense_hash must be a string"),
+        (lambda m: m.__setitem__("moe", []), "'list' object has no attribute 'items'")],
+        ids=["nan-min", "neg-inf-max", "max-below-min", "finetuned", "source-hash",
+             "moe-list"])
+    def test_bad_manifest_value(self, workdir, tmp_path, capsys, edit, named):
+        """Every value the loader accepts is checked, not only its key."""
+        path = _copy_checkpoint(workdir["moe"], tmp_path / "moe.json")
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        assert cli.main(["inspect", "--ckpt", str(path)]) == cli.EXIT_DATA
+        assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", [0.0, np.nan], ids=["zero", "nan"])
     def test_bad_centroid_row(self, workdir, tmp_path, capsys, value):

@@ -3,6 +3,7 @@
 training tape keeps only what its backward reads."""
 
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -190,15 +191,32 @@ class TestAttentionMemory:
         assert peak < whole / 2
 
 
+def closure_arrays(fn):
+    """The arrays a backward closure captured, also through the functions,
+    tuples and lists it holds (such as the (tensor, grad) pairs of an op)."""
+    arrays, seen, stack = [], set(), [fn]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            arrays.append(obj)
+        elif isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        elif isinstance(obj, types.FunctionType):
+            stack.extend(c.cell_contents for c in obj.__closure__ or ())
+    return arrays
+
+
 def held_arrays(root):
     """Every array the tape from root holds: node payloads and the arrays
     the backward closures captured, one entry per distinct buffer. A view
     counts as the array that owns its memory."""
     held = {}
     for node in tape_nodes(root):
-        cells = [c.cell_contents for c in (node._backward.__closure__ or ())] \
-            if node._backward is not None else []
-        for arr in [node.data] + [c for c in cells if isinstance(c, np.ndarray)]:
+        cells = closure_arrays(node._backward) if node._backward is not None else []
+        for arr in [node.data] + cells:
             while isinstance(arr.base, np.ndarray):
                 arr = arr.base
             held[id(arr)] = arr

@@ -15,7 +15,7 @@ from util_oracles import (collect_embeddings_oracle, forward_capture_oracle,
 
 class TestSelectRepresentativePatches:
     def test_no_refinement_k_equals_n(self):
-        x = np.random.default_rng(0).random((6, 2, 3))
+        x = np.random.default_rng(0).random((6, 2, 3)).max(axis=1)
         sel = router_init.select_representative_patches(x, k=6, refine_steps=0)
         assert sorted(sel.indices.tolist()) == list(range(6))
 
@@ -29,22 +29,17 @@ class TestSelectRepresentativePatches:
 
     def test_output_rows_are_input_rows(self):
         rng = np.random.default_rng(1)
-        x = rng.random((10, 3, 4))
+        x = rng.random((10, 3, 4)).max(axis=1)
         sel = router_init.select_representative_patches(x, k=4, refine_steps=3)
-        reduced = x.max(axis=1)
         assert len(set(sel.indices.tolist())) == 4
         for row, idx in zip(sel.rows, sel.indices):
-            assert np.array_equal(row, reduced[idx])
-
-    def test_pixel_max_is_taken_first(self):
-        x = np.zeros((3, 2, 2))
-        x[0, 1] = [5.0, 5.0]  # large values hidden in the second pixel slot
-        x[1, 0] = [1.0, 1.0]
-        sel = router_init.select_representative_patches(x, k=1, refine_steps=0)
-        assert sel.indices.tolist() == [0]
+            assert np.array_equal(row, x[idx])
 
     def test_errors(self):
         x = np.random.default_rng(0).random((3, 2, 2))
+        with pytest.raises(ValueError, match="N x d"):
+            router_init.select_representative_patches(x, k=1, refine_steps=0)
+        x = x.max(axis=1)
         with pytest.raises(ValueError):
             router_init.select_representative_patches(x, k=4, refine_steps=0)
         with pytest.raises(ValueError):
@@ -57,7 +52,7 @@ class TestSelectRepresentativePatches:
         k = int(rng.integers(1, n + 1))
         t = int(rng.integers(0, 5))
         x = rng.standard_normal((n, int(rng.integers(1, 4)), int(rng.integers(2, 6))))
-        sel = router_init.select_representative_patches(x, k, t)
+        sel = router_init.select_representative_patches(x.max(axis=1), k, t)
         oracle_idx, oracle_rows = representative_patches_oracle(x, k, t)
         assert np.array_equal(sel.indices, oracle_idx)
         assert np.array_equal(sel.rows, oracle_rows)
@@ -115,7 +110,7 @@ class TestRowDots:
         below = rng.random((400, 4, 1))
         below[:, 0] = 0.0  # pixel 0 holds the row, the other three lie below it
         x = rows[:, None, :] - below
-        sel = router_init.select_representative_patches(x, 128, 5)
+        sel = router_init.select_representative_patches(x.max(axis=1), 128, 5)
         oracle_idx, oracle_rows = representative_patches_oracle(x, 128, 5)
         assert np.array_equal(sel.indices, oracle_idx)
         assert np.array_equal(sel.rows, oracle_rows)
@@ -257,7 +252,7 @@ class TestCollectEmbeddings:
         model, dataset = tiny_setup
         out = router_init.collect_embeddings(model, dataset, 1, scales=(32,),
                                              samples_per_class=1, rng=T.Rng(0))
-        assert all(emb.shape == (16, 4, 16) for emb in out)
+        assert all(emb.shape == (16, 16) for emb in out)
 
     def test_patch_counts_two_scales(self, tiny_setup):
         model, dataset = tiny_setup
@@ -276,8 +271,40 @@ class TestCollectEmbeddings:
         model, dataset = tiny_setup
         out = router_init.collect_embeddings(model, dataset, 1, (24, 32), 2, T.Rng(0))
         base = out[0].base
-        assert base is not None and base.shape == (2 * dataset.num_classes, 9 + 16, 4, 16)
+        assert base is not None and base.shape == (2 * dataset.num_classes, 9 + 16, 16)
         assert all(emb.base is base for emb in out)
+
+    def test_pixel_max_is_taken_first(self, tiny_setup, monkeypatch):
+        """Each row is its patch's max over the pixel axis, so a large value
+        in any pixel slot reaches the row."""
+        model, dataset = tiny_setup
+        original = backbone.Model.capture_pre_mlp
+
+        def spiked(self, images, layer):
+            out = original(self, images, layer)
+            out.data[:, 0, 1] = 5.0  # patch 0, second pixel slot
+            return out
+
+        monkeypatch.setattr(backbone.Model, "capture_pre_mlp", spiked)
+        out = router_init.collect_embeddings(model, dataset, 1, (32,), 1, T.Rng(0))
+        for emb in out:
+            assert np.all(emb[0] == 5.0)
+            assert np.all(emb[1:] < 5.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_errors(self, tiny_setup, monkeypatch, bad):
+        """A non-finite value fails also where the pixel max would hide it."""
+        model, dataset = tiny_setup
+        original = backbone.Model.capture_pre_mlp
+
+        def spoiled(self, images, layer):
+            out = original(self, images, layer)
+            out.data[0, 0, 1, 0] = bad
+            return out
+
+        monkeypatch.setattr(backbone.Model, "capture_pre_mlp", spoiled)
+        with pytest.raises(ValueError, match="finite"):
+            router_init.collect_embeddings(model, dataset, 1, (32,), 1, T.Rng(0))
 
     def test_empty_class_errors(self, tiny_setup):
         model, dataset = tiny_setup
@@ -390,6 +417,11 @@ def three_layer_model(dataset, moefied: bool):
     return model
 
 
+def pooled_embeddings_oracle(*args):
+    """The per-image oracle's N x n_px x d rows maxed over the pixel axis."""
+    return [emb.max(axis=1) for emb in collect_embeddings_oracle(*args)]
+
+
 class TestBatchedCapture:
     SCALES = (24, 32, 40)
 
@@ -417,8 +449,8 @@ class TestBatchedCapture:
         model = three_layer_model(chunked_dataset, moefied)
         out = router_init.collect_embeddings(model, chunked_dataset, layer, self.SCALES,
                                              4, T.Rng(2))
-        ref = collect_embeddings_oracle(model, chunked_dataset, layer, self.SCALES,
-                                        4, T.Rng(2))
+        ref = pooled_embeddings_oracle(model, chunked_dataset, layer, self.SCALES,
+                                       4, T.Rng(2))
         assert len(out) == len(ref)
         for emb, r in zip(out, ref):
             assert emb.dtype == np.dtype(dtype)
@@ -430,8 +462,8 @@ class TestBatchedCapture:
         model = three_layer_model(chunked_dataset, moefied=True)
         out = router_init.collect_embeddings(model, chunked_dataset, 2, self.SCALES,
                                              4, T.Rng(2))
-        ref = collect_embeddings_oracle(model, chunked_dataset, 2, self.SCALES,
-                                        4, T.Rng(2))
+        ref = pooled_embeddings_oracle(model, chunked_dataset, 2, self.SCALES,
+                                       4, T.Rng(2))
         atol = 1e-5 if dtype == "float32" else 1e-12
         for emb, r in zip(out, ref):
             np.testing.assert_allclose(emb, r, rtol=0, atol=atol)
@@ -449,7 +481,7 @@ class TestBatchedCapture:
             tree.merges = ward_lance_williams_oracle(points)
             return tree
 
-        monkeypatch.setattr(router_init, "collect_embeddings", collect_embeddings_oracle)
+        monkeypatch.setattr(router_init, "collect_embeddings", pooled_embeddings_oracle)
         monkeypatch.setattr(router_init, "ward_cluster", reference_ward)
         ref = router_init.build_router(model, chunked_dataset, 1, 3, params)
         assert np.array_equal(got.router.centroids.data, ref.router.centroids.data)

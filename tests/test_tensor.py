@@ -136,9 +136,16 @@ OPS = {
     "add": (lambda a, b: T.add(a, b), [(3, 4), (3, 4)]),
     "add_broadcast": (lambda a, b: T.add(a, b), [(3, 4), (4,)]),
     "sub": (lambda a, b: T.sub(a, b), [(2, 3), (2, 3)]),
+    "sub_broadcast": (lambda a, b: T.sub(a, b), [(2, 3), (3,)]),
     "mul": (lambda a, b: T.mul(a, b), [(3, 4), (3, 4)]),
     "mul_broadcast": (lambda a, b: T.mul(a, b), [(2, 3, 4), (4,)]),
+    # a 0-d operand, as in the experts' mul(x_corr, gamma)
+    "mul_scalar": (lambda a, b: T.mul(a, b), [(3, 4), ()]),
+    # one tensor on both sides, as in cosine_matrix's mul(x, x)
+    "mul_self": (lambda a: T.mul(a, a), [(3, 4)]),
     "div": (lambda a, b: T.div(a, T.add(T.mul(b, b), T.Tensor(1.0))), [(3,), (3,)]),
+    "div_broadcast": (lambda a, b: T.div(a, T.add(T.mul(b, b), T.Tensor(1.0))),
+                      [(2, 3), (3,)]),
     "matmul": (lambda a, b: T.matmul(a, b), [(3, 4), (4, 2)]),
     "matmul_batched": (lambda a, b: T.matmul(a, b), [(2, 3, 4), (2, 4, 2)]),
     "matmul_broadcast_weight": (lambda a, b: T.matmul(a, b), [(2, 3, 4), (4, 5)]),
@@ -149,6 +156,7 @@ OPS = {
     "transpose": (lambda a: T.transpose(a, (1, 0, 2)), [(2, 3, 4)]),
     "sum_all": (lambda a: T.tsum(a), [(3, 4)]),
     "sum_axis": (lambda a: T.tsum(a, axis=1), [(3, 4)]),
+    "sum_axis_keepdims": (lambda a: T.tsum(a, axis=1, keepdims=True), [(3, 4)]),
     "mean_axis": (lambda a: T.tmean(a, axis=0, keepdims=True), [(3, 4)]),
     "take": (lambda a: T.take(a, np.array([2, 0, 2])), [(4, 3)]),
     "take_distinct": (lambda a: T.take(a, np.array([3, 0, 2])), [(4, 3)]),
@@ -163,6 +171,7 @@ OPS = {
     "softmax": (lambda a: T.softmax(a, axis=-1), [(3, 5)]),
     "log_softmax": (lambda a: T.log_softmax(a, axis=-1), [(3, 5)]),
     "layer_norm": (lambda x, g, b: T.layer_norm(x, g, b), [(3, 6), (6,), (6,)]),
+    "layer_norm_3d": (lambda x, g, b: T.layer_norm(x, g, b), [(2, 3, 6), (6,), (6,)]),
     "clamp_min": (lambda a: T.clamp_min(T.add(a, T.Tensor(0.3)), 0.0), [(3, 4)]),
     "silu": (lambda a: T.silu(a), [(3, 4)]),
     "cosine_matrix": (lambda a, b: T.cosine_matrix(a, b), [(3, 4), (2, 4)]),
@@ -174,6 +183,20 @@ def test_backward_matches_finite_differences(name):
     op, shapes = OPS[name]
     for seed in range(3):
         gradcheck(op, shapes, np.random.default_rng(seed), label=name)
+
+
+@pytest.mark.parametrize("name", sorted(n for n, (_, shapes) in OPS.items()
+                                         if len(shapes) > 1))
+def test_input_without_requires_grad_gets_no_grad(name):
+    """Each input in turn is made without requires_grad: its .grad stays
+    None through backward(), and every other input receives one."""
+    op, shapes = OPS[name]
+    rng = np.random.default_rng(0)
+    arrays = [rng.standard_normal(s) for s in shapes]
+    for const in range(len(shapes)):
+        ins = [T.Tensor(a, requires_grad=i != const) for i, a in enumerate(arrays)]
+        op(*ins).backward()
+        assert [t.grad is None for t in ins] == [i == const for i in range(len(ins))]
 
 
 class TestFusedNodesMatchChains:
