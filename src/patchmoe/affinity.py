@@ -102,7 +102,9 @@ def affinity_post(model, images: list[LabeledImage], layer: int,
     missing (NaN row) rather than zero-filled. Each batch runs only up to the
     routed layer's capture and applies the router's softmax to it, the one
     the full forward's expert selection applies, so later layers, the routed
-    layer's experts and the head never run. Builds no autodiff tape.
+    layer's experts and the head never run. Builds no autodiff tape. The
+    provenance adds the layer, n_batches, batch_size and the rng's seed to
+    the caller's entries.
     """
     if not images:
         raise ValueError("no images to sample")
@@ -128,7 +130,8 @@ def affinity_post(model, images: list[LabeledImage], layer: int,
     seen = patch_counts > 0
     values[seen] = sums[seen] / patch_counts[seen, None]
     prov = dict(provenance or {})
-    prov.update({"layer": layer, "n_batches": n_batches, "batch_size": batch_size})
+    prov.update({"layer": layer, "n_batches": n_batches, "batch_size": batch_size,
+                 "seed": rng.seed})
     return AffinityMatrix(values, "post_finetune", model.config.router_temperature, 0.0,
                           prov, missing_classes=missing)
 

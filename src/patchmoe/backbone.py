@@ -382,8 +382,8 @@ def _model_from_manifest(manifest: dict) -> Model:
     d = config.d_model
     de = config.d_ff // config.reduction_factor
     for key, info in manifest["moe"].items():
-        if int(key) not in config.moe_layers:
-            raise ValueError(f"MoE entry for layer {key}, not one of the config's "
+        if key not in {str(i) for i in config.moe_layers}:
+            raise ValueError(f"MoE entry {key!r} does not name one of the config's "
                              f"moe_layers {list(config.moe_layers)}")
         router = moe_mod.Router(
             centroids=T.parameter(np.ones((config.experts, d))),

@@ -291,7 +291,7 @@ def cmd_eval(args) -> int:
     if not images:
         raise data.DataError(f"split {args.split!r} is empty")
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    result = training.evaluate(model, images, batch_size=args.batch_size)
+    result = training.evaluate(model, images)
     rows = [("loss", result.loss), ("top1", result.top1)]
     rows += [(f"class_{c}_acc", acc) for c, acc in sorted(result.per_class.items())]
     rows += [(f"expert_entropy_layer_{i}", result.expert_entropy(i))
@@ -304,19 +304,8 @@ def cmd_eval(args) -> int:
     return 0
 
 
-# affinity flag -> (the one mode that reads it, its default)
-AFFINITY_MODE_FLAGS = {"batches": ("post", 50), "batch_size": ("post", 128),
-                       "seed": ("post", 0)}
-
-
 def cmd_affinity(args) -> int:
-    command = f"affinity --mode {args.mode}"
-    resolved = load_run_config(args.config, args.set, command)
-    for name, (mode, default) in AFFINITY_MODE_FLAGS.items():
-        if getattr(args, name) is None:
-            setattr(args, name, default)
-        elif args.mode != mode:
-            raise ConfigError(f"{command} does not read --{name.replace('_', '-')}")
+    resolved = load_run_config(args.config, args.set, f"affinity --mode {args.mode}")
     model = backbone.load_checkpoint(args.ckpt)
     dataset = data.load_dataset(args.data)
     _require_dataset_fits(dataset, model.config)
@@ -329,16 +318,14 @@ def cmd_affinity(args) -> int:
         raise StageError(f"layer {layer} of the checkpoint is not a MoE block")
     params = _router_params(resolved, model.config) if args.mode != "post" else None
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-    provenance = {"seed": args.seed if params is None else params.seed,
-                  "checkpoint": str(args.ckpt)}
+    provenance = {"checkpoint": str(args.ckpt)}
     if args.mode == "post":
         # a dataset without val images is sampled from train, and says so
         provenance["split"] = "val" if dataset.split("val") else "train"
         matrix = affinity_mod.affinity_post(
-            model, dataset.split(provenance["split"]), layer, n_batches=args.batches,
-            batch_size=args.batch_size, rng=Rng(args.seed),
-            provenance=provenance)
+            model, dataset.split(provenance["split"]), layer, provenance=provenance)
     else:
+        provenance["seed"] = params.seed
         _, selected = router_init.select_class_patches(model, dataset, layer, params)
         points = [np.asarray(T.minmax_apply(block.router.scaler, sel.rows))
                   for sel in selected]
@@ -377,19 +364,6 @@ def cmd_inspect(args) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
-
-
-def _positive(kind, zero_ok: bool = False):
-    """argparse type: a `kind` value that must be > 0, or >= 0 when zero_ok
-    (else exit 2)."""
-    def parse(raw: str):
-        value = kind(raw)
-        if not (value >= 0 if zero_ok else value > 0):
-            raise argparse.ArgumentTypeError(
-                f"must be {'>= 0' if zero_ok else '> 0'}, got {raw!r}")
-        return value
-    parse.__name__ = kind.__name__  # argparse names the type in its errors
-    return parse
 
 
 def _checkpoint_out(raw: str) -> Path:
@@ -442,8 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--split", default="val")
-    p.add_argument("--batch-size", type=_positive(int), default=32)
+    p.add_argument("--split", choices=("train", "val"), default="val")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("affinity", help="class-expert affinity analysis")
@@ -453,10 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--layer", type=int, required=True)
     p.add_argument("--mode", choices=("pre", "post", "figure-d"), default="post")
     p.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
-    # None marks a flag not given: AFFINITY_MODE_FLAGS holds the defaults
-    p.add_argument("--batches", type=_positive(int), default=None)
-    p.add_argument("--batch-size", type=_positive(int), default=None)
-    p.add_argument("--seed", type=_positive(int, zero_ok=True), default=None)
     _add_common(p)
     p.set_defaults(func=cmd_affinity)
 

@@ -261,16 +261,17 @@ def save_dataset(dataset: Dataset, out_dir: Path | str) -> None:
 
 def load_dataset(path: Path | str) -> Dataset:
     """Load a saved dataset (manifest present) or a bare PPM directory; its
-    images must share one square size."""
+    images must share one square size, which each manifest fg_box lies in."""
     root = Path(path)
     manifest_path = root / "manifest.json"
+    entries = []
     if manifest_path.exists():
         try:
             with open(manifest_path) as f:
                 manifest = json.load(f)
-            class_names = manifest["class_names"]
+            class_names, entries = manifest["class_names"], manifest["images"]
             images = []
-            for entry in manifest["images"]:
+            for entry in entries:
                 cid = entry["class"]
                 if type(cid) is not int or not 0 <= cid < len(class_names):
                     raise ValueError(f"class {cid!r} is not a class id in "
@@ -278,9 +279,8 @@ def load_dataset(path: Path | str) -> Dataset:
                 if entry["split"] not in ("train", "val"):
                     raise ValueError(f"{entry['file']}: split {entry['split']!r} is not "
                                      f"'train' or 'val'")
-                images.append(LabeledImage(
-                    read_ppm(root / entry["file"]), cid, entry["split"],
-                    tuple(entry["fg_box"]) if entry.get("fg_box") else None))
+                images.append(LabeledImage(read_ppm(root / entry["file"]), cid,
+                                           entry["split"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"invalid dataset manifest {manifest_path}: "
                             f"{type(exc).__name__}: {exc}") from None
@@ -292,6 +292,15 @@ def load_dataset(path: Path | str) -> Dataset:
     if len(shapes) > 1 or any(h != w for h, w, _ in shapes):
         raise DataError(f"{root}: images must share one square size, found "
                         f"{', '.join(f'{w}x{h}' for h, w, _ in shapes)}")
+    for entry, im in zip(entries, dataset.images):
+        box, size = entry.get("fg_box"), im.pixels.shape[0]
+        if box is not None and not (
+                isinstance(box, list) and len(box) == 4 and all(type(v) is int for v in box)
+                and 0 <= box[0] < box[2] <= size and 0 <= box[1] < box[3] <= size):
+            raise DataError(f"invalid dataset manifest {manifest_path}: {entry['file']}: "
+                            f"fg_box {box!r} is not four ints y0, x0, y1, x1 inside "
+                            f"its {size}x{size} image")
+        im.fg_box = box and tuple(box)
     return dataset
 
 

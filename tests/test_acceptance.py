@@ -336,8 +336,7 @@ def test_criterion_10_determinism(tmp_path):
                 ["eval", "--ckpt", str(tuned), "--data", str(d),
                  "--out", str(eval_csv)],
                 ["affinity", "--ckpt", str(tuned), "--data", str(d),
-                 "--layer", "1", "--mode", "post", "--batches", "2",
-                 "--batch-size", "8", "--seed", "3", "--out", str(aff_csv)],
+                 "--layer", "1", "--mode", "post", "--out", str(aff_csv)],
             ):
                 assert cli.main(argv) == 0, argv
             return {

@@ -486,11 +486,17 @@ class TestEval:
         assert rc == 0
         assert out.read_text().startswith("metric,value\n")
 
-    def test_empty_split_is_data_error(self, workdir, tmp_path):
+    def test_empty_split_is_data_error(self, workdir, tmp_path, capsys):
+        """A bare PPM directory puts every image in train, so its val split
+        is empty."""
+        data_dir = tmp_path / "bare"
+        shutil.copytree(workdir["data"], data_dir)
+        (data_dir / "manifest.json").unlink()
         rc = cli.main(["eval", "--ckpt", str(workdir["tuned"]),
-                       "--data", str(workdir["data"]), "--split", "nope",
+                       "--data", str(data_dir), "--split", "val",
                        "--out", str(tmp_path / "x.csv")])
         assert rc == cli.EXIT_DATA
+        assert "split 'val' is empty" in capsys.readouterr().err
 
 
 def _directory_as_spec(workdir, tmp_path):
@@ -541,19 +547,33 @@ class TestAffinity:
         out = tmp_path / "aff.csv"
         rc = cli.main(["affinity", "--ckpt", str(workdir["tuned"]),
                        "--data", str(workdir["data"]), "--layer", "1",
-                       "--mode", "post", "--batches", "2", "--batch-size", "4",
-                       "--out", str(out)])
+                       "--mode", "post", "--out", str(out)])
         assert rc == 0
         values = read_affinity_csv(out)
         assert values.shape == (4, 2)
         assert np.allclose(values.sum(axis=1), 1.0, atol=1e-6)
 
+    def test_post_mode_runs_the_library_protocol(self, workdir, tmp_path):
+        """--mode post writes, byte for byte, the matrix affinity_post gives at
+        its defaults: 50 batches of up to 128 images, seed 0."""
+        out = tmp_path / "aff.json"
+        argv = _argv(workdir, "affinity --mode post", out) + ["--format", "json"]
+        assert cli.main(argv) == 0
+        want = affinity.affinity_post(
+            backbone.load_checkpoint(workdir["tuned"]),
+            data.load_dataset(workdir["data"]).split("val"), 1,
+            provenance={"checkpoint": str(workdir["tuned"]), "split": "val"})
+        affinity.export_json(want, tmp_path / "want.json")
+        assert out.read_bytes() == (tmp_path / "want.json").read_bytes()
+        provenance = json.loads(out.read_text())["provenance"]
+        assert (provenance["seed"], provenance["n_batches"], provenance["batch_size"]) == (
+            0, 50, 128)
+
     def test_post_mode_into_missing_directory(self, workdir, tmp_path):
         out = tmp_path / "nodir" / "aff.csv"
         rc = cli.main(["affinity", "--ckpt", str(workdir["tuned"]),
                        "--data", str(workdir["data"]), "--layer", "1",
-                       "--mode", "post", "--batches", "1", "--batch-size", "4",
-                       "--out", str(out)])
+                       "--mode", "post", "--out", str(out)])
         assert rc == 0
         assert out.exists()
 
@@ -569,13 +589,14 @@ class TestAffinity:
         assert text.count('class="cell"') == 4 * 2
         assert "temperature=0.001" in text
 
-    @pytest.mark.parametrize("mode, expected", [("pre", 7), ("figure-d", 7), ("post", 3)])
+    @pytest.mark.parametrize("mode, expected", [("pre", 7), ("figure-d", 7), ("post", 0)])
     def test_provenance_records_the_seed_used(self, workdir, tmp_path, mode, expected):
         """pre and figure-d sample patches with router_init.seed; post
-        samples batches with --seed."""
+        samples batches with affinity_post's own seed."""
         out = tmp_path / "aff.json"
         argv = _argv(workdir, f"affinity --mode {mode}", out) + ["--format", "json"]
-        argv += ["--seed", "3"] if mode == "post" else ["--set", "router_init.seed=7"]
+        if mode != "post":
+            argv += ["--set", "router_init.seed=7"]
         assert cli.main(argv) == 0
         assert json.loads(out.read_text())["provenance"]["seed"] == expected
 
@@ -625,27 +646,30 @@ def _exit_code(argv: list[str]) -> int:
         return exc.code
 
 
-@pytest.mark.parametrize("command, extra", [
-    ("affinity", ["--layer", "5"]),
-    ("affinity", ["--layer", "-1"]),
-    ("affinity", ["--layer", "1", "--batch-size", "0"]),
-    ("affinity", ["--layer", "1", "--batches", "0"]),
-    ("eval", ["--batch-size", "0"]),
-    ("affinity", ["--layer", "1", "--mode", "pre", "--seed", "3"]),
-    ("affinity", ["--layer", "1", "--mode", "figure-d", "--seed", "3"]),
-    ("affinity", ["--layer", "1", "--mode", "pre", "--batches", "2"]),
-    ("affinity", ["--layer", "1", "--mode", "figure-d", "--batch-size", "4"]),
-    ("affinity", ["--layer", "1", "--mode", "pre", "--set", "router_init.scales=5"]),
-    ("affinity", ["--layer", "1", "--seed", "-1"]),
-], ids=["layer-5", "layer-neg1", "affinity-batch-size-0", "batches-0",
-        "eval-batch-size-0", "pre-seed", "figure-d-seed",
-        "pre-batches", "figure-d-batch-size", "pre-scales-not-patch-multiple",
-        "negative-seed"])
-def test_bad_argument_exits_usage(workdir, tmp_path, command, extra):
+@pytest.mark.parametrize("command, extra, named", [
+    pytest.param("affinity", ["--layer", "5"], "--layer 5 is out of range", id="layer-5"),
+    pytest.param("affinity", ["--layer", "-1"], "--layer -1 is out of range", id="layer-neg1"),
+    pytest.param("affinity", ["--layer", "1", "--mode", "pre", "--set", "router_init.scales=5"],
+                 "router_init.scales [5] must be multiples",
+                 id="pre-scales-not-patch-multiple"),
+    pytest.param("eval", ["--split", "nope"], "argument --split: invalid choice: 'nope'",
+                 id="eval-split-nope"),
+    # eval and affinity run at the library's batch sizes and affinity seed
+    pytest.param("eval", ["--batch-size", "4"], "unrecognized arguments: --batch-size 4",
+                 id="eval-batch-size"),
+    *[pytest.param("affinity", ["--layer", "1", "--mode", mode, flag, value],
+                   f"unrecognized arguments: {flag} {value}", id=f"{mode}-{flag[2:]}")
+      for mode in ("post", "pre", "figure-d")
+      for flag, value in (("--batches", "2"), ("--batch-size", "4"), ("--seed", "3"))],
+])
+def test_bad_argument_exits_usage(workdir, tmp_path, capsys, command, extra, named):
+    """A bad or removed argument exits 2, the error names it, and nothing is
+    written."""
     out = tmp_path / "x.csv"
     rc = _exit_code([command, "--ckpt", str(workdir["tuned"]),
                      "--data", str(workdir["data"]), "--out", str(out)] + extra)
     assert rc == cli.EXIT_USAGE
+    assert named in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -818,16 +842,20 @@ class TestLoadedRouterValidation:
         backbone.save_checkpoint(model, path)
         return path
 
-    @pytest.mark.parametrize("edit", [
-        lambda entries: entries["1"].pop("scaler"),
-        lambda entries: entries.update({"-1": entries.pop("1")})],
-        ids=["missing-scaler", "negative-layer"])
-    def test_bad_moe_entry(self, workdir, tmp_path, edit):
+    @pytest.mark.parametrize("edit, named", [
+        (lambda entries: entries["1"].pop("scaler"), "'scaler'"),
+        (lambda entries: entries.update({"-1": entries.pop("1")}), "MoE entry '-1'"),
+        (lambda entries: entries.update({"01": entries["1"]}), "MoE entry '01'")],
+        ids=["missing-scaler", "negative-layer", "zero-padded-layer"])
+    def test_bad_moe_entry(self, workdir, tmp_path, capsys, edit, named):
+        """Each entry's key is exactly a layer of the config's moe_layers, so
+        "01" cannot stand in for, or override, layer 1's entry."""
         path = _copy_checkpoint(workdir["moe"], tmp_path / "moe.json")
         manifest = json.loads(path.read_text())
         edit(manifest["moe"])
         path.write_text(json.dumps(manifest))
         assert cli.main(["inspect", "--ckpt", str(path)]) == cli.EXIT_DATA
+        assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [("moe_layers", [0]), ("experts", 3)],
                              ids=["moe_layers", "experts"])
@@ -1192,8 +1220,6 @@ def _argv(workdir, command, out):
             "--data", str(workdir["data"]), "--out", str(out)]
     if command.startswith("affinity"):
         argv += ["--ckpt", str(workdir["tuned"]), "--layer", "1"]
-        if command.endswith("post"):
-            argv += ["--batches", "1", "--batch-size", "4"]
     elif command != "pretrain":
         argv += ["--ckpt", str(workdir["dense" if command == "moefy" else "moe"])]
     return argv

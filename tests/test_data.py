@@ -189,6 +189,23 @@ class TestDatasetIO:
                            match=re.escape(f"{relabelled[0]['file']}: split {split!r}")):
             data.load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("box", [
+        [1, 2], "abc", {"y0": 0}, [0, 0, 999, 999], [-8, 0, 8, 8], [8, 8, 8, 16],
+        [16, 0, 8, 8], [0, 0, 32.0, 32], [0, 0, True, 8]],
+        ids=["two-ints", "string", "object", "past-edge", "negative", "empty-rows",
+             "reversed", "float", "bool"])
+    def test_bad_fg_box_rejected(self, tmp_path, small_dataset, box):
+        """An fg_box is four ints y0, x0, y1, x1 of a non-empty box inside
+        its 32 px image: anything else is a DataError naming the file."""
+        data.save_dataset(small_dataset, tmp_path)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        entry = manifest["images"][0]
+        entry["fg_box"] = box
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(data.DataError, match=re.escape(f"{entry['file']}: fg_box")):
+            data.load_dataset(tmp_path)
+
     def test_empty_dir(self, tmp_path):
         with pytest.raises(data.DataError, match="no classes"):
             data.load_ppm_dir(tmp_path)

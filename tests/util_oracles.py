@@ -290,7 +290,8 @@ def affinity_post_forward_oracle(model, images, layer, n_batches=50, batch_size=
     seen = patch_counts > 0
     values[seen] = sums[seen] / patch_counts[seen, None]
     prov = dict(provenance or {})
-    prov.update({"layer": layer, "n_batches": n_batches, "batch_size": batch_size})
+    prov.update({"layer": layer, "n_batches": n_batches, "batch_size": batch_size,
+                 "seed": rng.seed})
     return affinity.AffinityMatrix(values, "post_finetune", model.config.router_temperature,
                                    0.0, prov, missing_classes=missing)
 
