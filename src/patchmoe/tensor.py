@@ -215,14 +215,29 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                (b, lambda g: np.swapaxes(a.data, -1, -2) @ g))
 
 
+def _rows(a: np.ndarray) -> np.ndarray:
+    return a.reshape(-1, a.shape[-1])
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x.w + b as one node: add(matmul(x, w), b) with the same numpy calls,
-    the bias added in place, and no tape node for the bare product."""
+    """x.w + b as one node, for a 2-D w and a bias of shape (w.shape[1],).
+
+    The forward is add(matmul(x, w), b)'s numpy call, x.data @ w.data, with
+    the bias added in place and no tape node for the bare product. It stays
+    batched on x's leading axes: one 2-D gemm there wakes a second BLAS
+    thread and its buffers for no forward speed. The backward works on x's
+    rows (its leading axes flattened): dx = rows(g).w^T and
+    dw = rows(x)^T.rows(g), one gemm each, so no (..., d_in, d_out) array of
+    weight gradients per leading index is formed and then summed."""
     _check_matmul(x, w)
+    if w.ndim != 2 or b.shape != w.shape[1:]:
+        raise ValueError(f"linear needs a 2-D weight and a ({w.shape[-1]},) bias: "
+                         f"got w {w.shape}, b {b.shape}")
     out_data = x.data @ w.data
     np.add(out_data, b.data, out=out_data)
-    return _op(out_data, (b, lambda g: g), (x, lambda g: g @ np.swapaxes(w.data, -1, -2)),
-               (w, lambda g: np.swapaxes(x.data, -1, -2) @ g))
+    return _op(out_data, (b, lambda g: g),
+               (x, lambda g: (_rows(g) @ w.data.T).reshape(x.shape)),
+               (w, lambda g: _rows(x.data).T @ _rows(g)))
 
 
 # Bytes of attention scores in one block: about one core's L2 cache, so that

@@ -191,6 +191,29 @@ class TestAttentionMemory:
         assert peak < whole / 2
 
 
+class TestLinearMemory:
+    def test_backward_forms_no_per_patch_weight_gradient(self):
+        """T.linear's backward on a (B, P, n_px, d_in) input, as the dense
+        MLP runs it, holds no more than the output's gradient, its copy into
+        the tape and x's gradient: no (B, P, d_in, d_out) array (16 MiB
+        here) is formed and summed into the weight gradient."""
+        rng = np.random.default_rng(0)
+        x = T.Tensor(rng.standard_normal((32, 64, 4, 32)).astype(np.float32),
+                     requires_grad=True)
+        w = T.Tensor(rng.standard_normal((32, 64)).astype(np.float32), requires_grad=True)
+        b = T.Tensor(np.zeros(64, np.float32), requires_grad=True)
+        out = T.linear(x, w, b)
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        tracemalloc.start()
+        try:
+            out.backward(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.grad.shape == x.shape and w.grad.shape == w.shape
+        assert peak <= x.data.nbytes + 2 * g.nbytes
+
+
 def closure_arrays(fn):
     """The arrays a backward closure captured, also through the functions,
     tuples and lists it holds (such as the (tensor, grad) pairs of an op)."""

@@ -244,15 +244,20 @@ class TestFusedNodesMatchChains:
            d_in=st.integers(1, 6), d_out=st.integers(1, 6),
            seed=st.integers(0, 2**16), dtype=st.sampled_from(["float32", "float64"]))
     def test_linear(self, lead, d_in, d_out, seed, dtype):
+        """The output is the batched chain's, add(matmul(x, w), b); every
+        gradient is the rows chain's (linear_chain_oracle). The two chains'
+        outputs can differ: numpy multiplies a batched item of one row as a
+        gemv, and the rows chain makes one gemm."""
         T.set_default_dtype(dtype)
         try:
             shapes = [(*lead, d_in), (d_in, d_out), (d_out,)]
             run = self.runner(shapes, (*lead, d_out), seed)
             fused = run(T.linear)
-            chain = run(linear_chain_oracle)
+            batched = run(lambda x, w, b: T.add(T.matmul(x, w), b))
+            rows = run(linear_chain_oracle)
         finally:
             T.set_default_dtype("float32")
-        for got, want in zip(fused, chain):
+        for got, want in zip(fused, [batched[0]] + rows[1:]):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_shape_checks(self):
@@ -262,6 +267,13 @@ class TestFusedNodesMatchChains:
         with pytest.raises(ValueError):
             T.linear(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((4, 2))),
                      T.Tensor(np.zeros(2)))
+        # shapes a batched matmul plus a broadcast add would take: a weight
+        # per leading index, or a bias that is not one entry per output
+        x = T.Tensor(np.zeros((2, 4, 3)))
+        for w_shape, b_shape in [((2, 3, 5), (5,)), ((1, 3, 5), (5,)),
+                                 ((3, 5), (1, 5)), ((3, 5), ()), ((3, 5), (1,))]:
+            with pytest.raises(ValueError, match="linear needs a 2-D weight"):
+                T.linear(x, T.Tensor(np.zeros(w_shape)), T.Tensor(np.zeros(b_shape)))
 
 
 class TestAttentionBlocks:

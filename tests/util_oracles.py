@@ -207,8 +207,11 @@ def _scatter_rows_oracle(values, rows, n_rows):
 
 
 def linear_chain_oracle(x, w, b):
-    """x.w + b as the two tape nodes it was before T.linear."""
-    return T.add(T.matmul(x, w), b)
+    """x.w + b as a chain of tape nodes on x's rows (its leading axes
+    flattened): reshape, one 2-D matmul, reshape back, add. Its gradients
+    are T.linear's: dx = rows(g).w^T and dw = rows(x)^T.rows(g)."""
+    rows = T.matmul(T.reshape(x, (-1, x.shape[-1])), w)
+    return T.add(T.reshape(rows, x.shape[:-1] + w.shape[-1:]), b)
 
 
 def attention_chain_oracle(q, k, v, scale):
