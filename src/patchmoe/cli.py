@@ -149,15 +149,6 @@ def _build(cls, **kwargs):
         raise ConfigError(f"invalid {cls.__name__}: {exc}") from None
 
 
-def _router_params(resolved: dict, config: backbone.ModelConfig
-                   ) -> router_init.RouterInitParams:
-    params = _build(router_init.RouterInitParams, **resolved["router_init"])
-    if any(s % config.patch_size for s in params.scales):
-        raise ConfigError(f"router_init.scales {list(params.scales)} must be multiples "
-                          f"of the checkpoint's patch_size {config.patch_size}")
-    return params
-
-
 def write_run_manifest(path: Path, command: str, resolved: dict,
                        extra: dict | None = None) -> None:
     payload = {"command": command, "config": resolved}
@@ -251,7 +242,7 @@ def cmd_moefy(args) -> int:
     _require_dataset_fits(dataset, model.config)
     if not model.config.moe_layers:
         raise ConfigError("no MoE layers configured (moe.moe_layers is empty)")
-    params = _router_params(resolved, model.config)
+    params = _build(router_init.RouterInitParams, **resolved["router_init"])
     if params.mode == "cluster" and model.config.experts > dataset.num_classes:
         raise ConfigError(
             f"moe.experts={model.config.experts} exceeds the dataset's "
@@ -316,7 +307,8 @@ def cmd_affinity(args) -> int:
     block = model.moe_blocks().get(layer)
     if block is None:
         raise StageError(f"layer {layer} of the checkpoint is not a MoE block")
-    params = _router_params(resolved, model.config) if args.mode != "post" else None
+    params = (_build(router_init.RouterInitParams, **resolved["router_init"])
+              if args.mode != "post" else None)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     provenance = {"checkpoint": str(args.ckpt)}
     if args.mode == "post":
@@ -326,7 +318,7 @@ def cmd_affinity(args) -> int:
             model, dataset.split(provenance["split"]), layer, provenance=provenance)
     else:
         provenance["seed"] = params.seed
-        _, selected = router_init.select_class_patches(model, dataset, layer, params)
+        selected = router_init.select_class_patches(model, dataset, layer, params)
         points = [np.asarray(T.minmax_apply(block.router.scaler, sel.rows))
                   for sel in selected]
         centroids = block.router.centroids.data

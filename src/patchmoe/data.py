@@ -260,34 +260,32 @@ def save_dataset(dataset: Dataset, out_dir: Path | str) -> None:
 
 
 def load_dataset(path: Path | str) -> Dataset:
-    """Load a saved dataset (manifest present) or a bare PPM directory; its
-    images must share one square size, which each manifest fg_box lies in."""
+    """Load a dataset that save_dataset wrote; its images must share one
+    square size, which each manifest fg_box lies in."""
     root = Path(path)
     manifest_path = root / "manifest.json"
-    entries = []
-    if manifest_path.exists():
-        try:
-            with open(manifest_path) as f:
-                manifest = json.load(f)
-            class_names, entries = manifest["class_names"], manifest["images"]
-            images = []
-            for entry in entries:
-                cid = entry["class"]
-                if type(cid) is not int or not 0 <= cid < len(class_names):
-                    raise ValueError(f"class {cid!r} is not a class id in "
-                                     f"0..{len(class_names) - 1}")
-                if entry["split"] not in ("train", "val"):
-                    raise ValueError(f"{entry['file']}: split {entry['split']!r} is not "
-                                     f"'train' or 'val'")
-                images.append(LabeledImage(read_ppm(root / entry["file"]), cid,
-                                           entry["split"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"invalid dataset manifest {manifest_path}: "
-                            f"{type(exc).__name__}: {exc}") from None
-        dataset = Dataset(images, class_names, manifest.get("families"),
-                          seed=manifest.get("seed"))
-    else:
-        dataset = load_ppm_dir(root)
+    if not manifest_path.exists():
+        raise DataError(f"no dataset manifest at {manifest_path}")
+    try:
+        with open(manifest_path) as f:
+            manifest = json.load(f)
+        class_names, entries = manifest["class_names"], manifest["images"]
+        images = []
+        for entry in entries:
+            cid = entry["class"]
+            if type(cid) is not int or not 0 <= cid < len(class_names):
+                raise ValueError(f"class {cid!r} is not a class id in "
+                                 f"0..{len(class_names) - 1}")
+            if entry["split"] not in ("train", "val"):
+                raise ValueError(f"{entry['file']}: split {entry['split']!r} is not "
+                                 f"'train' or 'val'")
+            images.append(LabeledImage(read_ppm(root / entry["file"]), cid,
+                                       entry["split"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"invalid dataset manifest {manifest_path}: "
+                        f"{type(exc).__name__}: {exc}") from None
+    dataset = Dataset(images, class_names, manifest.get("families"),
+                      seed=manifest.get("seed"))
     shapes = sorted({im.pixels.shape for im in dataset.images})
     if len(shapes) > 1 or any(h != w for h, w, _ in shapes):
         raise DataError(f"{root}: images must share one square size, found "
@@ -302,19 +300,3 @@ def load_dataset(path: Path | str) -> Dataset:
                             f"its {size}x{size} image")
         im.fg_box = box and tuple(box)
     return dataset
-
-
-def load_ppm_dir(path: Path | str) -> Dataset:
-    """Bare `<class_name>/<image>.ppm` layout; class ids follow sorted names.
-    Without a manifest every image lands in the train split."""
-    root = Path(path)
-    if not root.is_dir():
-        raise DataError(f"{root}: not a directory")
-    class_dirs = sorted(p for p in root.iterdir() if p.is_dir())
-    if not class_dirs:
-        raise DataError(f"{root}: no classes")
-    images = []
-    for cid, cdir in enumerate(class_dirs):
-        for ppm in sorted(cdir.glob("*.ppm")):
-            images.append(LabeledImage(read_ppm(ppm), cid, "train"))
-    return Dataset(images, [d.name for d in class_dirs])

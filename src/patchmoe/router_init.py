@@ -142,11 +142,12 @@ def ward_cluster(points: np.ndarray) -> ClusterTree:
 # ---------------------------------------------------------------------------
 
 
+REFINE_STEPS = 5  # Algorithm 1's T
+
+
 @dataclass
 class RouterInitParams:
     top_k_patches: int = 128       # K, clamped to the available patch count
-    refine_steps: int = 5          # T
-    scales: tuple[int, ...] = ()   # () -> config size -25%/+0/+25%
     samples_per_class: int = 8
     mode: str = "cluster"          # "cluster" | "random" (baseline)
     seed: int = 0
@@ -156,11 +157,6 @@ class RouterInitParams:
             raise ValueError(f"unknown router init mode {self.mode!r}")
         if self.top_k_patches < 1 or self.samples_per_class < 1:
             raise ValueError("top_k_patches and samples_per_class must be >= 1")
-        if self.refine_steps < 0:
-            raise ValueError("refine_steps must be >= 0")
-        # multiples of the model's patch_size, checked where the model is known
-        if any(s < 1 for s in self.scales):
-            raise ValueError("scales must be positive")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -221,23 +217,21 @@ def collect_embeddings(model, dataset: Dataset, layer: int, scales,
 
 # The RouterInitParams fields select_class_patches reads; the others only
 # matter to build_router.
-SELECT_KEYS = ("top_k_patches", "refine_steps", "scales", "samples_per_class", "seed")
+SELECT_KEYS = ("top_k_patches", "samples_per_class", "seed")
 
 
 def select_class_patches(model, dataset: Dataset, layer: int, params: RouterInitParams
-                         ) -> tuple[tuple[int, ...], list[SelectedPatches]]:
+                         ) -> list[SelectedPatches]:
     """Each class's representative patches at the layer.
 
-    Embeddings are collected at params.scales (default_scales when empty)
-    from the rng stream Rng(params.seed).child(0); K is top_k_patches clamped
-    to the fewest patches any class has. Returns (scales, per-class picks).
+    Embeddings are collected at default_scales from the rng stream
+    Rng(params.seed).child(0); K is top_k_patches clamped to the fewest
+    patches any class has, and selection refines REFINE_STEPS times.
     """
-    scales = tuple(params.scales) or default_scales(model.config)
-    per_class = collect_embeddings(model, dataset, layer, scales,
+    per_class = collect_embeddings(model, dataset, layer, default_scales(model.config),
                                    params.samples_per_class, Rng(params.seed).child(0))
     k_eff = min(params.top_k_patches, min(emb.shape[0] for emb in per_class))
-    return scales, [select_representative_patches(emb, k_eff, params.refine_steps)
-                    for emb in per_class]
+    return [select_representative_patches(emb, k_eff, REFINE_STEPS) for emb in per_class]
 
 
 @dataclass
@@ -258,7 +252,7 @@ def build_router(model, dataset: Dataset, layer: int, num_experts: int,
     if layer not in cfg.moe_layers or num_experts != cfg.experts:
         raise ValueError(f"layer {layer} with {num_experts} experts is not in the "
                          f"config's moe_layers {list(cfg.moe_layers)} with experts {cfg.experts}")
-    scales, selected = select_class_patches(model, dataset, layer, params)
+    selected = select_class_patches(model, dataset, layer, params)
 
     pooled = np.concatenate([s.rows for s in selected], axis=0)
     scaler = T.minmax_fit(pooled)
@@ -282,7 +276,7 @@ def build_router(model, dataset: Dataset, layer: int, num_experts: int,
                     gate_mode=cfg.gate_mode)
     manifest = {
         "top_k_patches": len(selected[0].indices),
-        "scales": list(scales),
+        "scales": list(default_scales(cfg)),
         "class_assignments": assignments.tolist() if assignments is not None else None,
     }
     return RouterBuildResult(router, assignments, class_points, selected, manifest)

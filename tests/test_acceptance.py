@@ -62,7 +62,7 @@ EXPERIMENT_SEEDS = range(5)
 
 def experiment_config():
     return backbone.ModelConfig(num_classes=12, image_size=32, patch_size=8,
-                                d_model=24, d_ff=48, layers=2, heads=2,
+                                d_model=24, d_ff=48, layers=2,
                                 dropout=0.0, moe_layers=(0,), experts=4)
 
 
@@ -311,7 +311,7 @@ def test_criterion_10_determinism(tmp_path):
         config_path = tmp_path / "run.ini"
         config_path.write_text(
             "[model]\nimage_size = 32\npatch_size = 8\nd_model = 16\n"
-            "d_ff = 32\nlayers = 2\nheads = 2\ndropout = 0.1\n"
+            "d_ff = 32\nlayers = 2\ndropout = 0.1\n"
             "[moe]\nmoe_layers = 1\nexperts = 2\n"
             "[router_init]\ntop_k_patches = 16\nsamples_per_class = 2\n"
             "[optim]\nepochs = 2\nbatch_size = 8\n"

@@ -1,6 +1,7 @@
 """Class-expert affinity matrices, collapse metrics, and exports."""
 
 import json
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -271,6 +272,17 @@ class TestExport:
         assert text.count('class="cell"') == 3 * 2
         assert "mode=pre_init" in text
         assert "layer=1" in text
+
+    def test_svg_footer_escaped(self, tmp_path):
+        """A provenance holding XML's special characters, as a checkpoint
+        path may, still gives a well-formed SVG whose footer reads back."""
+        m = affinity.AffinityMatrix(np.ones((1, 1)), "pre_init", 0.5, 0.0,
+                                    provenance={"checkpoint": "R&D<1>/tuned.json"})
+        path = tmp_path / "aff.svg"
+        affinity.export_svg(m, path)
+        footer = ElementTree.parse(path).getroot()[-1]
+        assert footer.text == ("mode=pre_init temperature=0.5 threshold=0.0 "
+                               "checkpoint=R&D<1>/tuned.json")
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -20,7 +20,7 @@ from util_oracles import (forward_capture_oracle, fold_oracle, linear_chain_orac
 
 class TestConfig:
     def test_layout_arithmetic(self):
-        cfg = ModelConfig(num_classes=2, image_size=32, patch_size=8, n_px=4)
+        cfg = ModelConfig(num_classes=2, image_size=32, patch_size=8)
         assert cfg.grid == 4 and cfg.cell == 4
 
     def test_invalid_moe_layer(self):
@@ -44,13 +44,13 @@ class TestLayout:
     def test_fold_unfold_round_trip(self):
         rng = np.random.default_rng(0)
         images = rng.random((2, 16, 16, 3))
-        blocks = unfold(images, patch_size=8, n_px=4)
+        blocks = unfold(images, patch_size=8)
         assert blocks.shape == (2, 4, 4, 48)
-        assert np.array_equal(fold_oracle(blocks, 16, 8, 4), images)
+        assert np.array_equal(fold_oracle(blocks, 16, 8), images)
 
     def test_patch_count_at_alternate_scale(self):
         images = np.zeros((1, 32, 32, 3))
-        assert unfold(images, patch_size=8, n_px=4).shape[1] == 16
+        assert unfold(images, patch_size=8).shape[1] == 16
 
 
 class TestPatchEmbed:
@@ -61,16 +61,18 @@ class TestPatchEmbed:
         assert np.allclose(out.data, 0)
 
     def test_identity_projection_passes_pixels_through(self):
-        cfg = ModelConfig(num_classes=2, image_size=8, patch_size=2, n_px=4,
-                          d_model=3, d_ff=4, layers=1, heads=1)
+        """1-pixel cells into an even d_model: the first three channels are
+        the pixel's RGB, the fourth zero."""
+        cfg = ModelConfig(num_classes=2, image_size=8, patch_size=2,
+                          d_model=4, d_ff=4, layers=1)
         model = Model(cfg, T.Rng(0))
-        model.embed_w.data = np.eye(3, dtype=np.float32)
+        model.embed_w.data = np.eye(3, 4, dtype=np.float32)
         model.embed_b.data[:] = 0
         model.pos.data[:] = 0
         rng = np.random.default_rng(1)
         images = rng.integers(0, 256, (1, 8, 8, 3), dtype=np.uint8)
         out = model.patch_embed(images)
-        expected = unfold(images / 255.0, 2, 4)
+        expected = np.concatenate([unfold(images / 255.0, 2), np.zeros((1, 16, 4, 1))], -1)
         assert np.allclose(out.data, expected, atol=1e-6)
 
     def test_dimension_mismatch(self):
@@ -90,8 +92,7 @@ class TestAttention:
         assert np.allclose(out.data, x.data)
 
     def test_single_token(self):
-        cfg = toy_config(image_size=4, patch_size=4, n_px=1)
-        model = Model(cfg, T.Rng(0))
+        model = Model(toy_config(), T.Rng(0))
         layer = model.layers[0]
         x = np.random.default_rng(1).standard_normal((1, 1, 1, 8)).astype(np.float32)
         out = model.attention(layer, T.Tensor(x)).data
@@ -126,7 +127,7 @@ class TestForward:
         images = np.random.default_rng(0).integers(0, 256, (3, 8, 8, 3), dtype=np.uint8)
         cap1 = model.capture_pre_mlp(images, 1)
         cap2 = model.capture_pre_mlp(images, 1)
-        assert cap1.shape == (3, cfg.grid ** 2, cfg.n_px, cfg.d_model)
+        assert cap1.shape == (3, cfg.grid ** 2, backbone.N_PX, cfg.d_model)
         assert np.array_equal(cap1.data, cap2.data)
 
     def test_capture_invalid_layer(self):

@@ -23,7 +23,6 @@ patch_size = 8
 d_model = 16
 d_ff = 32
 layers = 2
-heads = 2
 dropout = 0.0
 
 [moe]
@@ -33,7 +32,6 @@ experts = 2
 [router_init]
 top_k_patches = 16
 samples_per_class = 2
-scales = 32
 
 [optim]
 epochs = 1
@@ -371,9 +369,9 @@ class TestPipeline:
         model = backbone.load_checkpoint(workdir["moe"])
         assert list(model.moe_blocks()) == [1]
         run = json.loads(workdir["moe"].with_suffix(".run.json").read_text())
-        # 2 sampled images of 16 patches at scale 32: K = min(16, 32)
+        # 2 sampled images of 9 + 16 + 25 patches at the default scales: K = min(16, 100)
         router = run["routers"]["1"]
-        assert (router["top_k_patches"], router["scales"]) == (16, [32])
+        assert (router["top_k_patches"], router["scales"]) == (16, [24, 32, 40])
         assert len(router["class_assignments"]) == 4
         assert set(router["class_assignments"]) == {0, 1}
 
@@ -487,16 +485,32 @@ class TestEval:
         assert out.read_text().startswith("metric,value\n")
 
     def test_empty_split_is_data_error(self, workdir, tmp_path, capsys):
-        """A bare PPM directory puts every image in train, so its val split
-        is empty."""
-        data_dir = tmp_path / "bare"
-        shutil.copytree(workdir["data"], data_dir)
-        (data_dir / "manifest.json").unlink()
         rc = cli.main(["eval", "--ckpt", str(workdir["tuned"]),
-                       "--data", str(data_dir), "--split", "val",
+                       "--data", str(_no_val_data(tmp_path)), "--split", "val",
                        "--out", str(tmp_path / "x.csv")])
         assert rc == cli.EXIT_DATA
         assert "split 'val' is empty" in capsys.readouterr().err
+
+    def test_ppms_without_manifest_is_data_error(self, workdir, tmp_path, capsys):
+        """A dataset directory is what gen-data writes: its class directories
+        of PPMs without manifest.json exit 3 naming the file."""
+        data_dir = tmp_path / "data"
+        shutil.copytree(workdir["data"], data_dir)
+        (data_dir / "manifest.json").unlink()
+        rc = cli.main(["eval", "--ckpt", str(workdir["tuned"]), "--data", str(data_dir),
+                       "--out", str(tmp_path / "x.csv")])
+        assert rc == cli.EXIT_DATA
+        assert f"no dataset manifest at {data_dir / 'manifest.json'}" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+
+def _no_val_data(tmp_path):
+    """gen-data output of SPEC at one image per class, which goes to train."""
+    spec, out = tmp_path / "one.json", tmp_path / "one"
+    spec.write_text(json.dumps({**SPEC, "images_per_class": 1}))
+    assert cli.main(["gen-data", "--spec", str(spec), "--out", str(out)]) == 0
+    assert not data.load_dataset(out).split("val")
+    return out
 
 
 def _directory_as_spec(workdir, tmp_path):
@@ -600,22 +614,17 @@ class TestAffinity:
         assert cli.main(argv) == 0
         assert json.loads(out.read_text())["provenance"]["seed"] == expected
 
-    @pytest.mark.parametrize("bare", [False, True], ids=["saved", "bare-ppm-dir"])
-    def test_post_mode_records_the_split_sampled(self, workdir, tmp_path, bare):
+    @pytest.mark.parametrize("no_val", [False, True], ids=["saved", "no-val"])
+    def test_post_mode_records_the_split_sampled(self, workdir, tmp_path, no_val):
         """post samples val images, or train images where there are none, as
-        in a bare PPM directory, and the export names the split it sampled."""
-        data_dir = workdir["data"]
-        if bare:
-            data_dir = tmp_path / "bare"
-            shutil.copytree(workdir["data"], data_dir)
-            (data_dir / "manifest.json").unlink()
-            assert not data.load_dataset(data_dir).split("val")
+        with one image per class, and the export names the split it sampled."""
+        data_dir = _no_val_data(tmp_path) if no_val else workdir["data"]
         out = tmp_path / "aff.json"
         argv = _argv(workdir, "affinity --mode post", out) + ["--format", "json"]
         argv[argv.index("--data") + 1] = str(data_dir)
         assert cli.main(argv) == 0
         assert json.loads(out.read_text())["provenance"]["split"] == (
-            "train" if bare else "val")
+            "train" if no_val else "val")
 
     def test_post_mode_records_router_temperature(self, workdir, tmp_path):
         """The post export records the temperature the router scored at, as
@@ -649,9 +658,6 @@ def _exit_code(argv: list[str]) -> int:
 @pytest.mark.parametrize("command, extra, named", [
     pytest.param("affinity", ["--layer", "5"], "--layer 5 is out of range", id="layer-5"),
     pytest.param("affinity", ["--layer", "-1"], "--layer -1 is out of range", id="layer-neg1"),
-    pytest.param("affinity", ["--layer", "1", "--mode", "pre", "--set", "router_init.scales=5"],
-                 "router_init.scales [5] must be multiples",
-                 id="pre-scales-not-patch-multiple"),
     pytest.param("eval", ["--split", "nope"], "argument --split: invalid choice: 'nope'",
                  id="eval-split-nope"),
     # eval and affinity run at the library's batch sizes and affinity seed
@@ -824,12 +830,21 @@ class TestCheckpointErrors:
     @pytest.mark.parametrize("key, value", [
         ("patch_size", 5), ("activation", "foo"), ("dropout", 1.0), ("top_k", 5),
         ("router_temperature", 0.0), ("router_temperature", float("inf")),
-        ("reduction_factor", 3), ("moe_layers", [1, 1])])
-    def test_rejected_config(self, ckpt, key, value):
+        ("reduction_factor", 3), ("moe_layers", [1, 1]),
+        # each value of the wrong type, though int() or a comparison would take it
+        ("moe_layers", [1.5]), ("moe_layers", "1"), ("moe_layers", [True]),
+        ("top_k", True), ("d_model", 16.0), ("dropout", False),
+        ("router_temperature", "1.0"), ("gate_mode", 1),
+        # settings that are now the constants backbone.N_PX and backbone.HEADS
+        ("n_px", 4), ("heads", 2)])
+    def test_rejected_config(self, ckpt, capsys, key, value):
+        """A config value the model cannot run with, of the wrong type, or
+        under a key that is no setting exits 3 naming the key."""
         manifest = json.loads(ckpt.read_text())
         manifest["config"][key] = value
         ckpt.write_text(json.dumps(manifest))
         assert cli.main(["inspect", "--ckpt", str(ckpt)]) == cli.EXIT_DATA
+        assert key in capsys.readouterr().err
 
 
 class TestLoadedRouterValidation:
@@ -1051,19 +1066,16 @@ class TestOlderManifests:
 
 
 class TestEmptyClass:
-    """A bare PPM directory whose class 2 holds no image pretrains, but
-    selecting router patches needs train images of every class."""
+    """A dataset whose class 2 holds no image pretrains, but selecting
+    router patches needs train images of every class."""
 
     @pytest.fixture(scope="class")
     def empty_class(self, workdir, tmp_path_factory):
         """The data directory and a dense checkpoint pretrained on it."""
         root = tmp_path_factory.mktemp("empty_class")
-        class_dirs = sorted(p for p in workdir["data"].iterdir() if p.is_dir())
-        for i, src in enumerate(class_dirs):
-            dst = root / "data" / src.name
-            dst.mkdir(parents=True)
-            for ppm in src.glob("*.ppm") if i != 2 else ():
-                (dst / ppm.name).write_bytes(ppm.read_bytes())
+        full = data.load_dataset(workdir["data"])
+        data.save_dataset(data.Dataset([im for im in full.images if im.class_id != 2],
+                                       full.class_names, full.families), root / "data")
         assert data.load_dataset(root / "data").num_classes == 4
         dense = root / "dense.json"
         assert cli.main(["pretrain", "--config", str(workdir["config"]),
@@ -1191,7 +1203,11 @@ REMOVED_KEYS = [
     ("pretrain", "optim.betas", "0.9"), ("pretrain", "optim.wd_classifier", "-1"),
     ("finetune", "optim.wd_other", "nan"), ("finetune", "optim.eps", "-1"),
     ("finetune", "optim.eps", "0"), ("moefy", "router_init.refine_temperature", "0"),
-    ("moefy", "router_init.refine_threshold", "0.05"), ("moefy", "router_init.refine", "true")]
+    ("moefy", "router_init.refine_threshold", "0.05"), ("moefy", "router_init.refine", "true"),
+    # constants now: backbone.N_PX, backbone.HEADS, router_init.REFINE_STEPS and
+    # router_init.default_scales
+    ("pretrain", "model.n_px", "4"), ("pretrain", "model.heads", "2"),
+    ("moefy", "router_init.refine_steps", "5"), ("affinity --mode pre", "router_init.scales", "5")]
 # Removed affinity flags: (mode, flag, value)
 REMOVED_FLAGS = [("pre", "--temperature", "0"), ("post", "--temperature", "5"),
                  ("post", "--threshold", "0.9"), ("figure-d", "--temperature", "5"),
@@ -1232,7 +1248,6 @@ class TestRunConfigSections:
         del expected["model"]["num_classes"]
         del expected["model"]["activation"]  # the MLP activation is always SiLU
         assert cli.CONFIG_SCHEMA == expected
-        assert router_init.RouterInitParams().scales == ()
 
     @pytest.mark.parametrize("command, section", [
         (command, section) for command, reads in READS.items()
@@ -1288,7 +1303,8 @@ class TestRunConfigSections:
     def test_moefy_manifest_holds_router_init_only(self, workdir):
         run = json.loads(workdir["moe"].with_suffix(".run.json").read_text())
         assert list(run["config"]) == ["router_init"]
-        assert run["config"]["router_init"]["scales"] == [32]
+        assert run["config"]["router_init"] == {"top_k_patches": 16, "samples_per_class": 2,
+                                                "mode": "cluster", "seed": 0}
 
     @pytest.mark.parametrize("command, extra, named", REMOVED_SETTINGS)
     def test_removed_settings_exit_usage(self, workdir, tmp_path, capsys, command, extra,
@@ -1354,8 +1370,7 @@ def test_inspect_expert_width_from_config(workdir, tmp_path, capsys):
     checkpoint error."""
     model = backbone.load_checkpoint(workdir["dense"])
     model.config = dataclasses.replace(model.config, reduction_factor=1)
-    params = router_init.RouterInitParams(top_k_patches=16, samples_per_class=2,
-                                          scales=(32,))
+    params = router_init.RouterInitParams(top_k_patches=16, samples_per_class=2)
     build = router_init.build_router(model, data.load_dataset(workdir["data"]), 1, 2,
                                      params)
     expert_init.moefy_layer(model, 1, build.router)

@@ -122,28 +122,14 @@ class TestDatasetIO:
             assert np.array_equal(a.pixels, b.pixels)
             assert (a.class_id, a.split, a.fg_box) == (b.class_id, b.split, b.fg_box)
 
-    def test_bare_dir_sorted_class_ids(self, tmp_path):
-        for name in ("zebra", "ant"):
-            (tmp_path / name).mkdir()
-            data.write_ppm(tmp_path / name / "0.ppm", np.zeros((2, 2, 3), dtype=np.uint8))
-        ds = data.load_ppm_dir(tmp_path)
-        assert ds.class_names == ["ant", "zebra"]
-        assert [im.class_id for im in ds.images] == [0, 1]
-
-    @pytest.mark.parametrize("saved", [True, False], ids=["manifest", "bare-dir"])
-    def test_mixed_sizes_rejected(self, tmp_path, small_dataset, saved):
+    def test_mixed_sizes_rejected(self, tmp_path, small_dataset):
         data.save_dataset(small_dataset, tmp_path)
-        if not saved:
-            (tmp_path / "manifest.json").unlink()
         data.write_ppm(next(tmp_path.glob("*/0000.ppm")), np.zeros((8, 8, 3), dtype=np.uint8))
         with pytest.raises(data.DataError, match="one square size"):
             data.load_dataset(tmp_path)
 
-    @pytest.mark.parametrize("saved", [True, False], ids=["manifest", "bare-dir"])
-    def test_non_square_rejected(self, tmp_path, small_dataset, saved):
+    def test_non_square_rejected(self, tmp_path, small_dataset):
         data.save_dataset(small_dataset, tmp_path)
-        if not saved:
-            (tmp_path / "manifest.json").unlink()
         for ppm in tmp_path.glob("*/*.ppm"):
             data.write_ppm(ppm, np.zeros((16, 8, 3), dtype=np.uint8))
         with pytest.raises(data.DataError, match="one square size, found 8x16"):
@@ -207,5 +193,6 @@ class TestDatasetIO:
             data.load_dataset(tmp_path)
 
     def test_empty_dir(self, tmp_path):
-        with pytest.raises(data.DataError, match="no classes"):
-            data.load_ppm_dir(tmp_path)
+        with pytest.raises(data.DataError, match=re.escape(
+                f"no dataset manifest at {tmp_path / 'manifest.json'}")):
+            data.load_dataset(tmp_path)

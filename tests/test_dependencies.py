@@ -47,8 +47,8 @@ def test_runs_without_scipy():
         "import patchmoe.cli\n"
         "from patchmoe import backbone\n"
         "from patchmoe.tensor import Rng\n"
-        "cfg = backbone.ModelConfig(num_classes=3, image_size=8, patch_size=4, n_px=4,\n"
-        "                           d_model=8, d_ff=16, layers=2, heads=2)\n"
+        "cfg = backbone.ModelConfig(num_classes=3, image_size=8, patch_size=4,\n"
+        "                           d_model=8, d_ff=16, layers=2)\n"
         "images = np.zeros((2, 8, 8, 3), dtype=np.uint8)\n"
         "logits = backbone.Model(cfg, Rng(0)).forward(images).logits.data\n"
         "assert logits.shape == (2, 3) and np.isfinite(logits).all()\n"

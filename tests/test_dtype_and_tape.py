@@ -257,8 +257,8 @@ class TestTrainingTape:
 
     def score_arrays(self, model, loss):
         cfg = model.config
-        n = cfg.grid ** 2 * cfg.n_px
-        shape = (3, cfg.heads, n, n)
+        n = cfg.grid ** 2 * backbone.N_PX
+        shape = (3, backbone.HEADS, n, n)
         return [a for a in held_arrays(loss) if a.shape == shape]
 
     @pytest.mark.parametrize("moe", [False, True], ids=["dense", "moe"])
@@ -316,7 +316,7 @@ class TestMoETape:
                                                      top_k=top_k))
         result = model.forward(images, train=True, rng=Rng(1))
         active = np.count_nonzero(result.routing[1].expert_counts)
-        shapes = {(rows, cfg.n_px, cfg.d_model) for rows in (len(pooled), len(pooled) * top_k)}
+        shapes = {(rows, backbone.N_PX, cfg.d_model) for rows in (len(pooled), len(pooled) * top_k)}
         return active, len([a for a in held_arrays(result.logits) if a.shape in shapes])
 
     @staticmethod

@@ -235,8 +235,8 @@ def tiny_setup():
     spec = data.SynthSpec(num_classes=4, num_families=2, image_size=32,
                           images_per_class=5, fg_patch_cells=2, seed=3)
     dataset = data.generate(spec)
-    cfg = backbone.ModelConfig(num_classes=4, image_size=32, patch_size=8, n_px=4,
-                               d_model=16, d_ff=32, layers=2, heads=2,
+    cfg = backbone.ModelConfig(num_classes=4, image_size=32, patch_size=8,
+                               d_model=16, d_ff=32, layers=2,
                                moe_layers=(1,), experts=2)
     model = backbone.Model(cfg, T.Rng(0))
     return model, dataset
@@ -349,7 +349,8 @@ class TestBuildRouter:
         from the one Ward cut at E clusters."""
         model = three_layer_model(chunked_dataset, moefied=False)
         set_experts(monkeypatch, model, 3)
-        params = router_init.RouterInitParams(samples_per_class=2, scales=(32,))
+        monkeypatch.setattr(router_init, "default_scales", lambda config: (32,))
+        params = router_init.RouterInitParams(samples_per_class=2)
         res = router_init.build_router(model, chunked_dataset, 1, 3, params)
         points = res.class_points
         groups = router_init.ward_cluster(points).cut(3)
@@ -408,8 +409,8 @@ def chunked_dataset():
 def three_layer_model(dataset, moefied: bool):
     """Three layers with MoE at layer 1, optionally moefied."""
     cfg = backbone.ModelConfig(num_classes=dataset.num_classes, image_size=32,
-                               patch_size=8, n_px=4, d_model=16, d_ff=32, layers=3,
-                               heads=2, moe_layers=(1,), experts=4, top_k=2)
+                               patch_size=8, d_model=16, d_ff=32, layers=3,
+                               moe_layers=(1,), experts=4, top_k=2)
     model = backbone.Model(cfg, T.Rng(1))
     if moefied:
         build = router_init.build_router(model, dataset, 1, 4)
@@ -472,8 +473,8 @@ class TestBatchedCapture:
             self, chunked_dataset, dtype, monkeypatch):
         model = three_layer_model(chunked_dataset, moefied=False)
         set_experts(monkeypatch, model, 3)
-        params = router_init.RouterInitParams(samples_per_class=4, seed=3,
-                                              scales=self.SCALES)
+        assert router_init.default_scales(model.config) == self.SCALES
+        params = router_init.RouterInitParams(samples_per_class=4, seed=3)
         got = router_init.build_router(model, chunked_dataset, 1, 3, params)
 
         def reference_ward(points):

@@ -319,13 +319,12 @@ def routed_toy(top_k=1, gate_mode="renorm"):
     3-expert MoE at layer 1."""
     dataset = data.generate(data.SynthSpec(num_classes=4, num_families=2, image_size=32,
                                            images_per_class=5, fg_patch_cells=2, seed=3))
-    cfg = backbone.ModelConfig(num_classes=4, image_size=32, patch_size=8, n_px=4,
-                               d_model=16, d_ff=32, layers=2, heads=2, dropout=0.0,
+    cfg = backbone.ModelConfig(num_classes=4, image_size=32, patch_size=8,
+                               d_model=16, d_ff=32, layers=2, dropout=0.0,
                                moe_layers=(1,), experts=3, top_k=top_k,
                                gate_mode=gate_mode)
     model = backbone.Model(cfg, Rng(0))
-    params = router_init.RouterInitParams(top_k_patches=16, samples_per_class=2,
-                                          scales=(32,))
+    params = router_init.RouterInitParams(top_k_patches=16, samples_per_class=2)
     expert_init.moefy_layer(model, 1, router_init.build_router(model, dataset, 1, 3,
                                                                params).router)
     return model, dataset

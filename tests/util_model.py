@@ -10,8 +10,8 @@ from util_fd import assert_grads_close
 
 
 def toy_config(**overrides):
-    base = dict(num_classes=3, image_size=8, patch_size=4, n_px=4,
-                d_model=8, d_ff=16, layers=2, heads=2, dropout=0.0)
+    base = dict(num_classes=3, image_size=8, patch_size=4,
+                d_model=8, d_ff=16, layers=2, dropout=0.0)
     base.update(overrides)
     return backbone.ModelConfig(**base)
 

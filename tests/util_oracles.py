@@ -226,7 +226,7 @@ def model_attention_oracle(model, layer, x):
     self-attention over all (patch, pixel) tokens, residual included."""
     b, p, n_px, d = x.shape
     n_tok = p * n_px
-    h = model.config.heads
+    h = backbone.HEADS
     dh = d // h
     tok = T.reshape(x, (b, n_tok, d))
     normed = T.layer_norm(tok, layer.ln1_gain, layer.ln1_bias)
@@ -299,11 +299,11 @@ def affinity_post_forward_oracle(model, images, layer, n_batches=50, batch_size=
                                    0.0, prov, missing_classes=missing)
 
 
-def fold_oracle(blocks, image_size, patch_size, n_px):
+def fold_oracle(blocks, image_size, patch_size):
     """(B, H, W, C) pixels back from unfold's (B, P, n_px, cell*cell*C)
     blocks, one pixel-position block at a time: patches row-major over the
     grid, pixel positions row-major within a patch, each block row-major."""
-    b, _, _, width = blocks.shape
+    b, _, n_px, width = blocks.shape
     side = math.isqrt(n_px)
     cell = patch_size // side
     grid = image_size // patch_size
@@ -321,8 +321,8 @@ def fold_oracle(blocks, image_size, patch_size, n_px):
 # derived from the config classes; the derived one must keep every default.
 HAND_WRITTEN_CONFIG_SCHEMA = {
     "model": {
-        "num_classes": 12, "image_size": 64, "patch_size": 8, "n_px": 4,
-        "d_model": 32, "d_ff": 64, "layers": 4, "heads": 2, "dropout": 0.1,
+        "num_classes": 12, "image_size": 64, "patch_size": 8,
+        "d_model": 32, "d_ff": 64, "layers": 4, "dropout": 0.1,
         "activation": "silu",
     },
     "moe": {
@@ -330,8 +330,7 @@ HAND_WRITTEN_CONFIG_SCHEMA = {
         "router_temperature": 1.0, "gate_mode": "renorm", "reduction_factor": 2,
     },
     "router_init": {
-        "top_k_patches": 128, "refine_steps": 5, "scales": (),
-        "samples_per_class": 8, "mode": "cluster", "seed": 0,
+        "top_k_patches": 128, "samples_per_class": 8, "mode": "cluster", "seed": 0,
     },
     "optim": {
         "lr_moe": 0.005, "lr_classifier": 1e-5, "lr_rest": 5e-5,
