@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import moe
+from . import backbone, moe
 from . import tensor as T
 from .data import LabeledImage
 from .tensor import Rng
@@ -102,10 +102,14 @@ def affinity_post(model, images: list[LabeledImage], layer: int,
     missing (NaN row) rather than zero-filled. Each batch runs only up to the
     routed layer's capture and applies the router's softmax to it, the one
     the full forward's expert selection applies, so later layers, the routed
-    layer's experts and the head never run. Builds no autodiff tape. The
-    provenance adds the layer, n_batches, batch_size and the rng's seed to
-    the caller's entries.
+    layer's experts and the head never run. A batch's images are captured
+    backbone.CAPTURE_CHUNK at a time, in order, which bounds peak memory.
+    Builds no autodiff tape. The provenance adds the layer, n_batches,
+    batch_size and the rng's seed to the caller's entries.
     """
+    if n_batches < 1 or batch_size < 1:
+        raise ValueError(f"n_batches and batch_size must be at least 1, "
+                         f"got {n_batches} and {batch_size}")
     if not images:
         raise ValueError("no images to sample")
     block = model.moe_blocks().get(layer)
@@ -118,13 +122,15 @@ def affinity_post(model, images: list[LabeledImage], layer: int,
     with model.no_grad():
         for _ in range(n_batches):
             idx = rng.gen.integers(0, len(images), size=min(batch_size, len(images)))
-            x = np.stack([images[i].pixels for i in idx])
-            labels = np.array([images[i].class_id for i in idx])
-            logits = moe.routing_logits(model.capture_pre_mlp(x, layer), block.router)
-            probs = T.softmax(logits, axis=-1).data  # B x P x E
-            per_image = probs.sum(axis=1)  # sum over patches
-            np.add.at(sums, labels, per_image)
-            np.add.at(patch_counts, labels, probs.shape[1])
+            for start in range(0, len(idx), backbone.CAPTURE_CHUNK):
+                chunk = idx[start:start + backbone.CAPTURE_CHUNK]
+                x = np.stack([images[i].pixels for i in chunk])
+                labels = np.array([images[i].class_id for i in chunk])
+                logits = moe.routing_logits(model.capture_pre_mlp(x, layer), block.router)
+                probs = T.softmax(logits, axis=-1).data  # B x P x E
+                per_image = probs.sum(axis=1)  # sum over patches
+                np.add.at(sums, labels, per_image)
+                np.add.at(patch_counts, labels, probs.shape[1])
     missing = [c for c in range(num_classes) if patch_counts[c] == 0]
     values = np.full_like(sums, np.nan)
     seen = patch_counts > 0

@@ -12,6 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import backbone
 from . import tensor as T
 from .data import DataError, Dataset, resize_nearest
 from .moe import Router
@@ -171,11 +172,6 @@ def default_scales(config) -> tuple[int, ...]:
     return tuple(sizes)
 
 
-# Images per capture forward. A bounded chunk keeps peak memory near that of
-# single-image forwards; one batch of every picked image does not.
-CAPTURE_CHUNK = 16
-
-
 def collect_embeddings(model, dataset: Dataset, layer: int, scales,
                        samples_per_class: int, rng: Rng) -> list[np.ndarray]:
     """Pre-MLP patch embeddings per class, pooled across sampled train images
@@ -186,7 +182,7 @@ def collect_embeddings(model, dataset: Dataset, layer: int, scales,
     Every capture lands in one (picked image, patch row, d) array, each
     image's patch rows in scale order; a class's rows are a view of its
     images' slice, ordered by (picked image, scale). The captures run per
-    scale over all classes' picked images, CAPTURE_CHUNK at a time.
+    scale over all classes' picked images, backbone.CAPTURE_CHUNK at a time.
     """
     cfg = model.config
     picked = []    # pixels of the picked images, class by class
@@ -205,9 +201,9 @@ def collect_embeddings(model, dataset: Dataset, layer: int, scales,
     if captures.size == 0:
         raise ValueError("class embeddings must be non-empty and finite")
     for scale, lo, hi in zip(scales, offsets, offsets[1:]):
-        for start in range(0, len(picked), CAPTURE_CHUNK):
+        for start in range(0, len(picked), backbone.CAPTURE_CHUNK):
             batch = np.stack([resize_nearest(pixels, scale)
-                              for pixels in picked[start:start + CAPTURE_CHUNK]])
+                              for pixels in picked[start:start + backbone.CAPTURE_CHUNK]])
             capture = model.capture_pre_mlp(batch, layer).data
             if not np.isfinite(capture).all():
                 raise ValueError("class embeddings must be non-empty and finite")

@@ -181,6 +181,8 @@ class EvalResult:
 def evaluate(model, images: list[LabeledImage], batch_size: int = 32) -> EvalResult:
     """Deterministic eval-mode pass over a list of labeled images. Builds no
     autodiff tape."""
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     if not images:
         raise ValueError("cannot evaluate on an empty split")
     num_classes = model.config.num_classes

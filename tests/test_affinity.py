@@ -1,6 +1,7 @@
 """Class-expert affinity matrices, collapse metrics, and exports."""
 
 import json
+import tracemalloc
 from xml.etree import ElementTree
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from patchmoe import affinity, backbone, expert_init, moe, training
 from patchmoe import tensor as T
+from patchmoe.data import LabeledImage
 from patchmoe.tensor import Rng
 
 from util_model import toy_config
@@ -190,6 +192,68 @@ class TestAffinityPost:
         a = affinity.affinity_post(model, images, 1, 3, 4, Rng(9))
         b = affinity.affinity_post(model, images, 1, 3, 4, Rng(9))
         assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("n_batches,batch_size", [(0, 4), (-1, 4), (2, 0), (2, -1)])
+    def test_nonpositive_sampling_rejected(self, n_batches, batch_size):
+        """n_batches below 1 would give an all-NaN matrix; batch_size below 1
+        would fail inside np.stack."""
+        model = self.moe_model()
+        images = make_two_class_dataset().split("val")
+        with pytest.raises(ValueError, match="n_batches and batch_size must be at least 1"):
+            affinity.affinity_post(model, images, 1, n_batches, batch_size, Rng(0))
+
+    def test_batches_captured_in_chunks(self, monkeypatch):
+        monkeypatch.setattr(backbone, "CAPTURE_CHUNK", 2)
+        model = self.two_moe_layer_model()
+        images = make_two_class_dataset().split("val")
+        sizes = []
+        original = backbone.Model.capture_pre_mlp
+
+        def counting(self, images, layer):
+            sizes.append(len(images))
+            return original(self, images, layer)
+
+        monkeypatch.setattr(backbone.Model, "capture_pre_mlp", counting)
+        affinity.affinity_post(model, images, 0, n_batches=3, batch_size=5, rng=Rng(4))
+        assert sizes == [2, 2, 1] * 3
+
+    @pytest.mark.parametrize("layer", [0, 1])
+    def test_chunked_matches_full_forward_oracle(self, monkeypatch, layer):
+        """Chunks of 2 of a batch of 5: byte-identical with no MoE layer
+        before the routed one; behind one, an expert's matmul sees fewer rows
+        and may round differently."""
+        monkeypatch.setattr(backbone, "CAPTURE_CHUNK", 2)
+        model = self.two_moe_layer_model()
+        images = make_two_class_dataset().split("val")
+        got = affinity.affinity_post(model, images, layer, 3, 5, Rng(4))
+        want = affinity_post_forward_oracle(model, images, layer, 3, 5, Rng(4))
+        if layer == 0:
+            assert got.values.tobytes() == want.values.tobytes()
+        else:
+            assert np.allclose(got.values, want.values, rtol=1e-5, atol=1e-7)
+        assert got.missing_classes == want.missing_classes
+        assert got.provenance == want.provenance
+
+    def test_peak_memory_bounded_by_chunk(self):
+        """On a 64 px desk-shaped model, a batch of 4 chunks peaks about as
+        high as a batch of one chunk."""
+        cfg = backbone.desk_config(2, moe_layers=(1,), experts=4)
+        model = backbone.Model(cfg, Rng(0))
+        expert_init.moefy_layer(model, 1, make_router(cfg.d_model, 4))
+        chunk = backbone.CAPTURE_CHUNK
+        rng = np.random.default_rng(0)
+        images = [LabeledImage(rng.integers(0, 256, (64, 64, 3), dtype=np.uint8), i % 2, "val")
+                  for i in range(4 * chunk)]
+
+        def peak(batch_size):
+            tracemalloc.start()
+            try:
+                affinity.affinity_post(model, images, 1, n_batches=1, batch_size=batch_size)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4 * chunk) <= 1.25 * peak(chunk)
 
     def test_provenance_records_sampling(self):
         model = self.moe_model()

@@ -66,7 +66,7 @@ def test_module_references_resolve():
     metric the benchmark reports (`tensor.tape_bytes_per_batch`)."""
     metrics = {m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
     refs = module_references()
-    assert ("router_init", "CAPTURE_CHUNK") in refs and ("T", "split_rows") in refs
+    assert ("backbone", "CAPTURE_CHUNK") in refs and ("T", "split_rows") in refs
     unresolved = [
         f"{module}.{name}" for module, name in refs
         if not hasattr(importlib.import_module(f"patchmoe.{'tensor' if module == 'T' else module}"),

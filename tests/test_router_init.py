@@ -439,9 +439,9 @@ class TestBatchedCapture:
         router_init.collect_embeddings(model, chunked_dataset, 1, self.SCALES, 4, T.Rng(0))
         picked = sum(min(4, len(chunked_dataset.by_class(c, "train")))
                      for c in range(chunked_dataset.num_classes))
-        assert picked > router_init.CAPTURE_CHUNK
-        chunks = [min(router_init.CAPTURE_CHUNK, picked - s)
-                  for s in range(0, picked, router_init.CAPTURE_CHUNK)]
+        assert picked > backbone.CAPTURE_CHUNK
+        chunks = [min(backbone.CAPTURE_CHUNK, picked - s)
+                  for s in range(0, picked, backbone.CAPTURE_CHUNK)]
         assert sizes == chunks * len(self.SCALES)
 
     @pytest.mark.parametrize("layer", [0, 1])

@@ -191,6 +191,13 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             training.evaluate(model, [])
 
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_nonpositive_batch_size_rejected(self, batch_size):
+        """-1 would run no batch and score the uninitialised predictions."""
+        model = backbone.Model(toy_config(num_classes=2), Rng(0))
+        with pytest.raises(ValueError, match="batch_size must be at least 1"):
+            training.evaluate(model, make_two_class_dataset().split("val"), batch_size)
+
 
 class TestTrain:
     def augment_off(self):
