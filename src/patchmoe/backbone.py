@@ -27,9 +27,9 @@ from .tensor import Rng, ScalerParams, Tensor
 # Pixel positions per patch: MobileViT's 2 x 2 unfolding (arXiv 2110.02178).
 N_PX = 4
 HEADS = 2  # attention heads
-# Images per Model.capture_pre_mlp forward where a caller captures many. A
-# bounded chunk keeps peak memory near that of a small batch; one forward
-# over every image does not.
+# Images per forward wherever a caller runs many: captures, affinity batches
+# and training steps. A bounded chunk keeps peak memory near that of a small
+# batch; one forward over every image does not.
 CAPTURE_CHUNK = 16
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import backbone
 from . import tensor as T
 from .data import Dataset, LabeledImage
 from .moe import dispatch_stats, load_entropy
@@ -35,7 +36,7 @@ class OptimConfig:
     lr_moe: float = 0.005
     lr_classifier: float = 1e-5
     lr_rest: float = 5e-5
-    batch_size: int = 32
+    batch_size: int = 32  # images per optimizer step
     epochs: int = 80
 
     def __post_init__(self):
@@ -159,11 +160,15 @@ def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def soft_cross_entropy(logits: Tensor, soft_labels: np.ndarray) -> Tensor:
-    """Mean over the batch of -sum_c y_c log p_c."""
+def soft_cross_entropy(logits: Tensor, soft_labels: np.ndarray,
+                       divisor: int | None = None) -> Tensor:
+    """Sum over the rows of -sum_c y_c log p_c, divided by divisor: by
+    default the number of rows, the batch mean. A slice of a batch passes the
+    whole batch's size, so that the slices' losses add up to the batch's."""
     logp = T.log_softmax(logits, axis=-1)
     picked = T.mul(logp, Tensor(np.asarray(soft_labels, dtype=logits.data.dtype)))
-    return T.mul(T.tsum(picked), Tensor(-1.0 / logits.shape[0]))
+    n = logits.shape[0] if divisor is None else divisor
+    return T.mul(T.tsum(picked), Tensor(-1.0 / n))
 
 
 @dataclass
@@ -250,12 +255,44 @@ def write_metrics_csv(rows: list[dict], moe_layers: list[int], path) -> None:
                              for c in columns])
 
 
+def train_step(model, optimizer: AdamW, x: np.ndarray, y: np.ndarray,
+               labels: np.ndarray, rng: Rng, where: str) -> tuple[float, int, dict]:
+    """One optimizer step on an augmented batch: images x, soft labels y and
+    the images' classes. The batch runs backbone.CAPTURE_CHUNK images per
+    forward and backward, in order; each slice's loss is divided by the
+    batch's size, its gradients add up in .grad and its tape is freed before
+    the next forward, so peak memory is that of one slice. A non-finite loss
+    on any slice raises DivergenceError, naming `where`, before the
+    parameters change. Returns the batch's mean loss, its top-1 hits and the
+    expert counts per MoE layer."""
+    optimizer.zero_grad()
+    value, correct, counts = 0.0, 0, {}
+    for lo in range(0, len(x), backbone.CAPTURE_CHUNK):
+        hi = lo + backbone.CAPTURE_CHUNK
+        result = model.forward(x[lo:hi], train=True, rng=rng)
+        loss = soft_cross_entropy(result.logits, y[lo:hi], len(x))
+        part = loss.item()
+        if not np.isfinite(part):
+            raise DivergenceError(f"non-finite loss {part} at {where}")
+        loss.backward()
+        value += part
+        correct += int((np.argmax(result.logits.data, axis=-1) == labels[lo:hi]).sum())
+        for i, record in result.routing.items():
+            counts[i] = counts.get(i, 0) + record.expert_counts
+        del result, loss  # free this slice's tape before the next forward builds one
+    optimizer.step()
+    return value, correct, counts
+
+
 def train(model, dataset: Dataset, optim: OptimConfig, augment: AugmentConfig,
           seed: int) -> TrainResult:
     """Train on the dataset's train split, evaluating on val every epoch.
 
-    Deterministic given the seed: the shuffle, flips, MixUp draws, and
-    dropout all derive from child streams of one root generator.
+    Each step flips, one-hot encodes and MixUps optim.batch_size images as
+    one batch and runs it through train_step. Deterministic given the seed:
+    the shuffle, flips, MixUp draws, and dropout all derive from child
+    streams of one root generator, and train_step's slices draw dropout in
+    batch order, so the masks are the whole batch's.
     """
     train_images = dataset.split("train")
     val_images = dataset.split("val")
@@ -286,20 +323,13 @@ def train(model, dataset: Dataset, optim: OptimConfig, augment: AugmentConfig,
             labels = np.array([im.class_id for im in imgs])
             y = one_hot(labels, num_classes)
             x, y, _ = mixup(x, y, augment.mixup_alpha, mix_rng)
-            result = model.forward(x, train=True, rng=drop_rng)
-            loss = soft_cross_entropy(result.logits, y)
-            value = loss.item()
-            if not np.isfinite(value):
-                raise DivergenceError(
-                    f"non-finite loss {value} at epoch {epoch}, step {start // optim.batch_size}")
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
+            value, correct, counts = train_step(
+                model, optimizer, x, y, labels, drop_rng,
+                f"epoch {epoch}, step {start // optim.batch_size}")
             epoch_loss += value * len(idx)
-            epoch_correct += int((np.argmax(result.logits.data, axis=-1) == labels).sum())
+            epoch_correct += correct
             for i in moe_layers:
-                train_counts[i] = train_counts[i] + result.routing[i].expert_counts
-            del result, loss  # free this step's tape before the next forward builds one
+                train_counts[i] = train_counts[i] + counts[i]
         train_row = {"epoch": epoch, "split": "train",
                      "loss": epoch_loss / len(order),
                      "top1": epoch_correct / len(order)}

@@ -10,7 +10,7 @@ import pytest
 
 from patchmoe import affinity, backbone, expert_init, moe, training
 from patchmoe import tensor as T
-from patchmoe.data import LabeledImage
+from patchmoe.data import Dataset, LabeledImage
 from patchmoe.tensor import Rng
 
 from util_model import toy_config
@@ -212,6 +212,34 @@ class TestLinearMemory:
             tracemalloc.stop()
         assert x.grad.shape == x.shape and w.grad.shape == w.shape
         assert peak <= x.data.nbytes + 2 * g.nbytes
+
+
+class TestTrainingMemory:
+    def test_step_peak_bounded_by_chunk(self):
+        """On a 64 px desk-shaped MoE model, a training epoch at a batch of 4
+        chunks peaks about as high as one at a batch of one chunk: a step
+        holds one slice's tape at a time. The dataset has no val split, so
+        no evaluate call runs."""
+        cfg = backbone.desk_config(2, layers=2, moe_layers=(1,), experts=4)
+        model = backbone.Model(cfg, Rng(0))
+        expert_init.moefy_layer(model, 1, make_router(cfg.d_model, 4))
+        chunk = backbone.CAPTURE_CHUNK
+        rng = np.random.default_rng(0)
+        images = [LabeledImage(rng.integers(0, 256, (64, 64, 3), dtype=np.uint8), i % 2,
+                               "train") for i in range(4 * chunk)]
+        dataset = Dataset(images, ["a", "b"])
+
+        def peak(batch_size):
+            tracemalloc.start()
+            try:
+                training.train(model, dataset, training.OptimConfig(epochs=1,
+                                                                    batch_size=batch_size),
+                               training.AugmentConfig(), seed=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4 * chunk) <= 1.25 * peak(chunk)
 
 
 def closure_arrays(fn):

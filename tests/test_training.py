@@ -12,6 +12,7 @@ from patchmoe.data import Dataset, LabeledImage
 from patchmoe.tensor import Rng
 
 from util_model import toy_config
+from util_oracles import train_step_oracle
 from test_expert_init import make_router
 
 
@@ -319,6 +320,125 @@ class TestTrain:
         val_set = {id(im) for im in ds.split("val")}
         assert train_set.isdisjoint(val_set)
         assert len(train_set) + len(val_set) == len(ds.images)
+
+
+def sliced_toy(dropout=0.1):
+    """A 2-class 8 px model with dropout and a 3-expert MoE at layer 1."""
+    cfg = toy_config(num_classes=2, dropout=dropout, moe_layers=(1,), experts=3)
+    model = backbone.Model(cfg, Rng(0))
+    expert_init.moefy_layer(model, 1, make_router(cfg.d_model, 3))
+    return model
+
+
+class TestSlicedStep:
+    """train_step runs each batch backbone.CAPTURE_CHUNK images per forward
+    and backward; util_oracles.train_step_oracle is the one-forward step it
+    replaced. The toy dataset has 24 train images, so a batch of 5 runs
+    steps of 5, 5, 5, 5 and 4 images."""
+
+    def train(self, monkeypatch, step, batch_size, chunk=None, **overrides):
+        monkeypatch.setattr(training, "train_step", step)
+        if chunk is not None:
+            monkeypatch.setattr(backbone, "CAPTURE_CHUNK", chunk)
+        model = sliced_toy()
+        result = training.train(model, make_two_class_dataset(),
+                                optim(epochs=2, batch_size=batch_size, **overrides),
+                                training.AugmentConfig(), seed=3)
+        return model, result.rows
+
+    def frozen(self, monkeypatch, step, chunk=None):
+        """Rows of a zero-lr run at batch 5, and each step's gradients."""
+        grads = []
+
+        def recording(model, optimizer, *args):
+            out = step(model, optimizer, *args)
+            grads.append({k: p.grad.copy() for k, p in optimizer.params.items()
+                          if p.grad is not None})
+            return out
+
+        _, rows = self.train(monkeypatch, recording, 5, chunk,
+                             lr_moe=0.0, lr_classifier=0.0, lr_rest=0.0)
+        return rows, grads
+
+    @pytest.mark.parametrize("batch_size", [5, backbone.CAPTURE_CHUNK])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_one_slice_step_byte_equal_to_oracle(self, monkeypatch, dtype, batch_size):
+        """Up to CAPTURE_CHUNK images a step is the one-forward step: the
+        trained parameters and the metrics rows are byte-equal."""
+        T.set_default_dtype(dtype)
+        try:
+            (model, rows), (want_model, want_rows) = (
+                self.train(monkeypatch, step, batch_size)
+                for step in (training.train_step, train_step_oracle))
+        finally:
+            T.set_default_dtype("float32")
+        assert rows == want_rows
+        params = model.named_parameters()
+        for name, p in want_model.named_parameters().items():
+            assert params[name].data.tobytes() == p.data.tobytes(), name
+
+    def test_slice_gradients_add_up_to_the_batch_gradient(self, monkeypatch):
+        """Slices of 2, 2 and 1 images give the one-forward step's gradient,
+        up to summation order. The absolute tolerance scales with the step's
+        largest gradient entry: the key bias's true gradient is 0, so its
+        entries are rounding noise of either order."""
+        _, grads = self.frozen(monkeypatch, training.train_step, chunk=2)
+        _, want = self.frozen(monkeypatch, train_step_oracle)
+        assert len(grads) == len(want) == 10
+        for got, ref in zip(grads, want):
+            assert got.keys() == ref.keys()
+            atol = 1e-5 * max(np.abs(g).max() for g in ref.values())
+            for name, g in ref.items():
+                np.testing.assert_allclose(got[name], g, rtol=1e-5, atol=atol, err_msg=name)
+
+    def test_slices_count_the_same_hits_and_experts(self, monkeypatch):
+        rows, _ = self.frozen(monkeypatch, training.train_step, chunk=2)
+        want, _ = self.frozen(monkeypatch, train_step_oracle)
+        for row, ref in zip(rows, want, strict=True):
+            assert row.keys() == ref.keys()
+            assert row["loss"] == pytest.approx(ref["loss"], rel=1e-6)
+            assert {k: v for k, v in row.items() if k != "loss"} \
+                == {k: v for k, v in ref.items() if k != "loss"}
+
+    def test_slices_draw_the_batch_dropout_masks(self, monkeypatch):
+        """The slices draw dropout from the step's stream in batch order, so
+        their masks concatenate to the one-forward step's."""
+        def recording(masks):
+            def dropout(a, p, rng):
+                keep = rng.gen.random(a.shape) >= p
+                masks.append(keep)
+                return T.mul(a, T.Tensor(keep.astype(a.data.dtype) / (1.0 - p)))
+            return dropout
+
+        sliced, whole = [], []
+        monkeypatch.setattr(T, "dropout", recording(sliced))
+        self.frozen(monkeypatch, training.train_step, chunk=2)
+        monkeypatch.setattr(T, "dropout", recording(whole))
+        self.frozen(monkeypatch, train_step_oracle)
+        assert [len(m) for m in sliced] == [2, 2, 1] * 4 + [2, 2] + [2, 2, 1] * 4 + [2, 2]
+        assert [len(m) for m in whole] == [5, 5, 5, 5, 4] * 2
+        assert np.array_equal(np.concatenate(sliced), np.concatenate(whole))
+
+    def test_divergence_on_a_later_slice_changes_no_parameter(self, monkeypatch):
+        """A non-finite loss on the second slice raises before the step, so
+        the first slice's gradient never reaches the parameters."""
+        monkeypatch.setattr(backbone, "CAPTURE_CHUNK", 2)
+        loss_fn, calls = training.soft_cross_entropy, []
+
+        def diverging(logits, soft_labels, *args):
+            calls.append(len(logits.data))
+            loss = loss_fn(logits, soft_labels, *args)
+            return T.mul(loss, T.Tensor(np.nan)) if len(calls) == 2 else loss
+
+        monkeypatch.setattr(training, "soft_cross_entropy", diverging)
+        model = sliced_toy()
+        before = {k: v.data.tobytes() for k, v in model.named_parameters().items()}
+        with pytest.raises(training.DivergenceError, match="at epoch 0, step 0$"):
+            training.train(model, make_two_class_dataset(), optim(batch_size=4),
+                           training.AugmentConfig(), seed=0)
+        assert calls == [2, 2]
+        for k, v in model.named_parameters().items():
+            assert v.data.tobytes() == before[k], k
 
 
 def routed_toy(top_k=1, gate_mode="renorm"):

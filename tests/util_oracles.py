@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from patchmoe import affinity, backbone, moe
+from patchmoe import affinity, backbone, moe, training
 from patchmoe import tensor as T
 from patchmoe.data import resize_nearest
 
@@ -297,6 +297,21 @@ def affinity_post_forward_oracle(model, images, layer, n_batches=50, batch_size=
                  "seed": rng.seed})
     return affinity.AffinityMatrix(values, "post_finetune", model.config.router_temperature,
                                    0.0, prov, missing_classes=missing)
+
+
+def train_step_oracle(model, optimizer, x, y, labels, rng, where):
+    """training.train_step as it was before it ran in slices: one forward
+    and one backward over the whole batch, whatever its size."""
+    result = model.forward(x, train=True, rng=rng)
+    loss = training.soft_cross_entropy(result.logits, y)
+    value = loss.item()
+    if not np.isfinite(value):
+        raise training.DivergenceError(f"non-finite loss {value} at {where}")
+    optimizer.zero_grad()
+    loss.backward()
+    optimizer.step()
+    correct = int((np.argmax(result.logits.data, axis=-1) == labels).sum())
+    return value, correct, {i: r.expert_counts for i, r in result.routing.items()}
 
 
 def fold_oracle(blocks, image_size, patch_size):
