@@ -164,11 +164,9 @@ class ForwardResult:
 class Model:
     """Patch transformer; MLP sublayers are dense until moefied."""
 
-    def __init__(self, config: ModelConfig, rng: Rng | None = None):
+    def __init__(self, config: ModelConfig, rng: Rng):
         self.config = config
         self.finetuned = False
-        if rng is None:
-            rng = Rng(0)
         cfg = config
         in_dim = cfg.cell * cfg.cell * 3
         d = cfg.d_model

@@ -1,10 +1,11 @@
 """Converts dense MLP sublayers into sliced experts.
 
 Per expert, one function (slice_expert) runs the expert's centroid, mapped
-back to raw activation space, once through the layer's MLP-input norm, w1 and
-SiLU. The d_e hidden units it activates most strongly are the expert's slice
-of the dense weights, and the full dense MLP's output at the centroid is its
-correction term x_corr, blended in with gamma = 0.9.
+back to raw activation space, once through w1 and SiLU: the centroid is
+already the MLP's input, so no norm runs on it. The d_e hidden units it
+activates most strongly are the expert's slice of the dense weights, and the
+full dense MLP's output at the centroid is its correction term x_corr,
+blended in with gamma = 0.9.
 """
 
 from __future__ import annotations
@@ -19,23 +20,22 @@ from .tensor import Tensor
 GAMMA_INIT = 0.9
 
 
-def slice_expert(mlp: DenseMLP, ln_gain: np.ndarray, ln_bias: np.ndarray,
-                 centroid_raw: np.ndarray, d_e: int, gamma: float = GAMMA_INIT) -> ExpertMLP:
-    """The expert of one raw-space centroid, from the dense MLP and its
-    input norm's gain and bias.
+def slice_expert(mlp: DenseMLP, centroid_raw: np.ndarray, d_e: int,
+                 gamma: float = GAMMA_INIT) -> ExpertMLP:
+    """The expert of one raw-space centroid, from the dense MLP alone.
 
-    The centroid runs once through the norm, w1 and SiLU in float64, with
-    the weights in C order whatever their layout, so the sums are too. The
-    expert keeps the d_e (at most d_ff) most strongly activated hidden units,
-    ties to the lower index, in ascending order; x_corr is the unsliced MLP's
-    output from the same activations. The weights are copies.
+    The centroid is already the MLP's input, so it runs with no norm step
+    once through w1 and SiLU in float64, with the weights in C order whatever
+    their layout, so the sums are too. The expert keeps the d_e (at most
+    d_ff) most strongly activated hidden units, ties to the lower index, in
+    ascending order; x_corr is the unsliced MLP's output from the same
+    activations. The weights are copies.
     """
     def f64(a):
         return a.astype(np.float64, order="C")
 
-    x = Tensor(np.asarray(centroid_raw, dtype=np.float64).reshape(1, -1))
-    h = T.layer_norm(x, Tensor(f64(ln_gain)), Tensor(f64(ln_bias))).data[0]
-    acts = T.silu(Tensor(h @ f64(mlp.w1.data) + mlp.b1.data)).data
+    c = np.asarray(centroid_raw, dtype=np.float64)
+    acts = T.silu(Tensor(c @ f64(mlp.w1.data) + mlp.b1.data)).data
     keep = np.sort(np.argsort(-acts, kind="stable")[:d_e])
     return ExpertMLP(
         w1=T.parameter(mlp.w1.data[:, keep]),
@@ -76,8 +76,7 @@ def moefy_layer(model: Model, layer_index: int, router: Router,
             cfg.top_k, cfg.router_temperature, cfg.gate_mode):
         raise ValueError("router top_k, temperature and gate_mode must be the config's")
     d_e = cfg.d_ff // cfg.reduction_factor
-    experts = [slice_expert(layer.mlp, layer.ln2_gain.data, layer.ln2_bias.data,
-                            T.minmax_invert(router.scaler, centroid), d_e, gamma)
+    experts = [slice_expert(layer.mlp, T.minmax_invert(router.scaler, centroid), d_e, gamma)
                for centroid in router.centroids.data]
     block = MoEBlock(router=router, experts=experts, source_hash=dense_mlp_hash(layer))
     layer.mlp = block

@@ -248,10 +248,7 @@ ATTN_BLOCK_BYTES = 2 << 20
 
 def _image_blocks(score_shape: tuple, itemsize: int) -> tuple[list[slice], tuple]:
     """Slices of the leading (image) axis that hold about ATTN_BLOCK_BYTES of
-    scores each, and the shape of the largest block. A 2-D call has no image
-    axis and is one block."""
-    if len(score_shape) == 2:
-        return [slice(None)], score_shape
+    scores each, and the shape of the largest block."""
     lead = score_shape[0]
     per_image = itemsize * math.prod(score_shape[1:])
     step = max(1, min(lead, ATTN_BLOCK_BYTES // max(per_image, 1)))
@@ -259,7 +256,8 @@ def _image_blocks(score_shape: tuple, itemsize: int) -> tuple[list[slice], tuple
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
-    """softmax(q.k^T * scale).v over the last two axes, as one node.
+    """softmax(q.k^T * scale).v over the last two axes, as one node, for
+    inputs of at least 3 dimensions whose leading axis holds the images.
 
     The work runs one block of images (_image_blocks) at a time. Each block
     makes the numpy calls of matmul -> mul -> softmax -> matmul in the same
@@ -272,8 +270,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
     dS = P * (dP - rowsum(dP * P)) * scale, dq = dS.k, dk = (q^T.dS)^T and
     dv = P^T.g.
     """
-    if q.ndim < 2 or q.shape != k.shape or v.shape[:-1] != k.shape[:-1]:
-        raise ValueError(f"attention shapes disagree: q {q.shape}, k {k.shape}, v {v.shape}")
+    if q.ndim < 3 or q.shape != k.shape or v.shape[:-1] != k.shape[:-1]:
+        raise ValueError(f"attention needs matching 3-D+ shapes: "
+                         f"q {q.shape}, k {k.shape}, v {v.shape}")
     scale = q.data.dtype.type(scale)
     dtype = np.result_type(q.data, k.data, v.data)
     score_shape = q.shape[:-1] + q.shape[-2:-1]

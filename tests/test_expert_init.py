@@ -23,12 +23,6 @@ def random_mlp(d, d_ff, seed=0):
                      rng.normal(size=(d_ff, d)), rng.normal(size=d))
 
 
-def slice_expert(mlp, centroid, d_e, **kwargs):
-    """slice_expert behind an identity input norm (gain 1, bias 0)."""
-    d = mlp.w1.shape[0]
-    return expert_init.slice_expert(mlp, np.ones(d), np.zeros(d), centroid, d_e, **kwargs)
-
-
 def kept_units(expert, mlp):
     """The dense hidden units an expert kept, found by its w2 rows (the
     dense w2 rows must be distinct)."""
@@ -37,10 +31,8 @@ def kept_units(expert, mlp):
 
 
 def hidden_activations(mlp, centroid):
-    """SiLU(LN(centroid) . w1 + b1) behind an identity norm."""
-    c = np.asarray(centroid, dtype=np.float64)
-    h = (c - c.mean()) / np.sqrt(c.var() + T.default_eps())
-    pre = h @ mlp.w1.data + mlp.b1.data
+    """SiLU(centroid . w1 + b1) in float64: the centroid is the MLP's input."""
+    pre = np.asarray(centroid, dtype=np.float64) @ mlp.w1.data.astype(np.float64) + mlp.b1.data
     return pre / (1.0 + np.exp(-pre))
 
 
@@ -53,18 +45,18 @@ def make_router(d, num_experts, seed=0, **kwargs):
 
 HAND_MLP = dense_mlp(w1=[[2.0, 1.0, 1.0, 0.0], [-1.0, 0.0, -1.0, -2.0]], b1=np.zeros(4),
                      w2=np.arange(8).reshape(4, 2), b2=[0.5, -0.5])
-HAND_CENTROID = np.array([1.0, -1.0])  # zero mean, unit variance: LN is identity
+HAND_CENTROID = np.array([1.0, -1.0])
 # SiLU of the hand case's pre-activations [3, 1, 2, 2]
 HAND_ACTS = np.array([2.85772238, 0.73105858, 1.76159416, 1.76159416])
 
 
 class TestSliceExpert:
     def test_hand_case_with_tie(self):
-        # LN([1,-1]) = [1,-1]; pre-activations [3, 1, 2, 2]; SiLU keeps their
-        # order and the tie at value 2, which goes to index 2: units [0, 2]
+        # pre-activations [3, 1, 2, 2]; SiLU keeps their order and the tie
+        # at value 2, which goes to index 2: units [0, 2]
         acts = hidden_activations(HAND_MLP, HAND_CENTROID)
         assert np.allclose(acts, HAND_ACTS) and acts[2] == acts[3]
-        ex = slice_expert(HAND_MLP, HAND_CENTROID, 2)
+        ex = expert_init.slice_expert(HAND_MLP, HAND_CENTROID, 2)
         assert kept_units(ex, HAND_MLP) == [0, 2]
         assert np.allclose(ex.w1.data, [[2.0, 1.0], [-1.0, -1.0]])
         assert np.allclose(ex.b1.data, [0.0, 0.0])
@@ -74,13 +66,13 @@ class TestSliceExpert:
 
     def test_x_corr_is_full_mlp_output(self):
         # SiLU([3,1,2,2]) @ w2 + b2, with the unsliced hidden width
-        ex = slice_expert(HAND_MLP, HAND_CENTROID, 2)
+        ex = expert_init.slice_expert(HAND_MLP, HAND_CENTROID, 2)
         expected = HAND_ACTS @ HAND_MLP.w2.data + HAND_MLP.b2.data
         assert np.allclose(ex.x_corr.data, expected)
 
     def test_sorted_ascending_full_width(self):
         mlp = random_mlp(6, 12)
-        ex = slice_expert(mlp, np.arange(6.0), 12)
+        ex = expert_init.slice_expert(mlp, np.arange(6.0), 12)
         assert kept_units(ex, mlp) == list(range(12))
         assert np.array_equal(ex.w1.data, mlp.w1.data.astype(np.float32))
 
@@ -88,14 +80,14 @@ class TestSliceExpert:
         mlp = random_mlp(8, 16, seed=3)
         for seed in range(10):
             c = np.random.default_rng(seed).normal(size=8)
-            units = kept_units(slice_expert(mlp, c, 8), mlp)
+            units = kept_units(expert_init.slice_expert(mlp, c, 8), mlp)
             assert np.all(np.diff(units) > 0)
             acts = hidden_activations(mlp, c)
             dropped = np.setdiff1d(np.arange(16), units)
             assert acts[units].min() >= acts[dropped].max()
 
     def test_gamma_one_outputs_x_corr(self):
-        ex = slice_expert(HAND_MLP, HAND_CENTROID, 2, gamma=1.0)
+        ex = expert_init.slice_expert(HAND_MLP, HAND_CENTROID, 2, gamma=1.0)
         x = Tensor(np.random.default_rng(0).normal(size=(5, 2)))
         out = moe.expert_forward(x, ex)
         assert np.allclose(out.data, np.broadcast_to(ex.x_corr.data, (5, 2)))
@@ -103,7 +95,7 @@ class TestSliceExpert:
     def test_full_width_gamma_zero_matches_dense(self):
         mlp = random_mlp(8, 16, seed=7)
         gain, bias = np.random.default_rng(8).normal(size=(2, 8))
-        ex = expert_init.slice_expert(mlp, gain, bias, np.zeros(8), 16, gamma=0.0)
+        ex = expert_init.slice_expert(mlp, np.zeros(8), 16, gamma=0.0)
         x = np.random.default_rng(2).normal(size=(10, 8))
         # experts read the layer's MLP-input norm output, as the dense MLP does
         normed = T.layer_norm(Tensor(x), Tensor(gain), Tensor(bias))
@@ -112,7 +104,7 @@ class TestSliceExpert:
 
     def test_copies_are_independent(self):
         mlp = random_mlp(4, 8)
-        ex = slice_expert(mlp, np.zeros(4), 8)
+        ex = expert_init.slice_expert(mlp, np.zeros(4), 8)
         for t in ex.parameters().values():
             t.data += 1.0
         fresh = random_mlp(4, 8)
@@ -126,8 +118,8 @@ class TestSliceExpert:
         w1[:2, :4] = 1.0
         w1[2:, 4:] = 1.0
         mlp = dense_mlp(w1, np.zeros(d_ff), np.arange(d_ff * d).reshape(d_ff, d), np.zeros(d))
-        ex_a = slice_expert(mlp, np.array([3.0, 3.0, -1.0, -1.0]), 4)
-        ex_b = slice_expert(mlp, np.array([-1.0, -1.0, 3.0, 3.0]), 4)
+        ex_a = expert_init.slice_expert(mlp, np.array([3.0, 3.0, -1.0, -1.0]), 4)
+        ex_b = expert_init.slice_expert(mlp, np.array([-1.0, -1.0, 3.0, 3.0]), 4)
         assert kept_units(ex_a, mlp) == [0, 1, 2, 3]
         assert kept_units(ex_b, mlp) == [4, 5, 6, 7]
 
@@ -170,6 +162,41 @@ class TestMatchesOracle:
         mlp.w1.data = mlp.w1.data[:, copies]
         mlp.b1.data = mlp.b1.data[copies]
         self.assert_byte_equal(model, 1, make_router(cfg.d_model, 3, seed=5))
+
+    def test_slices_at_the_raw_centroid_past_a_non_identity_ln2(self, dtype):
+        """The centroids are ln2's outputs already, so a layer whose ln2 is
+        not the identity changes nothing: each expert keeps the d_e largest
+        of SiLU(c . w1 + b1) at its raw centroid c, and x_corr is the dense
+        MLP's output at c. Running c through ln2 once more would keep other
+        units for every expert here."""
+        cfg = toy_config(moe_layers=(1,), experts=3)
+        model = backbone.Model(cfg, Rng(0))
+        layer = model.layers[1]
+        g = np.random.default_rng(0)
+        layer.ln2_gain.data = g.uniform(0.5, 2.0, cfg.d_model).astype(dtype)
+        layer.ln2_bias.data = g.normal(0.0, 0.5, cfg.d_model).astype(dtype)
+        router = make_router(cfg.d_model, 3, seed=0)
+        mlp = layer.mlp
+        w2, b2 = (t.data.astype(np.float64) for t in (mlp.w2, mlp.b2))
+        d_e = cfg.d_ff // cfg.reduction_factor
+        raw = [T.minmax_invert(router.scaler, c) for c in router.centroids.data]
+        ln2 = [Tensor(t.data.astype(np.float64)) for t in (layer.ln2_gain, layer.ln2_bias)]
+
+        def largest(acts):
+            return np.sort(np.argsort(-acts, kind="stable")[:d_e])
+
+        acts = [hidden_activations(mlp, c) for c in raw]
+        normed_units = [largest(hidden_activations(
+            mlp, T.layer_norm(Tensor(c[None]), *ln2).data[0])) for c in raw]
+        assert all(not np.array_equal(largest(a), u) for a, u in zip(acts, normed_units))
+
+        self.assert_byte_equal(model, 1, router)
+        eps = np.finfo(dtype).eps
+        for ex, a in zip(model.layers[1].mlp.experts, acts):
+            assert kept_units(ex, mlp) == largest(a).tolist()
+            x_corr = a @ w2 + b2
+            np.testing.assert_allclose(ex.x_corr.data, x_corr, rtol=eps,
+                                       atol=eps * np.abs(x_corr).max())
 
 
 class TestMoefyLayer:

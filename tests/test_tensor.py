@@ -264,6 +264,10 @@ class TestFusedNodesMatchChains:
         q = T.Tensor(np.zeros((1, 2, 3, 4)))
         with pytest.raises(ValueError):
             T.attention(q, T.Tensor(np.zeros((1, 2, 5, 4))), q, 1.0)
+        # no leading image axis
+        flat = T.Tensor(np.zeros((3, 4)))
+        with pytest.raises(ValueError, match="3-D"):
+            T.attention(flat, flat, flat, 1.0)
         with pytest.raises(ValueError):
             T.linear(T.Tensor(np.zeros((2, 3))), T.Tensor(np.zeros((4, 2))),
                      T.Tensor(np.zeros(2)))
@@ -317,15 +321,6 @@ class TestAttentionBlocks:
         blocked = self.run(monkeypatch, block_bytes, leaves, cot, requires, views)
         whole = self.run(monkeypatch, 1 << 62, leaves, cot, requires, views)
         self.assert_same(blocked, whole)
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_2d_call_is_one_block(self, monkeypatch, dtype):
-        rng = np.random.default_rng(0)
-        leaves = [rng.standard_normal((7, 3)).astype(dtype) for _ in range(3)]
-        cot = rng.standard_normal((7, 3)).astype(dtype)
-        tiny = self.run(monkeypatch, 1, leaves, cot, (True, True, True), False)
-        whole = self.run(monkeypatch, 1 << 62, leaves, cot, (True, True, True), False)
-        self.assert_same(tiny, whole)
 
 
 def test_minmax_apply_gradcheck():

@@ -118,21 +118,19 @@ def collect_embeddings_oracle(model, dataset, layer, scales, samples_per_class, 
 
 def moefy_layer_oracle(model, layer_index, router, gamma=0.9):
     """The experts moefy_layer built as a chain of helpers: a copy of the
-    dense MLP and its input norm, the centroid's hidden activations computed
-    once to rank the hidden units and again for x_corr, and each expert
-    sliced from the copy at the ranked units. The model is left as it is."""
+    dense MLP, the raw centroid's hidden activations (the centroid is the
+    MLP's input, so no norm runs on it) computed once to rank the hidden units
+    and again for x_corr, and each expert sliced from the copy at the ranked
+    units. The model is left as it is."""
     layer = model.layers[layer_index]
     w1, b1, w2, b2 = (t.data.copy() for t in (layer.mlp.w1, layer.mlp.b1,
                                              layer.mlp.w2, layer.mlp.b2))
-    ln_gain, ln_bias = layer.ln2_gain.data.copy(), layer.ln2_bias.data.copy()
     d_e = w1.shape[1] // model.config.reduction_factor
     dtype = T.default_dtype()
 
     def hidden_activations(centroid_raw):
-        x = T.Tensor(np.asarray(centroid_raw, dtype=np.float64).reshape(1, -1))
-        h = T.layer_norm(x, T.Tensor(ln_gain.astype(np.float64)),
-                         T.Tensor(ln_bias.astype(np.float64))).data[0]
-        return T.silu(T.Tensor(h @ w1.astype(np.float64) + b1)).data
+        c = np.asarray(centroid_raw, dtype=np.float64)
+        return T.silu(T.Tensor(c @ w1.astype(np.float64) + b1)).data
 
     experts = []
     for e in range(router.num_experts):
