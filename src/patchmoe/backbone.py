@@ -2,7 +2,8 @@
 
 The model is deliberately small and auditable: a single learned projection of
 non-overlapping pixel blocks, learned additive positional embeddings per
-(patch, pixel) slot, pre-norm multi-head self-attention, and an MLP sublayer
+(patch, pixel) slot, pre-norm multi-head self-attention across the patches,
+separately for each pixel position as in MobileViT, and an MLP sublayer
 that can be swapped for a mixture-of-experts block per layer. The MLP's
 activation is SiLU, as in MobileViTV2. The activation after attention and the
 MLP-input layer norm is the capture point for router initialization.
@@ -147,8 +148,10 @@ class TransformerLayer:
 
     def parameters(self) -> dict[str, Tensor]:
         out = {"ln1.gain": self.ln1_gain, "ln1.bias": self.ln1_bias,
-               "attn.wq": self.wq, "attn.bq": self.bq, "attn.wk": self.wk, "attn.bk": self.bk,
-               "attn.wv": self.wv, "attn.bv": self.bv, "attn.wo": self.wo, "attn.bo": self.bo,
+               "pxattn.wq": self.wq, "pxattn.bq": self.bq,
+               "pxattn.wk": self.wk, "pxattn.bk": self.bk,
+               "pxattn.wv": self.wv, "pxattn.bv": self.bv,
+               "pxattn.wo": self.wo, "pxattn.bo": self.bo,
                "ln2.gain": self.ln2_gain, "ln2.bias": self.ln2_bias}
         prefix = "moe" if isinstance(self.mlp, moe_mod.MoEBlock) else "mlp"
         out.update({f"{prefix}.{k}": v for k, v in self.mlp.parameters().items()})
@@ -234,25 +237,23 @@ class Model:
         return T.add(x, pos)
 
     def attention(self, layer: TransformerLayer, x: Tensor) -> Tensor:
-        """Pre-norm multi-head self-attention over all (patch, pixel) tokens,
-        residual included."""
+        """Pre-norm multi-head self-attention across the P patches, separately
+        for each of the N_PX pixel positions (MobileViT's layout), residual
+        included."""
         b, p, n_px, d = x.shape
-        n_tok = p * n_px
         h = HEADS
         dh = d // h
-        tok = T.reshape(x, (b, n_tok, d))
-        normed = T.layer_norm(tok, layer.ln1_gain, layer.ln1_bias)
+        normed = T.layer_norm(x, layer.ln1_gain, layer.ln1_bias)
 
-        def split_heads(t):
-            return T.transpose(T.reshape(t, (b, n_tok, h, dh)), (0, 2, 1, 3))
+        def split_heads(t):  # (B, P, N_PX, d) -> (B, N_PX, HEADS, P, dh)
+            return T.transpose(T.reshape(t, (b, p, n_px, h, dh)), (0, 2, 3, 1, 4))
 
         q = split_heads(T.linear(normed, layer.wq, layer.bq))
         k = split_heads(T.linear(normed, layer.wk, layer.bk))
         v = split_heads(T.linear(normed, layer.wv, layer.bv))
         attn = T.attention(q, k, v, 1.0 / math.sqrt(dh))
-        merged = T.reshape(T.transpose(attn, (0, 2, 1, 3)), (b, n_tok, d))
-        out = T.linear(merged, layer.wo, layer.bo)
-        return T.add(x, T.reshape(out, (b, p, n_px, d)))
+        merged = T.reshape(T.transpose(attn, (0, 3, 1, 2, 4)), (b, p, n_px, d))
+        return T.add(x, T.linear(merged, layer.wo, layer.bo))
 
     def forward(self, images: np.ndarray, train: bool = False,
                 rng: Rng | None = None) -> ForwardResult:

@@ -14,8 +14,8 @@ from patchmoe import tensor as T
 from patchmoe.backbone import Model, ModelConfig, unfold
 from test_expert_init import make_router
 from util_model import check_model_gradients, model_digest, toy_config
-from util_oracles import (forward_capture_oracle, fold_oracle, linear_chain_oracle,
-                          model_attention_oracle)
+from util_oracles import (attention_chain_oracle, forward_capture_oracle, fold_oracle,
+                          linear_chain_oracle, model_attention_oracle)
 
 
 class TestConfig:
@@ -179,6 +179,58 @@ class TestForward:
         assert np.array_equal(train_logits, again)
 
 
+class TestAttentionPerPixelPosition:
+    """Model.attention attends across the patches separately for each pixel
+    position, checked on a desk-shaped model without the model oracle."""
+
+    @staticmethod
+    def layer_and_input():
+        model = Model(backbone.desk_config(6), T.Rng(3))
+        images = np.random.default_rng(4).integers(0, 256, (3, 64, 64, 3), dtype=np.uint8)
+        with model.no_grad():
+            x = model.patch_embed(images)
+        return model, model.layers[1], x
+
+    @pytest.mark.parametrize("j", range(backbone.N_PX))
+    def test_other_positions_keep_every_bit(self, j):
+        """New tokens at pixel position j of one image change no byte of the
+        output at any other position, nor anywhere in the other images."""
+        model, layer, x = self.layer_and_input()
+        changed = x.data.copy()
+        changed[1, :, j] = np.random.default_rng(j).standard_normal(changed[1, :, j].shape)
+        with model.no_grad():
+            before = model.attention(layer, x).data
+            after = model.attention(layer, T.Tensor(changed)).data
+        others = [i for i in range(backbone.N_PX) if i != j]
+        assert not np.array_equal(before[1, :, j], after[1, :, j])
+        assert before[:, :, others].tobytes() == after[:, :, others].tobytes()
+        assert before[[0, 2]].tobytes() == after[[0, 2]].tobytes()
+
+    def test_each_position_matches_chain_oracle(self):
+        """At each position j the output is the residual plus softmax
+        attention over that position's P tokens, per head."""
+        model, layer, x = self.layer_and_input()
+        with model.no_grad():
+            out = model.attention(layer, x).data
+            normed = T.layer_norm(x, layer.ln1_gain, layer.ln1_bias).data
+        b, p, n_px, d = x.shape
+        dh = d // backbone.HEADS
+
+        def heads(tokens, w, bias):  # (B, P, d) -> (B, HEADS, P, dh)
+            t = tokens @ w.data + bias.data
+            return T.Tensor(t.reshape(b, p, backbone.HEADS, dh).transpose(0, 2, 1, 3))
+
+        for j in range(n_px):
+            tokens = normed[:, :, j]
+            attn = attention_chain_oracle(heads(tokens, layer.wq, layer.bq),
+                                          heads(tokens, layer.wk, layer.bk),
+                                          heads(tokens, layer.wv, layer.bv),
+                                          dh ** -0.5).data
+            merged = attn.transpose(0, 2, 1, 3).reshape(b, p, d)
+            want = x.data[:, :, j] + merged @ layer.wo.data + layer.bo.data
+            assert np.allclose(out[:, :, j], want, rtol=1e-5, atol=1e-5)
+
+
 class TestFusedNodesMatchChains:
     """A desk-shaped MoE model gives the same train-mode logits and parameter
     gradients, bit for bit, with the op chains that T.attention and T.linear
@@ -229,7 +281,7 @@ class TestFusedNodesMatchChains:
                 chain = digest_and_canary()
         finally:
             T.set_default_dtype("float32")
-        assert fused[1] == chain[1], "layer*.attn.bk gradients differ"
+        assert fused[1] == chain[1], "layer*.pxattn.bk gradients differ"
         assert fused[0] == chain[0]
 
 

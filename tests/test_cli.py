@@ -978,7 +978,8 @@ class TestOlderManifests:
     it (`stage`, per-layer router settings, per-expert `indices`) are
     ignored, and the config wins where the copies disagree. Older forms of
     a key the loader reads exit 3 with a message that names it: `params`
-    records, a config `activation`, and experts with their own layer norm."""
+    records, a config `activation`, experts with their own layer norm, and
+    attention parameters from when attention was global."""
 
     def logits(self, path, images):
         return backbone.load_checkpoint(path).forward(images).logits.data
@@ -1063,6 +1064,22 @@ class TestOlderManifests:
         path.write_text(json.dumps(manifest))
         assert cli.main(["inspect", "--ckpt", str(path)]) == cli.EXIT_DATA
         assert "'layer1.moe.expert0.ln.gain'" in capsys.readouterr().err
+
+    def test_older_global_attention(self, workdir, tmp_path, capsys):
+        """Attention was once global over all (patch, pixel) tokens, with
+        parameters of the same shapes stored as attn.*. Such a checkpoint
+        would compute another function, so it exits 3 naming the first."""
+        path = _copy_checkpoint(workdir["tuned"], tmp_path / "tuned.json")
+        manifest = json.loads(path.read_text())
+        assert "layer0.pxattn.wq" in manifest["params"]
+        manifest["params"] = [n.replace(".pxattn.", ".attn.") for n in manifest["params"]]
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(backbone.CheckpointError, match="'layer0.attn.wq'"):
+            backbone.load_checkpoint(path)
+        argv = ["eval", "--ckpt", str(path), "--data", str(workdir["data"]),
+                "--out", str(tmp_path / "eval.json")]
+        assert cli.main(argv) == cli.EXIT_DATA
+        assert "'layer0.attn.wq'" in capsys.readouterr().err
 
 
 class TestEmptyClass:

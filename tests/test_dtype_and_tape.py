@@ -19,8 +19,8 @@ from test_expert_init import make_router
 from test_training import make_two_class_dataset
 
 
-def make_model(moe=True, dropout=0.0):
-    cfg = toy_config(num_classes=2, dropout=dropout,
+def make_model(moe=True, dropout=0.0, d_model=8):
+    cfg = toy_config(num_classes=2, dropout=dropout, d_model=d_model,
                      moe_layers=(1,) if moe else (), experts=3, top_k=2)
     model = backbone.Model(cfg, Rng(0))
     if moe:
@@ -283,15 +283,22 @@ class TestTrainingTape:
     def images(self):
         return np.random.default_rng(0).integers(0, 256, (3, 8, 8, 3), dtype=np.uint8)
 
+    def score_model(self, moe=True):
+        """make_model at a head width of 6, so that no other array has the
+        score shape: at the default d_model 8 a head's width equals the
+        toy's 4 patches, and the attention output looks like P."""
+        return make_model(moe=moe, d_model=12)
+
     def score_arrays(self, model, loss):
-        cfg = model.config
-        n = cfg.grid ** 2 * backbone.N_PX
-        shape = (3, backbone.HEADS, n, n)
+        """The (3, N_PX, HEADS, P, P) arrays the tape holds: per image, one
+        P x P score matrix per pixel position and head."""
+        n = model.config.grid ** 2
+        shape = (3, backbone.N_PX, backbone.HEADS, n, n)
         return [a for a in held_arrays(loss) if a.shape == shape]
 
     @pytest.mark.parametrize("moe", [False, True], ids=["dense", "moe"])
     def test_one_score_array_per_attention_layer(self, moe):
-        model = make_model(moe=moe)
+        model = self.score_model(moe)
         scores = self.score_arrays(model, self.forward_loss(model, self.images()))
         assert len(scores) == len(model.layers)
         for p in scores:  # the softmax probabilities: rows sum to 1
@@ -300,13 +307,13 @@ class TestTrainingTape:
     def test_one_score_array_per_layer_in_blocks(self, monkeypatch):
         """With one image per attention block, the tape still keeps P whole."""
         monkeypatch.setattr(T, "ATTN_BLOCK_BYTES", 1)
-        model = make_model()
+        model = self.score_model()
         scores = self.score_arrays(model, self.forward_loss(model, self.images()))
         assert len(scores) == len(model.layers)
 
     def test_chain_oracle_held_three_per_layer(self, monkeypatch):
         """The count above sees the score arrays the op chain kept."""
-        model = make_model(moe=False)
+        model = self.score_model(moe=False)
         monkeypatch.setattr(backbone.Model, "attention", model_attention_oracle)
         scores = self.score_arrays(model, self.forward_loss(model, self.images()))
         assert len(scores) == 3 * len(model.layers)

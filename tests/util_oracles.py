@@ -213,32 +213,33 @@ def linear_chain_oracle(x, w, b):
 
 
 def attention_chain_oracle(q, k, v, scale):
-    """softmax(q.k^T * scale).v as the op chain it was before T.attention:
-    four tape nodes, each with its own score-sized array."""
-    scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), T.Tensor(scale))
+    """softmax(q.k^T * scale).v over the last two axes, as the op chain it
+    was before T.attention: four tape nodes, each with its own score-sized
+    array."""
+    k_t = T.transpose(k, tuple(range(k.ndim - 2)) + (k.ndim - 1, k.ndim - 2))
+    scores = T.mul(T.matmul(q, k_t), T.Tensor(scale))
     return T.matmul(T.softmax(scores, axis=-1), v)
 
 
 def model_attention_oracle(model, layer, x):
     """Model.attention as it was before the fused nodes: pre-norm multi-head
-    self-attention over all (patch, pixel) tokens, residual included."""
+    self-attention across the P patches, separately for each pixel position,
+    residual included. Heads are laid out (B, N_PX, HEADS, P, dh), so that
+    the score chain runs over one position's P tokens."""
     b, p, n_px, d = x.shape
-    n_tok = p * n_px
     h = backbone.HEADS
     dh = d // h
-    tok = T.reshape(x, (b, n_tok, d))
-    normed = T.layer_norm(tok, layer.ln1_gain, layer.ln1_bias)
+    normed = T.layer_norm(x, layer.ln1_gain, layer.ln1_bias)
 
     def split_heads(t):
-        return T.transpose(T.reshape(t, (b, n_tok, h, dh)), (0, 2, 1, 3))
+        return T.transpose(T.reshape(t, (b, p, n_px, h, dh)), (0, 2, 3, 1, 4))
 
     q = split_heads(linear_chain_oracle(normed, layer.wq, layer.bq))
     k = split_heads(linear_chain_oracle(normed, layer.wk, layer.bk))
     v = split_heads(linear_chain_oracle(normed, layer.wv, layer.bv))
     attn = attention_chain_oracle(q, k, v, 1.0 / math.sqrt(dh))
-    merged = T.reshape(T.transpose(attn, (0, 2, 1, 3)), (b, n_tok, d))
-    out = linear_chain_oracle(merged, layer.wo, layer.bo)
-    return T.add(x, T.reshape(out, (b, p, n_px, d)))
+    merged = T.reshape(T.transpose(attn, (0, 3, 1, 2, 4)), (b, p, n_px, d))
+    return T.add(x, linear_chain_oracle(merged, layer.wo, layer.bo))
 
 
 def forward_capture_oracle(model, images, layers, train=False, rng=None):
