@@ -95,6 +95,11 @@ class ModelConfig:
         """Side length of one pixel position's block."""
         return self.patch_size // math.isqrt(N_PX)
 
+    @property
+    def d_expert(self) -> int:
+        """Hidden width of one expert: d_ff // reduction_factor."""
+        return self.d_ff // self.reduction_factor
+
 
 def desk_config(num_classes: int, **overrides) -> ModelConfig:
     """Default desk-scale configuration: the whole suite runs in minutes."""
@@ -308,14 +313,13 @@ class Model:
     def parameter_counts(self) -> dict:
         counts = {"total": 0, "moe_layers": 0, "per_expert": {}}
         for name, t in self.named_parameters().items():
-            n = int(np.prod(t.shape)) if t.shape else 1
+            n = t.data.size
             counts["total"] += n
             if ".moe." in name:
                 counts["moe_layers"] += n
         for i, block in self.moe_blocks().items():
             counts["per_expert"][str(i)] = sum(
-                int(np.prod(t.shape)) if t.shape else 1
-                for t in block.experts[0].parameters().values())
+                t.data.size for t in block.experts[0].parameters().values())
         return counts
 
 
@@ -381,8 +385,8 @@ def _model_from_manifest(manifest: dict) -> Model:
     """The model a manifest describes. The config holds every model setting;
     an MoE entry, at one of its moe_layers, adds only its scaler and its
     source hash. Parameter values are placeholders, each of the shape the
-    config gives it: config.experts experts of d_ff // reduction_factor
-    hidden dims per MoE layer."""
+    config gives it: config.experts experts of config.d_expert hidden dims
+    per MoE layer."""
     stored = manifest["config"]
     missing = [f.name for f in fields(ModelConfig) if f.name not in stored]
     if missing:
@@ -390,7 +394,7 @@ def _model_from_manifest(manifest: dict) -> Model:
     config = ModelConfig(**stored)
     model = Model(config, Rng(0))
     d = config.d_model
-    de = config.d_ff // config.reduction_factor
+    de = config.d_expert
     for key, info in manifest["moe"].items():
         if key not in {str(i) for i in config.moe_layers}:
             raise ValueError(f"MoE entry {key!r} does not name one of the config's "

@@ -342,7 +342,7 @@ def cmd_inspect(args) -> int:
     print(f"stage: {'moe' if model.moe_blocks() else 'dense'}  finetuned: {model.finetuned}")
     print(f"total parameters: {counts['total']}")
     print(f"moe parameters: {counts['moe_layers']}")
-    d_e = model.config.d_ff // model.config.reduction_factor
+    d_e = model.config.d_expert
     for layer, per in counts["per_expert"].items():
         block = model.layers[int(layer)].mlp
         print(f"layer {layer}: experts {block.router.num_experts}, d_e {d_e}, "

@@ -58,8 +58,8 @@ def per_expert_param_count(d_model: int, d_ff: int, reduction_factor: int) -> in
 def moefy_layer(model: Model, layer_index: int, router: Router,
                 gamma: float = GAMMA_INIT) -> MoEBlock:
     """Replace the dense MLP of one of config.moe_layers with a
-    config.experts-expert MoE block whose experts keep
-    d_ff / config.reduction_factor hidden dims each.
+    config.experts-expert MoE block whose experts keep config.d_expert
+    hidden dims each.
 
     Attention weights and the layer's MLP-input norm are untouched; the norm
     feeds the router and the experts, as it fed the dense MLP.
@@ -75,8 +75,8 @@ def moefy_layer(model: Model, layer_index: int, router: Router,
     if (router.top_k, router.temperature, router.gate_mode) != (
             cfg.top_k, cfg.router_temperature, cfg.gate_mode):
         raise ValueError("router top_k, temperature and gate_mode must be the config's")
-    d_e = cfg.d_ff // cfg.reduction_factor
-    experts = [slice_expert(layer.mlp, T.minmax_invert(router.scaler, centroid), d_e, gamma)
+    experts = [slice_expert(layer.mlp, T.minmax_invert(router.scaler, centroid),
+                            cfg.d_expert, gamma)
                for centroid in router.centroids.data]
     block = MoEBlock(router=router, experts=experts, source_hash=dense_mlp_hash(layer))
     layer.mlp = block

@@ -81,7 +81,8 @@ def expert_forward(h_pixels: Tensor, expert: ExpertMLP) -> Tensor:
 @dataclass
 class RoutingRecord:
     indices: np.ndarray      # B x P x top_k selected expert ids
-    gates: np.ndarray        # B x P x top_k gate values (sum to 1 per patch)
+    gates: np.ndarray        # B x P x top_k gate values; sum to 1 per patch under
+                             # gate_mode "renorm", the top_k probabilities under "raw"
     full_probs: np.ndarray   # B x P x E softmax over all experts
 
     @property

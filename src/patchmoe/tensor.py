@@ -240,33 +240,14 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                (w, lambda g: _rows(x.data).T @ _rows(g)))
 
 
-# Bytes of attention scores in one block: about one core's L2 cache, so that
-# a block's scores stay in cache from the gemm that writes them to the gemm
-# that reads them back.
-ATTN_BLOCK_BYTES = 2 << 20
-
-
-def _image_blocks(score_shape: tuple, itemsize: int) -> tuple[list[slice], tuple]:
-    """Slices of the leading (image) axis that hold about ATTN_BLOCK_BYTES of
-    scores each, and the shape of the largest block."""
-    lead = score_shape[0]
-    per_image = itemsize * math.prod(score_shape[1:])
-    step = max(1, min(lead, ATTN_BLOCK_BYTES // max(per_image, 1)))
-    return [slice(i, i + step) for i in range(0, lead, step)], (step,) + score_shape[1:]
-
-
 def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
     """softmax(q.k^T * scale).v over the last two axes, as one node, for
-    inputs of at least 3 dimensions whose leading axis holds the images.
+    inputs of at least 3 dimensions.
 
-    The work runs one block of images (_image_blocks) at a time. Each block
-    makes the numpy calls of matmul -> mul -> softmax -> matmul in the same
-    order, in place in the block's scores. Every (image, head) slice has its
-    own gemm and row reductions, so the results do not depend on the block
-    size. Without a tape (no input requires grad) one block buffer is reused
-    and the whole score array never exists; with one, the tape keeps the
-    probabilities P whole. The backward replays the chain's backward per block
-    in two reusable block buffers: dP = g.v^T,
+    It makes the numpy calls of matmul -> mul -> softmax -> matmul in the
+    same order, in place in one score array, so S and P are never both held.
+    The tape keeps only the probabilities P. The backward replays the
+    chain's backward in one dS array and one product array: dP = g.v^T,
     dS = P * (dP - rowsum(dP * P)) * scale, dq = dS.k, dk = (q^T.dS)^T and
     dv = P^T.g.
     """
@@ -275,51 +256,28 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
                          f"q {q.shape}, k {k.shape}, v {v.shape}")
     scale = q.data.dtype.type(scale)
     dtype = np.result_type(q.data, k.data, v.data)
-    score_shape = q.shape[:-1] + q.shape[-2:-1]
-    blocks, block_shape = _image_blocks(score_shape, dtype.itemsize)
-    taped = q.requires_grad or k.requires_grad or v.requires_grad
-    p = np.empty(score_shape if taped else block_shape, dtype)
-    out = np.empty(q.shape[:-1] + v.shape[-1:], dtype)
-    for blk in blocks:
-        qb = q.data[blk]
-        pb = p[blk] if taped else p[:len(qb)]
-        np.matmul(qb, np.swapaxes(k.data[blk], -1, -2), out=pb)
-        np.multiply(pb, scale, out=pb)
-        np.subtract(pb, pb.max(axis=-1, keepdims=True), out=pb)
-        np.exp(pb, out=pb)
-        np.divide(pb, pb.sum(axis=-1, keepdims=True), out=pb)
-        np.matmul(pb, v.data[blk], out=out[blk])
+    p = np.empty(q.shape[:-1] + q.shape[-2:-1], dtype)
+    np.matmul(q.data, np.swapaxes(k.data, -1, -2), out=p)
+    np.multiply(p, scale, out=p)
+    np.subtract(p, p.max(axis=-1, keepdims=True), out=p)
+    np.exp(p, out=p)
+    np.divide(p, p.sum(axis=-1, keepdims=True), out=p)
+    out = p @ v.data
 
     def backward(g):
-        gtype = np.result_type(dtype, g)
-        dv = np.empty(v.shape, gtype) if v.requires_grad else None
-        dq = np.empty(q.shape, gtype) if q.requires_grad else None
-        dk_t = (np.empty(k.shape[:-2] + (k.shape[-1], k.shape[-2]), gtype)
-                if k.requires_grad else None)
-        ds, prod = ((np.empty(block_shape, gtype), np.empty(block_shape, gtype))
-                    if q.requires_grad or k.requires_grad else (None, None))
-        for blk in blocks:
-            pb, gb = p[blk], g[blk]
-            if dv is not None:
-                np.matmul(np.swapaxes(pb, -1, -2), gb, out=dv[blk])
-            if ds is None:
-                continue
-            dsb, prodb = ds[:len(pb)], prod[:len(pb)]
-            np.matmul(gb, np.swapaxes(v.data[blk], -1, -2), out=dsb)
-            np.multiply(dsb, pb, out=prodb)
-            np.subtract(dsb, prodb.sum(axis=-1, keepdims=True), out=dsb)
-            np.multiply(pb, dsb, out=dsb)
-            np.multiply(dsb, scale, out=dsb)
-            if dq is not None:
-                np.matmul(dsb, k.data[blk], out=dq[blk])
-            if dk_t is not None:
-                np.matmul(np.swapaxes(q.data[blk], -1, -2), dsb, out=dk_t[blk])
-        if dv is not None:
-            v._accumulate(dv)
-        if dq is not None:
-            q._accumulate(dq)
-        if dk_t is not None:
-            k._accumulate(np.swapaxes(dk_t, -1, -2))
+        if v.requires_grad:
+            v._accumulate(np.swapaxes(p, -1, -2) @ g)
+        if not (q.requires_grad or k.requires_grad):
+            return
+        ds = np.matmul(g, np.swapaxes(v.data, -1, -2),
+                       out=np.empty(p.shape, np.result_type(dtype, g)))
+        np.subtract(ds, (ds * p).sum(axis=-1, keepdims=True), out=ds)
+        np.multiply(p, ds, out=ds)
+        np.multiply(ds, scale, out=ds)
+        if q.requires_grad:
+            q._accumulate(ds @ k.data)
+        if k.requires_grad:
+            k._accumulate(np.swapaxes(np.swapaxes(q.data, -1, -2) @ ds, -1, -2))
 
     return Tensor(out, _parents=(q, k, v), _backward=backward)
 

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import tempfile
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patchmoe import backbone, expert_init, moe
+from patchmoe import backbone, expert_init, moe, training
 from patchmoe import tensor as T
 from patchmoe.backbone import Model, ModelConfig, unfold
 from test_expert_init import make_router
@@ -246,13 +247,14 @@ class TestFusedNodesMatchChains:
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_model_digest_one_image_blocks(self, monkeypatch, dtype):
-        """The same with T.attention forced to one image per block (four
-        blocks in place of one)."""
-        monkeypatch.setattr(T, "ATTN_BLOCK_BYTES", 1)
-        self.assert_fused_matches_chain(monkeypatch, dtype, 2, "attention")
+        """The same through training.train_step with one image per forward
+        (four attention calls of one image each in place of one of four),
+        the gradients summed over the slices."""
+        monkeypatch.setattr(backbone, "CAPTURE_CHUNK", 1)
+        self.assert_fused_matches_chain(monkeypatch, dtype, 2, "attention", step_digest)
 
     @staticmethod
-    def assert_fused_matches_chain(monkeypatch, dtype, top_k, swap):
+    def assert_fused_matches_chain(monkeypatch, dtype, top_k, swap, digest_fn=model_digest):
         T.set_default_dtype(dtype)
         try:
             cfg = backbone.desk_config(6, moe_layers=(1, 3), experts=4, top_k=top_k)
@@ -265,7 +267,7 @@ class TestFusedNodesMatchChains:
             labels = rng.integers(0, 6, 4)
 
             def digest_and_canary():
-                digest = model_digest(model, images, labels, T.Rng(5))
+                digest = digest_fn(model, images, labels, T.Rng(5))
                 logits = model.forward(images, train=True, rng=T.Rng(5)).logits
                 T.tsum(logits).backward()
                 canary = [layer.bk.grad.tobytes() for layer in model.layers]
@@ -283,6 +285,31 @@ class TestFusedNodesMatchChains:
             T.set_default_dtype("float32")
         assert fused[1] == chain[1], "layer*.pxattn.bk gradients differ"
         assert fused[0] == chain[0]
+
+
+def step_digest(model, images, labels, rng):
+    """sha256 over training.train_step's loss and hits and every parameter's
+    gradient at the end of the step, whose update is left out. Clears the
+    parameter gradients after."""
+    params = model.named_parameters()
+
+    class NoUpdate:  # keeps the gradients the step's slices summed
+        def zero_grad(self):
+            for p in params.values():
+                p.grad = None
+
+        def step(self):
+            pass
+
+    labels = np.asarray(labels)
+    y = training.one_hot(labels, model.config.num_classes)
+    value, correct, _ = training.train_step(model, NoUpdate(), images, y, labels, rng, "digest")
+    h = hashlib.sha256(repr((value, correct)).encode())
+    for name, p in params.items():
+        h.update(name.encode())
+        h.update(b"-" if p.grad is None else p.grad.tobytes())
+        p.grad = None
+    return h.hexdigest()
 
 
 @pytest.mark.parametrize("seed", [0, 1])

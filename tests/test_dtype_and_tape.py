@@ -175,20 +175,21 @@ class TestNoTape:
 
 
 class TestAttentionMemory:
-    def test_no_grad_forward_holds_one_block(self):
-        """An untaped T.attention never holds the whole (B, heads, N, N)
-        score array: its traced peak is under half of it."""
+    def test_no_grad_forward_holds_one_score_array(self):
+        """An untaped T.attention computes its scores in place: S and P are
+        never both held, so its traced peak is under two (B, heads, N, N)
+        score arrays."""
         rng = np.random.default_rng(0)
         q, k, v = (T.Tensor(rng.standard_normal((16, 2, 256, 16)).astype(np.float32))
                    for _ in range(3))
-        whole = 16 * 2 * 256 * 256 * 4  # 8 MiB
+        scores = 16 * 2 * 256 * 256 * 4  # 8 MiB
         tracemalloc.start()
         try:
             T.attention(q, k, v, 0.25)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < whole / 2
+        assert peak < 2 * scores
 
 
 class TestLinearMemory:
@@ -289,11 +290,11 @@ class TestTrainingTape:
         toy's 4 patches, and the attention output looks like P."""
         return make_model(moe=moe, d_model=12)
 
-    def score_arrays(self, model, loss):
-        """The (3, N_PX, HEADS, P, P) arrays the tape holds: per image, one
-        P x P score matrix per pixel position and head."""
+    def score_arrays(self, model, loss, images=3):
+        """The (images, N_PX, HEADS, P, P) arrays the tape holds: per image,
+        one P x P score matrix per pixel position and head."""
         n = model.config.grid ** 2
-        shape = (3, backbone.N_PX, backbone.HEADS, n, n)
+        shape = (images, backbone.N_PX, backbone.HEADS, n, n)
         return [a for a in held_arrays(loss) if a.shape == shape]
 
     @pytest.mark.parametrize("moe", [False, True], ids=["dense", "moe"])
@@ -305,11 +306,19 @@ class TestTrainingTape:
             assert np.allclose(p.sum(axis=-1), 1.0, atol=1e-5)
 
     def test_one_score_array_per_layer_in_blocks(self, monkeypatch):
-        """With one image per attention block, the tape still keeps P whole."""
-        monkeypatch.setattr(T, "ATTN_BLOCK_BYTES", 1)
+        """With one image per forward, as training.train_step runs a batch in
+        backbone.CAPTURE_CHUNK slices, each slice's tape keeps one score
+        array per layer, of that slice's image alone."""
+        monkeypatch.setattr(backbone, "CAPTURE_CHUNK", 1)
         model = self.score_model()
-        scores = self.score_arrays(model, self.forward_loss(model, self.images()))
-        assert len(scores) == len(model.layers)
+        images, labels = self.images(), np.array([0, 1, 1])
+        for lo in range(0, len(images), backbone.CAPTURE_CHUNK):
+            hi = lo + backbone.CAPTURE_CHUNK
+            result = model.forward(images[lo:hi], train=True, rng=Rng(1))
+            loss = training.soft_cross_entropy(result.logits,
+                                               training.one_hot(labels[lo:hi], 2))
+            assert len(self.score_arrays(model, loss, images=1)) == len(model.layers)
+            assert self.score_arrays(model, loss) == []
 
     def test_chain_oracle_held_three_per_layer(self, monkeypatch):
         """The count above sees the score arrays the op chain kept."""

@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 
 import numpy as np
@@ -199,45 +200,66 @@ def test_input_without_requires_grad_gets_no_grad(name):
         assert [t.grad is None for t in ins] == [i == const for i in range(len(ins))]
 
 
+# T.attention's input layouts: with axes, each input is a transposed view of
+# a contiguous leaf, as a 4-D (B, N, heads, dh) leaf split by heads, or as
+# Model.attention's (B, P, N_PX, HEADS, dh) leaf laid out
+# (B, N_PX, HEADS, P, dh).
+ATTENTION_LAYOUTS = {"contiguous": None, "head-split": (0, 2, 1, 3),
+                     "pixel-position": (0, 2, 3, 1, 4)}
+
+
 class TestFusedNodesMatchChains:
     """T.attention and T.linear give the op chains they replace bit for bit:
     output and every input gradient, sign of zero included."""
 
     @staticmethod
-    def runner(shapes, cotangent_shape, seed, views=False):
-        """fn -> [fn's output, each input's grad] under one fixed cotangent.
-        With views, each input is a head-split transposed view of a
-        (B, N, heads, dh) leaf, as in Model.attention."""
+    def runner(shapes, cotangent_shape, seed, axes=None):
+        """(fn, requires) -> [fn's output, each input's grad] under one fixed
+        cotangent; requires says which inputs take a gradient (by default
+        all), and no backward runs when none does. With axes, each input is
+        the transpose(axes) view of a contiguous leaf."""
         rng = np.random.default_rng(seed)
         dtype = T.default_dtype()
-        leaves = [rng.standard_normal((s[0], s[2], s[1], s[3]) if views else s).astype(dtype)
-                  for s in shapes]
+        leaves = [rng.standard_normal(tuple(np.take(s, np.argsort(axes))) if axes else s)
+                  .astype(dtype) for s in shapes]
         cot = rng.standard_normal(cotangent_shape).astype(dtype)
 
-        def run(fn):
-            ins = [T.Tensor(a, requires_grad=True) for a in leaves]
-            out = fn(*[T.transpose(t, (0, 2, 1, 3)) for t in ins] if views else ins)
-            out.backward(cot)
+        def run(fn, requires=None):
+            requires = [True] * len(leaves) if requires is None else requires
+            ins = [T.Tensor(a, requires_grad=r) for a, r in zip(leaves, requires)]
+            out = fn(*[T.transpose(t, axes) for t in ins] if axes else ins)
+            if out.requires_grad:
+                out.backward(cot)
             return [out.data] + [t.grad for t in ins]
 
         return run
 
-    @settings(max_examples=40, deadline=None)
-    @given(b=st.integers(1, 3), heads=st.integers(1, 3), n=st.integers(1, 9),
-           dh=st.integers(1, 5), scale=st.floats(0.05, 4.0), views=st.booleans(),
-           seed=st.integers(0, 2**16), dtype=st.sampled_from(["float32", "float64"]))
-    def test_attention(self, b, heads, n, dh, scale, views, seed, dtype):
+    @staticmethod
+    def assert_same(got, want):
+        for g, w in zip(got, want):
+            assert (g is None) == (w is None)
+            if g is not None:
+                assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(b=st.integers(1, 3), n_px=st.integers(1, 3), heads=st.integers(1, 3),
+           n=st.integers(1, 9), dh=st.integers(1, 5), scale=st.floats(0.05, 4.0),
+           layout=st.sampled_from(sorted(ATTENTION_LAYOUTS)), seed=st.integers(0, 2**16),
+           dtype=st.sampled_from(["float32", "float64"]))
+    def test_attention(self, b, n_px, heads, n, dh, scale, layout, seed, dtype):
+        """Every draw runs each subset of q, k and v taking a gradient, the
+        empty one included."""
         T.set_default_dtype(dtype)
         try:
-            shape = (b, heads, n, dh)
-            run = self.runner([shape] * 3, shape, seed, views)
-            fused = run(lambda q, k, v: T.attention(q, k, v, scale))
-            chain = run(lambda q, k, v: attention_chain_oracle(q, k, v, scale))
+            shape = (b, n_px, heads, n, dh) if layout == "pixel-position" else (b, heads, n, dh)
+            run = self.runner([shape] * 3, shape, seed, ATTENTION_LAYOUTS[layout])
+            for requires in itertools.product([True, False], repeat=3):
+                fused = run(lambda q, k, v: T.attention(q, k, v, scale), requires)
+                chain = run(lambda q, k, v: attention_chain_oracle(q, k, v, scale), requires)
+                assert fused[0].dtype == np.dtype(dtype)
+                self.assert_same(fused, chain)
         finally:
             T.set_default_dtype("float32")
-        assert fused[0].dtype == np.dtype(dtype)
-        for got, want in zip(fused, chain):
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     @settings(max_examples=30, deadline=None)
     @given(lead=st.lists(st.integers(1, 4), min_size=1, max_size=3),
@@ -257,14 +279,13 @@ class TestFusedNodesMatchChains:
             rows = run(linear_chain_oracle)
         finally:
             T.set_default_dtype("float32")
-        for got, want in zip(fused, [batched[0]] + rows[1:]):
-            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        self.assert_same(fused, [batched[0]] + rows[1:])
 
     def test_shape_checks(self):
         q = T.Tensor(np.zeros((1, 2, 3, 4)))
         with pytest.raises(ValueError):
             T.attention(q, T.Tensor(np.zeros((1, 2, 5, 4))), q, 1.0)
-        # no leading image axis
+        # fewer than 3 axes
         flat = T.Tensor(np.zeros((3, 4)))
         with pytest.raises(ValueError, match="3-D"):
             T.attention(flat, flat, flat, 1.0)
@@ -281,25 +302,18 @@ class TestFusedNodesMatchChains:
 
 
 class TestAttentionBlocks:
-    """T.attention works through the leading (image) axis one block at a
-    time; the block size changes no byte of the output or of any input
-    gradient."""
+    """An image's attention does not depend on the other images in its call:
+    splitting the leading (image) axis into blocks, as callers do in
+    backbone.CAPTURE_CHUNK slices, changes no byte of the output or of any
+    input gradient."""
 
     @staticmethod
-    def run(monkeypatch, block_bytes, leaves, cot, requires, views):
-        monkeypatch.setattr(T, "ATTN_BLOCK_BYTES", block_bytes)
+    def run(leaves, cot, requires, views):
         ins = [T.Tensor(a, requires_grad=r) for a, r in zip(leaves, requires)]
         out = T.attention(*[T.transpose(t, (0, 2, 1, 3)) for t in ins] if views else ins, 0.3)
         if any(requires):
             out.backward(cot)
         return [out.data] + [t.grad for t in ins]
-
-    @staticmethod
-    def assert_same(got, want):
-        for g, w in zip(got, want):
-            assert (g is None) == (w is None)
-            if g is not None:
-                assert g.dtype == w.dtype and g.shape == w.shape and g.tobytes() == w.tobytes()
 
     @pytest.mark.parametrize("per_block, n_blocks", [(1, 5), (2, 3), (8, 1)],
                              ids=["one-image", "remainder", "larger-than-batch"])
@@ -308,19 +322,19 @@ class TestAttentionBlocks:
                              ids=["qkv", "k", "qv", "none"])
     @pytest.mark.parametrize("views", [False, True], ids=["contiguous", "head-split"])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_block_size_changes_no_byte(self, monkeypatch, per_block, n_blocks, requires,
-                                        views, dtype):
+    def test_block_size_changes_no_byte(self, per_block, n_blocks, requires, views, dtype):
         b, heads, n, dh = 5, 2, 12, 4
-        block_bytes = per_block * heads * n * n * np.dtype(dtype).itemsize
-        monkeypatch.setattr(T, "ATTN_BLOCK_BYTES", block_bytes)
-        assert len(T._image_blocks((b, heads, n, n), np.dtype(dtype).itemsize)[0]) == n_blocks
+        starts = range(0, b, per_block)
+        assert len(starts) == n_blocks
         rng = np.random.default_rng(per_block)
         leaves = [rng.standard_normal((b, n, heads, dh) if views else (b, heads, n, dh))
                   .astype(dtype) for _ in range(3)]
         cot = rng.standard_normal((b, heads, n, dh)).astype(dtype)
-        blocked = self.run(monkeypatch, block_bytes, leaves, cot, requires, views)
-        whole = self.run(monkeypatch, 1 << 62, leaves, cot, requires, views)
-        self.assert_same(blocked, whole)
+        parts = [self.run([a[lo:lo + per_block] for a in leaves], cot[lo:lo + per_block],
+                          requires, views) for lo in starts]
+        blocked = [None if p[0] is None else np.concatenate(p) for p in zip(*parts)]
+        whole = self.run(leaves, cot, requires, views)
+        TestFusedNodesMatchChains.assert_same(blocked, whole)
 
 
 def test_minmax_apply_gradcheck():
