@@ -365,16 +365,8 @@ def save_checkpoint(model: Model, path: Path | str) -> None:
             T.write_blob(fb, t.data)
         fb.flush()
         # the loader checks it, so that a blob written for another manifest is refused
-        manifest["blob_sha256"] = _file_sha256(fb.name)
+        manifest["blob_sha256"] = T.file_sha256(fb.name)
         json.dump(manifest, fm, indent=1, sort_keys=True)
-
-
-def _file_sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 class CheckpointError(Exception):
@@ -453,6 +445,8 @@ def load_checkpoint(path: Path | str) -> Model:
         for name, t in params.items():
             try:
                 arr = T.read_blob(f)
+                if arr.dtype not in (np.float32, np.float64):
+                    raise ValueError(f"dtype {arr.dtype} is not float32 or float64")
             except ValueError as exc:
                 raise CheckpointError(f"{blob_path}: {name}: {exc}") from None
             if arr.shape != t.shape:
@@ -463,7 +457,7 @@ def load_checkpoint(path: Path | str) -> Model:
         if f.read(1):
             raise CheckpointError(f"{blob_path}: bytes after the last parameter record")
     # A blob of the same config parses above; its digest tells it apart.
-    if _file_sha256(blob_path) != blob_sha256:
+    if T.file_sha256(blob_path) != blob_sha256:
         raise CheckpointError(f"{blob_path}: sha256 differs from the blob_sha256 that "
                               f"{path} records; the blob was written for another manifest")
     for i, block in model.moe_blocks().items():

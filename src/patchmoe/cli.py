@@ -207,7 +207,7 @@ def cmd_gen_data(args) -> int:
 def _require_dataset_fits(dataset, config) -> None:
     """DataError unless the dataset's images are config.image_size square and
     its class count is config.num_classes."""
-    if dataset.images and dataset.images[0].pixels.shape[0] != config.image_size:
+    if dataset.images[0].pixels.shape[0] != config.image_size:
         raise data.DataError(f"the dataset's images are {dataset.images[0].pixels.shape[0]} "
                              f"px, the model's image_size is {config.image_size}")
     if dataset.num_classes != config.num_classes:

@@ -1,4 +1,4 @@
-"""Image ingestion and a synthetic fine-grained dataset generator.
+"""A synthetic fine-grained dataset generator and the dataset file format.
 
 The generator produces small RGB images of per-class foreground glyphs on a
 shared bank of background textures. Classes are grouped into families: the
@@ -7,6 +7,11 @@ within a family fixes the glyph shape plus a small shade offset (the
 fine-grained signal). Foreground placement is patch-aligned and recorded, so
 claims about foreground vs background routing can be checked against ground
 truth.
+
+A saved dataset is a directory of two files: pixels.bin, one tensor-blob
+record (tensor.write_blob) of every image as an (N, S, S, 3) uint8 array, and
+manifest.json, which lists each image's class, split and fg_box in record
+order and records the blob's sha256.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import Rng, atomic_write
+from .tensor import Rng, atomic_write, file_sha256, read_blob, write_blob
 
 
 class DataError(Exception):
@@ -50,8 +55,8 @@ class SynthSpec:
                   self.images_per_class, self.num_backgrounds, self.fg_patch_cells)
         if not all(type(v) is int for v in counts + (self.seed,)) or self.seed < 0:
             raise ValueError("counts and seed must be integers, and seed >= 0")
-        if self.num_families < 1 or self.num_classes % self.num_families != 0:
-            raise ValueError("families must partition classes")
+        if min(self.num_classes, self.num_families) < 1 or self.num_classes % self.num_families:
+            raise ValueError("need num_classes >= 1 and num_families >= 1 dividing it")
         if not 1 <= self.fg_patch_cells * PATCH_CELL <= self.image_size:
             raise ValueError("foreground must fit the image")
         if min(self.images_per_class, self.num_backgrounds) < 1:
@@ -185,83 +190,54 @@ def resize_nearest(image: np.ndarray, new_size: int) -> np.ndarray:
     return image[rows][:, cols]
 
 
-# ---------------------------------------------------------------------------
-# PPM (P6) serialization
-# ---------------------------------------------------------------------------
-
-
-def write_ppm(path: Path | str, pixels: np.ndarray) -> None:
-    pixels = np.asarray(pixels, dtype=np.uint8)
-    h, w, _ = pixels.shape
-    with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        f.write(pixels.tobytes())
-
-
-def read_ppm(path: Path | str) -> np.ndarray:
-    with open(path, "rb") as f:
-        raw = f.read()
-    if raw[:2] != b"P6":
-        raise DataError(f"{path}: bad PPM magic {raw[:2]!r}")
-    # Header: three whitespace-separated integers after the magic; '#' starts
-    # a comment running to end of line.
-    pos = 2
-    fields = []
-    while len(fields) < 3:
-        while pos < len(raw) and raw[pos:pos + 1].isspace():
-            pos += 1
-        if pos < len(raw) and raw[pos:pos + 1] == b"#":
-            while pos < len(raw) and raw[pos:pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos:pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise DataError(f"{path}: truncated PPM header")
-        try:
-            fields.append(int(raw[start:pos]))
-        except ValueError:
-            raise DataError(f"{path}: non-numeric PPM header field") from None
-    pos += 1  # single whitespace byte after maxval
-    w, h, maxval = fields
-    if maxval != 255:
-        raise DataError(f"{path}: unsupported maxval {maxval} (need 255)")
-    payload = raw[pos:pos + w * h * 3]
-    if len(payload) != w * h * 3:
-        raise DataError(f"{path}: truncated PPM payload")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3).copy()
-
-
 def save_dataset(dataset: Dataset, out_dir: Path | str) -> None:
-    """Write class-per-directory PPMs plus a manifest with split assignment."""
+    """Write pixels.bin, one tensor-blob record of every image's pixels, then
+    manifest.json: each image's class, split and fg_box in record order and
+    the blob's sha256. A save that fails leaves the previous dataset as it was."""
+    if not dataset.images:
+        raise DataError("a dataset needs at least one image")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "class_names": dataset.class_names,
-        "families": dataset.families,
-        "seed": dataset.seed,
-        "images": [],
-    }
-    counters: dict[int, int] = {}
-    for im in dataset.images:
-        idx = counters.get(im.class_id, 0)
-        counters[im.class_id] = idx + 1
-        cls = dataset.class_names[im.class_id]
-        rel = f"{cls}/{idx:04d}.ppm"
-        (out / cls).mkdir(exist_ok=True)
-        write_ppm(out / rel, im.pixels)
-        manifest["images"].append({
-            "file": rel, "class": im.class_id, "split": im.split,
-            "fg_box": list(im.fg_box) if im.fg_box else None,
-        })
-    with atomic_write(out / "manifest.json") as f:
-        json.dump(manifest, f, indent=1, sort_keys=True)
+    manifest = {"class_names": dataset.class_names, "families": dataset.families,
+                "seed": dataset.seed,
+                "images": [{"class": im.class_id, "split": im.split,
+                            "fg_box": list(im.fg_box) if im.fg_box else None}
+                           for im in dataset.images]}
+    # `with a, b` exits b first: the blob is moved into place before the manifest
+    with atomic_write(out / "manifest.json") as fm, atomic_write(out / "pixels.bin", "wb") as fb:
+        write_blob(fb, np.stack([im.pixels for im in dataset.images], dtype=np.uint8))
+        fb.flush()
+        # the loader checks it, so that pixels written for another manifest are refused
+        manifest["pixels_sha256"] = file_sha256(fb.name)
+        json.dump(manifest, fm, indent=1, sort_keys=True)
+
+
+def _read_pixels(path: Path, n: int, sha256) -> np.ndarray:
+    """The one record in the file at `path`: n square uint8 RGB images, in a
+    file of the given sha256; DataError naming the file otherwise."""
+    try:
+        with open(path, "rb") as f:
+            pixels = read_blob(f)
+            if f.read(1):
+                raise ValueError("bytes after the pixel record")
+        if pixels.dtype != np.uint8 or pixels.ndim != 4 or pixels.shape != (
+                n, pixels.shape[1], pixels.shape[1], 3):
+            raise ValueError(f"a {pixels.dtype} record of shape {list(pixels.shape)}, "
+                             f"where the manifest's images need uint8 ({n}, S, S, 3)")
+        if file_sha256(path) != sha256:
+            raise ValueError("sha256 differs from the pixels_sha256 that the manifest "
+                             "records; the pixels were written for another manifest")
+    except OSError as exc:
+        raise DataError(f"cannot read dataset pixels {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise DataError(f"dataset pixels {path}: {exc}") from None
+    return pixels
 
 
 def load_dataset(path: Path | str) -> Dataset:
-    """Load a dataset that save_dataset wrote; its images must share one
-    square size, which each manifest fg_box lies in."""
+    """Load a dataset that save_dataset wrote. DataError unless pixels.bin
+    holds just the manifest's images, as one square uint8 record of the
+    recorded sha256, and each entry's class, split and fg_box are valid."""
     root = Path(path)
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
@@ -270,33 +246,24 @@ def load_dataset(path: Path | str) -> Dataset:
         with open(manifest_path) as f:
             manifest = json.load(f)
         class_names, entries = manifest["class_names"], manifest["images"]
-        images = []
-        for entry in entries:
-            cid = entry["class"]
+        if not entries:
+            raise ValueError("images lists no image")
+        pixels = _read_pixels(root / "pixels.bin", len(entries), manifest["pixels_sha256"])
+        size, images = pixels.shape[1], []
+        for i, (entry, image) in enumerate(zip(entries, pixels)):
+            cid, split, box = entry["class"], entry["split"], entry.get("fg_box")
             if type(cid) is not int or not 0 <= cid < len(class_names):
-                raise ValueError(f"class {cid!r} is not a class id in "
+                raise ValueError(f"image {i}: class {cid!r} is not a class id in "
                                  f"0..{len(class_names) - 1}")
-            if entry["split"] not in ("train", "val"):
-                raise ValueError(f"{entry['file']}: split {entry['split']!r} is not "
-                                 f"'train' or 'val'")
-            images.append(LabeledImage(read_ppm(root / entry["file"]), cid,
-                                       entry["split"]))
+            if split not in ("train", "val"):
+                raise ValueError(f"image {i}: split {split!r} is not 'train' or 'val'")
+            if box is not None and not (
+                    isinstance(box, list) and len(box) == 4 and all(type(v) is int for v in box)
+                    and 0 <= box[0] < box[2] <= size and 0 <= box[1] < box[3] <= size):
+                raise ValueError(f"image {i}: fg_box {box!r} is not four ints y0, x0, y1, "
+                                 f"x1 inside its {size}x{size} image")
+            images.append(LabeledImage(image, cid, split, box and tuple(box)))
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"invalid dataset manifest {manifest_path}: "
                         f"{type(exc).__name__}: {exc}") from None
-    dataset = Dataset(images, class_names, manifest.get("families"),
-                      seed=manifest.get("seed"))
-    shapes = sorted({im.pixels.shape for im in dataset.images})
-    if len(shapes) > 1 or any(h != w for h, w, _ in shapes):
-        raise DataError(f"{root}: images must share one square size, found "
-                        f"{', '.join(f'{w}x{h}' for h, w, _ in shapes)}")
-    for entry, im in zip(entries, dataset.images):
-        box, size = entry.get("fg_box"), im.pixels.shape[0]
-        if box is not None and not (
-                isinstance(box, list) and len(box) == 4 and all(type(v) is int for v in box)
-                and 0 <= box[0] < box[2] <= size and 0 <= box[1] < box[3] <= size):
-            raise DataError(f"invalid dataset manifest {manifest_path}: {entry['file']}: "
-                            f"fg_box {box!r} is not four ints y0, x0, y1, x1 inside "
-                            f"its {size}x{size} image")
-        im.fg_box = box and tuple(box)
-    return dataset
+    return Dataset(images, class_names, manifest.get("families"), seed=manifest.get("seed"))

@@ -9,6 +9,7 @@ checks every one of them against central finite differences.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import math
 import os
@@ -525,18 +526,27 @@ def atomic_write(path, mode: str = "w", **open_kwargs):
         raise
 
 
+def file_sha256(path) -> str:
+    h = hashlib.sha256()
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            h.update(chunk)
+    return h.hexdigest()
+
+
 BLOB_MAGIC = b"PMTBLOB1"
-_DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
+_DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1, np.dtype(np.uint8): 2}
 _CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
 
 
 def write_blob(f, arr: np.ndarray) -> None:
-    """Append one tensor record."""
+    """Append one tensor record; ValueError for a dtype other than float32,
+    float64 or uint8."""
     arr = np.asarray(arr)
     shape = arr.shape  # ascontiguousarray promotes 0-d arrays to 1-d
     arr = np.ascontiguousarray(arr)
     if arr.dtype not in _DTYPE_CODES:
-        arr = arr.astype(np.float32)
+        raise ValueError(f"a tensor blob cannot hold dtype {arr.dtype}")
     f.write(BLOB_MAGIC)
     f.write(struct.pack("<BB", _DTYPE_CODES[arr.dtype], len(shape)))
     for extent in shape:

@@ -157,9 +157,11 @@ class TestConfig:
 
 class TestGenData:
     def test_writes_manifest_and_ppms(self, workdir):
+        """A dataset is its manifest and one pixel blob, nothing else."""
         data_dir = workdir["data"]
-        assert (data_dir / "manifest.json").exists()
-        assert list(data_dir.rglob("*.ppm"))
+        assert sorted(p.name for p in data_dir.iterdir()) == ["manifest.json", "pixels.bin"]
+        with open(data_dir / "pixels.bin", "rb") as f:
+            assert T.read_blob(f).shape == (20, 32, 32, 3)
 
     def test_deterministic_manifest(self, workdir, tmp_path):
         again = tmp_path / "again"
@@ -180,6 +182,8 @@ class TestGenData:
 
     @pytest.mark.parametrize("text", [
         json.dumps({"num_classes": 5, "num_families": 2}),
+        json.dumps({"num_classes": 0}),
+        json.dumps({"num_classes": -4}),
         json.dumps({"num_families": 0}),
         json.dumps({"image_size": 16, "fg_patch_cells": 4}),
         json.dumps({"image_size": 12}),
@@ -191,15 +195,16 @@ class TestGenData:
         json.dumps({"seed": 1.5}),
         json.dumps({"num_classes": 4.0}),
         json.dumps({"images_per_class": 3.0}),
-    ], ids=["families-do-not-divide", "no-families", "foreground-too-large",
-            "image-smaller-than-foreground", "no-images", "no-foreground",
-            "no-backgrounds", "truncated-json", "negative-seed", "fractional-seed",
-            "float-classes", "float-images"])
-    def test_bad_spec_is_data_error(self, tmp_path, text):
+    ], ids=["families-do-not-divide", "no-classes", "negative-classes", "no-families",
+            "foreground-too-large", "image-smaller-than-foreground", "no-images",
+            "no-foreground", "no-backgrounds", "truncated-json", "negative-seed",
+            "fractional-seed", "float-classes", "float-images"])
+    def test_bad_spec_is_data_error(self, tmp_path, capsys, text):
         spec = tmp_path / "bad.json"
         spec.write_text(text)
         rc = cli.main(["gen-data", "--spec", str(spec), "--out", str(tmp_path / "d")])
         assert rc == cli.EXIT_DATA
+        assert f"invalid synth spec {spec}" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
 
     @pytest.mark.parametrize("key, value", [
@@ -272,18 +277,42 @@ class TestPipeline:
         assert rc == cli.EXIT_DATA
         assert not (tmp_path / "ckpt").exists()
 
-    @pytest.mark.parametrize("shapes", [[(32, 32, 3), (16, 16, 3)], [(32, 24, 3)] * 2],
+    @pytest.mark.parametrize("shapes", [[(20, 32, 32, 3), (1, 16, 16, 3)], [(20, 32, 24, 3)]],
                              ids=["mixed-sizes", "non-square"])
     def test_unusable_images_are_data_error(self, workdir, tmp_path, shapes):
-        for i, shape in enumerate(shapes):
-            (tmp_path / "data" / f"class_{i}").mkdir(parents=True)
-            data.write_ppm(tmp_path / "data" / f"class_{i}" / "0.ppm",
-                           np.zeros(shape, dtype=np.uint8))
-        rc = cli.main(["pretrain", "--config", str(workdir["config"]),
-                       "--data", str(tmp_path / "data"),
+        """pixels.bin with a second record of another size, or one record of
+        non-square images, its sha256 recorded, exits 3."""
+        root = tmp_path / "data"
+        shutil.copytree(workdir["data"], root)
+        with open(root / "pixels.bin", "wb") as f:
+            for shape in shapes:
+                T.write_blob(f, np.zeros(shape, dtype=np.uint8))
+        manifest = json.loads((root / "manifest.json").read_text())
+        manifest["pixels_sha256"] = hashlib.sha256((root / "pixels.bin").read_bytes()).hexdigest()
+        (root / "manifest.json").write_text(json.dumps(manifest))
+        rc = cli.main(["pretrain", "--config", str(workdir["config"]), "--data", str(root),
                        "--out", str(tmp_path / "ckpt" / "x.json")])
         assert rc == cli.EXIT_DATA
         assert not (tmp_path / "ckpt").exists()
+
+    @pytest.mark.parametrize("command", ["pretrain", "moefy", "finetune", "eval",
+                                         "affinity --mode post", "affinity --mode pre"])
+    def test_no_images_is_data_error(self, workdir, tmp_path, capsys, command):
+        """A dataset manifest that lists no image exits 3 naming it in every
+        command; affinity --mode post once raised ValueError on it."""
+        root = tmp_path / "data"
+        shutil.copytree(workdir["data"], root)
+        manifest = json.loads((root / "manifest.json").read_text())
+        (root / "manifest.json").write_text(json.dumps({**manifest, "images": []}))
+        out = tmp_path / "out" / "x.json"
+        if command == "eval":
+            argv = ["eval", "--ckpt", str(workdir["tuned"]), "--out", str(out)]
+        else:
+            argv = _argv(workdir, command, out)
+            del argv[argv.index("--data"):argv.index("--data") + 2]
+        assert cli.main(argv + ["--data", str(root)]) == cli.EXIT_DATA
+        assert str(root / "manifest.json") in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["pretrain", "moefy", "finetune", "eval",
                                          "affinity --mode post", "affinity --mode pre"])
@@ -492,8 +521,8 @@ class TestEval:
         assert "split 'val' is empty" in capsys.readouterr().err
 
     def test_ppms_without_manifest_is_data_error(self, workdir, tmp_path, capsys):
-        """A dataset directory is what gen-data writes: its class directories
-        of PPMs without manifest.json exit 3 naming the file."""
+        """A dataset directory is what gen-data writes: its pixels.bin
+        without manifest.json exits 3 naming the file."""
         data_dir = tmp_path / "data"
         shutil.copytree(workdir["data"], data_dir)
         (data_dir / "manifest.json").unlink()
@@ -520,16 +549,14 @@ def _directory_as_spec(workdir, tmp_path):
 
 
 def _directory_as_image(workdir, tmp_path):
-    """A copy of the dataset whose first manifest entry names its class's
-    directory in place of a PPM."""
+    """A copy of the dataset whose pixels.bin, the file of its images, is a
+    directory."""
     root = tmp_path / "data"
     shutil.copytree(workdir["data"], root)
-    manifest = json.loads((root / "manifest.json").read_text())
-    entry = manifest["images"][0]
-    entry["file"] = entry["file"].split("/")[0]
-    (root / "manifest.json").write_text(json.dumps(manifest))
+    (root / "pixels.bin").unlink()
+    (root / "pixels.bin").mkdir()
     return (["eval", "--ckpt", str(workdir["tuned"]), "--data", str(root),
-             "--out", str(tmp_path / "eval.csv")], root / entry["file"])
+             "--out", str(tmp_path / "eval.csv")], root / "pixels.bin")
 
 
 def _file_as_data_out(workdir, tmp_path):
@@ -731,6 +758,22 @@ class TestCheckpointErrors:
         ckpt.write_text(json.dumps(manifest))
         assert cli.main(["inspect", "--ckpt", str(ckpt)]) == cli.EXIT_DATA
         assert "head.w" in capsys.readouterr().err
+
+    def test_uint8_record(self, ckpt, capsys):
+        """A blob can hold uint8 (dataset pixels), but a parameter record
+        rewritten as uint8, with blob_sha256 to match, exits 3 naming it."""
+        manifest = json.loads(ckpt.read_text())
+        blob = ckpt.with_suffix(".bin")
+        with open(blob, "rb") as f:
+            first = T.read_blob(f)
+            rest = f.read()
+        record = T.BLOB_MAGIC + struct.pack("<BB", 2, first.ndim) + b"".join(
+            struct.pack("<Q", n) for n in first.shape) + bytes(first.size)
+        blob.write_bytes(record + rest)
+        manifest["blob_sha256"] = hashlib.sha256(record + rest).hexdigest()
+        ckpt.write_text(json.dumps(manifest))
+        assert cli.main(["inspect", "--ckpt", str(ckpt)]) == cli.EXIT_DATA
+        assert f"{blob}: {manifest['params'][0]}: " in capsys.readouterr().err
 
     def test_truncated_blob(self, ckpt):
         blob = ckpt.with_suffix(".bin")
@@ -1169,7 +1212,8 @@ def _artifact_writers():
                                     provenance={"z": Unwritable()}), path),
         "affinity_svg": lambda path: affinity.export_svg(_poisoned_matrix(), path),
         "dataset_manifest": lambda path: data.save_dataset(
-            data.Dataset([], ["a"], seed=Unwritable()), path.parent),
+            data.Dataset([data.LabeledImage(np.zeros((8, 8, 3), np.uint8), 0, "train")],
+                         ["a"], seed=Unwritable()), path.parent),
     }
 
 

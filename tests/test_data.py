@@ -1,11 +1,15 @@
+import dataclasses
 import json
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from patchmoe import data
+from patchmoe import tensor as T
 
 
 @pytest.fixture(scope="module")
@@ -17,6 +21,16 @@ def small_spec():
 @pytest.fixture(scope="module")
 def small_dataset(small_spec):
     return data.generate(small_spec)
+
+
+def rewrite_pixels(root, pixels):
+    """Replace the dataset's pixels.bin with one record of `pixels` and
+    record its sha256 in the manifest."""
+    with open(root / "pixels.bin", "wb") as f:
+        T.write_blob(f, pixels)
+    path = root / "manifest.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()),
+                                "pixels_sha256": T.file_sha256(root / "pixels.bin")}))
 
 
 class TestGenerate:
@@ -76,42 +90,6 @@ class TestResizeNearest:
         assert np.array_equal(out, img)
 
 
-class TestPPM:
-    def test_single_white_pixel(self, tmp_path):
-        p = tmp_path / "w.ppm"
-        p.write_bytes(b"P6\n1 1\n255\n\xff\xff\xff")
-        assert np.array_equal(data.read_ppm(p), np.full((1, 1, 3), 255, dtype=np.uint8))
-
-    def test_round_trip(self, tmp_path, small_dataset):
-        p = tmp_path / "img.ppm"
-        orig = small_dataset.images[0].pixels
-        data.write_ppm(p, orig)
-        assert np.array_equal(data.read_ppm(p), orig)
-
-    def test_comment_in_header(self, tmp_path):
-        p = tmp_path / "c.ppm"
-        p.write_bytes(b"P6\n# a comment\n1 1\n255\n\x01\x02\x03")
-        assert np.array_equal(data.read_ppm(p), [[[1, 2, 3]]])
-
-    def test_bad_magic(self, tmp_path):
-        p = tmp_path / "bad.ppm"
-        p.write_bytes(b"P5\n1 1\n255\n\xff")
-        with pytest.raises(data.DataError, match="magic"):
-            data.read_ppm(p)
-
-    def test_bad_maxval(self, tmp_path):
-        p = tmp_path / "bad.ppm"
-        p.write_bytes(b"P6\n1 1\n65535\n\xff\xff\xff\xff\xff\xff")
-        with pytest.raises(data.DataError, match="maxval"):
-            data.read_ppm(p)
-
-    def test_truncated(self, tmp_path):
-        p = tmp_path / "bad.ppm"
-        p.write_bytes(b"P6\n2 2\n255\n\xff")
-        with pytest.raises(data.DataError, match="truncated"):
-            data.read_ppm(p)
-
-
 class TestDatasetIO:
     def test_save_load_round_trip(self, tmp_path, small_dataset):
         data.save_dataset(small_dataset, tmp_path / "d")
@@ -123,16 +101,92 @@ class TestDatasetIO:
             assert (a.class_id, a.split, a.fg_box) == (b.class_id, b.split, b.fg_box)
 
     def test_mixed_sizes_rejected(self, tmp_path, small_dataset):
+        """One record holds images of one size: an image of another size can
+        only follow as a second record, which is refused."""
         data.save_dataset(small_dataset, tmp_path)
-        data.write_ppm(next(tmp_path.glob("*/0000.ppm")), np.zeros((8, 8, 3), dtype=np.uint8))
-        with pytest.raises(data.DataError, match="one square size"):
+        with open(tmp_path / "pixels.bin", "ab") as f:
+            T.write_blob(f, np.zeros((1, 8, 8, 3), dtype=np.uint8))
+        with pytest.raises(data.DataError, match="bytes after the pixel record"):
             data.load_dataset(tmp_path)
 
     def test_non_square_rejected(self, tmp_path, small_dataset):
         data.save_dataset(small_dataset, tmp_path)
-        for ppm in tmp_path.glob("*/*.ppm"):
-            data.write_ppm(ppm, np.zeros((16, 8, 3), dtype=np.uint8))
-        with pytest.raises(data.DataError, match="one square size, found 8x16"):
+        rewrite_pixels(tmp_path, np.zeros((20, 16, 8, 3), dtype=np.uint8))
+        with pytest.raises(data.DataError, match=re.escape(
+                "a uint8 record of shape [20, 16, 8, 3], where the manifest's images "
+                "need uint8 (20, S, S, 3)")):
+            data.load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("pixels", [
+        np.zeros((20, 32, 32), dtype=np.uint8), np.zeros((20, 32, 32, 4), dtype=np.uint8),
+        np.zeros((19, 32, 32, 3), dtype=np.uint8), np.zeros((21, 32, 32, 3), dtype=np.uint8),
+        np.zeros((20, 32, 32, 3), dtype=np.float32)],
+        ids=["no-channels", "four-channels", "fewer-images", "more-images", "float32"])
+    def test_bad_pixel_record_rejected(self, tmp_path, small_dataset, pixels):
+        """The record must be uint8 (N, S, S, 3) with N the manifest's 20
+        entries; any other, with its sha256 recorded, names the blob."""
+        data.save_dataset(small_dataset, tmp_path)
+        rewrite_pixels(tmp_path, pixels)
+        with pytest.raises(data.DataError, match=re.escape(
+                f"dataset pixels {tmp_path / 'pixels.bin'}: a {pixels.dtype} record of "
+                f"shape {list(pixels.shape)}")):
+            data.load_dataset(tmp_path)
+
+    def test_truncated_pixels(self, tmp_path, small_dataset):
+        data.save_dataset(small_dataset, tmp_path)
+        blob = tmp_path / "pixels.bin"
+        blob.write_bytes(blob.read_bytes()[:-1])
+        with pytest.raises(data.DataError, match=re.escape(f"{blob}: truncated tensor blob")):
+            data.load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("directory", [False, True], ids=["missing", "directory"])
+    def test_unreadable_pixels(self, tmp_path, small_dataset, directory):
+        data.save_dataset(small_dataset, tmp_path)
+        blob = tmp_path / "pixels.bin"
+        blob.unlink()
+        if directory:
+            blob.mkdir()
+        with pytest.raises(data.DataError, match=re.escape(
+                f"cannot read dataset pixels {blob}")):
+            data.load_dataset(tmp_path)
+
+    def test_pixels_of_another_save(self, tmp_path, small_spec, small_dataset):
+        """A crash between a save's two moves leaves the new pixels beside the
+        old manifest. Pixels of another seed have the same shape; the
+        manifest's pixels_sha256 refuses them."""
+        data.save_dataset(small_dataset, tmp_path / "old")
+        data.save_dataset(data.generate(dataclasses.replace(small_spec, seed=12)),
+                          tmp_path / "new")
+        blob = tmp_path / "old" / "pixels.bin"
+        blob.write_bytes((tmp_path / "new" / "pixels.bin").read_bytes())
+        with pytest.raises(data.DataError, match=re.escape(
+                f"{blob}: sha256 differs from the pixels_sha256")):
+            data.load_dataset(tmp_path / "old")
+
+    def test_no_images(self, tmp_path, small_dataset):
+        """A dataset holds at least one image: save_dataset refuses an empty
+        one, and load_dataset a manifest that lists none."""
+        with pytest.raises(data.DataError, match="at least one image"):
+            data.save_dataset(data.Dataset([], ["a"]), tmp_path / "empty")
+        assert not (tmp_path / "empty").exists()
+        data.save_dataset(small_dataset, tmp_path)
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "images": []}))
+        with pytest.raises(data.DataError, match="images lists no image"):
+            data.load_dataset(tmp_path)
+
+    def test_older_dataset(self, tmp_path, small_dataset):
+        """Datasets were once PPM files named by each entry's `file`, with no
+        pixels.bin; such a manifest names the key it lacks."""
+        data.save_dataset(small_dataset, tmp_path)
+        path = tmp_path / "manifest.json"
+        manifest = json.loads(path.read_text())
+        del manifest["pixels_sha256"]
+        for i, entry in enumerate(manifest["images"]):
+            entry["file"] = f"fam0_class00/{i:04d}"
+        path.write_text(json.dumps(manifest))
+        (tmp_path / "pixels.bin").unlink()
+        with pytest.raises(data.DataError, match="KeyError: 'pixels_sha256'"):
             data.load_dataset(tmp_path)
 
     @pytest.mark.parametrize("edit, named", [
@@ -141,7 +195,7 @@ class TestDatasetIO:
         (lambda text: text.replace('"class": 3,', '"class": 4,', 1), "class 4"),
         (lambda text: text.replace('"class": 3,', '"class": -1,', 1), "class -1"),
         (lambda text: text.replace('"class": 3,', '"class": "3",', 1), "class '3'"),
-        (lambda text: text.replace('"file"', '"path"', 1), "'file'"),
+        (lambda text: text.replace('"pixels_sha256"', '"sha256"', 1), "'pixels_sha256'"),
         (lambda text: text.replace('"class"', '"label"', 1), "'class'"),
         (lambda text: text.replace('"split"', '"subset"', 1), "'split'")],
         ids=["not-json", "no-images", "class-past-end", "negative-class", "string-class",
@@ -161,18 +215,18 @@ class TestDatasetIO:
     @pytest.mark.parametrize("split", ["Val", "test", None])
     def test_unknown_split_rejected(self, tmp_path, small_dataset, split):
         """Every image is in train or val: relabelling the val entries is a
-        DataError naming the first one's file and split, not 4 of 20 images
+        DataError naming the first one's index and split, not 4 of 20 images
         that no split holds."""
         data.save_dataset(small_dataset, tmp_path)
         path = tmp_path / "manifest.json"
         manifest = json.loads(path.read_text())
-        relabelled = [e for e in manifest["images"] if e["split"] == "val"]
+        relabelled = [i for i, e in enumerate(manifest["images"]) if e["split"] == "val"]
         assert len(relabelled) == 4
-        for entry in relabelled:
-            entry["split"] = split
+        for i in relabelled:
+            manifest["images"][i]["split"] = split
         path.write_text(json.dumps(manifest))
         with pytest.raises(data.DataError,
-                           match=re.escape(f"{relabelled[0]['file']}: split {split!r}")):
+                           match=re.escape(f"image {relabelled[0]}: split {split!r}")):
             data.load_dataset(tmp_path)
 
     @pytest.mark.parametrize("box", [
@@ -182,17 +236,40 @@ class TestDatasetIO:
              "reversed", "float", "bool"])
     def test_bad_fg_box_rejected(self, tmp_path, small_dataset, box):
         """An fg_box is four ints y0, x0, y1, x1 of a non-empty box inside
-        its 32 px image: anything else is a DataError naming the file."""
+        its 32 px image: anything else is a DataError naming the entry's index."""
         data.save_dataset(small_dataset, tmp_path)
         path = tmp_path / "manifest.json"
         manifest = json.loads(path.read_text())
-        entry = manifest["images"][0]
-        entry["fg_box"] = box
+        manifest["images"][3]["fg_box"] = box
         path.write_text(json.dumps(manifest))
-        with pytest.raises(data.DataError, match=re.escape(f"{entry['file']}: fg_box")):
+        with pytest.raises(data.DataError, match=re.escape("image 3: fg_box")):
             data.load_dataset(tmp_path)
 
     def test_empty_dir(self, tmp_path):
         with pytest.raises(data.DataError, match=re.escape(
                 f"no dataset manifest at {tmp_path / 'manifest.json'}")):
             data.load_dataset(tmp_path)
+
+
+@pytest.fixture(scope="module")
+def saved_dataset(tmp_path_factory, small_dataset):
+    """A saved dataset's manifest text and pixels.bin bytes, and a directory
+    to write variants of them to."""
+    root = tmp_path_factory.mktemp("dataset")
+    data.save_dataset(small_dataset, root)
+    return (root / "manifest.json").read_text(), (root / "pixels.bin").read_bytes(), root
+
+
+@given(st.data())
+def test_every_pixels_header_byte_edit_is_refused(saved_dataset, draws):
+    """Rewriting any one header byte of pixels.bin (magic, dtype code, rank
+    or an extent byte) to another value makes the dataset unloadable:
+    DataError, never MemoryError or another exception."""
+    manifest, blob, root = saved_dataset
+    i = draws.draw(st.integers(0, 10 + 8 * blob[9] - 1))
+    edited = bytearray(blob)
+    edited[i] = draws.draw(st.integers(0, 255).filter(lambda v: v != blob[i]))
+    (root / "manifest.json").write_text(manifest)
+    (root / "pixels.bin").write_bytes(bytes(edited))
+    with pytest.raises(data.DataError):
+        data.load_dataset(root)

@@ -357,13 +357,14 @@ class TestRng:
 
 class TestBlob:
     def test_round_trip(self, nprng):
-        for dtype in (np.float32, np.float64):
+        for arr in (nprng.standard_normal((2, 3, 4)).astype(np.float32),
+                    nprng.standard_normal((2, 3, 4)),
+                    nprng.integers(0, 256, (2, 3, 4)).astype(np.uint8)):
             buf = io.BytesIO()
-            arr = nprng.standard_normal((2, 3, 4)).astype(dtype)
             T.write_blob(buf, arr)
             buf.seek(0)
             out = T.read_blob(buf)
-            assert out.dtype == dtype
+            assert out.dtype == arr.dtype
             assert np.array_equal(out, arr)
 
     def test_multiple_records_in_order(self, nprng):
@@ -382,6 +383,13 @@ class TestBlob:
     def test_bad_magic(self):
         with pytest.raises(ValueError):
             T.read_blob(io.BytesIO(b"NOTMAGIC" + b"\0" * 16))
+
+    def test_other_dtype_refused(self):
+        """A dtype with no code is refused, not cast, and nothing is written."""
+        buf = io.BytesIO()
+        with pytest.raises(ValueError, match="cannot hold dtype int64"):
+            T.write_blob(buf, np.arange(3, dtype=np.int64))
+        assert buf.getvalue() == b""
 
     def test_scalar_rank_zero(self):
         buf = io.BytesIO()
