@@ -102,9 +102,10 @@ def affinity_post(model, images: list[LabeledImage], layer: int,
     missing (NaN row) rather than zero-filled. Each batch runs only up to the
     routed layer's capture and applies the router's softmax to it, the one
     the full forward's expert selection applies, so later layers, the routed
-    layer's experts and the head never run. A batch's images are captured
-    backbone.CAPTURE_CHUNK at a time, in order, which bounds peak memory.
-    Builds no autodiff tape. The provenance adds the layer, n_batches,
+    layer's experts and the head never run. All batches are drawn first; each
+    distinct image drawn is captured once, backbone.CAPTURE_CHUNK at a time,
+    and its patch sums are added to its class once per draw, in sampling
+    order. Builds no autodiff tape. The provenance adds the layer, n_batches,
     batch_size and the rng's seed to the caller's entries.
     """
     if n_batches < 1 or batch_size < 1:
@@ -117,20 +118,20 @@ def affinity_post(model, images: list[LabeledImage], layer: int,
         raise ValueError(f"layer {layer} is not a MoE block")
     rng = rng or Rng(0)
     num_classes = model.config.num_classes
-    sums = np.zeros((num_classes, block.router.num_experts))
-    patch_counts = np.zeros(num_classes, dtype=np.int64)
+    idx = np.concatenate([rng.gen.integers(0, len(images), size=min(batch_size, len(images)))
+                          for _ in range(n_batches)])
+    distinct, draw_rows = np.unique(idx, return_inverse=True)
+    per_image = []  # patch sums of each distinct image's routing softmax, E per row
     with model.no_grad():
-        for _ in range(n_batches):
-            idx = rng.gen.integers(0, len(images), size=min(batch_size, len(images)))
-            for start in range(0, len(idx), backbone.CAPTURE_CHUNK):
-                chunk = idx[start:start + backbone.CAPTURE_CHUNK]
-                x = np.stack([images[i].pixels for i in chunk])
-                labels = np.array([images[i].class_id for i in chunk])
-                logits = moe.routing_logits(model.capture_pre_mlp(x, layer), block.router)
-                probs = T.softmax(logits, axis=-1).data  # B x P x E
-                per_image = probs.sum(axis=1)  # sum over patches
-                np.add.at(sums, labels, per_image)
-                np.add.at(patch_counts, labels, probs.shape[1])
+        for start in range(0, len(distinct), backbone.CAPTURE_CHUNK):
+            x = np.stack([images[i].pixels for i in distinct[start:start + backbone.CAPTURE_CHUNK]])
+            logits = moe.routing_logits(model.capture_pre_mlp(x, layer), block.router)
+            probs = T.softmax(logits, axis=-1).data  # B x P x E
+            per_image.append(probs.sum(axis=1))
+    labels = np.array([images[i].class_id for i in idx])
+    sums = np.zeros((num_classes, block.router.num_experts))
+    np.add.at(sums, labels, np.concatenate(per_image)[draw_rows])
+    patch_counts = np.bincount(labels, minlength=num_classes) * probs.shape[1]
     missing = [c for c in range(num_classes) if patch_counts[c] == 0]
     values = np.full_like(sums, np.nan)
     seen = patch_counts > 0

@@ -260,7 +260,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
     p = np.empty(q.shape[:-1] + q.shape[-2:-1], dtype)
     np.matmul(q.data, np.swapaxes(k.data, -1, -2), out=p)
     np.multiply(p, scale, out=p)
-    np.subtract(p, p.max(axis=-1, keepdims=True), out=p)
+    np.subtract(p, _row_max(p, -1), out=p)
     np.exp(p, out=p)
     np.divide(p, p.sum(axis=-1, keepdims=True), out=p)
     out = p @ v.data
@@ -375,9 +375,14 @@ def sqrt(a: Tensor) -> Tensor:
     return _op(out_data, (a, lambda g: g * 0.5 / out_data))
 
 
+def _row_max(a: np.ndarray, axis: int) -> np.ndarray:
+    # exact: fmax is .max on a row without NaN, and a NaN row ends all NaN either way
+    return np.fmax.reduce(a, axis=axis, keepdims=True)
+
+
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Max-stabilized softmax along axis."""
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    shifted = a.data - _row_max(a.data, axis)
     e = np.exp(shifted)
     out_data = e / e.sum(axis=axis, keepdims=True)
     return _op(out_data,
@@ -385,26 +390,32 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    shifted = a.data - _row_max(a.data, axis)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
     out_data = shifted - lse
     return _op(out_data, (a, lambda g: g - np.exp(out_data) * g.sum(axis=axis, keepdims=True)))
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
-    """Normalize over the last (channel) axis, eps default_eps(), then affine."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    """Normalize over the last (channel) axis, eps default_eps(), then affine.
+    The forward makes x.mean's, (xc * xc).mean's and the affine's ufunc calls
+    in two full-size arrays."""
+    n = x.shape[-1]
+    xc = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / n
+    out = np.multiply(xc, xc)
+    var = np.add.reduce(out, axis=-1, keepdims=True)
+    var /= n
     inv = 1.0 / np.sqrt(var + default_eps())
-    xhat = xc * inv
+    xhat = np.multiply(xc, inv, out=xc)
 
     def x_grad(g):
         gh = g * gain.data
         return inv * (gh - gh.mean(axis=-1, keepdims=True)
                       - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
 
-    return _op(xhat * gain.data + bias.data, (gain, lambda g: g * xhat),
+    np.multiply(xhat, gain.data, out=out)
+    np.add(out, bias.data, out=out)
+    return _op(out, (gain, lambda g: g * xhat),
                (bias, lambda g: g), (x, x_grad))
 
 
@@ -414,7 +425,10 @@ def clamp_min(a: Tensor, floor: float) -> Tensor:
 
 
 def silu(a: Tensor) -> Tensor:
-    sig = 1.0 / (1.0 + np.exp(-a.data))
+    sig = np.negative(a.data)
+    np.exp(sig, out=sig)
+    np.add(1.0, sig, out=sig)
+    np.divide(1.0, sig, out=sig)
     return _op(a.data * sig, (a, lambda g: g * sig * (1.0 + a.data * (1.0 - sig))))
 
 

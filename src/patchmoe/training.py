@@ -185,7 +185,8 @@ class EvalResult:
 
 def evaluate(model, images: list[LabeledImage], batch_size: int = 32) -> EvalResult:
     """Deterministic eval-mode pass over a list of labeled images. Builds no
-    autodiff tape."""
+    autodiff tape. Each batch's loss is its images' mean; its forwards run
+    backbone.CAPTURE_CHUNK images at a time."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     if not images:
@@ -198,16 +199,18 @@ def evaluate(model, images: list[LabeledImage], batch_size: int = 32) -> EvalRes
     with model.no_grad():
         for start in range(0, len(images), batch_size):
             chunk = images[start:start + batch_size]
-            x = np.stack([im.pixels for im in chunk])
             y = labels[start:start + len(chunk)]
-            result = model.forward(x)
-            loss = soft_cross_entropy(result.logits, one_hot(y, num_classes))
+            parts = []
+            for lo in range(0, len(chunk), backbone.CAPTURE_CHUNK):
+                part = chunk[lo:lo + backbone.CAPTURE_CHUNK]
+                result = model.forward(np.stack([im.pixels for im in part]))
+                parts.append(result.logits.data)
+                for layer, record in result.routing.items():
+                    counts[layer] = counts.get(layer, 0) + record.expert_counts
+            logits = np.concatenate(parts)
+            loss = soft_cross_entropy(Tensor(logits), one_hot(y, num_classes))
             total_loss += loss.item() * len(chunk)
-            preds[start:start + len(chunk)] = np.argmax(result.logits.data, axis=-1)
-            for layer, record in result.routing.items():
-                if layer not in counts:
-                    counts[layer] = np.zeros(record.num_experts, dtype=np.int64)
-                counts[layer] += record.expert_counts
+            preds[start:start + len(chunk)] = np.argmax(logits, axis=-1)
     per_class = {}
     for c in range(num_classes):
         mask = labels == c

@@ -120,8 +120,18 @@ class TestAffinityPost:
         assert got.provenance == want.provenance
         assert got.temperature == want.temperature
 
+    @staticmethod
+    def drawn(n_images, n_batches, batch_size, seed):
+        """The image indices affinity_post draws, in sampling order."""
+        rng = Rng(seed)
+        return np.concatenate([rng.gen.integers(0, n_images, size=min(batch_size, n_images))
+                               for _ in range(n_batches)])
+
     @pytest.mark.parametrize("layer", [0, 1])
     def test_runs_nothing_after_the_routed_layer(self, monkeypatch, layer):
+        """Each chunk of distinct drawn images runs attention up to the
+        routed layer only."""
+        monkeypatch.setattr(backbone, "CAPTURE_CHUNK", 2)
         model = self.two_moe_layer_model(layers=3)
         images = make_two_class_dataset().split("val")
         calls = {"attention": 0, "expert": 0}
@@ -141,8 +151,9 @@ class TestAffinityPost:
         monkeypatch.setattr(backbone.Model, "attention", count_attention)
         monkeypatch.setattr(moe, "expert_forward", count_expert)
         monkeypatch.setattr(model, "forward", no_forward)
-        affinity.affinity_post(model, images, layer, n_batches=2, batch_size=4)
-        assert calls["attention"] == 2 * (layer + 1)
+        affinity.affinity_post(model, images, layer, n_batches=2, batch_size=4, rng=Rng(0))
+        chunks = -(-len(np.unique(self.drawn(len(images), 2, 4, 0))) // 2)
+        assert calls["attention"] == chunks * (layer + 1)
         if layer == 0:
             assert calls["expert"] == 0
         else:
@@ -203,19 +214,28 @@ class TestAffinityPost:
             affinity.affinity_post(model, images, 1, n_batches, batch_size, Rng(0))
 
     def test_batches_captured_in_chunks(self, monkeypatch):
+        """Every distinct drawn image is captured exactly once, in ascending
+        index order, in chunks of at most CAPTURE_CHUNK images, however often
+        the batches draw it."""
         monkeypatch.setattr(backbone, "CAPTURE_CHUNK", 2)
         model = self.two_moe_layer_model()
         images = make_two_class_dataset().split("val")
-        sizes = []
+        captured = []
         original = backbone.Model.capture_pre_mlp
 
-        def counting(self, images, layer):
-            sizes.append(len(images))
-            return original(self, images, layer)
+        def recording(self, x, layer):
+            captured.append(x.copy())
+            return original(self, x, layer)
 
-        monkeypatch.setattr(backbone.Model, "capture_pre_mlp", counting)
+        monkeypatch.setattr(backbone.Model, "capture_pre_mlp", recording)
         affinity.affinity_post(model, images, 0, n_batches=3, batch_size=5, rng=Rng(4))
-        assert sizes == [2, 2, 1] * 3
+        idx = self.drawn(len(images), 3, 5, 4)
+        distinct = np.unique(idx)
+        assert len(distinct) < len(idx)  # some image is drawn more than once
+        assert [len(x) for x in captured] == [len(distinct[i:i + 2])
+                                              for i in range(0, len(distinct), 2)]
+        want = np.stack([images[i].pixels for i in distinct])
+        assert np.concatenate(captured).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("layer", [0, 1])
     def test_chunked_matches_full_forward_oracle(self, monkeypatch, layer):

@@ -277,6 +277,21 @@ class TestPipeline:
         assert rc == cli.EXIT_DATA
         assert not (tmp_path / "ckpt").exists()
 
+    @pytest.mark.parametrize("command, ckpt", [("pretrain", None), ("finetune", "moe")])
+    def test_all_val_dataset_has_no_train_images(self, workdir, tmp_path, capsys, command, ckpt):
+        """A saved dataset whose images are all val loads, and training
+        refuses it before it writes anything."""
+        ds = data.load_dataset(workdir["data"])
+        images = [dataclasses.replace(im, split="val") for im in ds.images]
+        data.save_dataset(dataclasses.replace(ds, images=images), tmp_path / "data")
+        args = ["--ckpt", str(workdir[ckpt])] if ckpt else []
+        rc = cli.main([command, "--config", str(workdir["config"]), *args,
+                       "--data", str(tmp_path / "data"),
+                       "--out", str(tmp_path / "ckpt" / "x.json")])
+        assert rc == cli.EXIT_DATA
+        assert "the dataset has no train images" in capsys.readouterr().err
+        assert not (tmp_path / "ckpt").exists()
+
     @pytest.mark.parametrize("shapes", [[(20, 32, 32, 3), (1, 16, 16, 3)], [(20, 32, 24, 3)]],
                              ids=["mixed-sizes", "non-square"])
     def test_unusable_images_are_data_error(self, workdir, tmp_path, shapes):

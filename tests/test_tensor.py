@@ -57,6 +57,82 @@ class TestSoftmax:
         assert np.all(out > 0)
 
 
+INF, NAN = np.inf, np.nan
+# rows with +-inf, +-0.0 mixes, all-equal entries and NaNs, in the entries'
+# order in which a short row's max could see them
+SPECIAL_ROWS = [
+    [0.0, -0.0, 0.0, -0.0], [-0.0, -0.0, 0.0, 0.0], [-0.0, 0.0, -1.0, -0.0],
+    [-0.0, -0.0, -0.0, -0.0], [1.5, 1.5, 1.5, 1.5], [-2.0, -2.0, -2.0, -2.0],
+    [INF, 1.0, -INF, 0.0], [-INF, 2.0, -INF, -0.0], [-INF, -INF, -INF, -INF],
+    [INF, INF, 1.0, 2.0], [3.0, -INF, 3.0, 1.0], [NAN, 1.0, 2.0, 3.0],
+    [1.0, NAN, INF, -INF], [NAN, NAN, NAN, NAN], [5.0, 4.0, 3.0, NAN],
+    [0.3, -1.2, 2.5, 0.7],
+]
+
+
+def max_reference(name, a, axis):
+    """softmax and log_softmax with the row max taken by .max, as numpy
+    writes them."""
+    shifted = a - a.max(axis=axis, keepdims=True)
+    if name == "softmax":
+        e = np.exp(shifted)
+        return e / e.sum(axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+
+
+def attention_max_reference(q, k, v, scale):
+    """T.attention's forward with the row max taken by .max."""
+    p = (q @ np.swapaxes(k, -1, -2)) * q.dtype.type(scale)
+    p = np.exp(p - p.max(axis=-1, keepdims=True))
+    return (p / p.sum(axis=-1, keepdims=True)) @ v
+
+
+def assert_rows_match(got, want, axis):
+    """Byte-equal on every row (along axis) that holds no NaN; a row with a
+    NaN is all NaN in both, its payload bits aside."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    got, want = np.moveaxis(got, axis, -1), np.moveaxis(want, axis, -1)
+    nan_rows = np.isnan(want).any(axis=-1)
+    assert np.array_equal(np.isnan(got).any(axis=-1), nan_rows)
+    assert np.isnan(got[nan_rows]).all() and np.isnan(want[nan_rows]).all()
+    assert got[~nan_rows].tobytes() == want[~nan_rows].tobytes()
+
+
+class TestRowMax:
+    """softmax, log_softmax and attention take the row max with
+    np.fmax.reduce, which gives .max's value on every row without a NaN."""
+
+    @pytest.mark.parametrize("axis", [-1, 0])
+    @pytest.mark.parametrize("name", ["softmax", "log_softmax"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_byte_equal_to_max_reference(self, dtype, name, axis):
+        a = np.array(SPECIAL_ROWS, dtype=dtype)
+        a = a if axis == -1 else np.ascontiguousarray(a.T)
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = getattr(T, name)(T.Tensor(a), axis=axis).data
+            want = max_reference(name, a, axis)
+        assert_rows_match(got, want, axis)
+        assert np.isnan(want).any(axis=axis).sum() == 7  # rows 6, 8, 9, 11-14
+
+    @pytest.mark.parametrize("k_row", [[1.0, -1.0, 2.0, -0.0, 0.5, -2.0, 0.0, 3.0, -0.5],
+                                       [0.75] * 9],
+                             ids=["mixed", "all-equal"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_attention_byte_equal_to_max_reference(self, dtype, k_row):
+        """With one head dimension each score row is a query times the nine
+        keys: zeros of both signs, overflow to +-inf, inf * 0 and NaN."""
+        big = np.finfo(dtype).max
+        q = np.array([0.0, -0.0, 1.0, big, -big, INF, -INF, NAN, -3.0], dtype)[None, :, None]
+        k = np.array(k_row, dtype)[None, :, None]
+        v = np.random.default_rng(0).standard_normal((1, len(k_row), 3)).astype(dtype)
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = T.attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), 0.5).data
+            want = attention_max_reference(q, k, v, 0.5)
+            scores = (q @ np.swapaxes(k, -1, -2)) * dtype(0.5)
+        assert_rows_match(got, want, -1)
+        assert np.isnan(want).any() and np.isinf(scores).any()
+
+
 class TestLayerNorm:
     def test_constant_input_maps_to_zero(self):
         x = T.Tensor(np.full((3, 4), 7.0))

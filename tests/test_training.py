@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from patchmoe.data import Dataset, LabeledImage
 from patchmoe.tensor import Rng
 
 from util_model import toy_config
-from util_oracles import train_step_oracle
+from util_oracles import evaluate_oracle, train_step_oracle
 from test_expert_init import make_router
 
 
@@ -320,6 +321,90 @@ class TestTrain:
         val_set = {id(im) for im in ds.split("val")}
         assert train_set.isdisjoint(val_set)
         assert len(train_set) + len(val_set) == len(ds.images)
+
+
+def eval_toy(moe_layers=()):
+    """A 3-class 8 px model, with 3-expert MoE at `moe_layers`, and 74 random
+    images: batches of 32 and 64 end in a partial batch and slice."""
+    cfg = toy_config(moe_layers=moe_layers, experts=3)
+    model = backbone.Model(cfg, Rng(1))
+    for i in moe_layers:
+        expert_init.moefy_layer(model, i, make_router(cfg.d_model, 3, seed=i))
+    rng = np.random.default_rng(5)
+    images = [LabeledImage(rng.integers(0, 256, (8, 8, 3), dtype=np.uint8), i % 3, "val")
+              for i in range(74)]
+    return model, images
+
+
+class TestSlicedEvaluate:
+    """evaluate runs each batch backbone.CAPTURE_CHUNK images per forward;
+    util_oracles.evaluate_oracle is the one-forward-per-batch pass it
+    replaced."""
+
+    def both(self, dtype, batch_size, moe_layers):
+        T.set_default_dtype(dtype)
+        try:
+            model, images = eval_toy(moe_layers)
+            return (training.evaluate(model, images, batch_size),
+                    evaluate_oracle(model, images, batch_size))
+        finally:
+            T.set_default_dtype("float32")
+
+    @staticmethod
+    def assert_same_counts(got, want):
+        assert got.predictions.tobytes() == want.predictions.tobytes()
+        assert got.per_class == want.per_class
+        assert got.top1 == want.top1
+        assert got.expert_counts.keys() == want.expert_counts.keys()
+        for layer, counts in want.expert_counts.items():
+            assert got.expert_counts[layer].dtype == counts.dtype
+            assert got.expert_counts[layer].tobytes() == counts.tobytes(), layer
+
+    @pytest.mark.parametrize("moe_layers", [(), (0, 1)], ids=["dense", "moe"])
+    @pytest.mark.parametrize("batch_size", [5, backbone.CAPTURE_CHUNK])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_one_slice_batches_byte_equal_to_oracle(self, dtype, batch_size, moe_layers):
+        got, want = self.both(dtype, batch_size, moe_layers)
+        assert got.loss.hex() == want.loss.hex()
+        self.assert_same_counts(got, want)
+
+    @pytest.mark.parametrize("batch_size", [32, 64])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_sliced_batches_byte_equal_to_oracle_on_dense_model(self, dtype, batch_size):
+        """Without MoE an image's logits do not depend on the other images
+        in its forward, so slicing changes no byte."""
+        got, want = self.both(dtype, batch_size, ())
+        assert got.loss.hex() == want.loss.hex()
+        self.assert_same_counts(got, want)
+
+    @pytest.mark.parametrize("batch_size", [32, 64])
+    def test_sliced_batches_match_oracle_behind_moe_layers(self, batch_size):
+        """An expert's matmul sees only its slice's rows and may round
+        differently: the tolerance of affinity's chunked oracle test."""
+        got, want = self.both("float32", batch_size, (0, 1))
+        assert np.allclose(got.loss, want.loss, rtol=1e-5, atol=1e-7)
+        self.assert_same_counts(got, want)
+
+    def test_peak_memory_bounded_by_chunk(self):
+        """On a 64 px desk-shaped model, a batch of 4 chunks peaks about as
+        high as a batch of one chunk."""
+        cfg = backbone.desk_config(2, moe_layers=(1,), experts=4)
+        model = backbone.Model(cfg, Rng(0))
+        expert_init.moefy_layer(model, 1, make_router(cfg.d_model, 4))
+        chunk = backbone.CAPTURE_CHUNK
+        rng = np.random.default_rng(0)
+        images = [LabeledImage(rng.integers(0, 256, (64, 64, 3), dtype=np.uint8), i % 2, "val")
+                  for i in range(4 * chunk)]
+
+        def peak(batch_size):
+            tracemalloc.start()
+            try:
+                training.evaluate(model, images, batch_size)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4 * chunk) <= 1.25 * peak(chunk)
 
 
 def sliced_toy(dropout=0.1):

@@ -298,6 +298,41 @@ def affinity_post_forward_oracle(model, images, layer, n_batches=50, batch_size=
                                    0.0, prov, missing_classes=missing)
 
 
+def evaluate_oracle(model, images, batch_size=32):
+    """training.evaluate as it was before it ran in slices: one untaped
+    forward per batch of batch_size images, whatever its size."""
+    num_classes = model.config.num_classes
+    labels = np.array([im.class_id for im in images])
+    preds = np.empty(len(images), dtype=np.int64)
+    total_loss = 0.0
+    counts = {}
+    with model.no_grad():
+        for start in range(0, len(images), batch_size):
+            chunk = images[start:start + batch_size]
+            x = np.stack([im.pixels for im in chunk])
+            y = labels[start:start + len(chunk)]
+            result = model.forward(x)
+            loss = training.soft_cross_entropy(result.logits, training.one_hot(y, num_classes))
+            total_loss += loss.item() * len(chunk)
+            preds[start:start + len(chunk)] = np.argmax(result.logits.data, axis=-1)
+            for layer, record in result.routing.items():
+                if layer not in counts:
+                    counts[layer] = np.zeros(record.num_experts, dtype=np.int64)
+                counts[layer] += record.expert_counts
+    per_class = {}
+    for c in range(num_classes):
+        mask = labels == c
+        if mask.any():
+            per_class[c] = float((preds[mask] == c).mean())
+    return training.EvalResult(
+        loss=total_loss / len(images),
+        top1=float((preds == labels).mean()),
+        per_class=per_class,
+        predictions=preds,
+        expert_counts=counts,
+    )
+
+
 def train_step_oracle(model, optimizer, x, y, labels, rng, where):
     """training.train_step as it was before it ran in slices: one forward
     and one backward over the whole batch, whatever its size."""
