@@ -311,16 +311,12 @@ class Model:
                 if isinstance(layer.mlp, moe_mod.MoEBlock)}
 
     def parameter_counts(self) -> dict:
-        counts = {"total": 0, "moe_layers": 0, "per_expert": {}}
-        for name, t in self.named_parameters().items():
-            n = t.data.size
-            counts["total"] += n
-            if ".moe." in name:
-                counts["moe_layers"] += n
-        for i, block in self.moe_blocks().items():
-            counts["per_expert"][str(i)] = sum(
-                t.data.size for t in block.experts[0].parameters().values())
-        return counts
+        params = self.named_parameters()
+        return {"total": sum(t.data.size for t in params.values()),
+                "moe_layers": sum(t.data.size for n, t in params.items() if ".moe." in n),
+                "per_expert": {str(i): sum(getattr(block, k).data[0].size
+                                           for k in moe_mod.EXPERT_WEIGHTS)
+                               for i, block in self.moe_blocks().items()}}
 
 
 # ---------------------------------------------------------------------------
@@ -376,35 +372,27 @@ class CheckpointError(Exception):
 def _model_from_manifest(manifest: dict) -> Model:
     """The model a manifest describes. The config holds every model setting;
     an MoE entry, at one of its moe_layers, adds only its scaler and its
-    source hash. Parameter values are placeholders, each of the shape the
-    config gives it: config.experts experts of config.d_expert hidden dims
-    per MoE layer."""
+    source hash. Parameter values are placeholders of the shapes the config
+    gives: per MoE layer, config.experts stacked experts of config.d_expert units."""
     stored = manifest["config"]
     missing = [f.name for f in fields(ModelConfig) if f.name not in stored]
     if missing:
         raise ValueError(f"config lacks {', '.join(missing)}")
     config = ModelConfig(**stored)
     model = Model(config, Rng(0))
-    d = config.d_model
-    de = config.d_expert
     for key, info in manifest["moe"].items():
         if key not in {str(i) for i in config.moe_layers}:
             raise ValueError(f"MoE entry {key!r} does not name one of the config's "
                              f"moe_layers {list(config.moe_layers)}")
         router = moe_mod.Router(
-            centroids=T.parameter(np.ones((config.experts, d))),
+            centroids=T.parameter(np.ones((config.experts, config.d_model))),
             scaler=ScalerParams.from_json(info["scaler"]),
             temperature=config.router_temperature, top_k=config.top_k,
             gate_mode=config.gate_mode)
-        experts = [moe_mod.ExpertMLP(
-            w1=T.parameter(np.zeros((d, de))), b1=T.parameter(np.zeros(de)),
-            w2=T.parameter(np.zeros((de, d))), b2=T.parameter(np.zeros(d)),
-            gamma=T.parameter(np.zeros(())), x_corr=T.parameter(np.zeros(d)))
-            for _ in range(config.experts)]
         if not isinstance(info["source_dense_hash"], str):
             raise ValueError(f"layer {key} source_dense_hash must be a string")
-        model.layers[int(key)].mlp = moe_mod.MoEBlock(
-            router=router, experts=experts, source_hash=info["source_dense_hash"])
+        model.layers[int(key)].mlp = moe_mod.MoEBlock.zeros(
+            router, config.d_expert, info["source_dense_hash"])
     if not isinstance(manifest["finetuned"], bool):
         raise ValueError("finetuned must be true or false")
     model.finetuned = manifest["finetuned"]

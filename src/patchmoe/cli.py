@@ -342,14 +342,13 @@ def cmd_inspect(args) -> int:
     print(f"stage: {'moe' if model.moe_blocks() else 'dense'}  finetuned: {model.finetuned}")
     print(f"total parameters: {counts['total']}")
     print(f"moe parameters: {counts['moe_layers']}")
-    d_e = model.config.d_expert
     for layer, per in counts["per_expert"].items():
         block = model.layers[int(layer)].mlp
-        print(f"layer {layer}: experts {block.router.num_experts}, d_e {d_e}, "
+        print(f"layer {layer}: experts {block.router.num_experts}, d_e {model.config.d_expert}, "
               f"per-expert parameters {per}, "
               f"top_k {block.router.top_k}, source {block.source_hash}")
         print(f"layer {layer}: gamma per expert "
-              + " ".join(f"{float(ex.gamma.data):.4g}" for ex in block.experts))
+              + " ".join(f"{float(g):.4g}" for g in block.gamma.data))
     return 0
 
 

@@ -84,9 +84,12 @@ class Dataset:
     def split(self, tag: str) -> list[LabeledImage]:
         return [im for im in self.images if im.split == tag]
 
-    def by_class(self, class_id: int, split: str | None = None) -> list[LabeledImage]:
-        return [im for im in self.images
-                if im.class_id == class_id and (split is None or im.split == split)]
+    def by_class(self, split: str | None = None) -> list[list[LabeledImage]]:
+        """The images of `split` (all if None), one list per class, in dataset order."""
+        groups = [[] for _ in range(self.num_classes)]
+        for im in self.images if split is None else self.split(split):
+            groups[im.class_id].append(im)
+        return groups
 
 
 FAMILY_COLORS = np.array([
@@ -179,15 +182,16 @@ def generate(spec: SynthSpec) -> Dataset:
 
 
 def resize_nearest(image: np.ndarray, new_size: int) -> np.ndarray:
-    """Nearest-neighbor square resize of an H x W x C image."""
+    """Nearest-neighbor square resize of an H x W x C image, or of each
+    image of an (n, H, W, C) batch: the two axes before the channel axis."""
     if new_size <= 0:
         raise ValueError("new_size must be positive")
-    h, w = image.shape[:2]
+    h, w = image.shape[-3:-1]
     if (h, w) == (new_size, new_size):
         return image.copy()
     rows = (np.arange(new_size) * h) // new_size
     cols = (np.arange(new_size) * w) // new_size
-    return image[rows][:, cols]
+    return np.take(np.take(image, rows, axis=-3), cols, axis=-2)
 
 
 def save_dataset(dataset: Dataset, out_dir: Path | str) -> None:

@@ -14,37 +14,33 @@ import numpy as np
 
 from . import tensor as T
 from .backbone import DenseMLP, Model, dense_mlp_hash
-from .moe import ExpertMLP, MoEBlock, Router
+from .moe import MoEBlock, Router
 from .tensor import Tensor
 
 GAMMA_INIT = 0.9
 
 
-def slice_expert(mlp: DenseMLP, centroid_raw: np.ndarray, d_e: int,
-                 gamma: float = GAMMA_INIT) -> ExpertMLP:
-    """The expert of one raw-space centroid, from the dense MLP alone.
+def slice_expert(block: MoEBlock, e: int, mlp: DenseMLP, centroid_raw: np.ndarray,
+                 gamma: float = GAMMA_INIT) -> None:
+    """Fill row e of each of the block's expert arrays with the expert of one
+    raw-space centroid, from the dense MLP alone.
 
     The centroid is already the MLP's input, so it runs with no norm step
     once through w1 and SiLU in float64, with the weights in C order whatever
-    their layout, so the sums are too. The expert keeps the d_e (at most
-    d_ff) most strongly activated hidden units, ties to the lower index, in
+    their layout, so the sums are too. The expert keeps the block's d_e
+    most strongly activated hidden units, ties to the lower index, in
     ascending order; x_corr is the unsliced MLP's output from the same
-    activations. The weights are copies.
+    activations.
     """
-    def f64(a):
-        return a.astype(np.float64, order="C")
-
     c = np.asarray(centroid_raw, dtype=np.float64)
-    acts = T.silu(Tensor(c @ f64(mlp.w1.data) + mlp.b1.data)).data
-    keep = np.sort(np.argsort(-acts, kind="stable")[:d_e])
-    return ExpertMLP(
-        w1=T.parameter(mlp.w1.data[:, keep]),
-        b1=T.parameter(mlp.b1.data[keep]),
-        w2=T.parameter(mlp.w2.data[keep, :]),
-        b2=T.parameter(mlp.b2.data.copy()),
-        gamma=T.parameter(gamma),
-        x_corr=T.parameter(acts @ f64(mlp.w2.data) + mlp.b2.data),
-    )
+    acts = T.silu(Tensor(c @ mlp.w1.data.astype(np.float64, order="C") + mlp.b1.data)).data
+    keep = np.sort(np.argsort(-acts, kind="stable")[:block.w1.shape[2]])
+    block.w1.data[e] = mlp.w1.data[:, keep]
+    block.b1.data[e] = mlp.b1.data[keep]
+    block.w2.data[e] = mlp.w2.data[keep, :]
+    block.b2.data[e] = mlp.b2.data
+    block.gamma.data[e] = gamma
+    block.x_corr.data[e] = acts @ mlp.w2.data.astype(np.float64, order="C") + mlp.b2.data
 
 
 def per_expert_param_count(d_model: int, d_ff: int, reduction_factor: int) -> int:
@@ -75,9 +71,8 @@ def moefy_layer(model: Model, layer_index: int, router: Router,
     if (router.top_k, router.temperature, router.gate_mode) != (
             cfg.top_k, cfg.router_temperature, cfg.gate_mode):
         raise ValueError("router top_k, temperature and gate_mode must be the config's")
-    experts = [slice_expert(layer.mlp, T.minmax_invert(router.scaler, centroid),
-                            cfg.d_expert, gamma)
-               for centroid in router.centroids.data]
-    block = MoEBlock(router=router, experts=experts, source_hash=dense_mlp_hash(layer))
+    block = MoEBlock.zeros(router, cfg.d_expert, dense_mlp_hash(layer))
+    for e, centroid in enumerate(router.centroids.data):
+        slice_expert(block, e, layer.mlp, T.minmax_invert(router.scaler, centroid), gamma)
     layer.mlp = block
     return block

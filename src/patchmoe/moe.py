@@ -56,26 +56,20 @@ class Router:
         return self.centroids.shape[0]
 
 
-@dataclass
-class ExpertMLP:
-    w1: Tensor  # d x d_e (sliced columns)
-    b1: Tensor  # d_e
-    w2: Tensor  # d_e x d (sliced rows)
-    b2: Tensor  # d
-    gamma: Tensor  # scalar blend weight, clamped to [0, 1] after each step
-    x_corr: Tensor  # d, full-MLP output at the expert's raw-space centroid
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2,
-                "gamma": self.gamma, "x_corr": self.x_corr}
+# The stacked expert arrays of a MoEBlock, each with one row per expert.
+EXPERT_WEIGHTS = ("w1", "b1", "w2", "b2", "gamma", "x_corr")
 
 
-def expert_forward(h_pixels: Tensor, expert: ExpertMLP) -> Tensor:
-    """Run one expert on an n x d batch of MLP-input-normed pixels."""
-    a = T.silu(T.linear(h_pixels, expert.w1, expert.b1))
-    out = T.linear(a, expert.w2, expert.b2)
-    one_minus = T.sub(T.Tensor(1.0), expert.gamma)
-    return T.add(T.mul(out, one_minus), T.mul(expert.x_corr, expert.gamma))
+def expert_forward(h_pixels: Tensor, block: "MoEBlock", e: int) -> Tensor:
+    """Run expert e of the block on an n x d batch of MLP-input-normed pixels,
+    taking row e of each array on the tape so that its gradients land in that row;
+    gamma is taken once per use, so each use adds into the row as into a leaf."""
+    w1, b1, w2, b2, x_corr = (T.take(getattr(block, k), e)
+                              for k in ("w1", "b1", "w2", "b2", "x_corr"))
+    a = T.silu(T.linear(h_pixels, w1, b1))
+    out = T.linear(a, w2, b2)
+    one_minus = T.sub(T.Tensor(1.0), T.take(block.gamma, e))
+    return T.add(T.mul(out, one_minus), T.mul(x_corr, T.take(block.gamma, e)))
 
 
 @dataclass
@@ -96,19 +90,32 @@ class RoutingRecord:
 
 @dataclass
 class MoEBlock:
+    """The router and the E experts' weights: one array per kind, row e expert e's."""
     router: Router
-    experts: list[ExpertMLP]
+    w1: Tensor      # E x d x d_e (sliced columns)
+    b1: Tensor      # E x d_e
+    w2: Tensor      # E x d_e x d (sliced rows)
+    b2: Tensor      # E x d
+    gamma: Tensor   # E blend weights, clamped to [0, 1] after each step
+    x_corr: Tensor  # E x d, full-MLP output at the expert's raw-space centroid
     source_hash: str | None = None  # dense_mlp_hash of the MLP it replaced
 
     def __post_init__(self):
-        if len(self.experts) != self.router.num_experts:
-            raise ValueError("expert count does not match router centroids")
+        if any(getattr(self, k).shape[:1] != (self.router.num_experts,)
+               for k in EXPERT_WEIGHTS):
+            raise ValueError("expert arrays must hold one row per router centroid")
+
+    @classmethod
+    def zeros(cls, router: Router, d_e: int, source_hash: str | None = None) -> "MoEBlock":
+        """A block whose E experts of d_e hidden units are all zeros."""
+        e, d = router.centroids.shape
+        shapes = dict(w1=(d, d_e), b1=(d_e,), w2=(d_e, d), b2=(d,), gamma=(), x_corr=(d,))
+        return cls(router, **{k: T.parameter(np.zeros((e, *shapes[k]))) for k in EXPERT_WEIGHTS},
+                   source_hash=source_hash)
 
     def parameters(self) -> dict[str, Tensor]:
-        out = {"router.centroids": self.router.centroids}
-        for e, ex in enumerate(self.experts):
-            out.update({f"expert{e}.{k}": v for k, v in ex.parameters().items()})
-        return out
+        return {"router.centroids": self.router.centroids,
+                **{k: getattr(self, k) for k in EXPERT_WEIGHTS}}
 
 
 def routing_logits(x_captured: Tensor, router: Router) -> Tensor:
@@ -146,8 +153,7 @@ def select_experts(logits: Tensor, top_k: int, gate_mode: str = "renorm"):
 
 
 def moe_forward(x: Tensor, captured: Tensor, block: MoEBlock):
-    """Apply the MoE sublayer (without the outer residual, which the caller
-    adds).
+    """Apply the MoE sublayer, without the outer residual, which the caller adds.
 
     captured is the post-attention activation after the layer's MLP-input
     norm: the router routes on it and each expert reads its rows, as the
@@ -173,8 +179,8 @@ def moe_forward(x: Tensor, captured: Tensor, block: MoEBlock):
     rows = order // router.top_k
     sizes = np.bincount(flat_idx, minlength=router.num_experts)
     segments = T.split_rows(T.reshape(captured, (b * p, n_px, d)), rows, sizes)
-    outs = [T.reshape(expert_forward(T.reshape(seg, (-1, d)), expert), seg.shape)
-            for seg, expert in zip(segments, block.experts) if len(seg.data)]
+    outs = [T.reshape(expert_forward(T.reshape(seg, (-1, d)), block, e), seg.shape)
+            for e, seg in enumerate(segments) if len(seg.data)]
     # without a tape, the gathered rows are freed before the output is built
     del segments
     out = T.reshape(T.add_rows(outs, T.take(T.reshape(gates, (-1,)), order), rows, b * p),

@@ -187,23 +187,21 @@ def collect_embeddings(model, dataset: Dataset, layer: int, scales,
     cfg = model.config
     picked = []    # pixels of the picked images, class by class
     bounds = [0]   # class c's images are picked[bounds[c]:bounds[c + 1]]
-    for c in range(dataset.num_classes):
-        images = dataset.by_class(c, "train")
+    for c, images in enumerate(dataset.by_class("train")):
         if not images:
             raise DataError(f"class {c} has no training samples")
-        crng = rng.child(c)
         n = min(samples_per_class, len(images))
-        picks = sorted(crng.gen.choice(len(images), size=n, replace=False).tolist())
+        picks = sorted(rng.child(c).gen.choice(len(images), size=n, replace=False).tolist())
         picked += [images[i].pixels for i in picks]
         bounds.append(len(picked))
     offsets = np.cumsum([0] + [(s // cfg.patch_size) ** 2 for s in scales])
     captures = np.empty((len(picked), offsets[-1], cfg.d_model), T.default_dtype())
     if captures.size == 0:
         raise ValueError("class embeddings must be non-empty and finite")
+    picked = np.stack(picked)  # a dataset's images share one size
     for scale, lo, hi in zip(scales, offsets, offsets[1:]):
         for start in range(0, len(picked), backbone.CAPTURE_CHUNK):
-            batch = np.stack([resize_nearest(pixels, scale)
-                              for pixels in picked[start:start + backbone.CAPTURE_CHUNK]])
+            batch = resize_nearest(picked[start:start + backbone.CAPTURE_CHUNK], scale)
             capture = model.capture_pre_mlp(batch, layer).data
             if not np.isfinite(capture).all():
                 raise ValueError("class embeddings must be non-empty and finite")

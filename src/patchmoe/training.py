@@ -18,7 +18,7 @@ import numpy as np
 from . import backbone
 from . import tensor as T
 from .data import Dataset, LabeledImage
-from .moe import dispatch_stats, load_entropy
+from .moe import EXPERT_WEIGHTS, dispatch_stats, load_entropy
 from .tensor import Rng, Tensor
 
 
@@ -70,10 +70,8 @@ def parameter_group(name: str) -> str:
 
 
 class AdamW:
-    """Decoupled-weight-decay Adam over named parameter groups.
-
-    Expert gamma blend weights are clamped to [0, 1] after every step.
-    """
+    """Decoupled-weight-decay Adam over named parameter groups. Expert gamma
+    blend weights are clamped to [0, 1] after every step."""
 
     def __init__(self, params: dict[str, Tensor], config: OptimConfig):
         self.params = dict(params)
@@ -91,7 +89,9 @@ class AdamW:
             return cfg.lr_classifier, WD_CLASSIFIER
         return cfg.lr_rest, 0.0
 
-    def step(self) -> None:
+    def step(self, rows: dict[Tensor, np.ndarray] | None = None) -> None:
+        """Update every parameter with a gradient. `rows` maps a parameter to the rows
+        that update: the others keep their values and moments, as if they had no gradient."""
         b1, b2 = BETAS
         self.t += 1
         bc1 = 1.0 - b1 ** self.t
@@ -103,18 +103,25 @@ class AdamW:
             if g.shape != p.data.shape:
                 raise ValueError(f"gradient shape mismatch for {name}")
             lr, wd = self._group_settings(name)
-            m = self.m[name]
-            v = self.v[name]
+            at = (rows or {}).get(p, ...)
+            g = g[at]
+            m, v = self.m[name][at], self.v[name][at]  # views when `at` is ..., else copies
             m *= b1
             m += (1.0 - b1) * g
             v *= b2
             v += (1.0 - b2) * g * g
             update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
             if wd:
-                update = update + wd * p.data
-            p.data = p.data - lr * update
+                update = update + wd * p.data[at]
+            new = p.data[at] - lr * update
             if name.endswith(".gamma"):
-                p.data = np.clip(p.data, 0.0, 1.0)
+                new = np.clip(new, 0.0, 1.0)
+            if at is ...:
+                p.data = new
+            else:
+                self.m[name][at], self.v[name][at] = m, v
+                p.data = p.data.copy()
+                p.data[at] = new
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -283,7 +290,9 @@ def train_step(model, optimizer: AdamW, x: np.ndarray, y: np.ndarray,
         for i, record in result.routing.items():
             counts[i] = counts.get(i, 0) + record.expert_counts
         del result, loss  # free this slice's tape before the next forward builds one
-    optimizer.step()
+    # an expert that got no rows in the step keeps its weights and moments
+    optimizer.step({getattr(block, k): np.flatnonzero(counts[i])
+                    for i, block in model.moe_blocks().items() for k in EXPERT_WEIGHTS})
     return value, correct, counts
 
 

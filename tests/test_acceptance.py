@@ -18,7 +18,7 @@ from patchmoe import tensor as T
 from patchmoe.tensor import Rng, Tensor
 
 from util_fd import gradcheck
-from util_model import check_model_gradients, toy_config
+from util_model import check_model_gradients, stacked_block, toy_config
 from util_oracles import representative_patches_oracle, ward_merges_oracle
 from test_tensor import OPS
 from test_expert_init import make_router
@@ -179,11 +179,8 @@ def test_criterion_05_routing_invariants():
 
             # pixel coherence: constant-output experts make every pixel of a
             # patch identical
-            experts = []
-            for i in range(e):
-                ex = make_expert_constant(d, value=float(i + 1))
-                experts.append(ex)
-            block = moe.MoEBlock(router=router, experts=experts)
+            block = stacked_block(router, [make_expert_constant(d, value=float(i + 1))
+                                           for i in range(e)])
             out, record = moe.moe_forward(Tensor(x), Tensor(x), block)
             per_pixel = out.data
             assert np.allclose(per_pixel, per_pixel[:, :, :1, :], atol=1e-9)
@@ -209,12 +206,10 @@ def test_criterion_05_routing_invariants():
 
 
 def make_expert_constant(d, value):
-    """Expert whose output is `value` everywhere (gamma 1, constant x_corr)."""
-    return moe.ExpertMLP(
-        w1=T.parameter(np.zeros((d, 1))),
-        b1=T.parameter(np.zeros(1)), w2=T.parameter(np.zeros((1, d))),
-        b2=T.parameter(np.zeros(d)), gamma=T.parameter(np.asarray(1.0)),
-        x_corr=T.parameter(np.full(d, value)))
+    """Arrays of an expert whose output is `value` everywhere (gamma 1,
+    constant x_corr)."""
+    return dict(w1=np.zeros((d, 1)), b1=np.zeros(1), w2=np.zeros((1, d)), b2=np.zeros(d),
+                gamma=1.0, x_corr=np.full(d, value))
 
 
 def test_criterion_06_affinity_arithmetic():
@@ -282,7 +277,8 @@ def test_criterion_08_initialization_beats_random(synth_dataset, tmp_path):
 
 def test_criterion_09_parameter_accounting(tmp_path):
     """Closed-form per-expert count equals a count from walking the
-    checkpoint's blob records under the manifest's names (reduction 2)."""
+    checkpoint's blob records under the manifest's names (reduction 2): the
+    first row of each stacked expert array."""
     with criterion(9, "per-expert parameter count matches the closed form"):
         cfg = toy_config(moe_layers=(1,), experts=3, reduction_factor=2)
         model = backbone.Model(cfg, Rng(0))
@@ -293,9 +289,10 @@ def test_criterion_09_parameter_accounting(tmp_path):
         manifest = json.loads(ckpt.read_text())
         with open(ckpt.with_suffix(".bin"), "rb") as f:
             records = [(name, T.read_blob(f)) for name in manifest["params"]]
-        walked = sum(arr.size for name, arr in records
-                     if name.startswith("layer1.moe.expert0."))
-        assert walked == closed
+        experts = [arr for name, arr in records if name.startswith("layer1.moe.")
+                   and name != "layer1.moe.router.centroids"]
+        assert len(experts) == 6 and all(len(arr) == 3 for arr in experts)
+        assert sum(arr[0].size for arr in experts) == closed
         assert backbone.load_checkpoint(ckpt).parameter_counts()["per_expert"]["1"] \
             == closed
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from patchmoe import backbone, expert_init, moe, training
+from patchmoe import backbone, expert_init, training
 from patchmoe import tensor as T
 from patchmoe.backbone import Model, ModelConfig, unfold
 from test_expert_init import make_router
@@ -298,7 +298,7 @@ def step_digest(model, images, labels, rng):
             for p in params.values():
                 p.grad = None
 
-        def step(self):
+        def step(self, rows=None):
             pass
 
     labels = np.asarray(labels)
@@ -337,10 +337,8 @@ class TestCheckpoint:
         block = expert_init.moefy_layer(model, 1, make_router(cfg.d_model, 3, seed=2))
         d_e = cfg.d_ff // cfg.reduction_factor
         for e, units in enumerate([np.arange(d_e)[::-1], np.full(d_e, 3)]):
-            block.experts[e] = moe.ExpertMLP(
-                w1=T.parameter(w1[:, units]), b1=T.parameter(b1[units]),
-                w2=T.parameter(w2[units]), b2=T.parameter(b2),
-                gamma=block.experts[e].gamma, x_corr=block.experts[e].x_corr)
+            block.w1.data[e], block.b1.data[e] = w1[:, units], b1[units]
+            block.w2.data[e], block.b2.data[e] = w2[units], b2
         path = tmp_path / "ck.json"
         backbone.save_checkpoint(model, path)
         loaded = backbone.load_checkpoint(path)

@@ -9,7 +9,7 @@ import struct
 import numpy as np
 import pytest
 
-from patchmoe import affinity, backbone, cli, data, expert_init, router_init, training
+from patchmoe import affinity, backbone, cli, data, expert_init, moe, router_init, training
 from patchmoe import tensor as T
 from util_oracles import HAND_WRITTEN_CONFIG_SCHEMA, read_affinity_csv
 
@@ -1036,8 +1036,9 @@ class TestOlderManifests:
     it (`stage`, per-layer router settings, per-expert `indices`) are
     ignored, and the config wins where the copies disagree. Older forms of
     a key the loader reads exit 3 with a message that names it: `params`
-    records, a config `activation`, experts with their own layer norm, and
-    attention parameters from when attention was global."""
+    records, a config `activation`, experts stored one by one (with or
+    without their own layer norm), and attention parameters from when
+    attention was global."""
 
     def logits(self, path, images):
         return backbone.load_checkpoint(path).forward(images).logits.data
@@ -1096,30 +1097,54 @@ class TestOlderManifests:
         assert cli.main(["inspect", "--ckpt", str(path)]) == cli.EXIT_DATA
         assert "'activation'" in capsys.readouterr().err
 
-    def test_older_expert_layer_norms(self, workdir, tmp_path, capsys):
-        """Experts once carried their own copy of the MLP-input norm, stored
-        as expertE.ln.gain and ln.bias before each expert's w1. Such an MoE
-        checkpoint exits 3 naming the first one."""
-        path = _copy_checkpoint(workdir["tuned"], tmp_path / "tuned.json")
+    @staticmethod
+    def per_expert_checkpoint(path, norms=False):
+        """Rewrite the MoE checkpoint at `path` in the per-expert layout that
+        preceded the stacked one: each expert's six arrays as records of
+        their own, layerN.moe.expertE.w1 and so on, each w1 preceded by the
+        expert's own MLP-input norm (expertE.ln.gain, ln.bias) if `norms`."""
         manifest = json.loads(path.read_text())
-        prefix = "layer1.moe.expert0."
-        assert [n[len(prefix):] for n in manifest["params"] if n.startswith(prefix)] \
-            == ["w1", "b1", "w2", "b2", "gamma", "x_corr"]
         d = manifest["config"]["d_model"]
-        names = []
         with open(path.with_suffix(".bin"), "rb") as f:
             arrays = [T.read_blob(f) for _ in manifest["params"]]
+        names = []
         with open(path.with_suffix(".bin"), "wb") as f:
             for name, arr in zip(manifest["params"], arrays):
-                if ".moe.expert" in name and name.endswith(".w1"):
-                    prefix = name[:-len("w1")]
-                    for suffix, value in (("ln.gain", np.ones(d)), ("ln.bias", np.zeros(d))):
-                        names.append(prefix + suffix)
-                        T.write_blob(f, value.astype(arr.dtype))
-                names.append(name)
-                T.write_blob(f, arr)
+                prefix, _, kind = name.rpartition(".")
+                if not (prefix.endswith(".moe") and kind in moe.EXPERT_WEIGHTS):
+                    names.append(name)
+                    T.write_blob(f, arr)
+                    continue
+                for e, row in enumerate(arr):
+                    if norms and kind == "w1":
+                        for suffix, value in (("ln.gain", np.ones(d)), ("ln.bias", np.zeros(d))):
+                            names.append(f"{prefix}.expert{e}.{suffix}")
+                            T.write_blob(f, value.astype(arr.dtype))
+                    names.append(f"{prefix}.expert{e}.{kind}")
+                    T.write_blob(f, row)
         manifest["params"] = names
         path.write_text(json.dumps(manifest))
+
+    def test_older_per_expert_weights(self, workdir, tmp_path, capsys):
+        """Experts were once stored one by one, layerN.moe.expertE.w1 and so
+        on, before one stacked array per kind. Such an MoE checkpoint exits 3
+        naming the first, under every command that loads one."""
+        path = _copy_checkpoint(workdir["tuned"], tmp_path / "tuned.json")
+        self.per_expert_checkpoint(path)
+        data_args = ["--data", str(workdir["data"])]
+        for argv in (["inspect"], ["eval", *data_args, "--out", str(tmp_path / "e.csv")],
+                     ["affinity", *data_args, "--layer", "1", "--out", str(tmp_path / "a.csv")],
+                     ["finetune", "--config", str(workdir["config"]), *data_args,
+                      "--out", str(tmp_path / "x.json")]):
+            assert cli.main([argv[0], "--ckpt", str(path), *argv[1:]]) == cli.EXIT_DATA, argv
+            assert "lists 'layer1.moe.expert0.w1'" in capsys.readouterr().err, argv
+
+    def test_older_expert_layer_norms(self, workdir, tmp_path, capsys):
+        """Before that, experts carried their own copy of the MLP-input norm,
+        stored as expertE.ln.gain and ln.bias before each expert's w1. Such
+        an MoE checkpoint exits 3 naming the first one."""
+        path = _copy_checkpoint(workdir["tuned"], tmp_path / "tuned.json")
+        self.per_expert_checkpoint(path, norms=True)
         assert cli.main(["inspect", "--ckpt", str(path)]) == cli.EXIT_DATA
         assert "'layer1.moe.expert0.ln.gain'" in capsys.readouterr().err
 

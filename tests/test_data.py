@@ -42,14 +42,21 @@ class TestGenerate:
 
     def test_split_sizes_and_disjointness(self, small_spec, small_dataset):
         n = small_spec.images_per_class
-        for c in range(small_spec.num_classes):
-            train = small_dataset.by_class(c, "train")
-            val = small_dataset.by_class(c, "val")
+        for train, val in zip(small_dataset.by_class("train"), small_dataset.by_class("val")):
             assert len(train) == math.ceil(0.8 * n)
             assert len(train) + len(val) == n
 
+    def test_by_class_groups_each_split_in_dataset_order(self, small_dataset):
+        for split in (None, "train", "val"):
+            groups = small_dataset.by_class(split)
+            assert len(groups) == small_dataset.num_classes
+            for c, group in enumerate(groups):
+                expected = [im for im in small_dataset.images if im.class_id == c
+                            and split in (None, im.split)]
+                assert [id(im) for im in group] == [id(im) for im in expected]
+
     def test_per_class_counts_equal(self, small_spec, small_dataset):
-        counts = [len(small_dataset.by_class(c)) for c in range(small_spec.num_classes)]
+        counts = [len(images) for images in small_dataset.by_class()]
         assert counts == [small_spec.images_per_class] * small_spec.num_classes
 
     def test_families_partition_classes(self, small_dataset):
@@ -88,6 +95,17 @@ class TestResizeNearest:
         img = np.full((8, 8, 3), 9, dtype=np.uint8)
         out = data.resize_nearest(data.resize_nearest(img, 4), 8)
         assert np.array_equal(out, img)
+
+    @pytest.mark.parametrize("size", [6, 13, 10], ids=["smaller", "larger", "same"])
+    def test_batch_byte_equal_to_per_image(self, size):
+        """An (n, H, W, 3) batch resizes to the per-image results stacked; at
+        its own size it is still a copy."""
+        batch = np.random.default_rng(0).integers(0, 256, (5, 10, 10, 3), dtype=np.uint8)
+        out = data.resize_nearest(batch, size)
+        want = np.stack([data.resize_nearest(img, size) for img in batch])
+        assert out.dtype == want.dtype and out.shape == want.shape == (5, size, size, 3)
+        assert out.tobytes() == want.tobytes()
+        assert not np.shares_memory(out, batch)
 
 
 class TestDatasetIO:

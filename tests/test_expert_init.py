@@ -23,11 +23,20 @@ def random_mlp(d, d_ff, seed=0):
                      rng.normal(size=(d_ff, d)), rng.normal(size=d))
 
 
-def kept_units(expert, mlp):
-    """The dense hidden units an expert kept, found by its w2 rows (the
-    dense w2 rows must be distinct)."""
-    dense = mlp.w2.data.astype(expert.w2.data.dtype)
-    return [int(np.flatnonzero((dense == row).all(axis=1))[0]) for row in expert.w2.data]
+def sliced(mlp, centroid, d_e, gamma=expert_init.GAMMA_INIT):
+    """A one-expert block whose expert slice_expert filled at the centroid."""
+    d = mlp.w1.shape[0]
+    router = moe.Router(T.parameter(np.ones((1, d))), T.ScalerParams(np.zeros(d), np.ones(d)))
+    block = moe.MoEBlock.zeros(router, d_e)
+    expert_init.slice_expert(block, 0, mlp, centroid, gamma)
+    return block
+
+
+def kept_units(block, mlp, e=0):
+    """The dense hidden units expert e kept, found by its w2 rows (the dense
+    w2 rows must be distinct)."""
+    dense = mlp.w2.data.astype(block.w2.data.dtype)
+    return [int(np.flatnonzero((dense == row).all(axis=1))[0]) for row in block.w2.data[e]]
 
 
 def hidden_activations(mlp, centroid):
@@ -56,55 +65,55 @@ class TestSliceExpert:
         # at value 2, which goes to index 2: units [0, 2]
         acts = hidden_activations(HAND_MLP, HAND_CENTROID)
         assert np.allclose(acts, HAND_ACTS) and acts[2] == acts[3]
-        ex = expert_init.slice_expert(HAND_MLP, HAND_CENTROID, 2)
+        ex = sliced(HAND_MLP, HAND_CENTROID, 2)
         assert kept_units(ex, HAND_MLP) == [0, 2]
-        assert np.allclose(ex.w1.data, [[2.0, 1.0], [-1.0, -1.0]])
-        assert np.allclose(ex.b1.data, [0.0, 0.0])
-        assert np.allclose(ex.w2.data, [[0.0, 1.0], [4.0, 5.0]])
-        assert np.allclose(ex.b2.data, [0.5, -0.5])
-        assert float(ex.gamma.data) == pytest.approx(0.9)
+        assert np.allclose(ex.w1.data[0], [[2.0, 1.0], [-1.0, -1.0]])
+        assert np.allclose(ex.b1.data[0], [0.0, 0.0])
+        assert np.allclose(ex.w2.data[0], [[0.0, 1.0], [4.0, 5.0]])
+        assert np.allclose(ex.b2.data[0], [0.5, -0.5])
+        assert float(ex.gamma.data[0]) == pytest.approx(0.9)
 
     def test_x_corr_is_full_mlp_output(self):
         # SiLU([3,1,2,2]) @ w2 + b2, with the unsliced hidden width
-        ex = expert_init.slice_expert(HAND_MLP, HAND_CENTROID, 2)
+        ex = sliced(HAND_MLP, HAND_CENTROID, 2)
         expected = HAND_ACTS @ HAND_MLP.w2.data + HAND_MLP.b2.data
-        assert np.allclose(ex.x_corr.data, expected)
+        assert np.allclose(ex.x_corr.data[0], expected)
 
     def test_sorted_ascending_full_width(self):
         mlp = random_mlp(6, 12)
-        ex = expert_init.slice_expert(mlp, np.arange(6.0), 12)
+        ex = sliced(mlp, np.arange(6.0), 12)
         assert kept_units(ex, mlp) == list(range(12))
-        assert np.array_equal(ex.w1.data, mlp.w1.data.astype(np.float32))
+        assert np.array_equal(ex.w1.data[0], mlp.w1.data.astype(np.float32))
 
     def test_units_distinct_ascending_and_largest(self):
         mlp = random_mlp(8, 16, seed=3)
         for seed in range(10):
             c = np.random.default_rng(seed).normal(size=8)
-            units = kept_units(expert_init.slice_expert(mlp, c, 8), mlp)
+            units = kept_units(sliced(mlp, c, 8), mlp)
             assert np.all(np.diff(units) > 0)
             acts = hidden_activations(mlp, c)
             dropped = np.setdiff1d(np.arange(16), units)
             assert acts[units].min() >= acts[dropped].max()
 
     def test_gamma_one_outputs_x_corr(self):
-        ex = expert_init.slice_expert(HAND_MLP, HAND_CENTROID, 2, gamma=1.0)
+        ex = sliced(HAND_MLP, HAND_CENTROID, 2, gamma=1.0)
         x = Tensor(np.random.default_rng(0).normal(size=(5, 2)))
-        out = moe.expert_forward(x, ex)
-        assert np.allclose(out.data, np.broadcast_to(ex.x_corr.data, (5, 2)))
+        out = moe.expert_forward(x, ex, 0)
+        assert np.allclose(out.data, np.broadcast_to(ex.x_corr.data[0], (5, 2)))
 
     def test_full_width_gamma_zero_matches_dense(self):
         mlp = random_mlp(8, 16, seed=7)
         gain, bias = np.random.default_rng(8).normal(size=(2, 8))
-        ex = expert_init.slice_expert(mlp, np.zeros(8), 16, gamma=0.0)
+        ex = sliced(mlp, np.zeros(8), 16, gamma=0.0)
         x = np.random.default_rng(2).normal(size=(10, 8))
         # experts read the layer's MLP-input norm output, as the dense MLP does
         normed = T.layer_norm(Tensor(x), Tensor(gain), Tensor(bias))
-        out = moe.expert_forward(normed, ex)
+        out = moe.expert_forward(normed, ex, 0)
         assert np.allclose(out.data, mlp.forward(normed).data, atol=1e-6)
 
     def test_copies_are_independent(self):
         mlp = random_mlp(4, 8)
-        ex = expert_init.slice_expert(mlp, np.zeros(4), 8)
+        ex = sliced(mlp, np.zeros(4), 8)
         for t in ex.parameters().values():
             t.data += 1.0
         fresh = random_mlp(4, 8)
@@ -118,8 +127,8 @@ class TestSliceExpert:
         w1[:2, :4] = 1.0
         w1[2:, 4:] = 1.0
         mlp = dense_mlp(w1, np.zeros(d_ff), np.arange(d_ff * d).reshape(d_ff, d), np.zeros(d))
-        ex_a = expert_init.slice_expert(mlp, np.array([3.0, 3.0, -1.0, -1.0]), 4)
-        ex_b = expert_init.slice_expert(mlp, np.array([-1.0, -1.0, 3.0, 3.0]), 4)
+        ex_a = sliced(mlp, np.array([3.0, 3.0, -1.0, -1.0]), 4)
+        ex_b = sliced(mlp, np.array([-1.0, -1.0, 3.0, 3.0]), 4)
         assert kept_units(ex_a, mlp) == [0, 1, 2, 3]
         assert kept_units(ex_b, mlp) == [4, 5, 6, 7]
 
@@ -138,12 +147,10 @@ class TestMatchesOracle:
     def assert_byte_equal(self, model, layer, router):
         want = moefy_layer_oracle(model, layer, router)
         block = expert_init.moefy_layer(model, layer, router)
-        assert len(block.experts) == len(want)
-        for got, ref in zip(block.experts, want):
-            for name, t in got.parameters().items():
-                r = ref.parameters()[name].data
-                assert t.data.dtype == r.dtype == T.default_dtype(), name
-                assert t.data.shape == r.shape and t.data.tobytes() == r.tobytes(), name
+        for name in moe.EXPERT_WEIGHTS:
+            t, r = getattr(block, name).data, np.stack([ex[name] for ex in want])
+            assert t.dtype == r.dtype == T.default_dtype(), name
+            assert t.shape == r.shape and t.tobytes() == r.tobytes(), name
 
     def test_single_expert_full_width(self, dtype):
         cfg = toy_config(moe_layers=(1,), experts=1, top_k=1, reduction_factor=1)
@@ -192,10 +199,11 @@ class TestMatchesOracle:
 
         self.assert_byte_equal(model, 1, router)
         eps = np.finfo(dtype).eps
-        for ex, a in zip(model.layers[1].mlp.experts, acts):
-            assert kept_units(ex, mlp) == largest(a).tolist()
+        block = model.layers[1].mlp
+        for e, a in enumerate(acts):
+            assert kept_units(block, mlp, e) == largest(a).tolist()
             x_corr = a @ w2 + b2
-            np.testing.assert_allclose(ex.x_corr.data, x_corr, rtol=eps,
+            np.testing.assert_allclose(block.x_corr.data[e], x_corr, rtol=eps,
                                        atol=eps * np.abs(x_corr).max())
 
 
@@ -211,9 +219,7 @@ class TestMoefyLayer:
         assert isinstance(model.layers[1].mlp, moe.MoEBlock)
         assert isinstance(model.layers[0].mlp, backbone.DenseMLP)
         assert model.moe_blocks() == {1: block}
-        assert len(block.experts) == 3
-        assert all(e.w1.shape == (cfg.d_model, cfg.d_ff // cfg.reduction_factor)
-                   for e in block.experts)
+        assert block.w1.shape == (3, cfg.d_model, cfg.d_ff // cfg.reduction_factor)
 
     def test_source_hash_recorded(self):
         model, cfg = self.make_model()
@@ -299,7 +305,7 @@ class TestDenseEquivalence:
         dense_w1 = model.layers[1].mlp.w1.data.copy()
         router = make_router(cfg.d_model, 1, seed=4)
         block = expert_init.moefy_layer(model, 1, router, gamma=0.0)
-        assert np.array_equal(block.experts[0].w1.data, dense_w1)
+        assert np.array_equal(block.w1.data[0], dense_w1)
         moe_logits = model.forward(images).logits.data
         assert np.max(np.abs(moe_logits - dense_logits)) < 1e-6
 
@@ -334,10 +340,11 @@ class TestGradientsThroughConvertedLayer:
             loss = model_loss(model, images, [0, 1])
             loss.backward()
             params = model.named_parameters()
-            for e in range(2):
-                for field in ("gamma", "w1", "x_corr"):
-                    g = params[f"layer1.moe.expert{e}.{field}"].grad
-                    assert g is not None
-                    assert np.all(np.isfinite(g))
+            for field in ("gamma", "w1", "x_corr"):
+                g = params[f"layer1.moe.{field}"].grad
+                assert g is not None and g.shape[0] == 2
+                assert np.all(np.isfinite(g))
+                for e in range(2):  # each expert's own row gets a gradient
+                    assert np.any(g[e] != 0), (field, e)
         finally:
             T.set_default_dtype("float32")

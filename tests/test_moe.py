@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from patchmoe import affinity, moe, training
 from patchmoe import tensor as T
 from patchmoe.tensor import ScalerParams, Tensor
-from util_model import assert_param_grads
+from util_model import assert_param_grads, stacked_block
 from util_oracles import moe_forward_gate_matrix_oracle
 
 
@@ -14,26 +14,21 @@ def identity_scaler(d):
     return ScalerParams(np.zeros(d), np.ones(d))
 
 
-def make_expert(d, d_ff, d_e, rng, gamma=0.0):
-    return moe.ExpertMLP(
-        w1=T.parameter(rng.standard_normal((d, d_e)) * 0.5),
-        b1=T.parameter(rng.standard_normal(d_e) * 0.1),
-        w2=T.parameter(rng.standard_normal((d_e, d)) * 0.5),
-        b2=T.parameter(rng.standard_normal(d) * 0.1),
-        gamma=T.parameter(np.asarray(float(gamma))),
-        x_corr=T.parameter(rng.standard_normal(d) * 0.1),
-    )
+def make_expert(d, d_e, rng, gamma=0.0):
+    """One expert's arrays by moe.EXPERT_WEIGHTS name."""
+    return dict(w1=rng.standard_normal((d, d_e)) * 0.5, b1=rng.standard_normal(d_e) * 0.1,
+                w2=rng.standard_normal((d_e, d)) * 0.5, b2=rng.standard_normal(d) * 0.1,
+                gamma=float(gamma), x_corr=rng.standard_normal(d) * 0.1)
 
 
-def make_block(d=4, e=2, d_ff=8, d_e=8, top_k=1, seed=0, gamma=0.0, temperature=1.0,
+def make_block(d=4, e=2, d_e=8, top_k=1, seed=0, gamma=0.0, temperature=1.0,
                gate_mode="renorm", centroids=None):
     rng = np.random.default_rng(seed)
     if centroids is None:
         centroids = rng.uniform(0.1, 1.0, (e, d))
     router = moe.Router(centroids=T.parameter(centroids), scaler=identity_scaler(d),
                         temperature=temperature, top_k=top_k, gate_mode=gate_mode)
-    experts = [make_expert(d, d_ff, d_e, rng, gamma=gamma) for _ in range(e)]
-    return moe.MoEBlock(router=router, experts=experts)
+    return stacked_block(router, [make_expert(d, d_e, rng, gamma=gamma) for _ in range(e)])
 
 
 class TestRouter:
@@ -103,37 +98,42 @@ class TestSelectExperts:
 
 class TestExpertForward:
     def test_gamma_one_returns_correction(self):
-        rng = np.random.default_rng(0)
-        ex = make_expert(4, 8, 8, rng, gamma=1.0)
-        x = Tensor(rng.standard_normal((5, 4)))
-        out = moe.expert_forward(x, ex).data
-        assert np.allclose(out, np.tile(ex.x_corr.data, (5, 1)), atol=1e-6)
+        block = make_block(e=3, seed=0, gamma=1.0)
+        x = Tensor(np.random.default_rng(0).standard_normal((5, 4)))
+        out = moe.expert_forward(x, block, 2).data
+        assert np.allclose(out, np.tile(block.x_corr.data[2], (5, 1)), atol=1e-6)
 
     def test_gamma_zero_full_permutation_is_dense(self):
-        rng = np.random.default_rng(1)
-        ex = make_expert(4, 8, 8, rng, gamma=0.0)
-        x = rng.standard_normal((6, 4))
-        out = moe.expert_forward(Tensor(x), ex).data
-        a = x @ ex.w1.data + ex.b1.data
-        dense = (a * (1 / (1 + np.exp(-a)))) @ ex.w2.data + ex.b2.data
+        block = make_block(e=3, seed=1, gamma=0.0)
+        x = np.random.default_rng(1).standard_normal((6, 4))
+        out = moe.expert_forward(Tensor(x), block, 1).data
+        a = x @ block.w1.data[1] + block.b1.data[1]
+        dense = (a * (1 / (1 + np.exp(-a)))) @ block.w2.data[1] + block.b2.data[1]
         assert np.allclose(out, dense, atol=1e-5)
+
+    def test_gradients_land_in_the_experts_rows(self):
+        """Expert 1's gradients land in row 1 of each stacked array; the other
+        rows stay zero."""
+        block = make_block(e=3, seed=2, gamma=0.3)
+        T.tsum(moe.expert_forward(Tensor(np.ones((2, 4))), block, 1)).backward()
+        for k in moe.EXPERT_WEIGHTS:
+            grad = getattr(block, k).grad
+            assert np.any(grad[1] != 0) and not np.any(grad[[0, 2]]), k
 
     def test_hand_sized_case(self):
         # d=2, d_ff=4, d_e=2 with explicit weights.
         w1 = np.array([[1.0, 0.0], [0.0, -1.0]])   # already sliced to d_e=2
         w2 = np.array([[1.0, 2.0], [3.0, 4.0]])
-        ex = moe.ExpertMLP(
-            w1=T.parameter(w1), b1=T.parameter(np.array([0.5, 0.5])),
-            w2=T.parameter(w2), b2=T.parameter(np.array([1.0, -1.0])),
-            gamma=T.parameter(np.asarray(0.25)), x_corr=T.parameter(np.array([4.0, 8.0])),
-        )
+        block = stacked_block(moe.Router(T.parameter(np.ones((1, 2))), identity_scaler(2)),
+                              [dict(w1=w1, b1=[0.5, 0.5], w2=w2, b2=[1.0, -1.0], gamma=0.25,
+                                    x_corr=[4.0, 8.0])])
         # the input is already the layer's MLP-input norm output
         x = Tensor(np.array([[-1.0, 1.0]]))
         # pre-act = [-1+0.5, -1+0.5] = [-0.5, -0.5]
         # -> silu = -0.5 / (1 + e^0.5) = -0.18877033 for both
         # out = -0.18877033 * [1+3, 2+4] + b2 = [0.24491866, -2.13262201]
         # blend = 0.75*out + 0.25*[4,8] = [1.18368900, 0.40053350]
-        out = moe.expert_forward(x, ex).data
+        out = moe.expert_forward(x, block, 0).data
         assert np.allclose(out, [[1.183689, 0.4005335]], atol=1e-4)
 
 
@@ -158,7 +158,7 @@ class TestMoEForward:
         block = make_block(e=1)
         x = self.x()
         out, record = moe.moe_forward(x, x, block)
-        direct = moe.expert_forward(T.reshape(x, (12, 4)), block.experts[0]).data
+        direct = moe.expert_forward(T.reshape(x, (12, 4)), block, 0).data
         assert np.allclose(out.data.reshape(12, 4), direct, atol=1e-6)
         assert np.allclose(record.gates, 1.0)
 
@@ -169,15 +169,16 @@ class TestMoEForward:
         flat = x.data.reshape(-1, 2, 4)
         for patch in range(6):
             e = record.indices.reshape(-1)[patch]
-            expected = moe.expert_forward(Tensor(flat[patch]), block.experts[e]).data
+            expected = moe.expert_forward(Tensor(flat[patch]), block, e).data
             assert np.allclose(out.data.reshape(-1, 2, 4)[patch], expected, atol=1e-5)
 
     def test_identical_experts_top2_symmetry(self):
         block = make_block(e=2, top_k=2, seed=5)
-        block.experts[1] = block.experts[0]
+        for k in moe.EXPERT_WEIGHTS:
+            getattr(block, k).data[1] = getattr(block, k).data[0]
         x = self.x(seed=6)
         out, _ = moe.moe_forward(x, x, block)
-        single = moe.expert_forward(T.reshape(x, (12, 4)), block.experts[0]).data
+        single = moe.expert_forward(T.reshape(x, (12, 4)), block, 0).data
         assert np.allclose(out.data.reshape(12, 4), single, atol=1e-5)
 
     def test_gate_normalization_many_configs(self):
@@ -194,8 +195,7 @@ class TestMoEForward:
         # Experts that output distinct constants expose which expert each
         # pixel actually went through.
         block = make_block(e=3, top_k=1, seed=7, gamma=1.0)
-        for e, ex in enumerate(block.experts):
-            ex.x_corr.data[:] = float(e + 1)
+        block.x_corr.data[:] = np.arange(1.0, 4.0)[:, None]
         x = self.x(b=3, p=5, seed=8)
         out, record = moe.moe_forward(x, x, block)
         for bi in range(3):
@@ -233,7 +233,7 @@ class TestMoEForward:
         block2 = moe.MoEBlock(
             router=moe.Router(T.parameter(block.router.centroids.data[perm]),
                               block.router.scaler, top_k=2),
-            experts=[block.experts[i] for i in perm])
+            **{k: T.parameter(getattr(block, k).data[perm]) for k in moe.EXPERT_WEIGHTS})
         out2, record2 = moe.moe_forward(x, x, block2)
         assert np.allclose(out.data, out2.data, atol=1e-6)
         assert np.array_equal(inv[record.indices], record2.indices)
@@ -241,7 +241,7 @@ class TestMoEForward:
     def test_gradients_flow_through_gates_and_experts(self):
         T.set_default_dtype("float64")
         try:
-            block = make_block(d=4, e=2, d_ff=6, d_e=3, top_k=2, seed=11, gamma=0.3)
+            block = make_block(d=4, e=2, d_e=3, top_k=2, seed=11, gamma=0.3)
             x = Tensor(np.random.default_rng(12).random((1, 3, 2, 4)), requires_grad=True)
             cot = np.random.default_rng(13).standard_normal((1, 3, 2, 4))
 
@@ -249,10 +249,7 @@ class TestMoEForward:
                 out, _ = moe.moe_forward(x, x, block)
                 return T.tsum(T.mul(out, Tensor(cot)))
 
-            named = {"x": x, "centroids": block.router.centroids}
-            for e, ex in enumerate(block.experts):
-                named.update({f"e{e}.{k}": v for k, v in ex.parameters().items()})
-            assert_param_grads(loss_fn, named)
+            assert_param_grads(loss_fn, {"x": x, **block.parameters()})
         finally:
             T.set_default_dtype("float32")
 
@@ -280,9 +277,7 @@ class TestDispatchOracle:
             x_np = rng.random((b, p, 2, 4))
             cap_np = rng.random((b, p, 2, 4))
             cot = Tensor(rng.standard_normal((b, p, 2, 4)))
-            named = {"centroids": block.router.centroids}
-            for i, ex in enumerate(block.experts):
-                named.update({f"e{i}.{n}": v for n, v in ex.parameters().items()})
+            named = block.parameters()
 
             def run(forward):
                 for t in named.values():
@@ -291,7 +286,8 @@ class TestDispatchOracle:
                 captured = T.parameter(cap_np)
                 out = forward(x, captured, block)
                 T.tsum(T.mul(out, cot)).backward()
-                # an expert that got no rows keeps grad None on both paths
+                # an expert that got no rows has zero gradient rows on both
+                # paths; a parameter no gradient reaches keeps grad None
                 grads = {n: None if t.grad is None else t.grad.copy()
                          for n, t in named.items()}
                 grads.update(x=x.grad, captured=captured.grad)

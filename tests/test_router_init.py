@@ -437,8 +437,7 @@ class TestBatchedCapture:
 
         monkeypatch.setattr(backbone.Model, "capture_pre_mlp", counting)
         router_init.collect_embeddings(model, chunked_dataset, 1, self.SCALES, 4, T.Rng(0))
-        picked = sum(min(4, len(chunked_dataset.by_class(c, "train")))
-                     for c in range(chunked_dataset.num_classes))
+        picked = sum(min(4, len(images)) for images in chunked_dataset.by_class("train"))
         assert picked > backbone.CAPTURE_CHUNK
         chunks = [min(backbone.CAPTURE_CHUNK, picked - s)
                   for s in range(0, picked, backbone.CAPTURE_CHUNK)]

@@ -13,7 +13,8 @@ from patchmoe.data import Dataset, LabeledImage
 from patchmoe.tensor import Rng
 
 from util_model import toy_config
-from util_oracles import evaluate_oracle, train_step_oracle
+from util_oracles import (PerLeafAdamWOracle, evaluate_oracle, moe_forward_per_expert_oracle,
+                          per_expert_model_oracle, train_step_oracle)
 from test_expert_init import make_router
 
 
@@ -524,6 +525,64 @@ class TestSlicedStep:
         assert calls == [2, 2]
         for k, v in model.named_parameters().items():
             assert v.data.tobytes() == before[k], k
+
+
+class TestStackedExpertsOracle:
+    """Stacked expert arrays train byte for byte as per-expert leaves under
+    per-leaf AdamW (util_oracles.per_expert_model_oracle), where an expert
+    that got no rows in a step has no gradient and keeps its weights and
+    moments."""
+
+    @staticmethod
+    def assert_byte_equal(model, optimizer, ref, ref_optimizer):
+        ref_params = ref.named_parameters()
+        for name, t in model.named_parameters().items():
+            prefix, _, kind = name.rpartition(".")
+            stacked = prefix.endswith(".moe") and kind in moe.EXPERT_WEIGHTS
+            names = [f"{prefix}.expert{e}.{kind}" for e in range(len(t.data))] if stacked \
+                else [name]
+            for got, want in ((t.data, [ref_params[n].data for n in names]),
+                              (optimizer.m[name], [ref_optimizer.m[n] for n in names]),
+                              (optimizer.v[name], [ref_optimizer.v[n] for n in names])):
+                want = np.stack(want) if stacked else want[0]
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_steps_byte_equal_to_per_expert_oracle(self, monkeypatch, dtype):
+        """A desk-shaped model (64 px, E = 4 at layers 1 and 3) takes three
+        steps of 32 images, two slices each: noise, flat colours, noise.
+        Layer 1's expert 1 and layer 3's expert 0 get no rows in the first
+        step and rows in the second, and some expert never gets any."""
+        T.set_default_dtype(dtype)
+        try:
+            cfg = backbone.desk_config(6, moe_layers=(1, 3), experts=4)
+            model = backbone.Model(cfg, Rng(0))
+            for i in cfg.moe_layers:
+                expert_init.moefy_layer(model, i, make_router(cfg.d_model, 4, seed=i))
+            ref = per_expert_model_oracle(model)
+            optimizer = training.AdamW(model.named_parameters(), training.OptimConfig())
+            ref_optimizer = PerLeafAdamWOracle(ref.named_parameters(), training.OptimConfig())
+            rng = np.random.default_rng(0)
+            noise = rng.integers(0, 256, (32, 64, 64, 3), dtype=np.uint8)
+            flat = np.broadcast_to(rng.integers(0, 256, (32, 1, 1, 3), dtype=np.uint8),
+                                   noise.shape).astype(np.uint8)
+            labels = rng.integers(0, cfg.num_classes, 32)
+            y = training.one_hot(labels, cfg.num_classes)
+            active = []
+            for step, x in enumerate((noise, flat, noise)):
+                x = x.astype(T.default_dtype())
+                _, _, counts = training.train_step(model, optimizer, x, y, labels,
+                                                   Rng(step), "stacked")
+                with monkeypatch.context() as m:
+                    m.setattr(moe, "moe_forward", moe_forward_per_expert_oracle)
+                    training.train_step(ref, ref_optimizer, x, y, labels, Rng(step), "oracle")
+                active.append({i: c > 0 for i, c in counts.items()})
+                self.assert_byte_equal(model, optimizer, ref, ref_optimizer)
+        finally:
+            T.set_default_dtype("float32")
+        assert not active[0][1][1] and active[1][1][1]
+        assert not active[0][3][0] and active[1][3][0]
+        assert not all(np.any([a[i] for a in active], axis=0).all() for i in (1, 3))
 
 
 def routed_toy(top_k=1, gate_mode="renorm"):

@@ -4,7 +4,7 @@ import hashlib
 
 import numpy as np
 
-from patchmoe import backbone, training
+from patchmoe import backbone, moe, training
 from patchmoe import tensor as T
 from util_fd import assert_grads_close
 
@@ -14,6 +14,14 @@ def toy_config(**overrides):
                 d_model=8, d_ff=16, layers=2, dropout=0.0)
     base.update(overrides)
     return backbone.ModelConfig(**base)
+
+
+def stacked_block(router, experts, source_hash=None):
+    """A moe.MoEBlock whose expert e holds the arrays of experts[e], a dict
+    keyed by moe.EXPERT_WEIGHTS names."""
+    return moe.MoEBlock(router, **{
+        k: T.parameter(np.stack([np.asarray(ex[k], dtype=np.float64) for ex in experts]))
+        for k in moe.EXPERT_WEIGHTS}, source_hash=source_hash)
 
 
 def model_loss(model, images, labels):

@@ -4,8 +4,10 @@ Deliberately written as plain, loop-heavy transcriptions, separate from the
 vectorized code paths they are checked against.
 """
 
+import copy
 import csv
 import math
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -106,7 +108,7 @@ def collect_embeddings_oracle(model, dataset, layer, scales, samples_per_class, 
     (class, picked image, scale), rows in that order."""
     out = []
     for c in range(dataset.num_classes):
-        images = dataset.by_class(c, "train")
+        images = [im for im in dataset.split("train") if im.class_id == c]
         crng = rng.child(c)
         n = min(samples_per_class, len(images))
         picks = sorted(crng.gen.choice(len(images), size=n, replace=False).tolist())
@@ -121,7 +123,8 @@ def moefy_layer_oracle(model, layer_index, router, gamma=0.9):
     dense MLP, the raw centroid's hidden activations (the centroid is the
     MLP's input, so no norm runs on it) computed once to rank the hidden units
     and again for x_corr, and each expert sliced from the copy at the ranked
-    units. The model is left as it is."""
+    units, as a dict of its own arrays by moe.EXPERT_WEIGHTS name. The model
+    is left as it is."""
     layer = model.layers[layer_index]
     w1, b1, w2, b2 = (t.data.copy() for t in (layer.mlp.w1, layer.mlp.b1,
                                              layer.mlp.w2, layer.mlp.b2))
@@ -138,13 +141,10 @@ def moefy_layer_oracle(model, layer_index, router, gamma=0.9):
         # the d_e largest, ties to the lower index, in ascending order
         units = np.sort(np.argsort(-hidden_activations(centroid_raw), kind="stable")[:d_e])
         x_corr = hidden_activations(centroid_raw) @ w2.astype(np.float64) + b2
-        experts.append(moe.ExpertMLP(
-            w1=T.parameter(w1[:, units].astype(dtype)),
-            b1=T.parameter(b1[units].astype(dtype)),
-            w2=T.parameter(w2[units, :].astype(dtype)),
-            b2=T.parameter(b2.copy()),
-            gamma=T.parameter(np.asarray(gamma, dtype=dtype)),
-            x_corr=T.parameter(x_corr.astype(dtype))))
+        experts.append(dict(
+            w1=w1[:, units].astype(dtype), b1=b1[units].astype(dtype),
+            w2=w2[units, :].astype(dtype), b2=b2.copy(), gamma=np.asarray(gamma, dtype=dtype),
+            x_corr=x_corr.astype(dtype)))
     return experts
 
 
@@ -184,7 +184,7 @@ def moe_forward_gate_matrix_oracle(x, captured, block):
         if rows.size == 0:
             continue
         pixels = T.reshape(T.take(flat_h, rows), (rows.size * n_px, d))
-        expert_out = T.reshape(moe.expert_forward(pixels, block.experts[e]),
+        expert_out = T.reshape(moe.expert_forward(pixels, block, e),
                                (rows.size, n_px, d))
         gate = T.reshape(T.take(T.take(gate_matrix, rows), [e], axis=1), (rows.size, 1, 1))
         contrib = _scatter_rows_oracle(T.mul(expert_out, gate), rows, b * p)
@@ -343,9 +343,93 @@ def train_step_oracle(model, optimizer, x, y, labels, rng, where):
         raise training.DivergenceError(f"non-finite loss {value} at {where}")
     optimizer.zero_grad()
     loss.backward()
-    optimizer.step()
+    counts = {i: r.expert_counts for i, r in result.routing.items()}
+    # each stacked expert array updates only the rows of experts that got rows
+    optimizer.step({getattr(block, k): np.nonzero(counts[i] > 0)[0]
+                    for i, block in model.moe_blocks().items() for k in moe.EXPERT_WEIGHTS})
     correct = int((np.argmax(result.logits.data, axis=-1) == labels).sum())
-    return value, correct, {i: r.expert_counts for i, r in result.routing.items()}
+    return value, correct, counts
+
+
+@dataclass
+class PerExpertBlock(moe.MoEBlock):
+    """A MoE block whose experts' weights are leaves of their own, named
+    expertE.w1 and so on, as before experts were stacked. The stacked arrays
+    it was copied from stay in place but take no part."""
+    experts: list = field(default_factory=list)
+
+    def parameters(self):
+        out = {"router.centroids": self.router.centroids}
+        for e, expert in enumerate(self.experts):
+            out.update({f"expert{e}.{k}": t for k, t in expert.items()})
+        return out
+
+
+def per_expert_model_oracle(model):
+    """A copy of the model whose MoE blocks are PerExpertBlocks holding
+    copies of each expert's rows. Run its forward with
+    moe_forward_per_expert_oracle in place of moe.moe_forward."""
+    ref = copy.deepcopy(model)
+    for i, block in ref.moe_blocks().items():
+        experts = [{k: T.parameter(getattr(block, k).data[e].copy()) for k in moe.EXPERT_WEIGHTS}
+                   for e in range(block.router.num_experts)]
+        ref.layers[i].mlp = PerExpertBlock(
+            **{f.name: getattr(block, f.name) for f in fields(block)}, experts=experts)
+    return ref
+
+
+def moe_forward_per_expert_oracle(x, captured, block):
+    """moe.moe_forward on a PerExpertBlock, as it ran when each expert was
+    a set of leaves: the same one-sort dispatch, and each expert that got
+    rows runs on its own leaves, gamma one leaf read twice."""
+    b, p, n_px, d = captured.shape
+    router = block.router
+    logits = moe.routing_logits(captured, router)
+    indices, gates, probs = moe.select_experts(logits, router.top_k, router.gate_mode)
+    flat_idx = indices.reshape(-1)
+    order = np.argsort(flat_idx, kind="stable")
+    rows = order // router.top_k
+    sizes = np.bincount(flat_idx, minlength=router.num_experts)
+    segments = T.split_rows(T.reshape(captured, (b * p, n_px, d)), rows, sizes)
+    outs = []
+    for seg, ex in zip(segments, block.experts):
+        if len(seg.data):
+            a = T.silu(T.linear(T.reshape(seg, (-1, d)), ex["w1"], ex["b1"]))
+            out = T.linear(a, ex["w2"], ex["b2"])
+            one_minus = T.sub(T.Tensor(1.0), ex["gamma"])
+            blended = T.add(T.mul(out, one_minus), T.mul(ex["x_corr"], ex["gamma"]))
+            outs.append(T.reshape(blended, seg.shape))
+    out = T.add_rows(outs, T.take(T.reshape(gates, (-1,)), order), rows, b * p)
+    return T.reshape(out, (b, p, n_px, d)), moe.RoutingRecord(indices, gates.data, probs.data)
+
+
+class PerLeafAdamWOracle(training.AdamW):
+    """training.AdamW's step as it was when every expert weight was a leaf
+    of its own: a leaf with no gradient (an expert that got no rows) is
+    skipped, and every other leaf updates whole. `rows` is not read."""
+
+    def step(self, rows=None):
+        b1, b2 = training.BETAS
+        self.t += 1
+        bc1 = 1.0 - b1 ** self.t
+        bc2 = 1.0 - b2 ** self.t
+        for name, p in self.params.items():
+            g = p.grad
+            if g is None:
+                continue
+            lr, wd = self._group_settings(name)
+            m = self.m[name]
+            v = self.v[name]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            update = (m / bc1) / (np.sqrt(v / bc2) + training.EPS)
+            if wd:
+                update = update + wd * p.data
+            p.data = p.data - lr * update
+            if name.endswith(".gamma"):
+                p.data = np.clip(p.data, 0.0, 1.0)
 
 
 def fold_oracle(blocks, image_size, patch_size):
