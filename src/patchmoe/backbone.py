@@ -256,9 +256,10 @@ class Model:
         q = split_heads(T.linear(normed, layer.wq, layer.bq))
         k = split_heads(T.linear(normed, layer.wk, layer.bk))
         v = split_heads(T.linear(normed, layer.wv, layer.bv))
+        # laid out like v, so the merge back to (B, P, N_PX, d) takes views only
         attn = T.attention(q, k, v, 1.0 / math.sqrt(dh))
         merged = T.reshape(T.transpose(attn, (0, 3, 1, 2, 4)), (b, p, n_px, d))
-        return T.add(x, T.linear(merged, layer.wo, layer.bo))
+        return T.linear(merged, layer.wo, layer.bo, residual=x)
 
     def forward(self, images: np.ndarray, train: bool = False,
                 rng: Rng | None = None) -> ForwardResult:
@@ -311,12 +312,26 @@ class Model:
                 if isinstance(layer.mlp, moe_mod.MoEBlock)}
 
     def parameter_counts(self) -> dict:
+        """Parameters in all, in the MoE layers and per expert; those one
+        patch runs through (everything outside the MoE layers, plus per MoE
+        layer its router and top_k experts); and those of the dense model the
+        config implies, a dense MLP at each MoE layer."""
+        from .expert_init import per_expert_param_count  # expert_init imports backbone
+        cfg = self.config
         params = self.named_parameters()
-        return {"total": sum(t.data.size for t in params.values()),
-                "moe_layers": sum(t.data.size for n, t in params.items() if ".moe." in n),
+        total = sum(t.data.size for t in params.values())
+        moe_layers = sum(t.data.size for n, t in params.items() if ".moe." in n)
+        blocks = self.moe_blocks()
+        per_expert = per_expert_param_count(cfg.d_model, cfg.d_ff, cfg.reduction_factor)
+        dense_mlp = 2 * cfg.d_model * cfg.d_ff + cfg.d_ff + cfg.d_model
+        return {"total": total, "moe_layers": moe_layers,
                 "per_expert": {str(i): sum(getattr(block, k).data[0].size
                                            for k in moe_mod.EXPERT_WEIGHTS)
-                               for i, block in self.moe_blocks().items()}}
+                               for i, block in blocks.items()},
+                "active_per_patch": total - moe_layers + sum(
+                    block.router.centroids.data.size + cfg.top_k * per_expert
+                    for block in blocks.values()),
+                "dense": total - moe_layers + len(blocks) * dense_mlp}
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ import argparse
 import configparser
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -149,9 +150,26 @@ def _build(cls, **kwargs):
         raise ConfigError(f"invalid {cls.__name__}: {exc}") from None
 
 
+# the thread counts OpenBLAS and MKL builds of numpy read at start-up
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def numerics() -> dict:
+    """numpy's version, the BLAS it was built against and the BLAS thread
+    variables as set (null where unset): a run's floats repeat bit for bit
+    only under the same three."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy before 1.26 has no mode="dicts"
+        blas = "unknown"
+    return {"numpy": np.__version__, "blas": blas,
+            "blas_threads": {k: os.environ.get(k) for k in BLAS_THREAD_VARS}}
+
+
 def write_run_manifest(path: Path, command: str, resolved: dict,
                        extra: dict | None = None) -> None:
-    payload = {"command": command, "config": resolved}
+    payload = {"command": command, "config": resolved, "numerics": numerics()}
     payload.update(extra or {})
     path.parent.mkdir(parents=True, exist_ok=True)
     with T.atomic_write(path) as f:
@@ -255,9 +273,11 @@ def cmd_moefy(args) -> int:
         expert_init.moefy_layer(model, layer, build.router)
         router_manifests[str(layer)] = build.manifest
     backbone.save_checkpoint(model, args.out)
-    write_run_manifest(args.out.with_suffix(".run.json"), "moefy", resolved,
-                       {"routers": router_manifests})
     counts = model.parameter_counts()
+    write_run_manifest(args.out.with_suffix(".run.json"), "moefy", resolved,
+                       {"routers": router_manifests,
+                        "parameters": {k: counts[k] for k in ("total", "active_per_patch",
+                                                              "dense")}})
     print(f"moefied layers {list(model.config.moe_layers)}: "
           f"{counts['moe_layers']} MoE parameters")
     return 0
@@ -340,7 +360,8 @@ def cmd_inspect(args) -> int:
     model = backbone.load_checkpoint(args.ckpt)
     counts = model.parameter_counts()
     print(f"stage: {'moe' if model.moe_blocks() else 'dense'}  finetuned: {model.finetuned}")
-    print(f"total parameters: {counts['total']}")
+    print(f"total parameters: {counts['total']} (active per patch "
+          f"{counts['active_per_patch']}, dense model {counts['dense']})")
     print(f"moe parameters: {counts['moe_layers']}")
     for layer, per in counts["per_expert"].items():
         block = model.layers[int(layer)].mlp

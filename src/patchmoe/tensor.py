@@ -220,25 +220,31 @@ def _rows(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[-1])
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x.w + b as one node, for a 2-D w and a bias of shape (w.shape[1],).
+def linear(x: Tensor, w: Tensor, b: Tensor, residual: Tensor | None = None) -> Tensor:
+    """x.w + b as one node, for a 2-D w and a bias of shape (w.shape[1],);
+    with `residual`, add(residual, x.w + b) in the same node and array.
 
     The forward is add(matmul(x, w), b)'s numpy call, x.data @ w.data, with
-    the bias added in place and no tape node for the bare product. It stays
-    batched on x's leading axes: one 2-D gemm there wakes a second BLAS
-    thread and its buffers for no forward speed. The backward works on x's
-    rows (its leading axes flattened): dx = rows(g).w^T and
-    dw = rows(x)^T.rows(g), one gemm each, so no (..., d_in, d_out) array of
-    weight gradients per leading index is formed and then summed."""
+    the bias (and then the residual) added in place and no tape node for the
+    bare product. It stays batched on x's leading axes: one 2-D gemm there
+    wakes a second BLAS thread and its buffers for no forward speed. The
+    backward works on x's rows (its leading axes flattened): dx = rows(g).w^T
+    and dw = rows(x)^T.rows(g), one gemm each, so no (..., d_in, d_out) array
+    of weight gradients per leading index is formed and then summed; the
+    residual's gradient is g."""
     _check_matmul(x, w)
     if w.ndim != 2 or b.shape != w.shape[1:]:
         raise ValueError(f"linear needs a 2-D weight and a ({w.shape[-1]},) bias: "
                          f"got w {w.shape}, b {b.shape}")
     out_data = x.data @ w.data
     np.add(out_data, b.data, out=out_data)
-    return _op(out_data, (b, lambda g: g),
-               (x, lambda g: (_rows(g) @ w.data.T).reshape(x.shape)),
-               (w, lambda g: _rows(x.data).T @ _rows(g)))
+    inputs = [(b, lambda g: g),
+              (x, lambda g: (_rows(g) @ w.data.T).reshape(x.shape)),
+              (w, lambda g: _rows(x.data).T @ _rows(g))]
+    if residual is not None:
+        np.add(out_data, residual.data, out=out_data)  # a + b is b + a, bit for bit
+        inputs.append((residual, lambda g: g))
+    return _op(out_data, *inputs)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
@@ -247,7 +253,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
 
     It makes the numpy calls of matmul -> mul -> softmax -> matmul in the
     same order, in place in one score array, so S and P are never both held.
-    The tape keeps only the probabilities P. The backward replays the
+    The output is laid out in memory like v, so that a caller which split v
+    out of a wider array can merge the output back with views. The tape
+    keeps only the probabilities P. The backward replays the
     chain's backward in one dS array and one product array: dP = g.v^T,
     dS = P * (dP - rowsum(dP * P)) * scale, dq = dS.k, dk = (q^T.dS)^T and
     dv = P^T.g.
@@ -263,7 +271,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, scale: float) -> Tensor:
     np.subtract(p, _row_max(p, -1), out=p)
     np.exp(p, out=p)
     np.divide(p, p.sum(axis=-1, keepdims=True), out=p)
-    out = p @ v.data
+    out = np.matmul(p, v.data, out=np.empty_like(v.data, dtype=dtype))
 
     def backward(g):
         if v.requires_grad:
@@ -396,27 +404,39 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _op(out_data, (a, lambda g: g - np.exp(out_data) * g.sum(axis=axis, keepdims=True)))
 
 
+def _centered(x: np.ndarray) -> np.ndarray:
+    """x minus its mean over the last axis, in a new array."""
+    return x - np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Normalize over the last (channel) axis, eps default_eps(), then affine.
     The forward makes x.mean's, (xc * xc).mean's and the affine's ufunc calls
-    in two full-size arrays."""
-    n = x.shape[-1]
-    xc = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / n
-    out = np.multiply(xc, xc)
+    in two full-size arrays. The tape keeps only the per-row 1/std; the
+    backward recomputes xhat from x with the forward's calls, once for the
+    gain's and x's gradients."""
+    xhat = _centered(x.data)
+    out = np.multiply(xhat, xhat)
     var = np.add.reduce(out, axis=-1, keepdims=True)
-    var /= n
+    var /= x.shape[-1]
     inv = 1.0 / np.sqrt(var + default_eps())
-    xhat = np.multiply(xc, inv, out=xc)
-
-    def x_grad(g):
-        gh = g * gain.data
-        return inv * (gh - gh.mean(axis=-1, keepdims=True)
-                      - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
-
+    np.multiply(xhat, inv, out=xhat)
     np.multiply(xhat, gain.data, out=out)
     np.add(out, bias.data, out=out)
-    return _op(out, (gain, lambda g: g * xhat),
-               (bias, lambda g: g), (x, x_grad))
+
+    def backward(g):
+        xhat = _centered(x.data)
+        np.multiply(xhat, inv, out=xhat)
+        if gain.requires_grad:
+            gain._accumulate(_unbroadcast(g * xhat, gain.shape))
+        if bias.requires_grad:
+            bias._accumulate(_unbroadcast(g, bias.shape))
+        if x.requires_grad:
+            gh = g * gain.data
+            x._accumulate(inv * (gh - gh.mean(axis=-1, keepdims=True)
+                                 - xhat * (gh * xhat).mean(axis=-1, keepdims=True)))
+
+    return Tensor(out, _parents=(gain, bias, x), _backward=backward)
 
 
 def clamp_min(a: Tensor, floor: float) -> Tensor:
@@ -424,12 +444,22 @@ def clamp_min(a: Tensor, floor: float) -> Tensor:
     return _op(np.maximum(a.data, floor), (a, lambda g: g * (a.data > floor)))
 
 
-def silu(a: Tensor) -> Tensor:
-    sig = np.negative(a.data)
+def _sigmoid(a: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-a)) in one new array, four ufunc calls."""
+    sig = np.negative(a)
     np.exp(sig, out=sig)
     np.add(1.0, sig, out=sig)
-    np.divide(1.0, sig, out=sig)
-    return _op(a.data * sig, (a, lambda g: g * sig * (1.0 + a.data * (1.0 - sig))))
+    return np.divide(1.0, sig, out=sig)
+
+
+def silu(a: Tensor) -> Tensor:
+    """a * sigmoid(a). The tape keeps no sigmoid: the backward recomputes it
+    from a with the forward's calls."""
+    def grad(g):
+        sig = _sigmoid(a.data)
+        return g * sig * (1.0 + a.data * (1.0 - sig))
+
+    return _op(a.data * _sigmoid(a.data), (a, grad))
 
 
 def dropout(a: Tensor, p: float, rng: Rng) -> Tensor:

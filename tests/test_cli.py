@@ -429,12 +429,40 @@ class TestPipeline:
         read, nothing the config or the checkpoint already holds."""
         runs = {name: json.loads(workdir[name].with_suffix(".run.json").read_text())
                 for name in ("dense", "moe", "tuned")}
-        assert sorted(runs["dense"]) == ["command", "config", "train_size", "val_size"]
-        assert sorted(runs["tuned"]) == ["command", "config", "train_size", "val_size"]
-        assert sorted(runs["moe"]) == ["command", "config", "routers"]
+        assert sorted(runs["dense"]) == ["command", "config", "numerics", "train_size",
+                                         "val_size"]
+        assert sorted(runs["tuned"]) == ["command", "config", "numerics", "train_size",
+                                         "val_size"]
+        assert sorted(runs["moe"]) == ["command", "config", "numerics", "parameters", "routers"]
         assert list(runs["moe"]["routers"]) == ["1"]
         assert sorted(runs["moe"]["routers"]["1"]) == ["class_assignments", "scales",
                                                        "top_k_patches"]
+
+    def test_run_manifest_numerics(self, workdir, monkeypatch):
+        """Every run manifest records numpy's version, its BLAS build and the
+        BLAS thread variables, since the trained floats depend on all three."""
+        for name in ("dense", "moe", "tuned"):
+            run = json.loads(workdir[name].with_suffix(".run.json").read_text())
+            assert run["numerics"] == cli.numerics()
+        assert cli.numerics()["numpy"] == np.__version__
+        assert cli.numerics()["blas"]
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        threads = cli.numerics()["blas_threads"]
+        assert threads["OPENBLAS_NUM_THREADS"] == "1" and threads["OMP_NUM_THREADS"] is None
+        assert sorted(threads) == sorted(cli.BLAS_THREAD_VARS)
+
+    def test_moefy_manifest_parameters(self, workdir):
+        """The moefy manifest records the total, the parameters one patch
+        runs through and those of the dense model it was converted from."""
+        run = json.loads(workdir["moe"].with_suffix(".run.json").read_text())
+        dense = backbone.load_checkpoint(workdir["dense"]).parameter_counts()["total"]
+        per = expert_init.per_expert_param_count(16, 32, 2)
+        total = run["parameters"]["total"]
+        # 2 experts at top_k 1: one expert's parameters are not run per patch
+        assert run["parameters"] == {"total": total, "active_per_patch": total - per,
+                                     "dense": dense}
+        assert total == backbone.load_checkpoint(workdir["moe"]).parameter_counts()["total"]
 
     def test_moefy_on_moe_checkpoint_is_stage_error(self, workdir, tmp_path):
         rc = cli.main(["moefy", "--config", str(workdir["config"]),
@@ -742,6 +770,23 @@ class TestInspect:
         out = capsys.readouterr().out
         assert "stage: dense" in out
         assert "total parameters:" in out
+
+    def test_active_and_dense_counts(self, workdir, capsys):
+        """Beside the total, inspect prints the parameters one patch runs
+        through and those of the dense model; a dense checkpoint's three
+        counts are one number."""
+        dense = backbone.load_checkpoint(workdir["dense"]).parameter_counts()["total"]
+        assert cli.main(["inspect", "--ckpt", str(workdir["dense"])]) == 0
+        assert (f"total parameters: {dense} (active per patch {dense}, dense model {dense})\n"
+                in capsys.readouterr().out)
+        counts = backbone.load_checkpoint(workdir["tuned"]).parameter_counts()
+        per = expert_init.per_expert_param_count(16, 32, 2)
+        # d_model 16, d_ff 32: a dense MLP of 16*32+32+32*16+16 parameters
+        assert counts["dense"] == counts["total"] - counts["moe_layers"] + 1072 == dense
+        assert counts["active_per_patch"] == counts["total"] - per
+        assert cli.main(["inspect", "--ckpt", str(workdir["tuned"])]) == 0
+        assert (f"total parameters: {counts['total']} (active per patch {counts['total'] - per}, "
+                f"dense model {dense})\n" in capsys.readouterr().out)
 
 
 class TestCheckpointErrors:

@@ -14,7 +14,8 @@ from patchmoe.data import Dataset, LabeledImage
 from patchmoe.tensor import Rng
 
 from util_model import toy_config
-from util_oracles import forward_capture_oracle, model_attention_oracle
+from util_oracles import (forward_capture_oracle, layer_norm_saved_xhat_oracle,
+                          model_attention_oracle, silu_saved_sigmoid_oracle)
 from test_expert_init import make_router
 from test_training import make_two_class_dataset
 
@@ -389,6 +390,60 @@ class TestMoETape:
         # the slot gather and T.add_rows' output; no slot-order copy of the
         # expert outputs is kept
         assert few_held == many_held == 2
+
+
+class TestRecomputedArrays:
+    """T.silu and T.layer_norm recompute in the backward what takes a few
+    elementwise passes over their input, and Model.attention merges heads
+    with views and adds its residual in the output projection's array."""
+
+    @staticmethod
+    def leaf(*shape):
+        data = np.random.default_rng(0).standard_normal(shape).astype(np.float32)
+        return T.Tensor(data, requires_grad=True)
+
+    @staticmethod
+    def same_buffers(arrays, wanted):
+        """arrays (owners of their memory) are exactly those of `wanted`."""
+        owners = [a if not isinstance(a.base, np.ndarray) else a.base for a in wanted]
+        return sorted(map(id, arrays)) == sorted(map(id, owners))
+
+    def test_silu_holds_its_input_and_output(self):
+        a = self.leaf(4, 5)
+        out = T.silu(a)
+        assert self.same_buffers(held_arrays(out), [a.data, out.data])
+        assert len(held_arrays(silu_saved_sigmoid_oracle(a))) == 3
+
+    def test_layer_norm_holds_no_other_full_size_buffer(self):
+        x, gain, bias = self.leaf(3, 4, 6), self.leaf(6), self.leaf(6)
+
+        def full_size(out):
+            return [arr for arr in held_arrays(out) if arr.size == x.data.size]
+
+        out = T.layer_norm(x, gain, bias)
+        assert self.same_buffers(full_size(out), [x.data, out.data])
+        assert len(full_size(layer_norm_saved_xhat_oracle(x, gain, bias))) == 3
+
+    def test_desk_attention_merges_views_and_holds_one_residual_sum(self, monkeypatch):
+        """On a 16-image slice of the desk model, the output projection reads
+        T.attention's output through views, and the layer's tape holds no
+        (B, P, N_PX, d) array besides its input, the ln1 output, the q/k/v
+        projections, the attention output and the residual sum it returns."""
+        cfg = backbone.desk_config(2, layers=1)
+        model = backbone.Model(cfg, Rng(0))
+        images = np.random.default_rng(0).integers(0, 256, (backbone.CAPTURE_CHUNK, 64, 64, 3),
+                                                   dtype=np.uint8)
+        x = T.Tensor(model.patch_embed(images).data, requires_grad=True)
+        made = {name: TestNoTape().spy(monkeypatch, T, name)
+                for name in ("layer_norm", "linear", "attention")}
+        out = model.attention(model.layers[0], x)
+        (normed,), (attn,) = made["layer_norm"], made["attention"]
+        q, k, v, projected = made["linear"]
+        assert projected is out
+        proj_input = out._parents[1]
+        assert np.shares_memory(proj_input.data, attn.data)
+        full = [arr for arr in held_arrays(out) if arr.size == x.data.size]
+        assert self.same_buffers(full, [t.data for t in (x, normed, q, k, v, attn, out)])
 
 
 class TestAccumulate:

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from patchmoe import tensor as T
 from util_fd import gradcheck
-from util_oracles import attention_chain_oracle, linear_chain_oracle
+from util_oracles import (attention_chain_oracle, layer_norm_saved_xhat_oracle,
+                          linear_chain_oracle, linear_residual_oracle,
+                          silu_saved_sigmoid_oracle)
 
 
 @pytest.fixture
@@ -375,6 +377,47 @@ class TestFusedNodesMatchChains:
                                  ((3, 5), (1, 5)), ((3, 5), ()), ((3, 5), (1,))]:
             with pytest.raises(ValueError, match="linear needs a 2-D weight"):
                 T.linear(x, T.Tensor(np.zeros(w_shape)), T.Tensor(np.zeros(b_shape)))
+
+
+class TestRecomputingNodesMatchOracles:
+    """T.silu and T.layer_norm, which recompute in the backward what their
+    oracles keep on the tape, and T.linear with a residual, one node where
+    its oracle has two: output and every input gradient bit for bit, for
+    each subset of inputs taking a gradient."""
+
+    @staticmethod
+    def check(fn, oracle, shapes, cotangent_shape, seed, dtype):
+        T.set_default_dtype(dtype)
+        try:
+            run = TestFusedNodesMatchChains.runner(shapes, cotangent_shape, seed)
+            for requires in itertools.product([True, False], repeat=len(shapes)):
+                new = run(fn, requires)
+                assert new[0].dtype == np.dtype(dtype)
+                TestFusedNodesMatchChains.assert_same(new, run(oracle, requires))
+        finally:
+            T.set_default_dtype("float32")
+
+    @settings(max_examples=30, deadline=None)
+    @given(shape=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+           seed=st.integers(0, 2**16), dtype=st.sampled_from(["float32", "float64"]))
+    def test_silu_byte_equal_to_saved_sigmoid_oracle(self, shape, seed, dtype):
+        self.check(T.silu, silu_saved_sigmoid_oracle, [shape], shape, seed, dtype)
+
+    @settings(max_examples=30, deadline=None)
+    @given(lead=st.lists(st.integers(1, 4), min_size=0, max_size=3), d=st.integers(1, 6),
+           seed=st.integers(0, 2**16), dtype=st.sampled_from(["float32", "float64"]))
+    def test_layer_norm_byte_equal_to_saved_xhat_oracle(self, lead, d, seed, dtype):
+        self.check(T.layer_norm, layer_norm_saved_xhat_oracle,
+                   [(*lead, d), (d,), (d,)], (*lead, d), seed, dtype)
+
+    @settings(max_examples=30, deadline=None)
+    @given(lead=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+           d_in=st.integers(1, 6), d_out=st.integers(1, 6),
+           seed=st.integers(0, 2**16), dtype=st.sampled_from(["float32", "float64"]))
+    def test_linear_residual_byte_equal_to_add_oracle(self, lead, d_in, d_out, seed, dtype):
+        self.check(lambda x, w, b, r: T.linear(x, w, b, residual=r), linear_residual_oracle,
+                   [(*lead, d_in), (d_in, d_out), (d_out,), (*lead, d_out)],
+                   (*lead, d_out), seed, dtype)
 
 
 class TestAttentionBlocks:

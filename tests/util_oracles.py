@@ -212,6 +212,43 @@ def linear_chain_oracle(x, w, b):
     return T.add(T.reshape(rows, x.shape[:-1] + w.shape[-1:]), b)
 
 
+def linear_residual_oracle(x, w, b, residual):
+    """residual + (x.w + b) as two tape nodes, each with its own array:
+    T.linear, then T.add."""
+    return T.add(residual, T.linear(x, w, b))
+
+
+def silu_saved_sigmoid_oracle(a):
+    """T.silu as it was when its tape kept the sigmoid array for the
+    backward."""
+    sig = np.negative(a.data)
+    np.exp(sig, out=sig)
+    np.add(1.0, sig, out=sig)
+    np.divide(1.0, sig, out=sig)
+    return T._op(a.data * sig, (a, lambda g: g * sig * (1.0 + a.data * (1.0 - sig))))
+
+
+def layer_norm_saved_xhat_oracle(x, gain, bias):
+    """T.layer_norm as it was when its tape kept the normalized input xhat
+    beside 1/std for the backward."""
+    n = x.shape[-1]
+    xc = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / n
+    out = np.multiply(xc, xc)
+    var = np.add.reduce(out, axis=-1, keepdims=True)
+    var /= n
+    inv = 1.0 / np.sqrt(var + T.default_eps())
+    xhat = np.multiply(xc, inv, out=xc)
+
+    def x_grad(g):
+        gh = g * gain.data
+        return inv * (gh - gh.mean(axis=-1, keepdims=True)
+                      - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
+
+    np.multiply(xhat, gain.data, out=out)
+    np.add(out, bias.data, out=out)
+    return T._op(out, (gain, lambda g: g * xhat), (bias, lambda g: g), (x, x_grad))
+
+
 def attention_chain_oracle(q, k, v, scale):
     """softmax(q.k^T * scale).v over the last two axes, as the op chain it
     was before T.attention: four tape nodes, each with its own score-sized
