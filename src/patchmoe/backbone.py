@@ -127,9 +127,9 @@ class DenseMLP:
     w2: Tensor
     b2: Tensor
 
-    def forward(self, pre: Tensor) -> Tensor:
-        h = T.silu(T.linear(pre, self.w1, self.b1))
-        return T.linear(h, self.w2, self.b2)
+    def forward(self, pre: Tensor, residual: Tensor | None = None) -> Tensor:
+        """The MLP on `pre`, plus `residual` in the same node if given."""
+        return T.silu_linear(T.linear(pre, self.w1, self.b1), self.w2, self.b2, residual)
 
     def parameters(self) -> dict[str, Tensor]:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
@@ -232,14 +232,14 @@ class Model:
         if h != w or h % cfg.patch_size != 0 or c != 3:
             raise ValueError(f"image shape {images.shape} incompatible with config")
         blocks = unfold(images.astype(T.default_dtype()) / 255.0, cfg.patch_size)
-        x = T.linear(Tensor(blocks), self.embed_w, self.embed_b)
         grid = h // cfg.patch_size
         pos = self.pos
         if grid != cfg.grid:  # alternate scale: nearest-neighbor over the patch grid
             rows = (np.arange(grid) * cfg.grid) // grid
             pos = T.take(T.take(pos, rows, axis=0), rows, axis=1)
         pos = T.reshape(pos, (grid * grid, N_PX, cfg.d_model))
-        return T.add(x, pos)
+        # the positions broadcast over the images, added in the embedding's array
+        return T.linear(Tensor(blocks), self.embed_w, self.embed_b, residual=pos)
 
     def attention(self, layer: TransformerLayer, x: Tensor) -> Tensor:
         """Pre-norm multi-head self-attention across the P patches, separately
@@ -282,12 +282,12 @@ class Model:
 
     def _mlp_residual(self, layer: TransformerLayer, x: Tensor, captured: Tensor):
         """x plus the layer's dense MLP or MoE output on `captured`, and the
-        MoE routing record (None for a dense MLP)."""
+        MoE routing record (None for a dense MLP). A dense MLP adds x in its
+        output's node and array."""
         if isinstance(layer.mlp, moe_mod.MoEBlock):
             sub_out, record = moe_mod.moe_forward(x, captured, layer.mlp)
-        else:
-            sub_out, record = layer.mlp.forward(captured), None
-        return T.add(x, sub_out), record
+            return T.add(x, sub_out), record
+        return layer.mlp.forward(captured, residual=x), None
 
     def capture_pre_mlp(self, images: np.ndarray, layer: int) -> Tensor:
         """Activation after attention and the MLP-input layer norm at `layer`:

@@ -15,7 +15,6 @@ import numpy as np
 from . import tensor as T
 from .backbone import DenseMLP, Model, dense_mlp_hash
 from .moe import MoEBlock, Router
-from .tensor import Tensor
 
 GAMMA_INIT = 0.9
 
@@ -33,7 +32,8 @@ def slice_expert(block: MoEBlock, e: int, mlp: DenseMLP, centroid_raw: np.ndarra
     activations.
     """
     c = np.asarray(centroid_raw, dtype=np.float64)
-    acts = T.silu(Tensor(c @ mlp.w1.data.astype(np.float64, order="C") + mlp.b1.data)).data
+    pre = c @ mlp.w1.data.astype(np.float64, order="C") + mlp.b1.data
+    acts = pre * T._sigmoid(pre)
     keep = np.sort(np.argsort(-acts, kind="stable")[:block.w1.shape[2]])
     block.w1.data[e] = mlp.w1.data[:, keep]
     block.b1.data[e] = mlp.b1.data[keep]

@@ -66,8 +66,7 @@ def expert_forward(h_pixels: Tensor, block: "MoEBlock", e: int) -> Tensor:
     gamma is taken once per use, so each use adds into the row as into a leaf."""
     w1, b1, w2, b2, x_corr = (T.take(getattr(block, k), e)
                               for k in ("w1", "b1", "w2", "b2", "x_corr"))
-    a = T.silu(T.linear(h_pixels, w1, b1))
-    out = T.linear(a, w2, b2)
+    out = T.silu_linear(T.linear(h_pixels, w1, b1), w2, b2)
     one_minus = T.sub(T.Tensor(1.0), T.take(block.gamma, e))
     return T.add(T.mul(out, one_minus), T.mul(x_corr, T.take(block.gamma, e)))
 

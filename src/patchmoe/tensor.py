@@ -120,11 +120,20 @@ class Tensor:
             self.grad += g.astype(self.data.dtype, copy=False)
 
     def backward(self, grad=None) -> None:
-        """Reverse sweep from this node in fixed topological order. A non-leaf
-        node's grad is dropped once its own backward has read it; only leaves
-        (parameters and inputs) keep .grad."""
+        """Reverse sweep from this node in fixed topological order; `grad`,
+        the output's cotangent, must have this node's shape (ValueError
+        otherwise). Only leaves (parameters and inputs) keep .grad. The sweep
+        frees the tape as it goes: once a non-leaf node's backward has run,
+        or the node got no gradient, it drops its grad, its closure and its
+        parents, so the arrays only it held are freed before the sweep ends.
+        A graph backpropagates once: a second backward through a released
+        node raises RuntimeError."""
         if grad is None:
             grad = np.ones_like(self.data)
+        grad = np.asarray(grad)
+        if grad.shape != self.shape:
+            raise ValueError(f"backward cotangent of shape {grad.shape} "
+                             f"for an output of shape {self.shape}")
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -140,14 +149,23 @@ class Tensor:
             for p in node._parents:
                 if id(p) not in seen and p.requires_grad:
                     stack.append((p, False))
-        self._accumulate(np.asarray(grad))
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        self._accumulate(grad)
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
                 node.grad = None
+            node._parents = ()
+            node._backward = _released
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}, grad={self.requires_grad})"
+
+
+def _released(g) -> None:
+    raise RuntimeError("backward through a graph whose tape a backward already freed")
 
 
 def parameter(data, rng: Rng | None = None, shape=None, scale=None) -> Tensor:
@@ -220,9 +238,18 @@ def _rows(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[-1])
 
 
+def _check_linear(x: Tensor, w: Tensor, b: Tensor) -> None:
+    _check_matmul(x, w)
+    if w.ndim != 2 or b.shape != w.shape[1:]:
+        raise ValueError(f"linear needs a 2-D weight and a ({w.shape[-1]},) bias: "
+                         f"got w {w.shape}, b {b.shape}")
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor, residual: Tensor | None = None) -> Tensor:
     """x.w + b as one node, for a 2-D w and a bias of shape (w.shape[1],);
-    with `residual`, add(residual, x.w + b) in the same node and array.
+    with `residual`, add(residual, x.w + b) in the same node and array. The
+    residual may broadcast to the output's shape (as the patch embedding's
+    positions do over the images); its gradient is g summed back to its shape.
 
     The forward is add(matmul(x, w), b)'s numpy call, x.data @ w.data, with
     the bias (and then the residual) added in place and no tape node for the
@@ -230,12 +257,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor, residual: Tensor | None = None) -> T
     wakes a second BLAS thread and its buffers for no forward speed. The
     backward works on x's rows (its leading axes flattened): dx = rows(g).w^T
     and dw = rows(x)^T.rows(g), one gemm each, so no (..., d_in, d_out) array
-    of weight gradients per leading index is formed and then summed; the
-    residual's gradient is g."""
-    _check_matmul(x, w)
-    if w.ndim != 2 or b.shape != w.shape[1:]:
-        raise ValueError(f"linear needs a 2-D weight and a ({w.shape[-1]},) bias: "
-                         f"got w {w.shape}, b {b.shape}")
+    of weight gradients per leading index is formed and then summed."""
+    _check_linear(x, w, b)
     out_data = x.data @ w.data
     np.add(out_data, b.data, out=out_data)
     inputs = [(b, lambda g: g),
@@ -368,10 +391,10 @@ def add_rows(parts: list[Tensor], weights: Tensor, rows, n_rows: int) -> Tensor:
         w_grad = np.empty_like(weights.data).reshape(-1) if weights.requires_grad else None
         for part, lo, hi in spans:
             g_rows = g[rows[lo:hi]]
-            if part.requires_grad:
-                part._accumulate(g_rows * w[lo:hi])
             if w_grad is not None:
                 w_grad[lo:hi] = (g_rows * part.data).sum(axis=tuple(range(1, part.ndim)))
+            if part.requires_grad:  # the gathered rows are read no more: scale them in place
+                part._accumulate(np.multiply(g_rows, w[lo:hi], out=g_rows))
         if w_grad is not None:
             weights._accumulate(w_grad.reshape(weights.shape))
 
@@ -452,14 +475,36 @@ def _sigmoid(a: np.ndarray) -> np.ndarray:
     return np.divide(1.0, sig, out=sig)
 
 
-def silu(a: Tensor) -> Tensor:
-    """a * sigmoid(a). The tape keeps no sigmoid: the backward recomputes it
-    from a with the forward's calls."""
-    def grad(g):
-        sig = _sigmoid(a.data)
-        return g * sig * (1.0 + a.data * (1.0 - sig))
+def silu_linear(a: Tensor, w: Tensor, b: Tensor, residual: Tensor | None = None) -> Tensor:
+    """linear(silu(a), w, b, residual) as one node, silu(a) = a * sigmoid(a).
 
-    return _op(a.data * _sigmoid(a.data), (a, grad))
+    The forward makes silu's and linear's numpy calls in order. The tape
+    keeps a but not silu(a): the backward recomputes sigmoid(a) from a with
+    the forward's calls, once for dw = rows(a * sig)^T.rows(g) and for a's
+    gradient, dh * sig * (1 + a * (1 - sig)) with dh = rows(g).w^T."""
+    _check_linear(a, w, b)
+    out_data = (a.data * _sigmoid(a.data)) @ w.data
+    np.add(out_data, b.data, out=out_data)
+    if residual is not None:
+        np.add(out_data, residual.data, out=out_data)
+
+    def backward(g):
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.shape))
+        if residual is not None and residual.requires_grad:
+            residual._accumulate(_unbroadcast(g, residual.shape))
+        if not (a.requires_grad or w.requires_grad):
+            return
+        sig = _sigmoid(a.data)
+        if w.requires_grad:
+            w._accumulate(_rows(a.data * sig).T @ _rows(g))
+        if a.requires_grad:
+            # in silu(a)'s dtype, so a mixed-dtype call rounds dh as linear(silu(a)) does
+            dh = (_rows(g) @ w.data.T).reshape(a.shape).astype(a.data.dtype, copy=False)
+            a._accumulate(dh * sig * (1.0 + a.data * (1.0 - sig)))
+
+    parents = (a, w, b) if residual is None else (a, w, b, residual)
+    return Tensor(out_data, _parents=parents, _backward=backward)
 
 
 def dropout(a: Tensor, p: float, rng: Rng) -> Tensor:

@@ -270,8 +270,8 @@ def train_step(model, optimizer: AdamW, x: np.ndarray, y: np.ndarray,
     """One optimizer step on an augmented batch: images x, soft labels y and
     the images' classes. The batch runs backbone.CAPTURE_CHUNK images per
     forward and backward, in order; each slice's loss is divided by the
-    batch's size, its gradients add up in .grad and its tape is freed before
-    the next forward, so peak memory is that of one slice. A non-finite loss
+    batch's size, its gradients add up in .grad and its backward frees its
+    tape as it goes, so peak memory is that of one slice. A non-finite loss
     on any slice raises DivergenceError, naming `where`, before the
     parameters change. Returns the batch's mean loss, its top-1 hits and the
     expert counts per MoE layer."""
@@ -289,7 +289,8 @@ def train_step(model, optimizer: AdamW, x: np.ndarray, y: np.ndarray,
         correct += int((np.argmax(result.logits.data, axis=-1) == labels[lo:hi]).sum())
         for i, record in result.routing.items():
             counts[i] = counts.get(i, 0) + record.expert_counts
-        del result, loss  # free this slice's tape before the next forward builds one
+        # the backward freed the slice's tape; this frees its logits and routing records
+        del result, loss
     # an expert that got no rows in the step keeps its weights and moments
     optimizer.step({getattr(block, k): np.flatnonzero(counts[i])
                     for i, block in model.moe_blocks().items() for k in EXPERT_WEIGHTS})

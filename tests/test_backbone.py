@@ -16,7 +16,8 @@ from patchmoe.backbone import Model, ModelConfig, unfold
 from test_expert_init import make_router
 from util_model import check_model_gradients, model_digest, toy_config
 from util_oracles import (attention_chain_oracle, forward_capture_oracle, fold_oracle,
-                          linear_chain_oracle, model_attention_oracle)
+                          linear_chain_oracle, model_attention_oracle,
+                          silu_linear_chain_oracle)
 
 
 class TestConfig:
@@ -234,10 +235,10 @@ class TestAttentionPerPixelPosition:
 
 class TestFusedNodesMatchChains:
     """A desk-shaped MoE model gives the same train-mode logits and parameter
-    gradients, bit for bit, with the op chains that T.attention and T.linear
-    replaced swapped back in. The attention key bias is the canary: its true
-    gradient is exactly 0, so it holds only rounding noise, and any change
-    in summation order shows there first."""
+    gradients, bit for bit, with the op chains that T.attention, T.linear
+    and T.silu_linear replaced swapped back in. The attention key bias is
+    the canary: its true gradient is exactly 0, so it holds only rounding
+    noise, and any change in summation order shows there first."""
 
     @pytest.mark.parametrize("swap", ["attention", "attention+linear"])
     @pytest.mark.parametrize("top_k", [1, 2])
@@ -280,6 +281,7 @@ class TestFusedNodesMatchChains:
                 m.setattr(Model, "attention", model_attention_oracle)
                 if "linear" in swap:
                     m.setattr(T, "linear", linear_chain_oracle)
+                    m.setattr(T, "silu_linear", silu_linear_chain_oracle)
                 chain = digest_and_canary()
         finally:
             T.set_default_dtype("float32")

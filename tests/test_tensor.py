@@ -11,7 +11,7 @@ from patchmoe import tensor as T
 from util_fd import gradcheck
 from util_oracles import (attention_chain_oracle, layer_norm_saved_xhat_oracle,
                           linear_chain_oracle, linear_residual_oracle,
-                          silu_saved_sigmoid_oracle)
+                          silu_linear_chain_oracle)
 
 
 @pytest.fixture
@@ -153,14 +153,19 @@ class TestLayerNorm:
 
 
 class TestActivations:
-    def test_silu_zero(self):
-        assert T.silu(T.Tensor([0.0])).data[0] == 0.0
+    @staticmethod
+    def silu(a):
+        """silu(a) through T.silu_linear with an identity weight."""
+        return T.silu_linear(T.Tensor([[a]]), T.Tensor([[1.0]]), T.Tensor([0.0])).data[0, 0]
+
+    def test_silu_linear_zero(self):
+        assert self.silu(0.0) == 0.0
 
     def test_clamp_min_negative(self):
         assert T.clamp_min(T.Tensor([-1.0]), 0.0).data[0] == 0.0
 
-    def test_silu_one(self):
-        assert T.silu(T.Tensor([1.0])).data[0] == pytest.approx(1.0 / (1.0 + math.exp(-1)))
+    def test_silu_linear_one(self):
+        assert self.silu(1.0) == pytest.approx(1.0 / (1.0 + math.exp(-1)))
 
 
 class TestMinMax:
@@ -252,7 +257,12 @@ OPS = {
     "layer_norm": (lambda x, g, b: T.layer_norm(x, g, b), [(3, 6), (6,), (6,)]),
     "layer_norm_3d": (lambda x, g, b: T.layer_norm(x, g, b), [(2, 3, 6), (6,), (6,)]),
     "clamp_min": (lambda a: T.clamp_min(T.add(a, T.Tensor(0.3)), 0.0), [(3, 4)]),
-    "silu": (lambda a: T.silu(a), [(3, 4)]),
+    "silu_linear": (lambda a, w, b: T.silu_linear(a, w, b), [(3, 4), (4, 2), (2,)]),
+    # the residual broadcast over the leading axis, as the positions in patch_embed
+    "silu_linear_residual": (lambda a, w, b, r: T.silu_linear(a, w, b, r),
+                             [(2, 3, 4), (4, 5), (5,), (3, 5)]),
+    "linear_residual_broadcast": (lambda x, w, b, r: T.linear(x, w, b, residual=r),
+                                  [(2, 3, 4), (4, 5), (5,), (3, 5)]),
     "cosine_matrix": (lambda a, b: T.cosine_matrix(a, b), [(3, 4), (2, 4)]),
 }
 
@@ -278,6 +288,21 @@ def test_input_without_requires_grad_gets_no_grad(name):
         assert [t.grad is None for t in ins] == [i == const for i in range(len(ins))]
 
 
+class TestBackward:
+    def test_cotangent_of_another_shape_is_refused(self):
+        """A cotangent that only broadcasts to the output's shape is refused
+        before any gradient lands, naming both shapes."""
+        x = T.Tensor(np.ones(3), requires_grad=True)
+        out = T.mul(x, T.Tensor(2.0))
+        for grad in (np.ones(1), np.ones((1, 3)), np.float64(1.0)):
+            with pytest.raises(ValueError, match=r"cotangent of shape \(.*\) for an output "
+                                                 r"of shape \(3,\)"):
+                out.backward(grad)
+            assert x.grad is None
+        out.backward(np.ones(3))
+        assert np.array_equal(x.grad, [2.0, 2.0, 2.0])
+
+
 # T.attention's input layouts: with axes, each input is a transposed view of
 # a contiguous leaf, as a 4-D (B, N, heads, dh) leaf split by heads, or as
 # Model.attention's (B, P, N_PX, HEADS, dh) leaf laid out
@@ -291,16 +316,19 @@ class TestFusedNodesMatchChains:
     output and every input gradient, sign of zero included."""
 
     @staticmethod
-    def runner(shapes, cotangent_shape, seed, axes=None):
+    def runner(shapes, cotangent_shape, seed, axes=None, negative_zeros=False):
         """(fn, requires) -> [fn's output, each input's grad] under one fixed
         cotangent; requires says which inputs take a gradient (by default
         all), and no backward runs when none does. With axes, each input is
-        the transpose(axes) view of a contiguous leaf."""
+        the transpose(axes) view of a contiguous leaf. With negative_zeros,
+        about a third of the cotangent's entries are -0.0."""
         rng = np.random.default_rng(seed)
         dtype = T.default_dtype()
         leaves = [rng.standard_normal(tuple(np.take(s, np.argsort(axes))) if axes else s)
                   .astype(dtype) for s in shapes]
         cot = rng.standard_normal(cotangent_shape).astype(dtype)
+        if negative_zeros:
+            cot[rng.random(cotangent_shape) < 1 / 3] = -0.0
 
         def run(fn, requires=None):
             requires = [True] * len(leaves) if requires is None else requires
@@ -380,16 +408,17 @@ class TestFusedNodesMatchChains:
 
 
 class TestRecomputingNodesMatchOracles:
-    """T.silu and T.layer_norm, which recompute in the backward what their
-    oracles keep on the tape, and T.linear with a residual, one node where
-    its oracle has two: output and every input gradient bit for bit, for
-    each subset of inputs taking a gradient."""
+    """T.silu_linear and T.layer_norm, which recompute in the backward what
+    their oracles keep on the tape, and T.linear with a residual, one node
+    where its oracle has two: output and every input gradient bit for bit,
+    for each subset of inputs taking a gradient."""
 
     @staticmethod
-    def check(fn, oracle, shapes, cotangent_shape, seed, dtype):
+    def check(fn, oracle, shapes, cotangent_shape, seed, dtype, negative_zeros=False):
         T.set_default_dtype(dtype)
         try:
-            run = TestFusedNodesMatchChains.runner(shapes, cotangent_shape, seed)
+            run = TestFusedNodesMatchChains.runner(shapes, cotangent_shape, seed,
+                                                   negative_zeros=negative_zeros)
             for requires in itertools.product([True, False], repeat=len(shapes)):
                 new = run(fn, requires)
                 assert new[0].dtype == np.dtype(dtype)
@@ -398,10 +427,19 @@ class TestRecomputingNodesMatchOracles:
             T.set_default_dtype("float32")
 
     @settings(max_examples=30, deadline=None)
-    @given(shape=st.lists(st.integers(1, 5), min_size=1, max_size=4),
+    @given(lead=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+           d_in=st.integers(1, 6), d_out=st.integers(1, 6),
+           residual=st.sampled_from(["none", "full", "broadcast"]),
            seed=st.integers(0, 2**16), dtype=st.sampled_from(["float32", "float64"]))
-    def test_silu_byte_equal_to_saved_sigmoid_oracle(self, shape, seed, dtype):
-        self.check(T.silu, silu_saved_sigmoid_oracle, [shape], shape, seed, dtype)
+    def test_silu_linear_byte_equal_to_chain_oracle(self, lead, d_in, d_out, residual, seed,
+                                                    dtype):
+        """With no residual, a full-size one, or one broadcast over the
+        leading axis; about a third of the cotangent is -0.0."""
+        shapes = [(*lead, d_in), (d_in, d_out), (d_out,)]
+        if residual != "none":
+            shapes.append((*lead[residual == "broadcast":], d_out))
+        self.check(T.silu_linear, silu_linear_chain_oracle, shapes, (*lead, d_out), seed,
+                   dtype, negative_zeros=True)
 
     @settings(max_examples=30, deadline=None)
     @given(lead=st.lists(st.integers(1, 4), min_size=0, max_size=3), d=st.integers(1, 6),

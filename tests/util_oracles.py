@@ -132,8 +132,8 @@ def moefy_layer_oracle(model, layer_index, router, gamma=0.9):
     dtype = T.default_dtype()
 
     def hidden_activations(centroid_raw):
-        c = np.asarray(centroid_raw, dtype=np.float64)
-        return T.silu(T.Tensor(c @ w1.astype(np.float64) + b1)).data
+        pre = np.asarray(centroid_raw, dtype=np.float64) @ w1.astype(np.float64) + b1
+        return pre * T._sigmoid(pre)
 
     experts = []
     for e in range(router.num_experts):
@@ -204,12 +204,14 @@ def _scatter_rows_oracle(values, rows, n_rows):
     return T.Tensor(out_data, _parents=(values,), _backward=backward)
 
 
-def linear_chain_oracle(x, w, b):
+def linear_chain_oracle(x, w, b, residual=None):
     """x.w + b as a chain of tape nodes on x's rows (its leading axes
-    flattened): reshape, one 2-D matmul, reshape back, add. Its gradients
-    are T.linear's: dx = rows(g).w^T and dw = rows(x)^T.rows(g)."""
+    flattened): reshape, one 2-D matmul, reshape back, add; with `residual`,
+    one more add(residual, ...). Its gradients are T.linear's:
+    dx = rows(g).w^T and dw = rows(x)^T.rows(g)."""
     rows = T.matmul(T.reshape(x, (-1, x.shape[-1])), w)
-    return T.add(T.reshape(rows, x.shape[:-1] + w.shape[-1:]), b)
+    out = T.add(T.reshape(rows, x.shape[:-1] + w.shape[-1:]), b)
+    return out if residual is None else T.add(residual, out)
 
 
 def linear_residual_oracle(x, w, b, residual):
@@ -219,13 +221,20 @@ def linear_residual_oracle(x, w, b, residual):
 
 
 def silu_saved_sigmoid_oracle(a):
-    """T.silu as it was when its tape kept the sigmoid array for the
-    backward."""
+    """a * sigmoid(a) as one tape node, as T.silu was when its tape kept the
+    sigmoid array for the backward."""
     sig = np.negative(a.data)
     np.exp(sig, out=sig)
     np.add(1.0, sig, out=sig)
     np.divide(1.0, sig, out=sig)
     return T._op(a.data * sig, (a, lambda g: g * sig * (1.0 + a.data * (1.0 - sig))))
+
+
+def silu_linear_chain_oracle(a, w, b, residual=None):
+    """T.silu_linear as the chain it replaced: silu(a) as a node of its own,
+    whose array the tape keeps, then T.linear, then add(residual, ...)."""
+    out = T.linear(silu_saved_sigmoid_oracle(a), w, b)
+    return out if residual is None else T.add(residual, out)
 
 
 def layer_norm_saved_xhat_oracle(x, gain, bias):
@@ -431,8 +440,8 @@ def moe_forward_per_expert_oracle(x, captured, block):
     outs = []
     for seg, ex in zip(segments, block.experts):
         if len(seg.data):
-            a = T.silu(T.linear(T.reshape(seg, (-1, d)), ex["w1"], ex["b1"]))
-            out = T.linear(a, ex["w2"], ex["b2"])
+            out = T.silu_linear(T.linear(T.reshape(seg, (-1, d)), ex["w1"], ex["b1"]),
+                                ex["w2"], ex["b2"])
             one_minus = T.sub(T.Tensor(1.0), ex["gamma"])
             blended = T.add(T.mul(out, one_minus), T.mul(ex["x_corr"], ex["gamma"]))
             outs.append(T.reshape(blended, seg.shape))
